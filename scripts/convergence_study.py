@@ -4,7 +4,7 @@
 Two sweeps on manufactured polynomial solutions:
 
   * solution error: sup |Phi - Phi*| over polar grids of increasing size,
-    which should sit at the quadrature floor for every polynomial case;
+    which should sit at the round-off floor for every polynomial case;
   * residual order: the finite-difference bilaplacian residual at a
     sequence of spacings, second order (slope ~ 2) on degree-6 solutions
     and at the floor on quartics.

@@ -14,6 +14,10 @@ quadrature overrides and a sampling seed:
 
 Fourier coefficients are [mode, re, im] triples, monomial loads are
 [a, b, re, im] quadruples, and every omitted field defaults to zero data.
+Solved values come from closed forms, so the quadrature settings do not
+change them: circle_nodes bounds solve_grid's radius policy, and
+circle_nodes and angular_nodes set the rules of the integral route for A
+and B in ``lipschitz``.
 Unknown keys anywhere are rejected. Output files are written atomically
 (temp file then rename) with sorted keys and shortest round-trip floats,
 so identical inputs produce byte-identical files.

@@ -6,8 +6,8 @@ module computes the constants entering its two-sided distortion bounds:
 * L, an empirical Lipschitz constant of the boundary trace f,
 * the certified gradient bound  P = (220/3) L + 4 sup|h| + (23/3) sup|g|,
 * the origin invariants  A = |Phi_z(0)|^2,  B = |Phi_zbar(0)|^2  and
-  Q = A - B, each computed both from kernel-derivative quadrature and
-  from the closed integral formulas they reduce to,
+  Q = A - B, each computed both from the solver's closed-form gradient
+  and, by quadrature, from the integral formulas they reduce to,
 * the verdict: Phi is reported bi-Lipschitz when Q > 2 P^2, with lower
   bound Q/P - 2P on the difference quotient, else Lipschitz-only.
 
@@ -57,8 +57,8 @@ class GradientMatrixStats:
 class ABResult:
     """Origin gradient invariants, each computed two ways.
 
-    a_value, b_value, q_value come from kernel-derivative quadrature at the
-    origin. a_integral / b_integral evaluate the closed formulas
+    a_value, b_value, q_value come from the solver's closed-form gradient at
+    the origin. a_integral / b_integral evaluate by quadrature the formulas
 
         |(1/4pi) int e^{-+i theta}(3f + h) dtheta
             - int zetabar-or-zeta (log|zeta|^2 + 1 - |zeta|^2) g dA|^2
@@ -162,7 +162,7 @@ def _origin_green_terms(g: SourceTerm, rules: RuleSet):
 
 def compute_ab(f: BoundaryData, h: BoundaryData, g: SourceTerm,
                rules: RuleSet = DEFAULT_RULES) -> ABResult:
-    """A, B, Q at the origin, from kernel derivatives and from closed integrals."""
+    """A, B, Q at the origin, from the closed-form gradient and from the integral formulas."""
     pair = gradient_point(f, h, g, 0j, rules)
     a_value = abs(pair.d_z) ** 2
     b_value = abs(pair.d_zbar) ** 2

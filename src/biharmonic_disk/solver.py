@@ -12,17 +12,33 @@ normal-derivative kernels and G[.] is the Green potential
     G[g](z) = int_D G(z, zeta) g(zeta) dA(zeta).
 
 Boundary data is canonically a vector of uniform samples (``BoundaryData``),
-loads are finite sums of monomials z^a conj(z)^b (``SourceTerm``). The Green
-potential is always integrated on the recentred grid so the logarithmic
-diagonal of G sits at the origin of the pulled-back coordinates; the solver
-uses the algebraic composition of G with the recentring map, which the test
-suite pins against the generic quadrature path.
+loads are finite sums of monomials z^a conj(z)^b (``SourceTerm``). For this
+data model every transform has a closed form, and the solver evaluates only
+those (s = 1 - |z|^2, t = |z|^2):
 
-Gradients are computed from the closed-form kernel derivatives, never by
-differencing the field. ``solve_grid`` evaluates on a polar grid with radii
-r_max * k / n_r and refuses radii so close to the circle that the angular
-rule cannot resolve the kernel's O(1 - r) concentration window, unless
-explicitly overridden.
+* Boundary. F0 acts on the mode e^{i m theta} as the multiplier
+  r^|m| (1 + |m| s / 2) and H0 as r^|m| s / 2. Splitting the data into
+  u = A(z) + B(zbar), the analytic and antianalytic parts of its harmonic
+  extension,
+
+      F0[f] = u + (s/2) (z A'(z) + zbar B'(zbar)),    H0[h] = (s/2) u.
+
+* Green. For one load term c z^a zbar^b,
+
+      -G[c z^a zbar^b] = c w^|a-b| s^2 P_k(t) / ((a+1)(a+2)(b+1)(b+2)),
+
+  with w = z if a >= b and zbar otherwise, k = min(a, b) + 2 and
+  P_k(t) = sum_{i=0}^{k-2} (k-1-i) t^i. Every term of P_k is positive and
+  s^2 is a factor, so nothing cancels as r -> 0 or r -> 1.
+
+Gradients differentiate these formulas, never the field. The integral forms
+(circle quadrature of the kernels in ``kernels``, recentred disk quadrature
+of ``green.g_eval``) stay in ``quadrature``, ``verify`` and the tests as the
+independent oracle the closed forms are checked against.
+
+``solve_grid`` evaluates on a polar grid with radii r_max * k / n_r and
+keeps a radius policy tied to the case's circle rule; point evaluation
+refuses points within 40 / 2^21 of the circle.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from . import kernels  # noqa: F401 - re-exported; callers reach it as solver.kernels
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -52,15 +68,14 @@ MAX_GRID_RADIUS = 0.999
 # Minimum value of (1 - r) * n_circle_nodes before a grid radius is refused.
 _POLICY_NODES_PER_WINDOW = 10.0
 
-# Point evaluation refines the circle rule until (1 - r) * n reaches this;
-# the trace kernel's aliasing error then decays like r^n ~ e^{-40}.
-_REFINE_NODES_PER_WINDOW = 40.0
+# Boundary transforms refuse points nearer the circle than this. The closed
+# forms are exact there too; the limit keeps the set of refused points that
+# callers and the error taxonomy rely on (40 nodes per kernel window at 2^21
+# circle nodes, the resolution limit of the kernel quadrature).
+_MIN_CIRCLE_DISTANCE = 40.0 / (1 << 21)
 
-# Refinement gives up past this many circle nodes.
-_MAX_CIRCLE_NODES = 1 << 21
-
-# Kernel matrices are built in chunks of at most this many complex entries.
-_CHUNK_ENTRIES = 1 << 22
+_polyval = np.polynomial.polynomial.polyval
+_polyder = np.polynomial.polynomial.polyder
 
 
 class BoundaryData:
@@ -125,10 +140,35 @@ class BoundaryData:
         out += coef[n // 2] * np.cos((n // 2) * th)
         return out
 
+    def _harmonic_parts(self):
+        """Coefficients (a, b) with u = sum_m a_m z^m + sum_m b_m zbar^m.
+
+        u is the harmonic extension of the interpolant: a holds the modes
+        0..N/2, b the modes 0, -1..-N/2 (b_0 = 0). The Nyquist coefficient is
+        halved into both, matching ``eval_at``'s cosine convention.
+        """
+        half = self.n // 2
+        coef = np.fft.fft(self.samples) / self.n
+        nyquist = 0.5 * coef[half]
+        a = np.concatenate((coef[:half], [nyquist]))
+        b = np.concatenate(([0.0], coef[:half:-1], [nyquist]))
+        return a, b
+
     def resample(self, n_nodes: int) -> np.ndarray:
+        """Samples of the interpolant at n_nodes uniform angles.
+
+        Upsampling zero-pads the spectrum (O(n log n)); downsampling
+        evaluates the interpolant directly.
+        """
         if n_nodes == self.n:
             return self.samples
-        return self.eval_at(_circle_angles(n_nodes))
+        if n_nodes < self.n:
+            return self.eval_at(_circle_angles(n_nodes))
+        a, b = self._harmonic_parts()
+        padded = np.zeros(n_nodes, dtype=complex)
+        padded[: a.size] = a
+        padded[n_nodes - b.size + 1 :] = b[:0:-1]
+        return np.fft.ifft(padded) * n_nodes
 
     def sup_norm(self) -> float:
         dense = max(2048, self.n)
@@ -265,79 +305,66 @@ def h0_transform(h: BoundaryData, z: complex, rules: RuleSet = DEFAULT_RULES) ->
     return complex(vals[0])
 
 
-def _effective_nodes(base: int, zs: np.ndarray) -> np.ndarray:
-    """Circle node count per point, doubled until (1 - r) n covers the kernel window.
-
-    The trace kernel concentrates in an angular window of width O(1 - |z|);
-    with too few nodes across it the equal-weight rule aliases badly, so
-    point evaluation refines transparently instead of returning garbage.
-    """
+def _check_boundary_points(zs: np.ndarray) -> None:
+    """Refuse non-finite points and points within _MIN_CIRCLE_DISTANCE of the circle."""
+    if not np.all(np.isfinite(zs)):
+        raise DomainError("z must be finite")
     r = np.abs(zs)
-    need = _REFINE_NODES_PER_WINDOW / np.maximum(1.0 - r, 1e-12)
-    if np.any(need > _MAX_CIRCLE_NODES):
-        worst = float(r.max())
+    near = 1.0 - r < _MIN_CIRCLE_DISTANCE
+    if np.any(near):
         raise ResolutionPolicyError(
-            f"radius {worst} needs more than {_MAX_CIRCLE_NODES} circle nodes "
-            "to resolve the boundary kernels"
+            f"radius {float(r[near].max())} lies within {_MIN_CIRCLE_DISTANCE:.3g} "
+            "of the circle, where boundary transforms are refused"
         )
-    out = np.full(zs.shape, base, dtype=np.int64)
-    under = need > out
-    while np.any(under):
-        out[under] *= 2
-        under = need > out
-    return out
 
 
 def _boundary_batch(f: Optional[BoundaryData], h: Optional[BoundaryData],
                     zs: np.ndarray, rules: RuleSet):
-    """Means of F0(z e^{-i th}) f(th) and H0(z e^{-i th}) h(th) over the rule angles."""
+    """F0[f] and H0[h] at each z from the mode multipliers (module docstring).
+
+    ``rules`` is accepted for signature compatibility; the closed form needs none.
+    """
+    _check_boundary_points(zs)
+    zb = np.conj(zs)
+    s = 1.0 - (zs.real**2 + zs.imag**2)
     f_vals = np.zeros(zs.shape, dtype=complex)
     h_vals = np.zeros(zs.shape, dtype=complex)
-    for n, sel in _node_groups(rules.circle.n_nodes, zs):
-        e = np.exp(-1j * _circle_angles(n))
-        fs = f.resample(n) if f is not None else None
-        hs = h.resample(n) if h is not None else None
-        idx = np.flatnonzero(sel)
-        step = max(1, _CHUNK_ENTRIES // n)
-        for lo in range(0, idx.size, step):
-            part = idx[lo : lo + step]
-            w = zs[part][:, None] * e[None, :]
-            if fs is not None:
-                f_vals[part] = kernels.f0_eval(w) @ fs / n
-            if hs is not None:
-                h_vals[part] = kernels.h0_eval(w) @ hs / n
+    if f is not None:
+        a, b = f._harmonic_parts()
+        m = np.arange(a.size)
+        f_vals = (_polyval(zs, a) + _polyval(zb, b)
+                  + 0.5 * s * (_polyval(zs, m * a) + _polyval(zb, m * b)))
+    if h is not None:
+        a, b = h._harmonic_parts()
+        h_vals = 0.5 * s * (_polyval(zs, a) + _polyval(zb, b))
     return f_vals, h_vals
-
-
-def _node_groups(base: int, zs: np.ndarray):
-    """Group point indices by the refined circle node count they need."""
-    counts = _effective_nodes(base, zs)
-    for n in np.unique(counts):
-        yield int(n), counts == n
 
 
 def _boundary_gradient_batch(f: Optional[BoundaryData], h: Optional[BoundaryData],
                              zs: np.ndarray, rules: RuleSet):
-    """Wirtinger gradient of the combined boundary part at each z."""
+    """Wirtinger gradient of the combined boundary part at each z.
+
+    With u = A(z) + B(zbar) and s = 1 - |z|^2, differentiating
+    F0[f] = u + (s/2)(z A' + zbar B') and H0[h] = (s/2) u, using ds/dz = -zbar.
+    """
+    _check_boundary_points(zs)
+    zb = np.conj(zs)
+    s = 1.0 - (zs.real**2 + zs.imag**2)
     d_z = np.zeros(zs.shape, dtype=complex)
     d_zbar = np.zeros(zs.shape, dtype=complex)
-    for n, sel in _node_groups(rules.circle.n_nodes, zs):
-        th = _circle_angles(n)
-        fs = f.resample(n) if f is not None else None
-        hs = h.resample(n) if h is not None else None
-        idx = np.flatnonzero(sel)
-        step = max(1, _CHUNK_ENTRIES // n)
-        for lo in range(0, idx.size, step):
-            part = idx[lo : lo + step]
-            chunk = zs[part][:, None]
-            if fs is not None:
-                ker = kernels._f0_dz_values(kernels._as_points(chunk), th[None, :])
-                d_z[part] += ker @ fs / n
-                d_zbar[part] += np.conj(ker) @ fs / n
-            if hs is not None:
-                ker = kernels._h0_dz_values(kernels._as_points(chunk), th[None, :])
-                d_z[part] += ker @ hs / n
-                d_zbar[part] += np.conj(ker) @ hs / n
+    if f is not None:
+        a, b = f._harmonic_parts()
+        da, db = _polyder(a), _polyder(b)
+        a1, b1 = _polyval(zs, da), _polyval(zb, db)
+        a2, b2 = _polyval(zs, _polyder(da)), _polyval(zb, _polyder(db))
+        euler = zs * a1 + zb * b1
+        d_z += a1 + 0.5 * s * (a1 + zs * a2) - 0.5 * zb * euler
+        d_zbar += b1 + 0.5 * s * (b1 + zb * b2) - 0.5 * zs * euler
+    if h is not None:
+        a, b = h._harmonic_parts()
+        u = _polyval(zs, a) + _polyval(zb, b)
+        d_z += 0.5 * (s * _polyval(zs, _polyder(a)) - zb * u)
+        d_zbar += 0.5 * (s * _polyval(zb, _polyder(b)) - zs * u)
     return d_z, d_zbar
 
 
@@ -345,74 +372,69 @@ def _boundary_gradient_batch(f: Optional[BoundaryData], h: Optional[BoundaryData
 # Green potential
 
 def green_potential(g: SourceTerm, z: complex, rules: RuleSet = DEFAULT_RULES) -> complex:
-    """Green potential int_D G(z, zeta) g(zeta) dA(zeta), recentred at z."""
+    """Green potential int_D G(z, zeta) g(zeta) dA(zeta) at z."""
     return complex(_green_potential_batch(g, np.asarray([z], dtype=complex), rules)[0])
 
 
-def _centered_grid(rules: RuleSet):
-    disk = rules.disk
-    rho, w = disk.centered_radial_nodes
-    eta = rho[:, None] * np.exp(1j * _circle_angles(disk.n_angular))[None, :]
-    return rho, 2.0 * rho * w, eta
+def _disk_abs2(zs: np.ndarray) -> np.ndarray:
+    if np.any(np.abs(zs) >= 1.0):
+        raise DomainError("Green potential requires |z| < 1")
+    return zs.real**2 + zs.imag**2
+
+
+def _green_factors(a: int, b: int, c: complex, t: np.ndarray):
+    """(scale, k, P_k(t)) for the load term c z^a zbar^b; -G of it is scale w^|a-b| s^2 P_k."""
+    k = min(a, b) + 2
+    scale = c / ((a + 1) * (a + 2) * (b + 1) * (b + 2))
+    return scale, k, _polyval(t, np.arange(k - 1, 0, -1.0))
 
 
 def _green_potential_batch(g: SourceTerm, zs: np.ndarray,
                            rules: RuleSet = DEFAULT_RULES) -> np.ndarray:
-    """G[g] at each z via the recentred grid.
+    """G[g] at each z, summed over the load terms in closed form (module docstring).
 
-    Uses the exact composition of G with the recentring map: with
-    eta = rho e^{i phi}, s = 1 - |z|^2 and den = 1 - eta conj(z),
-
-        G(z, zeta(eta)) * jacobian = s^4 (rho^2 log(1/rho^2) - (1 - rho^2)) / |den|^6,
-
-    so the logarithm is evaluated once per rule, not once per point.
+    ``rules`` is accepted for signature compatibility; the closed form needs none.
     """
     out = np.zeros(zs.shape, dtype=complex)
     if g.is_zero:
         return out
-    if np.any(np.abs(zs) >= 1.0):
-        raise DomainError("Green potential requires |z| < 1")
-    rho, radial_w, eta = _centered_grid(rules)
-    rad = (rho**2 * np.log(1.0 / rho**2) - (1.0 - rho**2))[:, None]
-    g_const = g.constant_value() if g.is_constant else None
-    for i, z in enumerate(zs):
-        den = 1.0 - eta * np.conj(z)
-        a2 = den.real**2 + den.imag**2
-        s = 1.0 - (z.real**2 + z.imag**2)
-        core = (s**4) * rad / a2**3
-        if g_const is None:
-            core = core * g.evaluate((z - eta) / den)
-        else:
-            core = core * g_const
-        out[i] = radial_w @ core.mean(axis=1)
-    return out
+    t = _disk_abs2(zs)
+    zb = np.conj(zs)
+    for a, b, c in g.terms:
+        scale, _, p = _green_factors(a, b, c, t)
+        out -= scale * (zs if a >= b else zb) ** abs(a - b) * p
+    return out * (1.0 - t) ** 2
 
 
 def _green_gradient_batch(g: SourceTerm, zs: np.ndarray,
                           rules: RuleSet = DEFAULT_RULES):
-    """Wirtinger gradient of the Green potential at each z (same recentred grid)."""
+    """Wirtinger gradient of the Green potential at each z.
+
+    Per term, with Q(t) = s^2 P_k(t) and w the power base (z or zbar),
+    d/dw [w^d Q] = d w^(d-1) Q + w^d conj(w) Q' and d/dconj(w) [w^d Q] = w^(d+1) Q',
+    where Q'(t) = -k s sum_{i=0}^{k-2} t^i.
+    """
     d_z = np.zeros(zs.shape, dtype=complex)
     d_zbar = np.zeros(zs.shape, dtype=complex)
     if g.is_zero:
         return d_z, d_zbar
-    if np.any(np.abs(zs) >= 1.0):
-        raise DomainError("Green potential requires |z| < 1")
-    rho, radial_w, eta = _centered_grid(rules)
-    log_r = np.log(1.0 / rho**2)[:, None]
-    one_m_rho2 = (1.0 - rho**2)[:, None]
-    eta_bar = np.conj(eta)
-    g_const = g.constant_value() if g.is_constant else None
-    for i, z in enumerate(zs):
-        zb = np.conj(z)
-        den = 1.0 - eta * zb
-        a2 = den.real**2 + den.imag**2
-        s = 1.0 - (z.real**2 + z.imag**2)
-        ker = (s**3 / a2**2) * (
-            eta_bar * log_r / np.conj(den) + (zb - eta_bar) * one_m_rho2 / a2
-        )
-        gv = g_const if g_const is not None else g.evaluate((z - eta) / den)
-        d_z[i] = radial_w @ (ker * gv).mean(axis=1)
-        d_zbar[i] = radial_w @ (np.conj(ker) * gv).mean(axis=1)
+    t = _disk_abs2(zs)
+    s = 1.0 - t
+    zb = np.conj(zs)
+    for a, b, c in g.terms:
+        scale, k, p = _green_factors(a, b, c, t)
+        d = abs(a - b)
+        w, w_bar = (zs, zb) if a >= b else (zb, zs)
+        dq = -k * s * _polyval(t, np.ones(k - 1))
+        w_d = w**d
+        along = w_d * w_bar * dq
+        if d:
+            along += d * w ** (d - 1) * s**2 * p
+        across = w_d * w * dq
+        if a < b:
+            along, across = across, along
+        d_z -= scale * along
+        d_zbar -= scale * across
     return d_z, d_zbar
 
 
@@ -440,7 +462,7 @@ def solve_points(f: BoundaryData, h: BoundaryData, g: SourceTerm, zs,
 
 def gradient_point(f: BoundaryData, h: BoundaryData, g: SourceTerm, z: complex,
                    rules: RuleSet = DEFAULT_RULES) -> WirtingerPair:
-    """Wirtinger gradient (Phi_z, Phi_zbar) from the closed-form kernel derivatives."""
+    """Wirtinger gradient (Phi_z, Phi_zbar) from the closed-form transforms."""
     zs = np.asarray([z], dtype=complex)
     bz, bzb = _boundary_gradient_batch(f, h, zs, rules)
     gz, gzb = _green_gradient_batch(g, zs, rules)
@@ -496,9 +518,10 @@ def solve_grid(f: BoundaryData, h: BoundaryData, g: SourceTerm,
     """Solve on the polar grid r = r_max k / n_r, theta = 2 pi j / n_theta.
 
     Radii with (1 - r) * circle nodes below 10 are refused unless
-    ``allow_near_boundary`` is set: at such radii the trace kernel varies on
-    an angular scale the circle rule can no longer resolve. Radii above
-    0.999 are always refused.
+    ``allow_near_boundary`` is set, and radii above 0.999 always are. This
+    policy bounds a grid's reach by the resolution of the case's circle
+    rule; the closed-form transforms themselves are exact at every such
+    radius.
     """
     if n_r < 1 or n_theta < 1:
         raise DegenerateDataError("grid sizes must be positive")

@@ -1,17 +1,35 @@
 """Boundary data containers, loads, and the assembled solution operator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biharmonic_disk import solver
+from biharmonic_disk import green, kernels, solver, verify
 from biharmonic_disk.errors import (
     DegenerateDataError,
     DomainError,
     ResolutionPolicyError,
 )
+from biharmonic_disk.quadrature import (
+    DEFAULT_RULES,
+    CircleRule,
+    circle_integrate,
+    disk_integrate_centered,
+)
 from biharmonic_disk.solver import BoundaryData, SourceTerm, case_fingerprint
+
+
+def _peak_bytes(call):
+    """Peak Python heap allocation while running call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +48,14 @@ def test_resample_is_lossless_for_bandlimited_data():
     coarse = BoundaryData.from_fourier(modes, n_samples=16)
     fine = BoundaryData.from_fourier(modes, n_samples=64)
     assert np.allclose(coarse.resample(64), fine.samples, atol=1e-13)
+
+
+def test_upsampling_keeps_the_nyquist_cosine_convention():
+    # generic samples carry a Nyquist mode; zero-padding must split it
+    rng = np.random.default_rng(3)
+    data = BoundaryData(rng.normal(size=16) + 1j * rng.normal(size=16))
+    for n in (18, 40, 64):
+        assert np.allclose(data.resample(n), data.eval_at(CircleRule(n).thetas), atol=1e-13)
 
 
 def test_resample_same_size_returns_samples():
@@ -54,6 +80,11 @@ def test_sup_norm():
     spiked = BoundaryData.from_fourier([(0, 3.0), (2, 1.0)])
     assert spiked.sup_norm() == pytest.approx(4.0)
     assert BoundaryData.zero(16).sup_norm() == 0.0
+
+
+def test_sup_norm_does_not_build_a_dense_matrix():
+    data = BoundaryData.from_fourier([(3, 1.0)])
+    assert _peak_bytes(data.sup_norm) < 2**20
 
 
 def test_scalar_and_additive_arithmetic():
@@ -241,7 +272,7 @@ def test_trace_recovery_near_boundary():
 
 
 def test_point_refinement_keeps_radial_profile_accurate():
-    # At r = 0.995 the base 512-node rule underresolves; refinement kicks in.
+    # r = 0.995 lies inside the kernel window of a 512-node circle rule.
     f = BoundaryData.zero()
     h = BoundaryData.constant(1.0)
     g = SourceTerm.zero()
@@ -253,6 +284,35 @@ def test_point_too_close_to_circle_is_refused():
     f = BoundaryData.constant(1.0)
     with pytest.raises(ResolutionPolicyError):
         solver.solve_point(f, BoundaryData.zero(), SourceTerm.zero(), 1.0 - 1e-14)
+
+
+@pytest.mark.parametrize("r", [0.98, 0.99, 0.999])
+def test_pure_load_is_exact_near_the_circle(r):
+    zero = BoundaryData.zero()
+    z = r * np.exp(0.7j)
+    expected = (1.0 - abs(z) ** 2) ** 2
+    value = solver.solve_point(zero, zero, SourceTerm.constant(4.0), z)
+    assert abs(value - expected) <= 1e-12 * expected
+
+
+def test_boundary_transforms_match_mode_multipliers_near_the_circle():
+    modes = {0: 0.5, 1: 1.0 - 0.5j, -3: 0.25j, 17: -0.75, -40: 0.3 + 0.1j, 100: 0.2}
+    data = BoundaryData.from_fourier(modes.items())
+    r = 0.999
+    s = 1.0 - r**2
+    for theta in (0.0, 1.3, 4.0):
+        z = r * np.exp(1j * theta)
+        waves = {m: c * r ** abs(m) * np.exp(1j * m * theta) for m, c in modes.items()}
+        f0 = sum(w * (1.0 + abs(m) * s / 2.0) for m, w in waves.items())
+        h0 = sum(w * s / 2.0 for w in waves.values())
+        assert abs(solver.f0_transform(data, z) - f0) <= 1e-12 * abs(f0)
+        assert abs(solver.h0_transform(data, z) - h0) <= 1e-12 * abs(h0)
+
+
+def test_point_solve_near_the_circle_uses_little_memory():
+    f = BoundaryData.from_fourier([(1, 1.0), (-2, 0.5)])
+    g = SourceTerm.constant(4.0)
+    assert _peak_bytes(lambda: solver.solve_point(f, f, g, 0.999j)) < 10 * 2**20
 
 
 def test_solve_points_matches_individual_solves():
@@ -421,3 +481,69 @@ def test_grid_gradient_matches_closed_form(reference_fields):
     expected = -2.0 * np.conj(z) * (1.0 - np.abs(z) ** 2)
     assert np.max(np.abs(field.d_z - expected)) < 1e-8
     assert np.max(np.abs(field.d_zbar - np.conj(expected))) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the integral form of the representation
+
+# Mixed a != b terms with exponents up to 16 that the doubled disk rule
+# resolves to ~1e-12 at every sample point. It does not resolve z^16 zbar^16
+# or z^16 at r = 0.9 (~1e-10 absolute, 3e-6 relative); refining the rule
+# further shrinks that gap towards the closed form.
+_ORACLE_LOAD = SourceTerm([
+    (0, 0, 1.0), (3, 1, 0.5 - 1.0j), (1, 4, 2.0j), (16, 5, 0.7),
+    (5, 16, -0.4j), (14, 2, 0.3 + 0.3j), (9, 16, -0.6),
+])
+
+
+@pytest.mark.parametrize("z", verify.SAMPLE_POINTS)
+def test_green_closed_form_matches_quadrature(z):
+    rule = DEFAULT_RULES.disk.doubled()
+    g = _ORACLE_LOAD
+
+    def oracle(kernel):
+        return disk_integrate_centered(rule, lambda zeta: kernel(zeta) * g(zeta), center=z)
+
+    value = oracle(lambda zeta: green.g_eval(z, zeta))
+    d_z = oracle(lambda zeta: green.g_dz(z, zeta).d_z)
+    d_zbar = oracle(lambda zeta: green.g_dz(z, zeta).d_zbar)
+    assert abs(solver.green_potential(g, z) - value) <= 1e-10
+    gz, gzb = solver.green_gradient(g, [z])  # gradient of -G
+    assert abs(gz[0] + d_z) <= 1e-10
+    assert abs(gzb[0] + d_zbar) <= 1e-10
+
+
+_modes = st.dictionaries(
+    st.integers(min_value=-20, max_value=20),
+    st.complex_numbers(max_magnitude=2.0, allow_infinity=False, allow_nan=False),
+    min_size=1, max_size=5,
+)
+
+
+@given(f_modes=_modes, h_modes=_modes,
+       r=st.floats(min_value=0.0, max_value=0.9),
+       theta=st.floats(min_value=0.0, max_value=2.0 * np.pi))
+def test_boundary_closed_form_matches_kernel_quadrature(f_modes, h_modes, r, theta):
+    f = BoundaryData.from_fourier(f_modes.items(), 64)
+    h = BoundaryData.from_fourier(h_modes.items(), 64)
+    z = r * np.exp(1j * theta)
+    rule = DEFAULT_RULES.circle
+    fs, hs = f.resample(rule.n_nodes), h.resample(rule.n_nodes)
+
+    def oracle(kernel, samples):
+        return circle_integrate(rule, lambda th: kernel(z * np.exp(-1j * th)) * samples)
+
+    scale = sum(abs(c) for c in f_modes.values()) + sum(abs(c) for c in h_modes.values())
+    tol = 1e-12 * max(scale, 1.0)
+    assert abs(solver.f0_transform(f, z) - oracle(kernels.f0_eval, fs)) <= tol
+    assert abs(solver.h0_transform(h, z) - oracle(kernels.h0_eval, hs)) <= tol
+
+    def oracle_grad(kernel_dz, samples):
+        return np.array([
+            circle_integrate(rule, lambda th: getattr(kernel_dz(z, th), part) * samples)
+            for part in ("d_z", "d_zbar")
+        ])
+
+    expected = oracle_grad(kernels.f0_dz, fs) + oracle_grad(kernels.h0_dz, hs)
+    d_z, d_zbar = solver.boundary_gradient(f, h, [z])
+    assert np.max(np.abs([d_z[0], d_zbar[0]] - expected)) <= 20 * tol
