@@ -15,9 +15,8 @@ quadrature overrides and a sampling seed:
 Fourier coefficients are [mode, re, im] triples, monomial loads are
 [a, b, re, im] quadruples, and every omitted field defaults to zero data.
 Solved values come from closed forms, so the quadrature settings do not
-change them: circle_nodes bounds solve_grid's radius policy, and
-circle_nodes and angular_nodes set the rules of the integral route for A
-and B in ``lipschitz``.
+change them; circle_nodes and angular_nodes set the rules of the integral
+route for A and B in ``lipschitz``.
 Unknown keys anywhere are rejected. Output files are written atomically
 (temp file then rename) with sorted keys and shortest round-trip floats,
 so identical inputs produce byte-identical files.
@@ -144,16 +143,13 @@ def _parse_rules(doc) -> RuleSet:
         return RuleSet()
     if not isinstance(doc, dict):
         raise CaseFormatError("quadrature must be an object")
-    _require_keys(doc, {"circle_nodes", "radial_nodes", "angular_nodes"}, "quadrature")
+    _require_keys(doc, {"circle_nodes", "angular_nodes"}, "quadrature")
     for key in doc:
         if not isinstance(doc[key], int) or doc[key] < 1:
             raise CaseFormatError(f"quadrature.{key} must be a positive integer")
     try:
         circle = CircleRule(doc.get("circle_nodes", 512))
-        disk = DiskRule(
-            n_radial=doc.get("radial_nodes", 128),
-            n_angular=doc.get("angular_nodes", 256),
-        )
+        disk = DiskRule(n_angular=doc.get("angular_nodes", 256))
     except DomainError as exc:
         raise CaseFormatError(f"quadrature: {exc}") from exc
     return RuleSet(circle=circle, disk=disk)
@@ -197,7 +193,6 @@ def serialize_case(case: CaseFile) -> dict:
         "g": {"terms": [[a, b, c.real, c.imag] for a, b, c in case.g.terms]},
         "quadrature": {
             "circle_nodes": case.rules.circle.n_nodes,
-            "radial_nodes": case.rules.disk.n_radial,
             "angular_nodes": case.rules.disk.n_angular,
         },
         "seed": case.seed,
@@ -267,7 +262,7 @@ def cmd_solve(args) -> int:
         raise CaseFormatError("--grid expects NR,NT with integer sizes")
     field = solve_grid(
         case.f, case.h, case.g, n_r, n_theta,
-        rules=case.rules, r_max=args.r_max, with_gradient=args.gradient,
+        r_max=args.r_max, with_gradient=args.gradient,
     )
     columns = ["r", "theta", "re", "im"]
     if args.gradient:
@@ -301,9 +296,9 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     case = parse_case(args.case)
-    checks = [verify.fd_bilaplacian_residual(case, args.fd_h, rules=case.rules)]
-    checks += verify.boundary_trace_check(case, _TRACE_RADII, rules=case.rules)
-    checks += verify.gradient_crosscheck(case, _CROSSCHECK_POINTS, rules=case.rules)
+    checks = [verify.fd_bilaplacian_residual(case, args.fd_h)]
+    checks += verify.boundary_trace_check(case, _TRACE_RADII)
+    checks += verify.gradient_crosscheck(case, _CROSSCHECK_POINTS)
     ok = _print_checks(checks)
     if args.json:
         _atomic_write_json(args.json, _report_doc(checks))
@@ -314,8 +309,7 @@ def cmd_lipschitz(args) -> int:
     case = parse_case(args.case)
     report, ab = lipschitz.analyze_case(case.f, case.h, case.g, case.rules)
     n_r, n_theta, r_max = _QUOTIENT_GRID
-    field = solve_grid(case.f, case.h, case.g, n_r, n_theta,
-                       rules=case.rules, r_max=r_max)
+    field = solve_grid(case.f, case.h, case.g, n_r, n_theta, r_max=r_max)
     quotient = lipschitz.empirical_quotient(field, seed=case.seed)
     print(f"L (boundary Lipschitz estimate) = {report.l_boundary:.12g}")
     print(f"sup|h|                          = {report.h_sup:.12g}")

@@ -18,7 +18,7 @@ class DegenerateDataError(ValueError):
 
 
 class ResolutionPolicyError(ValueError):
-    """Requested evaluation point is too close to the boundary for the rule in use."""
+    """Requested point or grid radius lies nearer the circle than the solver admits."""
 
 
 class FingerprintMismatchError(ValueError):

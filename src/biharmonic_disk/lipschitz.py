@@ -163,7 +163,7 @@ def _origin_green_terms(g: SourceTerm, rules: RuleSet):
 def compute_ab(f: BoundaryData, h: BoundaryData, g: SourceTerm,
                rules: RuleSet = DEFAULT_RULES) -> ABResult:
     """A, B, Q at the origin, from the closed-form gradient and from the integral formulas."""
-    pair = gradient_point(f, h, g, 0j, rules)
+    pair = gradient_point(f, h, g, 0j)
     a_value = abs(pair.d_z) ** 2
     b_value = abs(pair.d_zbar) ** 2
 

@@ -36,9 +36,9 @@ Gradients differentiate these formulas, never the field. The integral forms
 of ``green.g_eval``) stay in ``quadrature``, ``verify`` and the tests as the
 independent oracle the closed forms are checked against.
 
-``solve_grid`` evaluates on a polar grid with radii r_max * k / n_r and
-keeps a radius policy tied to the case's circle rule; point evaluation
-refuses points within 40 / 2^21 of the circle.
+``solve_grid`` evaluates on a polar grid with radii r_max * k / n_r up to
+``MAX_GRID_RADIUS``; point evaluation refuses points within 40 / 2^21 of the
+circle.
 """
 
 from __future__ import annotations
@@ -57,16 +57,13 @@ from .errors import (
     ResolutionPolicyError,
 )
 from .kernels import WirtingerPair
-from .quadrature import DEFAULT_RULES, RuleSet, _circle_angles
+from .quadrature import _circle_angles
 
 # Exponent cap for SourceTerm monomials.
 MAX_EXPONENT = 16
 
-# Grid radii are refused above this even with the policy override.
+# Grid radii are refused above this.
 MAX_GRID_RADIUS = 0.999
-
-# Minimum value of (1 - r) * n_circle_nodes before a grid radius is refused.
-_POLICY_NODES_PER_WINDOW = 10.0
 
 # Boundary transforms refuse points nearer the circle than this. The closed
 # forms are exact there too; the limit keeps the set of refused points that
@@ -131,21 +128,17 @@ class BoundaryData:
         return cls(np.asarray(fn(_circle_angles(n_samples)), dtype=complex))
 
     def eval_at(self, theta) -> np.ndarray:
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        n = self.n
-        coef = np.fft.fft(self.samples) / n
-        m = np.fft.fftfreq(n, 1.0 / n)
-        keep = np.arange(n) != n // 2
-        out = np.exp(1j * np.outer(th, m[keep])) @ coef[keep]
-        out += coef[n // 2] * np.cos((n // 2) * th)
-        return out
+        w = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=float)))
+        a, b = self._harmonic_parts()
+        return _polyval(w, a) + _polyval(np.conj(w), b)
 
     def _harmonic_parts(self):
         """Coefficients (a, b) with u = sum_m a_m z^m + sum_m b_m zbar^m.
 
         u is the harmonic extension of the interpolant: a holds the modes
         0..N/2, b the modes 0, -1..-N/2 (b_0 = 0). The Nyquist coefficient is
-        halved into both, matching ``eval_at``'s cosine convention.
+        halved into both, so the interpolant carries it as a cosine
+        (real-symmetric convention).
         """
         half = self.n // 2
         coef = np.fft.fft(self.samples) / self.n
@@ -293,15 +286,15 @@ def case_fingerprint(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> str:
 # boundary transforms
 
 
-def f0_transform(f: BoundaryData, z: complex, rules: RuleSet = DEFAULT_RULES) -> complex:
+def f0_transform(f: BoundaryData, z: complex) -> complex:
     """Circle convolution of the trace kernel with f at the point z."""
-    vals, _ = _boundary_batch(f, None, np.asarray([z], dtype=complex), rules)
+    vals, _ = _boundary_batch(f, None, np.asarray([z], dtype=complex))
     return complex(vals[0])
 
 
-def h0_transform(h: BoundaryData, z: complex, rules: RuleSet = DEFAULT_RULES) -> complex:
+def h0_transform(h: BoundaryData, z: complex) -> complex:
     """Circle convolution of the normal-derivative kernel with h at z."""
-    _, vals = _boundary_batch(None, h, np.asarray([z], dtype=complex), rules)
+    _, vals = _boundary_batch(None, h, np.asarray([z], dtype=complex))
     return complex(vals[0])
 
 
@@ -319,11 +312,8 @@ def _check_boundary_points(zs: np.ndarray) -> None:
 
 
 def _boundary_batch(f: Optional[BoundaryData], h: Optional[BoundaryData],
-                    zs: np.ndarray, rules: RuleSet):
-    """F0[f] and H0[h] at each z from the mode multipliers (module docstring).
-
-    ``rules`` is accepted for signature compatibility; the closed form needs none.
-    """
+                    zs: np.ndarray):
+    """F0[f] and H0[h] at each z from the mode multipliers (module docstring)."""
     _check_boundary_points(zs)
     zb = np.conj(zs)
     s = 1.0 - (zs.real**2 + zs.imag**2)
@@ -341,7 +331,7 @@ def _boundary_batch(f: Optional[BoundaryData], h: Optional[BoundaryData],
 
 
 def _boundary_gradient_batch(f: Optional[BoundaryData], h: Optional[BoundaryData],
-                             zs: np.ndarray, rules: RuleSet):
+                             zs: np.ndarray):
     """Wirtinger gradient of the combined boundary part at each z.
 
     With u = A(z) + B(zbar) and s = 1 - |z|^2, differentiating
@@ -371,9 +361,9 @@ def _boundary_gradient_batch(f: Optional[BoundaryData], h: Optional[BoundaryData
 # ---------------------------------------------------------------------------
 # Green potential
 
-def green_potential(g: SourceTerm, z: complex, rules: RuleSet = DEFAULT_RULES) -> complex:
+def green_potential(g: SourceTerm, z: complex) -> complex:
     """Green potential int_D G(z, zeta) g(zeta) dA(zeta) at z."""
-    return complex(_green_potential_batch(g, np.asarray([z], dtype=complex), rules)[0])
+    return complex(_green_potential_batch(g, np.asarray([z], dtype=complex))[0])
 
 
 def _disk_abs2(zs: np.ndarray) -> np.ndarray:
@@ -389,12 +379,8 @@ def _green_factors(a: int, b: int, c: complex, t: np.ndarray):
     return scale, k, _polyval(t, np.arange(k - 1, 0, -1.0))
 
 
-def _green_potential_batch(g: SourceTerm, zs: np.ndarray,
-                           rules: RuleSet = DEFAULT_RULES) -> np.ndarray:
-    """G[g] at each z, summed over the load terms in closed form (module docstring).
-
-    ``rules`` is accepted for signature compatibility; the closed form needs none.
-    """
+def _green_potential_batch(g: SourceTerm, zs: np.ndarray) -> np.ndarray:
+    """G[g] at each z, summed over the load terms in closed form (module docstring)."""
     out = np.zeros(zs.shape, dtype=complex)
     if g.is_zero:
         return out
@@ -406,8 +392,7 @@ def _green_potential_batch(g: SourceTerm, zs: np.ndarray,
     return out * (1.0 - t) ** 2
 
 
-def _green_gradient_batch(g: SourceTerm, zs: np.ndarray,
-                          rules: RuleSet = DEFAULT_RULES):
+def _green_gradient_batch(g: SourceTerm, zs: np.ndarray):
     """Wirtinger gradient of the Green potential at each z.
 
     Per term, with Q(t) = s^2 P_k(t) and w the power base (z or zbar),
@@ -442,42 +427,39 @@ def _green_gradient_batch(g: SourceTerm, zs: np.ndarray,
 # assembled solution
 
 
-def solve_point(f: BoundaryData, h: BoundaryData, g: SourceTerm, z: complex,
-                rules: RuleSet = DEFAULT_RULES) -> complex:
+def solve_point(f: BoundaryData, h: BoundaryData, g: SourceTerm, z: complex) -> complex:
     """Phi(z) = F0[f](z) + H0[h](z) - G[g](z)."""
     zs = np.asarray([z], dtype=complex)
-    fv, hv = _boundary_batch(f, h, zs, rules)
-    gv = _green_potential_batch(g, zs, rules)
+    fv, hv = _boundary_batch(f, h, zs)
+    gv = _green_potential_batch(g, zs)
     return complex(fv[0] + hv[0] - gv[0])
 
 
-def solve_points(f: BoundaryData, h: BoundaryData, g: SourceTerm, zs,
-                 rules: RuleSet = DEFAULT_RULES) -> np.ndarray:
+def solve_points(f: BoundaryData, h: BoundaryData, g: SourceTerm, zs) -> np.ndarray:
     """Phi on a flat array of interior points (batched transforms)."""
     zs = np.asarray(zs, dtype=complex)
-    fv, hv = _boundary_batch(f, h, zs, rules)
-    gv = _green_potential_batch(g, zs, rules)
+    fv, hv = _boundary_batch(f, h, zs)
+    gv = _green_potential_batch(g, zs)
     return fv + hv - gv
 
 
-def gradient_point(f: BoundaryData, h: BoundaryData, g: SourceTerm, z: complex,
-                   rules: RuleSet = DEFAULT_RULES) -> WirtingerPair:
+def gradient_point(f: BoundaryData, h: BoundaryData, g: SourceTerm,
+                   z: complex) -> WirtingerPair:
     """Wirtinger gradient (Phi_z, Phi_zbar) from the closed-form transforms."""
     zs = np.asarray([z], dtype=complex)
-    bz, bzb = _boundary_gradient_batch(f, h, zs, rules)
-    gz, gzb = _green_gradient_batch(g, zs, rules)
+    bz, bzb = _boundary_gradient_batch(f, h, zs)
+    gz, gzb = _green_gradient_batch(g, zs)
     return WirtingerPair(complex(bz[0] - gz[0]), complex(bzb[0] - gzb[0]))
 
 
-def boundary_gradient(f: Optional[BoundaryData], h: Optional[BoundaryData],
-                      zs, rules: RuleSet = DEFAULT_RULES):
+def boundary_gradient(f: Optional[BoundaryData], h: Optional[BoundaryData], zs):
     """Wirtinger gradient arrays of the boundary part F0[f] + H0[h] alone."""
-    return _boundary_gradient_batch(f, h, np.asarray(zs, dtype=complex), rules)
+    return _boundary_gradient_batch(f, h, np.asarray(zs, dtype=complex))
 
 
-def green_gradient(g: SourceTerm, zs, rules: RuleSet = DEFAULT_RULES):
+def green_gradient(g: SourceTerm, zs):
     """Wirtinger gradient arrays of the Green part -G[g] alone."""
-    gz, gzb = _green_gradient_batch(g, np.asarray(zs, dtype=complex), rules)
+    gz, gzb = _green_gradient_batch(g, np.asarray(zs, dtype=complex))
     return -gz, -gzb
 
 
@@ -512,16 +494,14 @@ class SolutionField:
 
 
 def solve_grid(f: BoundaryData, h: BoundaryData, g: SourceTerm,
-               n_r: int, n_theta: int, rules: RuleSet = DEFAULT_RULES,
-               r_max: float = 1.0, with_gradient: bool = False,
-               allow_near_boundary: bool = False) -> SolutionField:
+               n_r: int, n_theta: int, r_max: float = 1.0,
+               with_gradient: bool = False) -> SolutionField:
     """Solve on the polar grid r = r_max k / n_r, theta = 2 pi j / n_theta.
 
-    Radii with (1 - r) * circle nodes below 10 are refused unless
-    ``allow_near_boundary`` is set, and radii above 0.999 always are. This
-    policy bounds a grid's reach by the resolution of the case's circle
-    rule; the closed-form transforms themselves are exact at every such
-    radius.
+    Grids whose last radius exceeds ``MAX_GRID_RADIUS`` are refused; the
+    closed-form transforms are exact at every radius up to it. A node whose
+    transforms raise ``DomainError`` or ``ResolutionPolicyError`` holds NaN
+    and is listed in ``failures``; any other error propagates.
     """
     if n_r < 1 or n_theta < 1:
         raise DegenerateDataError("grid sizes must be positive")
@@ -534,12 +514,6 @@ def solve_grid(f: BoundaryData, h: BoundaryData, g: SourceTerm,
         raise ResolutionPolicyError(
             f"grid radius {r_last} exceeds the hard cap {MAX_GRID_RADIUS}"
         )
-    window = (1.0 - r_last) * rules.circle.n_nodes
-    if window < _POLICY_NODES_PER_WINDOW and not allow_near_boundary:
-        raise ResolutionPolicyError(
-            f"grid radius {r_last} leaves only {window:.2f} circle nodes across "
-            f"the kernel window; pass allow_near_boundary=True to force"
-        )
 
     zs = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
     shape = (n_r, n_theta)
@@ -549,23 +523,23 @@ def solve_grid(f: BoundaryData, h: BoundaryData, g: SourceTerm,
     failures: list = []
 
     def run(sel):
-        fv, hv = _boundary_batch(f, h, zs[sel], rules)
-        gv = _green_potential_batch(g, zs[sel], rules)
+        fv, hv = _boundary_batch(f, h, zs[sel])
+        gv = _green_potential_batch(g, zs[sel])
         values[sel] = fv + hv - gv
         if with_gradient:
-            bz, bzb = _boundary_gradient_batch(f, h, zs[sel], rules)
-            wz, wzb = _green_gradient_batch(g, zs[sel], rules)
+            bz, bzb = _boundary_gradient_batch(f, h, zs[sel])
+            wz, wzb = _green_gradient_batch(g, zs[sel])
             d_z[sel] = bz - wz
             d_zbar[sel] = bzb - wzb
 
     try:
         run(slice(None))
-    except Exception:
+    except (DomainError, ResolutionPolicyError):
         # isolate failing nodes instead of losing the whole grid
         for k in range(zs.size):
             try:
                 run(slice(k, k + 1))
-            except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
+            except (DomainError, ResolutionPolicyError) as exc:
                 failures.append((k // n_theta, k % n_theta, str(exc)))
 
     return SolutionField(

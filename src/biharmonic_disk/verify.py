@@ -281,7 +281,6 @@ def bound_suite(rules: RuleSet = DEFAULT_RULES,
 
 
 def fd_bilaplacian_residual(case, grid_spacing: float, extent: float = 0.8,
-                            rules: RuleSet = DEFAULT_RULES,
                             tolerance: float = 1e-6) -> CheckResult:
     """Max |FD bilaplacian of Phi - g| on a Cartesian sub-grid.
 
@@ -303,7 +302,7 @@ def fd_bilaplacian_residual(case, grid_spacing: float, extent: float = 0.8,
     inside = np.abs(zg) <= extent
 
     values = np.full(zg.shape, np.nan, dtype=complex)
-    values[inside] = solve_points(case.f, case.h, case.g, zg[inside], rules)
+    values[inside] = solve_points(case.f, case.h, case.g, zg[inside])
 
     def lap(u):
         return (u[1:-1, 2:] + u[1:-1, :-2] + u[2:, 1:-1] + u[:-2, 1:-1]
@@ -320,7 +319,6 @@ def fd_bilaplacian_residual(case, grid_spacing: float, extent: float = 0.8,
 
 
 def boundary_trace_check(case, radii: Sequence[float],
-                         rules: RuleSet = DEFAULT_RULES,
                          n_angles: int = 32) -> list[CheckResult]:
     """Recovery of f (and of h via radial difference quotients) near r = 1.
 
@@ -337,7 +335,7 @@ def boundary_trace_check(case, radii: Sequence[float],
     th = 2.0 * np.pi * np.arange(n_angles) / n_angles
     f_ref = case.f.eval_at(th)
     ring = {
-        r: solve_points(case.f, case.h, case.g, r * np.exp(1j * th), rules)
+        r: solve_points(case.f, case.h, case.g, r * np.exp(1j * th))
         for r in radii
     }
 
@@ -360,7 +358,6 @@ def boundary_trace_check(case, radii: Sequence[float],
 
 
 def gradient_crosscheck(case, points: Sequence[complex],
-                        rules: RuleSet = DEFAULT_RULES,
                         step: float = _GRAD_STEP,
                         tolerance: float = 1e-6) -> list[CheckResult]:
     """Closed-form kernel gradients vs central differences of the field."""
@@ -369,9 +366,9 @@ def gradient_crosscheck(case, points: Sequence[complex],
         z = complex(z)
         if abs(z) > 0.9:
             raise DomainError("crosscheck points must satisfy |z| <= 0.9")
-        pair = gradient_point(case.f, case.h, case.g, z, rules)
+        pair = gradient_point(case.f, case.h, case.g, z)
         stencil = np.array([z + step, z - step, z + 1j * step, z - 1j * step])
-        ve = solve_points(case.f, case.h, case.g, stencil, rules)
+        ve = solve_points(case.f, case.h, case.g, stencil)
         ux = (ve[0] - ve[1]) / (2.0 * step)
         uy = (ve[2] - ve[3]) / (2.0 * step)
         fd_z = (ux - 1j * uy) / 2.0

@@ -40,7 +40,7 @@ def test_parse_full_case():
             "f": {"fourier": [[1, 1.0, 0.0], [-2, 0.0, 0.5]]},
             "h": {"samples": [[1.0, 0.0]] * 8},
             "g": {"terms": [[1, 1, 2.0, 0.0]]},
-            "quadrature": {"circle_nodes": 256, "radial_nodes": 64, "angular_nodes": 128},
+            "quadrature": {"circle_nodes": 256, "angular_nodes": 128},
             "seed": 7,
         }
     )
@@ -49,7 +49,7 @@ def test_parse_full_case():
     assert np.all(case.h.samples == 1.0)
     assert case.g.terms == ((1, 1, 2.0),)
     assert case.rules.circle.n_nodes == 256
-    assert case.rules.disk.n_radial == 64
+    assert case.rules.disk.n_angular == 128
     assert case.seed == 7
 
 
@@ -76,6 +76,8 @@ def test_parse_fourier_n_samples():
         ({"schema": 1, "quadrature": {"circle_nodes": 0}}, "positive integer"),
         ({"schema": 1, "f": []}, "f must be an object"),
         ([1, 2], "JSON object"),
+        ({"schema": 1, "quadrature": {"radial_nodes": 64}},
+         "unknown key 'radial_nodes' in quadrature"),
     ],
 )
 def test_parse_rejections(doc, fragment):
@@ -175,7 +177,7 @@ def test_solve_bad_grid_argument(tmp_path):
 
 def test_solve_near_boundary_grid_is_refused(tmp_path):
     case = write_case(tmp_path, CONSTANT)
-    rc = cli.main(["solve", "--case", case, "--grid", "100,8",
+    rc = cli.main(["solve", "--case", case, "--grid", "2000,8",
                    "--out", str(tmp_path / "o.json")])
     assert rc == 1
 

@@ -56,6 +56,9 @@ def test_upsampling_keeps_the_nyquist_cosine_convention():
     data = BoundaryData(rng.normal(size=16) + 1j * rng.normal(size=16))
     for n in (18, 40, 64):
         assert np.allclose(data.resample(n), data.eval_at(CircleRule(n).thetas), atol=1e-13)
+    th = rng.uniform(0.0, 2.0 * np.pi, size=7)
+    nyquist = BoundaryData((-1.0) ** np.arange(16))
+    assert np.allclose(nyquist.eval_at(th), np.cos(8 * th), atol=1e-13)
 
 
 def test_resample_same_size_returns_samples():
@@ -85,6 +88,13 @@ def test_sup_norm():
 def test_sup_norm_does_not_build_a_dense_matrix():
     data = BoundaryData.from_fourier([(3, 1.0)])
     assert _peak_bytes(data.sup_norm) < 2**20
+
+
+def test_eval_at_does_not_build_a_dense_matrix():
+    rng = np.random.default_rng(5)
+    data = BoundaryData(rng.normal(size=512) + 1j * rng.normal(size=512))
+    th = rng.uniform(0.0, 2.0 * np.pi, size=20_000)
+    assert _peak_bytes(lambda: data.eval_at(th)) < 5 * 2**20
 
 
 def test_scalar_and_additive_arithmetic():
@@ -420,26 +430,36 @@ def test_reference_fields_match_exact_solutions(reference_cases, reference_field
 
 
 def test_grid_refuses_unresolvable_outer_radius():
+    # Only radii past MAX_GRID_RADIUS are unresolvable; up to it the pure
+    # load g = 4 gives the exact (1 - |z|^2)^2.
     zero = BoundaryData.zero()
+    for n_r in (100, 1000):  # last radius 0.99 and 0.999
+        field = solver.solve_grid(zero, zero, SourceTerm.constant(4.0), n_r, 8)
+        assert field.radii[-1] == pytest.approx(1.0 - 1.0 / n_r)
+        expected = (1.0 - np.abs(field.points) ** 2) ** 2
+        assert np.all(np.abs(field.values - expected) <= 1e-12 * expected)
     with pytest.raises(ResolutionPolicyError):
-        solver.solve_grid(zero, zero, SourceTerm.zero(), 100, 4)
+        solver.solve_grid(zero, zero, SourceTerm.constant(4.0), 1001, 8)
 
 
 def test_grid_near_boundary_override():
-    f = BoundaryData.constant(1.0)
-    zero = BoundaryData.zero()
-    field = solver.solve_grid(
-        f, zero, SourceTerm.zero(), 100, 4, allow_near_boundary=True
-    )
-    assert np.allclose(field.values, 1.0, atol=1e-10)
+    # Near-boundary grids need no override: F0 + H0 of the same data has
+    # the multiplier r^|m| (1 + (|m| + 1) s / 2) up to r = 0.999.
+    modes = {0: 0.5, 1: 1.0 - 0.5j, -3: 0.25j, 17: -0.75}
+    data = BoundaryData.from_fourier(modes.items())
+    for n_r in (100, 1000):
+        field = solver.solve_grid(data, data, SourceTerm.zero(), n_r, 8)
+        r, th = field.radii[:, None], field.thetas[None, :]
+        s = 1.0 - r**2
+        expected = sum(c * r ** abs(m) * np.exp(1j * m * th) * (1.0 + (abs(m) + 1) * s / 2.0)
+                       for m, c in modes.items())
+        assert np.max(np.abs(field.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_grid_hard_radius_cap_cannot_be_overridden():
     zero = BoundaryData.zero()
     with pytest.raises(ResolutionPolicyError):
-        solver.solve_grid(
-            zero, zero, SourceTerm.zero(), 2000, 4, allow_near_boundary=True
-        )
+        solver.solve_grid(zero, zero, SourceTerm.zero(), 2000, 4)
 
 
 def test_grid_argument_validation():
@@ -456,10 +476,10 @@ def test_grid_isolates_failing_nodes(monkeypatch):
     original = solver._green_potential_batch
     target = 0.4j
 
-    def sabotaged(g, zs, rules=solver.DEFAULT_RULES):
+    def sabotaged(g, zs):
         if np.any(np.abs(zs - target) < 1e-12):
             raise DomainError("injected failure")
-        return original(g, zs, rules)
+        return original(g, zs)
 
     monkeypatch.setattr(solver, "_green_potential_batch", sabotaged)
     zero = BoundaryData.zero(8)
@@ -473,6 +493,16 @@ def test_grid_isolates_failing_nodes(monkeypatch):
     assert good.sum() == 15
     expected = (1.0 - np.abs(field.points) ** 2) ** 2
     assert np.allclose(field.values[good], expected[good], atol=1e-9)
+
+
+def test_grid_propagates_errors_outside_the_taxonomy(monkeypatch):
+    def broken(g, zs):
+        raise RuntimeError("injected bug")
+
+    monkeypatch.setattr(solver, "_green_potential_batch", broken)
+    zero = BoundaryData.zero(8)
+    with pytest.raises(RuntimeError, match="injected bug"):
+        solver.solve_grid(zero, zero, SourceTerm.constant(4.0), 4, 4, r_max=0.8)
 
 
 def test_grid_gradient_matches_closed_form(reference_fields):
