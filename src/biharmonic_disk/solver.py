@@ -13,38 +13,45 @@ normal-derivative kernels and G[.] is the Green potential
 
 Boundary data is canonically a vector of uniform samples (``BoundaryData``),
 loads are finite sums of monomials z^a conj(z)^b (``SourceTerm``). For this
-data model every transform has a closed form, and the solver evaluates only
-those (s = 1 - |z|^2, t = |z|^2):
+data model every transform has a closed form, and together they make Phi a
+polynomial in z and zbar of Almansi's shape (s = 1 - |z|^2, t = |z|^2):
 
-* Boundary. F0 acts on the mode e^{i m theta} as the multiplier
-  r^|m| (1 + |m| s / 2) and H0 as r^|m| s / 2. Splitting the data into
-  u = A(z) + B(zbar), the analytic and antianalytic parts of its harmonic
-  extension,
+    Phi(z) = sum over rows (p, j) of s^p t^j (alpha_pj(z) + beta_pj(zbar)).
+
+``Solution`` assembles this table once per case, from two blocks:
+
+* Boundary, rows (0, 0) and (1, 0). F0 acts on the mode e^{i m theta} as
+  the multiplier r^|m| (1 + |m| s / 2) and H0 as r^|m| s / 2. Splitting the
+  data into u = A(z) + B(zbar), the analytic and antianalytic parts of its
+  harmonic extension,
 
       F0[f] = u + (s/2) (z A'(z) + zbar B'(zbar)),    H0[h] = (s/2) u.
 
-* Green. For one load term c z^a zbar^b,
+* Green, rows (2, j). For one load term c z^a zbar^b,
 
       -G[c z^a zbar^b] = c w^|a-b| s^2 P_k(t) / ((a+1)(a+2)(b+1)(b+2)),
 
   with w = z if a >= b and zbar otherwise, k = min(a, b) + 2 and
-  P_k(t) = sum_{i=0}^{k-2} (k-1-i) t^i. Every term of P_k is positive and
-  s^2 is a factor, so nothing cancels as r -> 0 or r -> 1.
+  P_k(t) = sum_{j=0}^{k-2} (k-1-j) t^j. Every term of P_k is positive and
+  s^p stays factored out of each row, so nothing cancels as r -> 0 or r -> 1.
 
-Gradients differentiate these formulas, never the field. The integral forms
-(circle quadrature of the kernels in ``kernels``, recentred disk quadrature
-of ``green.g_eval``) stay in ``quadrature``, ``verify`` and the tests as the
-independent oracle the closed forms are checked against.
+Values and Wirtinger gradients share one evaluator, which differentiates
+the table, never the field: d/dz (s^p t^j) = zbar (j s^p t^(j-1) - p s^(p-1)
+t^j) (z for d/dzbar), plus alpha' and beta'. Powers of z, s and t come from
+repeated products and meet the table in one matmul per block and chunk of
+points. The integral forms (circle quadrature of the kernels in ``kernels``,
+recentred disk quadrature of ``green.g_eval``) stay in ``quadrature``,
+``verify`` and the tests as the independent oracle for the table.
 
-``solve_grid`` evaluates on a polar grid with radii r_max * k / n_r up to
-``MAX_GRID_RADIUS``; point evaluation refuses points within 40 / 2^21 of the
-circle.
+Every point entry point refuses a point by one rule: ``DomainError`` for a
+non-finite z or |z| >= 1, ``ResolutionPolicyError`` for
+1 - 40 / 2^21 < |z| < 1. ``solve_grid`` evaluates on a polar grid with radii
+r_max * k / n_r up to ``MAX_GRID_RADIUS``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,14 +72,17 @@ MAX_EXPONENT = 16
 # Grid radii are refused above this.
 MAX_GRID_RADIUS = 0.999
 
-# Boundary transforms refuse points nearer the circle than this. The closed
+# Point evaluation refuses points nearer the circle than this. The closed
 # forms are exact there too; the limit keeps the set of refused points that
 # callers and the error taxonomy rely on (40 nodes per kernel window at 2^21
 # circle nodes, the resolution limit of the kernel quadrature).
 _MIN_CIRCLE_DISTANCE = 40.0 / (1 << 21)
 
+# Points per evaluation chunk times table width stays under this, which
+# bounds the table of powers of z at 512 KiB whatever the number of points.
+_CHUNK_ENTRIES = 1 << 15
+
 _polyval = np.polynomial.polynomial.polyval
-_polyder = np.polynomial.polynomial.polyder
 
 
 class BoundaryData:
@@ -272,195 +282,187 @@ class Case:
 
 
 def case_fingerprint(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> str:
-    """Stable hash of the problem data (f, h, g) a field was built from."""
-    doc = {
-        "f": [[v.real, v.imag] for v in f.samples],
-        "h": [[v.real, v.imag] for v in h.samples],
-        "g": [[a, b, c.real, c.imag] for a, b, c in g.terms],
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """Stable hash of the problem data (f, h, g) a field was built from.
 
-
-# ---------------------------------------------------------------------------
-# boundary transforms
-
-
-def f0_transform(f: BoundaryData, z: complex) -> complex:
-    """Circle convolution of the trace kernel with f at the point z."""
-    vals, _ = _boundary_batch(f, None, np.asarray([z], dtype=complex))
-    return complex(vals[0])
-
-
-def h0_transform(h: BoundaryData, z: complex) -> complex:
-    """Circle convolution of the normal-derivative kernel with h at z."""
-    _, vals = _boundary_batch(None, h, np.asarray([z], dtype=complex))
-    return complex(vals[0])
-
-
-def _check_boundary_points(zs: np.ndarray) -> None:
-    """Refuse non-finite points and points within _MIN_CIRCLE_DISTANCE of the circle."""
-    if not np.all(np.isfinite(zs)):
-        raise DomainError("z must be finite")
-    r = np.abs(zs)
-    near = 1.0 - r < _MIN_CIRCLE_DISTANCE
-    if np.any(near):
-        raise ResolutionPolicyError(
-            f"radius {float(r[near].max())} lies within {_MIN_CIRCLE_DISTANCE:.3g} "
-            "of the circle, where boundary transforms are refused"
-        )
-
-
-def _boundary_batch(f: Optional[BoundaryData], h: Optional[BoundaryData],
-                    zs: np.ndarray):
-    """F0[f] and H0[h] at each z from the mode multipliers (module docstring)."""
-    _check_boundary_points(zs)
-    zb = np.conj(zs)
-    s = 1.0 - (zs.real**2 + zs.imag**2)
-    f_vals = np.zeros(zs.shape, dtype=complex)
-    h_vals = np.zeros(zs.shape, dtype=complex)
-    if f is not None:
-        a, b = f._harmonic_parts()
-        m = np.arange(a.size)
-        f_vals = (_polyval(zs, a) + _polyval(zb, b)
-                  + 0.5 * s * (_polyval(zs, m * a) + _polyval(zb, m * b)))
-    if h is not None:
-        a, b = h._harmonic_parts()
-        h_vals = 0.5 * s * (_polyval(zs, a) + _polyval(zb, b))
-    return f_vals, h_vals
-
-
-def _boundary_gradient_batch(f: Optional[BoundaryData], h: Optional[BoundaryData],
-                             zs: np.ndarray):
-    """Wirtinger gradient of the combined boundary part at each z.
-
-    With u = A(z) + B(zbar) and s = 1 - |z|^2, differentiating
-    F0[f] = u + (s/2)(z A' + zbar B') and H0[h] = (s/2) u, using ds/dz = -zbar.
+    Hashes the little-endian bytes of f's and h's samples and of g's terms
+    as rows (a, b, Re c, Im c), each part framed by its byte length.
     """
-    _check_boundary_points(zs)
-    zb = np.conj(zs)
-    s = 1.0 - (zs.real**2 + zs.imag**2)
-    d_z = np.zeros(zs.shape, dtype=complex)
-    d_zbar = np.zeros(zs.shape, dtype=complex)
-    if f is not None:
-        a, b = f._harmonic_parts()
-        da, db = _polyder(a), _polyder(b)
-        a1, b1 = _polyval(zs, da), _polyval(zb, db)
-        a2, b2 = _polyval(zs, _polyder(da)), _polyval(zb, _polyder(db))
-        euler = zs * a1 + zb * b1
-        d_z += a1 + 0.5 * s * (a1 + zs * a2) - 0.5 * zb * euler
-        d_zbar += b1 + 0.5 * s * (b1 + zb * b2) - 0.5 * zs * euler
-    if h is not None:
-        a, b = h._harmonic_parts()
-        u = _polyval(zs, a) + _polyval(zb, b)
-        d_z += 0.5 * (s * _polyval(zs, _polyder(a)) - zb * u)
-        d_zbar += 0.5 * (s * _polyval(zb, _polyder(b)) - zs * u)
-    return d_z, d_zbar
-
-
-# ---------------------------------------------------------------------------
-# Green potential
-
-def green_potential(g: SourceTerm, z: complex) -> complex:
-    """Green potential int_D G(z, zeta) g(zeta) dA(zeta) at z."""
-    return complex(_green_potential_batch(g, np.asarray([z], dtype=complex))[0])
-
-
-def _disk_abs2(zs: np.ndarray) -> np.ndarray:
-    if np.any(np.abs(zs) >= 1.0):
-        raise DomainError("Green potential requires |z| < 1")
-    return zs.real**2 + zs.imag**2
-
-
-def _green_factors(a: int, b: int, c: complex, t: np.ndarray):
-    """(scale, k, P_k(t)) for the load term c z^a zbar^b; -G of it is scale w^|a-b| s^2 P_k."""
-    k = min(a, b) + 2
-    scale = c / ((a + 1) * (a + 2) * (b + 1) * (b + 2))
-    return scale, k, _polyval(t, np.arange(k - 1, 0, -1.0))
-
-
-def _green_potential_batch(g: SourceTerm, zs: np.ndarray) -> np.ndarray:
-    """G[g] at each z, summed over the load terms in closed form (module docstring)."""
-    out = np.zeros(zs.shape, dtype=complex)
-    if g.is_zero:
-        return out
-    t = _disk_abs2(zs)
-    zb = np.conj(zs)
-    for a, b, c in g.terms:
-        scale, _, p = _green_factors(a, b, c, t)
-        out -= scale * (zs if a >= b else zb) ** abs(a - b) * p
-    return out * (1.0 - t) ** 2
-
-
-def _green_gradient_batch(g: SourceTerm, zs: np.ndarray):
-    """Wirtinger gradient of the Green potential at each z.
-
-    Per term, with Q(t) = s^2 P_k(t) and w the power base (z or zbar),
-    d/dw [w^d Q] = d w^(d-1) Q + w^d conj(w) Q' and d/dconj(w) [w^d Q] = w^(d+1) Q',
-    where Q'(t) = -k s sum_{i=0}^{k-2} t^i.
-    """
-    d_z = np.zeros(zs.shape, dtype=complex)
-    d_zbar = np.zeros(zs.shape, dtype=complex)
-    if g.is_zero:
-        return d_z, d_zbar
-    t = _disk_abs2(zs)
-    s = 1.0 - t
-    zb = np.conj(zs)
-    for a, b, c in g.terms:
-        scale, k, p = _green_factors(a, b, c, t)
-        d = abs(a - b)
-        w, w_bar = (zs, zb) if a >= b else (zb, zs)
-        dq = -k * s * _polyval(t, np.ones(k - 1))
-        w_d = w**d
-        along = w_d * w_bar * dq
-        if d:
-            along += d * w ** (d - 1) * s**2 * p
-        across = w_d * w * dq
-        if a < b:
-            along, across = across, along
-        d_z -= scale * along
-        d_zbar -= scale * across
-    return d_z, d_zbar
+    terms = [(a, b, c.real, c.imag) for a, b, c in g.terms]
+    digest = hashlib.sha256()
+    for part in (np.asarray(f.samples, dtype="<c16"), np.asarray(h.samples, dtype="<c16"),
+                 np.asarray(terms, dtype="<f8")):
+        raw = part.tobytes()
+        digest.update(len(raw).to_bytes(8, "little") + raw)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # assembled solution
 
 
+class Solution:
+    """Phi = F0[f] + H0[h] - G[g] as one Almansi table (module docstring).
+
+    Any of f, h, g may be None. Boundary rows (width N/2 + 1) and load rows
+    (width at most MAX_EXPONENT + 1) are separate blocks, so load rows are
+    not padded to the band.
+    """
+
+    def __init__(self, f: Optional[BoundaryData] = None,
+                 h: Optional[BoundaryData] = None, g: Optional[SourceTerm] = None):
+        blocks = [b for b in (_boundary_rows(f, h), _load_rows(g)) if b is not None]
+        # [alpha; conj(beta); alpha'; conj(beta')] by table row: conj(zbar^m) = z^m,
+        # so one matmul against powers of z gives all four
+        self._coefs = [np.vstack([a.T, b.T.conj(), _deriv(a).T, _deriv(b).T.conj()])
+                       for _, _, a, b in blocks]
+        self._p = np.array([p for rows in blocks for p in rows[0]], dtype=int)
+        self._j = np.array([j for rows in blocks for j in rows[1]], dtype=int)
+        self._width = max((coef.shape[1] for coef in self._coefs), default=1)
+
+    def values(self, zs) -> np.ndarray:
+        """Phi at each point of zs (any shape)."""
+        return self._evaluate(zs, gradient=False)[0]
+
+    def gradient(self, zs):
+        """Wirtinger gradient arrays (Phi_z, Phi_zbar) at each point of zs."""
+        return self._evaluate(zs, gradient=True)
+
+    def _evaluate(self, zs, gradient: bool):
+        zs = np.asarray(zs, dtype=complex)
+        shape, zs = zs.shape, zs.ravel()
+        _check_points(zs)
+        p, j = self._p, self._j
+        kinds = 4 if gradient else 2
+        outs = np.zeros((kinds // 2, zs.size), dtype=complex)
+        step = max(1, _CHUNK_ENTRIES // self._width)
+        for lo in range(0, zs.size if self._coefs else 0, step):
+            z = zs[lo:lo + step]
+            t = z.real**2 + z.imag**2
+            s_pow, t_pow = _powers(1.0 - t, 3), _powers(t, j.max() + 1)
+            z_pow = _powers(z, self._width)
+            x = np.concatenate([
+                (coef[:kinds * coef.shape[0] // 4] @ z_pow[:coef.shape[1]])
+                .reshape(kinds, -1, z.size) for coef in self._coefs], axis=1)
+            u = x[0] + np.conj(x[1])
+            weight = s_pow[p] * t_pow[j]
+            if not gradient:
+                outs[0, lo:lo + step] = np.sum(weight * u, axis=0)
+                continue
+            # d/dt (s^p t^j); d/dz multiplies it by zbar and d/dzbar by z
+            d_weight = (j[:, None] * s_pow[p] * t_pow[np.maximum(j - 1, 0)]
+                        - p[:, None] * s_pow[np.maximum(p - 1, 0)] * t_pow[j])
+            radial = np.sum(d_weight * u, axis=0)
+            outs[0, lo:lo + step] = np.conj(z) * radial + np.sum(weight * x[2], axis=0)
+            outs[1, lo:lo + step] = z * radial + np.sum(weight * np.conj(x[3]), axis=0)
+        return tuple(out.reshape(shape) for out in outs)
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows x^0 .. x^(n-1) by repeated products.
+
+    Each pass multiplies the rows done so far by the next power, doubling
+    them: log2(n) vector products, ~3x faster than np.vander's accumulate.
+    """
+    out = np.empty((n, x.size), dtype=x.dtype)
+    out[0] = 1.0
+    done = 1
+    while done < n:
+        step = min(done, n - done)
+        np.multiply(out[:step], out[done - 1] * x, out=out[done:done + step])
+        done += step
+    return out
+
+
+def _deriv(c: np.ndarray) -> np.ndarray:
+    """Coefficient columns of the derivative, in the same shape (last row 0)."""
+    return np.roll(np.arange(c.shape[0])[:, None] * c, -1, axis=0)
+
+
+def _check_points(zs: np.ndarray) -> None:
+    """The one refusal rule of every point entry point (module docstring)."""
+    if not np.all(np.isfinite(zs)):
+        raise DomainError("z must be finite")
+    r = np.abs(zs)
+    if np.any(r >= 1.0):
+        raise DomainError(f"radius {float(r.max())} lies outside the open unit disk")
+    near = 1.0 - r < _MIN_CIRCLE_DISTANCE
+    if np.any(near):
+        raise ResolutionPolicyError(
+            f"radius {float(r[near].max())} lies within {_MIN_CIRCLE_DISTANCE:.3g} "
+            "of the circle, where point evaluation is refused"
+        )
+
+
+def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
+    """(p, j, alpha, beta) of rows (0, 0) and (1, 0), or None for zero data."""
+    given = [d for d in (f, h) if d is not None]
+    if not any(np.any(d.samples) for d in given):
+        return None
+    width = max(d.n for d in given) // 2 + 1
+    a_f, b_f, a_h, b_h = np.zeros((4, width), dtype=complex)
+    for d, a_out, b_out in ((f, a_f, b_f), (h, a_h, b_h)):
+        if d is not None:
+            a, b = d._harmonic_parts()
+            a_out[:a.size], b_out[:b.size] = a, b
+    m = np.arange(width)
+    alpha = np.stack([a_f, 0.5 * (m * a_f + a_h)], axis=1)
+    beta = np.stack([b_f, 0.5 * (m * b_f + b_h)], axis=1)
+    return [0, 1], [0, 0], alpha, beta
+
+
+def _load_rows(g: Optional[SourceTerm]):
+    """(p, j, alpha, beta) of rows (2, j): c z^a zbar^b adds scale (k-1-j) w^|a-b| to row j."""
+    if g is None or g.is_zero:
+        return None
+    n_rows = max(min(a, b) for a, b, _ in g.terms) + 1
+    width = max(abs(a - b) for a, b, _ in g.terms) + 1
+    alpha, beta = np.zeros((2, width, n_rows), dtype=complex)
+    for a, b, c in g.terms:
+        k = min(a, b) + 2
+        scale = c / ((a + 1) * (a + 2) * (b + 1) * (b + 2))
+        (alpha if a >= b else beta)[abs(a - b), :k - 1] += scale * np.arange(k - 1, 0, -1.0)
+    return [2] * n_rows, range(n_rows), alpha, beta
+
+
+def f0_transform(f: BoundaryData, z: complex) -> complex:
+    """Circle convolution of the trace kernel with f at the point z."""
+    return complex(Solution(f=f).values(z))
+
+
+def h0_transform(h: BoundaryData, z: complex) -> complex:
+    """Circle convolution of the normal-derivative kernel with h at z."""
+    return complex(Solution(h=h).values(z))
+
+
+def green_potential(g: SourceTerm, z: complex) -> complex:
+    """Green potential int_D G(z, zeta) g(zeta) dA(zeta) at z."""
+    return -complex(Solution(g=g).values(z))
+
+
 def solve_point(f: BoundaryData, h: BoundaryData, g: SourceTerm, z: complex) -> complex:
     """Phi(z) = F0[f](z) + H0[h](z) - G[g](z)."""
-    zs = np.asarray([z], dtype=complex)
-    fv, hv = _boundary_batch(f, h, zs)
-    gv = _green_potential_batch(g, zs)
-    return complex(fv[0] + hv[0] - gv[0])
+    return complex(Solution(f, h, g).values(z))
 
 
 def solve_points(f: BoundaryData, h: BoundaryData, g: SourceTerm, zs) -> np.ndarray:
-    """Phi on a flat array of interior points (batched transforms)."""
-    zs = np.asarray(zs, dtype=complex)
-    fv, hv = _boundary_batch(f, h, zs)
-    gv = _green_potential_batch(g, zs)
-    return fv + hv - gv
+    """Phi on an array of interior points."""
+    return Solution(f, h, g).values(zs)
 
 
 def gradient_point(f: BoundaryData, h: BoundaryData, g: SourceTerm,
                    z: complex) -> WirtingerPair:
-    """Wirtinger gradient (Phi_z, Phi_zbar) from the closed-form transforms."""
-    zs = np.asarray([z], dtype=complex)
-    bz, bzb = _boundary_gradient_batch(f, h, zs)
-    gz, gzb = _green_gradient_batch(g, zs)
-    return WirtingerPair(complex(bz[0] - gz[0]), complex(bzb[0] - gzb[0]))
+    """Wirtinger gradient (Phi_z, Phi_zbar) at z."""
+    return WirtingerPair(*map(complex, Solution(f, h, g).gradient(z)))
 
 
 def boundary_gradient(f: Optional[BoundaryData], h: Optional[BoundaryData], zs):
     """Wirtinger gradient arrays of the boundary part F0[f] + H0[h] alone."""
-    return _boundary_gradient_batch(f, h, np.asarray(zs, dtype=complex))
+    return Solution(f, h).gradient(zs)
 
 
 def green_gradient(g: SourceTerm, zs):
     """Wirtinger gradient arrays of the Green part -G[g] alone."""
-    gz, gzb = _green_gradient_batch(g, np.asarray(zs, dtype=complex))
-    return -gz, -gzb
+    return Solution(g=g).gradient(zs)
 
 
 @dataclass
@@ -522,15 +524,12 @@ def solve_grid(f: BoundaryData, h: BoundaryData, g: SourceTerm,
     d_zbar = np.full(zs.shape, np.nan, dtype=complex) if with_gradient else None
     failures: list = []
 
+    solution = Solution(f, h, g)
+
     def run(sel):
-        fv, hv = _boundary_batch(f, h, zs[sel])
-        gv = _green_potential_batch(g, zs[sel])
-        values[sel] = fv + hv - gv
+        values[sel] = solution.values(zs[sel])
         if with_gradient:
-            bz, bzb = _boundary_gradient_batch(f, h, zs[sel])
-            wz, wzb = _green_gradient_batch(g, zs[sel])
-            d_z[sel] = bz - wz
-            d_zbar[sel] = bzb - wzb
+            d_z[sel], d_zbar[sel] = solution.gradient(zs[sel])
 
     try:
         run(slice(None))

@@ -210,6 +210,16 @@ def test_fingerprint_sensitivity():
     assert case_fingerprint(BoundaryData.constant(1e-9, 16), h, SourceTerm.constant(4.0)) != base
 
 
+def test_fingerprint_tells_f_from_h():
+    f = BoundaryData.from_fourier([(1, 1.0)], 16)
+    h = BoundaryData.zero(16)
+    g = SourceTerm.constant(4.0)
+    assert case_fingerprint(f, h, g) != case_fingerprint(h, f, g)
+    # equal bytes end to end; only the framing of each part tells these apart
+    assert (case_fingerprint(BoundaryData.zero(8), BoundaryData.zero(16), g)
+            != case_fingerprint(BoundaryData.zero(16), BoundaryData.zero(8), g))
+
+
 # ---------------------------------------------------------------------------
 # point solves
 
@@ -296,6 +306,32 @@ def test_point_too_close_to_circle_is_refused():
         solver.solve_point(f, BoundaryData.zero(), SourceTerm.zero(), 1.0 - 1e-14)
 
 
+_POINT_ENTRY_POINTS = {
+    "f0_transform": lambda f, h, g, z: solver.f0_transform(f, z),
+    "h0_transform": lambda f, h, g, z: solver.h0_transform(h, z),
+    "green_potential": lambda f, h, g, z: solver.green_potential(g, z),
+    "solve_point": solver.solve_point,
+    "solve_points": lambda f, h, g, z: solver.solve_points(f, h, g, [0.5, z]),
+    "gradient_point": solver.gradient_point,
+    "boundary_gradient": lambda f, h, g, z: solver.boundary_gradient(f, h, [0.5, z]),
+    "green_gradient": lambda f, h, g, z: solver.green_gradient(g, [0.5, z]),
+}
+
+
+@pytest.mark.parametrize("z,error", [
+    (1.5, DomainError), (1.0, DomainError),
+    (1.0 - 1e-9, ResolutionPolicyError), (complex(np.nan), DomainError),
+], ids=["outside", "circle", "near-circle", "nan"])
+@pytest.mark.parametrize("entry", sorted(_POINT_ENTRY_POINTS))
+def test_point_entry_points_share_one_refusal_rule(entry, z, error):
+    data = (BoundaryData.from_fourier([(1, 1.0)]), BoundaryData.constant(1.0),
+            SourceTerm.constant(4.0))
+    zero = (BoundaryData.zero(), BoundaryData.zero(), SourceTerm.zero())
+    for f, h, g in (data, zero):  # the rule does not depend on the data
+        with pytest.raises(error):
+            _POINT_ENTRY_POINTS[entry](f, h, g, z)
+
+
 @pytest.mark.parametrize("r", [0.98, 0.99, 0.999])
 def test_pure_load_is_exact_near_the_circle(r):
     zero = BoundaryData.zero()
@@ -323,6 +359,21 @@ def test_point_solve_near_the_circle_uses_little_memory():
     f = BoundaryData.from_fourier([(1, 1.0), (-2, 0.5)])
     g = SourceTerm.constant(4.0)
     assert _peak_bytes(lambda: solver.solve_point(f, f, g, 0.999j)) < 10 * 2**20
+
+
+def test_batch_solve_memory_is_bounded_by_the_chunk():
+    rng = np.random.default_rng(7)
+    f = BoundaryData(rng.normal(size=512) + 1j * rng.normal(size=512))
+    h = BoundaryData(rng.normal(size=512) + 1j * rng.normal(size=512))
+    g = SourceTerm([(16, 16, 1.0), (3, 9, 0.5j), (12, 1, -0.5)])
+    n = 20_000
+    zs = 0.99 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+    def run():
+        solver.solve_points(f, h, g, zs)
+        solver.boundary_gradient(f, h, zs)
+
+    assert _peak_bytes(run) < 16 * 2**20
 
 
 def test_solve_points_matches_individual_solves():
@@ -473,15 +524,15 @@ def test_grid_argument_validation():
 
 
 def test_grid_isolates_failing_nodes(monkeypatch):
-    original = solver._green_potential_batch
+    original = solver.Solution.values
     target = 0.4j
 
-    def sabotaged(g, zs):
+    def sabotaged(self, zs):
         if np.any(np.abs(zs - target) < 1e-12):
             raise DomainError("injected failure")
-        return original(g, zs)
+        return original(self, zs)
 
-    monkeypatch.setattr(solver, "_green_potential_batch", sabotaged)
+    monkeypatch.setattr(solver.Solution, "values", sabotaged)
     zero = BoundaryData.zero(8)
     field = solver.solve_grid(zero, zero, SourceTerm.constant(4.0), 4, 4, r_max=0.8)
     assert len(field.failures) == 1
@@ -496,10 +547,10 @@ def test_grid_isolates_failing_nodes(monkeypatch):
 
 
 def test_grid_propagates_errors_outside_the_taxonomy(monkeypatch):
-    def broken(g, zs):
+    def broken(self, zs):
         raise RuntimeError("injected bug")
 
-    monkeypatch.setattr(solver, "_green_potential_batch", broken)
+    monkeypatch.setattr(solver.Solution, "values", broken)
     zero = BoundaryData.zero(8)
     with pytest.raises(RuntimeError, match="injected bug"):
         solver.solve_grid(zero, zero, SourceTerm.constant(4.0), 4, 4, r_max=0.8)
