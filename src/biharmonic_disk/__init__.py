@@ -7,7 +7,6 @@ from .errors import (
     DegenerateDataError,
     DomainError,
     FingerprintMismatchError,
-    ResolutionPolicyError,
     SingularityError,
 )
 from .kernels import (

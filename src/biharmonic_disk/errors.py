@@ -6,7 +6,7 @@ Everything derives from ValueError so callers that only want a coarse
 
 
 class DomainError(ValueError):
-    """Argument lies outside the admissible region (usually the open unit disk)."""
+    """Argument lies outside the admissible region (for the solver, the closed unit disk)."""
 
 
 class SingularityError(ValueError):
@@ -15,10 +15,6 @@ class SingularityError(ValueError):
 
 class DegenerateDataError(ValueError):
     """Input data too small or trivial for the requested operation."""
-
-
-class ResolutionPolicyError(ValueError):
-    """Requested point or grid radius lies nearer the circle than the solver admits."""
 
 
 class FingerprintMismatchError(ValueError):

@@ -43,10 +43,11 @@ points. The integral forms (circle quadrature of the kernels in ``kernels``,
 recentred disk quadrature of ``green.g_eval``) stay in ``quadrature``,
 ``verify`` and the tests as the independent oracle for the table.
 
-Every point entry point refuses a point by one rule: ``DomainError`` for a
-non-finite z or |z| >= 1, ``ResolutionPolicyError`` for
-1 - 40 / 2^21 < |z| < 1. ``solve_grid`` evaluates on a polar grid with radii
-r_max * k / n_r up to ``MAX_GRID_RADIUS``.
+The table is exact on the closed disk: on the circle s = 0, so Phi takes
+the value f there and -(z Phi_z + zbar Phi_zbar) the value h. Every point
+entry point refuses a point by one rule: ``DomainError`` for a non-finite z
+or |z| > 1 + ``_CIRCLE_SLACK``. ``solve_grid`` evaluates on a polar grid
+with radii r_max * k / n_r.
 """
 
 from __future__ import annotations
@@ -58,25 +59,16 @@ from typing import Optional
 import numpy as np
 
 from . import kernels  # noqa: F401 - re-exported; callers reach it as solver.kernels
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    ResolutionPolicyError,
-)
+from .errors import DegenerateDataError, DomainError
 from .kernels import WirtingerPair
 from .quadrature import _circle_angles
 
 # Exponent cap for SourceTerm monomials.
 MAX_EXPONENT = 16
 
-# Grid radii are refused above this.
-MAX_GRID_RADIUS = 0.999
-
-# Point evaluation refuses points nearer the circle than this. The closed
-# forms are exact there too; the limit keeps the set of refused points that
-# callers and the error taxonomy rely on (40 nodes per kernel window at 2^21
-# circle nodes, the resolution limit of the kernel quadrature).
-_MIN_CIRCLE_DISTANCE = 40.0 / (1 << 21)
+# Points are refused only for |z| > 1 + this: exp(1j * theta) can round to
+# |z| = 1 + 2.2e-16, and the table is exact on the circle itself.
+_CIRCLE_SLACK = 4 * np.finfo(float).eps
 
 # Points per evaluation chunk times table width stays under this, which
 # bounds the table of powers of z at 512 KiB whatever the number of points.
@@ -193,8 +185,8 @@ class BoundaryData:
 class SourceTerm:
     """A load given as a finite sum sum_k c_k z^(a_k) conj(z)^(b_k).
 
-    Exponents are integers in [0, 16]. Terms with equal exponents are merged
-    and zero coefficients dropped at construction.
+    Exponents are integers in [0, 16] and coefficients finite. Terms with
+    equal exponents are merged and zero coefficients dropped at construction.
     """
 
     __slots__ = ("terms",)
@@ -207,6 +199,8 @@ class SourceTerm:
                 raise DomainError(
                     f"exponents must lie in [0, {MAX_EXPONENT}], got ({a}, {b})"
                 )
+            if not np.isfinite(c):
+                raise DomainError(f"coefficient of z^{a} zbar^{b} must be finite, got {c}")
             merged[(a, b)] = merged.get((a, b), 0.0) + c
         self.terms = tuple(
             (a, b, c) for (a, b), c in sorted(merged.items()) if c != 0.0
@@ -325,15 +319,16 @@ class Solution:
 
     def gradient(self, zs):
         """Wirtinger gradient arrays (Phi_z, Phi_zbar) at each point of zs."""
-        return self._evaluate(zs, gradient=True)
+        return self._evaluate(zs, gradient=True)[1:]
 
     def _evaluate(self, zs, gradient: bool):
+        """(Phi,), or (Phi, Phi_z, Phi_zbar) with gradient, at each point of zs."""
         zs = np.asarray(zs, dtype=complex)
         shape, zs = zs.shape, zs.ravel()
         _check_points(zs)
         p, j = self._p, self._j
         kinds = 4 if gradient else 2
-        outs = np.zeros((kinds // 2, zs.size), dtype=complex)
+        outs = np.zeros((3 if gradient else 1, zs.size), dtype=complex)
         step = max(1, _CHUNK_ENTRIES // self._width)
         for lo in range(0, zs.size if self._coefs else 0, step):
             z = zs[lo:lo + step]
@@ -345,15 +340,14 @@ class Solution:
                 .reshape(kinds, -1, z.size) for coef in self._coefs], axis=1)
             u = x[0] + np.conj(x[1])
             weight = s_pow[p] * t_pow[j]
-            if not gradient:
-                outs[0, lo:lo + step] = np.sum(weight * u, axis=0)
-                continue
-            # d/dt (s^p t^j); d/dz multiplies it by zbar and d/dzbar by z
-            d_weight = (j[:, None] * s_pow[p] * t_pow[np.maximum(j - 1, 0)]
-                        - p[:, None] * s_pow[np.maximum(p - 1, 0)] * t_pow[j])
-            radial = np.sum(d_weight * u, axis=0)
-            outs[0, lo:lo + step] = np.conj(z) * radial + np.sum(weight * x[2], axis=0)
-            outs[1, lo:lo + step] = z * radial + np.sum(weight * np.conj(x[3]), axis=0)
+            outs[0, lo:lo + step] = np.sum(weight * u, axis=0)
+            if gradient:
+                # d/dt (s^p t^j); d/dz multiplies it by zbar and d/dzbar by z
+                d_weight = (j[:, None] * s_pow[p] * t_pow[np.maximum(j - 1, 0)]
+                            - p[:, None] * s_pow[np.maximum(p - 1, 0)] * t_pow[j])
+                radial = np.sum(d_weight * u, axis=0)
+                outs[1, lo:lo + step] = np.conj(z) * radial + np.sum(weight * x[2], axis=0)
+                outs[2, lo:lo + step] = z * radial + np.sum(weight * np.conj(x[3]), axis=0)
         return tuple(out.reshape(shape) for out in outs)
 
 
@@ -383,14 +377,8 @@ def _check_points(zs: np.ndarray) -> None:
     if not np.all(np.isfinite(zs)):
         raise DomainError("z must be finite")
     r = np.abs(zs)
-    if np.any(r >= 1.0):
-        raise DomainError(f"radius {float(r.max())} lies outside the open unit disk")
-    near = 1.0 - r < _MIN_CIRCLE_DISTANCE
-    if np.any(near):
-        raise ResolutionPolicyError(
-            f"radius {float(r[near].max())} lies within {_MIN_CIRCLE_DISTANCE:.3g} "
-            "of the circle, where point evaluation is refused"
-        )
+    if np.any(r > 1.0 + _CIRCLE_SLACK):
+        raise DomainError(f"radius {float(r.max())} lies outside the closed unit disk")
 
 
 def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
@@ -469,8 +457,9 @@ def green_gradient(g: SourceTerm, zs):
 class SolutionField:
     """Solution values (and optionally gradients) on a polar grid.
 
-    values[i, j] is Phi at radii[i] * exp(1j * thetas[j]). Nodes that failed
-    to evaluate hold NaN and are listed in ``failures`` as (i, j, message).
+    values[i, j] is Phi at radii[i] * exp(1j * thetas[j]). ``failures`` is
+    always empty: every node evaluates. It is kept because the benchmark
+    harness under ``perfbench/`` reads it.
     """
 
     radii: np.ndarray
@@ -500,10 +489,8 @@ def solve_grid(f: BoundaryData, h: BoundaryData, g: SourceTerm,
                with_gradient: bool = False) -> SolutionField:
     """Solve on the polar grid r = r_max k / n_r, theta = 2 pi j / n_theta.
 
-    Grids whose last radius exceeds ``MAX_GRID_RADIUS`` are refused; the
-    closed-form transforms are exact at every radius up to it. A node whose
-    transforms raise ``DomainError`` or ``ResolutionPolicyError`` holds NaN
-    and is listed in ``failures``; any other error propagates.
+    Values and gradients come from one pass of the assembled table, exact at
+    every radius of the grid.
     """
     if n_r < 1 or n_theta < 1:
         raise DegenerateDataError("grid sizes must be positive")
@@ -511,43 +498,15 @@ def solve_grid(f: BoundaryData, h: BoundaryData, g: SourceTerm,
         raise DomainError("r_max must lie in (0, 1]")
     radii = r_max * np.arange(n_r) / n_r
     thetas = _circle_angles(n_theta).copy()
-    r_last = radii[-1]
-    if r_last > MAX_GRID_RADIUS:
-        raise ResolutionPolicyError(
-            f"grid radius {r_last} exceeds the hard cap {MAX_GRID_RADIUS}"
-        )
-
-    zs = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-    shape = (n_r, n_theta)
-    values = np.full(zs.shape, np.nan, dtype=complex)
-    d_z = np.full(zs.shape, np.nan, dtype=complex) if with_gradient else None
-    d_zbar = np.full(zs.shape, np.nan, dtype=complex) if with_gradient else None
-    failures: list = []
-
-    solution = Solution(f, h, g)
-
-    def run(sel):
-        values[sel] = solution.values(zs[sel])
-        if with_gradient:
-            d_z[sel], d_zbar[sel] = solution.gradient(zs[sel])
-
-    try:
-        run(slice(None))
-    except (DomainError, ResolutionPolicyError):
-        # isolate failing nodes instead of losing the whole grid
-        for k in range(zs.size):
-            try:
-                run(slice(k, k + 1))
-            except (DomainError, ResolutionPolicyError) as exc:
-                failures.append((k // n_theta, k % n_theta, str(exc)))
-
+    zs = radii[:, None] * np.exp(1j * thetas)[None, :]
+    outs = Solution(f, h, g)._evaluate(zs, gradient=with_gradient)
+    d_z, d_zbar = outs[1:] if with_gradient else (None, None)
     return SolutionField(
         radii=radii,
         thetas=thetas,
-        values=values.reshape(shape),
-        d_z=d_z.reshape(shape) if with_gradient else None,
-        d_zbar=d_zbar.reshape(shape) if with_gradient else None,
+        values=outs[0],
+        d_z=d_z,
+        d_zbar=d_zbar,
         fingerprint=case_fingerprint(f, h, g),
         r_max=r_max,
-        failures=failures,
     )

@@ -31,6 +31,7 @@ from .quadrature import (
 )
 from .solver import (
     BoundaryData,
+    Solution,
     SolutionField,
     SourceTerm,
     case_fingerprint,
@@ -320,12 +321,15 @@ def fd_bilaplacian_residual(case, grid_spacing: float, extent: float = 0.8,
 
 def boundary_trace_check(case, radii: Sequence[float],
                          n_angles: int = 32) -> list[CheckResult]:
-    """Recovery of f (and of h via radial difference quotients) near r = 1.
+    """Recovery of f and h: in the limit r -> 1, and exactly on the circle.
 
     The trace gap |Phi(r e^{i theta}) - f(e^{i theta})| is compared against
     P (1 - r), the distortion bound times the distance to the circle. The
     normal-derivative check differences the two largest radii and carries a
     looser tolerance since the quotient itself is O(1 - r) away from h.
+    On the circle the solution is exact, so Phi = f and the inward normal
+    derivative -(z Phi_z + zbar Phi_zbar) = h are checked to round-off,
+    1e-12 max(1, P).
     """
     radii = sorted(float(r) for r in radii)
     if not radii or radii[-1] >= 1.0:
@@ -333,11 +337,9 @@ def boundary_trace_check(case, radii: Sequence[float],
     l_est = estimate_boundary_lipschitz(case.f)
     scale = p_bound(l_est, case.h.sup_norm(), case.g.sup_norm_bound())
     th = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    f_ref = case.f.eval_at(th)
-    ring = {
-        r: solve_points(case.f, case.h, case.g, r * np.exp(1j * th))
-        for r in radii
-    }
+    f_ref, h_ref = case.f.eval_at(th), case.h.eval_at(th)
+    solution = Solution(case.f, case.h, case.g)
+    ring = {r: solution.values(r * np.exp(1j * th)) for r in radii}
 
     checks = []
     for r in radii:
@@ -348,12 +350,22 @@ def boundary_trace_check(case, radii: Sequence[float],
     if len(radii) >= 2:
         r1, r2 = radii[-2], radii[-1]
         quotient = -(ring[r2] - ring[r1]) / (r2 - r1)
-        gap = float(np.max(np.abs(quotient - case.h.eval_at(th))))
+        gap = float(np.max(np.abs(quotient - h_ref)))
         # the quotient approximates h only to O(1 - r); budget a generous
         # second-derivative constant
         tol = 20.0 * max(1.0, scale / 4.0) * (1.0 - r1) + 1e-3
         checks.append(CheckResult.equality(
             f"normal-trace-recovery[r={r1:g},{r2:g}]", gap, 0.0, tol))
+
+    circle = np.exp(1j * th)
+    d_z, d_zbar = solution.gradient(circle)
+    normal = -(circle * d_z + np.conj(circle) * d_zbar)
+    exact_tol = 1e-12 * max(1.0, scale)
+    checks.append(CheckResult.equality(
+        "trace-exact[r=1]", float(np.max(np.abs(solution.values(circle) - f_ref))),
+        0.0, exact_tol))
+    checks.append(CheckResult.equality(
+        "normal-trace-exact[r=1]", float(np.max(np.abs(normal - h_ref))), 0.0, exact_tol))
     return checks
 
 
@@ -390,5 +402,5 @@ def solution_error(case: ManufacturedCase, field: SolutionField,
     sel = field.radii <= 0.9 + 1e-12
     pts = field.points[sel]
     diff = np.abs(field.values[sel] - case.phi_star.evaluate(pts))
-    err = float(np.nanmax(diff)) if diff.size else 0.0
+    err = float(np.max(diff)) if diff.size else 0.0
     return CheckResult.equality("solution-error", err, 0.0, tolerance)

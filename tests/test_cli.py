@@ -78,6 +78,7 @@ def test_parse_fourier_n_samples():
         ([1, 2], "JSON object"),
         ({"schema": 1, "quadrature": {"radial_nodes": 64}},
          "unknown key 'radial_nodes' in quadrature"),
+        ({"schema": 1, "g": {"terms": [[0, 0, float("nan"), 0.0]]}}, "must be finite"),
     ],
 )
 def test_parse_rejections(doc, fragment):
@@ -175,11 +176,17 @@ def test_solve_bad_grid_argument(tmp_path):
     assert rc == 2
 
 
-def test_solve_near_boundary_grid_is_refused(tmp_path):
-    case = write_case(tmp_path, CONSTANT)
-    rc = cli.main(["solve", "--case", case, "--grid", "2000,8",
-                   "--out", str(tmp_path / "o.json")])
-    assert rc == 1
+def test_solve_near_boundary_grid_is_exact(tmp_path):
+    case = write_case(tmp_path, PURE_LOAD)
+    out = str(tmp_path / "o.json")
+    rc = cli.main(["solve", "--case", case, "--grid", "2000,8", "--out", out])
+    assert rc == 0
+    doc = json.loads(open(out).read())
+    assert doc["failures"] == []
+    rows = np.array(doc["rows"])
+    assert rows[:, 0].max() == pytest.approx(1.0 - 1.0 / 2000)
+    expected = (1.0 - rows[:, 0] ** 2) ** 2
+    assert np.max(np.abs(rows[:, 2] + 1j * rows[:, 3] - expected)) <= 1e-14
 
 
 def test_solve_unwritable_output_leaves_no_file(tmp_path):
@@ -311,10 +318,11 @@ def test_verify_pure_load_case(tmp_path, capsys):
     rc = cli.main(["verify", "--case", case, "--json", report])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "7/7 checks passed" in out
+    assert "9/9 checks passed" in out
     doc = json.loads(open(report).read())
     assert doc["passed"] is True
     names = [c["name"] for c in doc["checks"]]
     assert names[0].startswith("fd-bilaplacian-residual")
     assert any(n.startswith("trace-recovery") for n in names)
+    assert "trace-exact[r=1]" in names and "normal-trace-exact[r=1]" in names
     assert any(n.startswith("gradient-crosscheck") for n in names)

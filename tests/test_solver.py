@@ -8,11 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biharmonic_disk import green, kernels, solver, verify
-from biharmonic_disk.errors import (
-    DegenerateDataError,
-    DomainError,
-    ResolutionPolicyError,
-)
+from biharmonic_disk.errors import DegenerateDataError, DomainError
 from biharmonic_disk.quadrature import (
     DEFAULT_RULES,
     CircleRule,
@@ -182,6 +178,12 @@ def test_source_term_exponent_validation():
         SourceTerm([(0, solver.MAX_EXPONENT + 1, 1.0)])
 
 
+@pytest.mark.parametrize("c", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_source_term_rejects_non_finite_coefficients(c):
+    with pytest.raises(DomainError, match="must be finite"):
+        SourceTerm([(0, 0, 1.0), (1, 2, c)])
+
+
 def test_source_term_algebra():
     g = SourceTerm.monomial(1, 1, 2.0).scaled(3.0) + SourceTerm.constant(1.0)
     assert g.terms == ((0, 0, 1.0), (1, 1, 6.0))
@@ -300,10 +302,11 @@ def test_point_refinement_keeps_radial_profile_accurate():
     assert solver.solve_point(f, h, g, r) == pytest.approx(0.5 * (1 - r**2), abs=1e-8)
 
 
-def test_point_too_close_to_circle_is_refused():
+def test_point_on_and_near_the_circle_returns_f():
     f = BoundaryData.constant(1.0)
-    with pytest.raises(ResolutionPolicyError):
-        solver.solve_point(f, BoundaryData.zero(), SourceTerm.zero(), 1.0 - 1e-14)
+    for z in (1.0 - 1e-14, 1.0):
+        value = solver.solve_point(f, BoundaryData.zero(), SourceTerm.zero(), z)
+        assert abs(value - 1.0) <= 1e-15
 
 
 _POINT_ENTRY_POINTS = {
@@ -318,18 +321,53 @@ _POINT_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("z,error", [
-    (1.5, DomainError), (1.0, DomainError),
-    (1.0 - 1e-9, ResolutionPolicyError), (complex(np.nan), DomainError),
-], ids=["outside", "circle", "near-circle", "nan"])
+_CIRCLE_DATA = (BoundaryData.from_fourier([(0, 0.25), (1, 1.0), (-3, 0.5j)]),
+                BoundaryData.from_fourier([(0, 1.0), (2, -0.5 + 0.25j)]),
+                SourceTerm([(0, 0, 4.0), (3, 1, 0.5j), (2, 5, -1.0)]))
+
+
+# 1 + 1e-9 lies past the round-off slack the rule grants circle points; the
+# circle itself is admitted (its values: test_point_entry_points_are_exact_on_the_circle).
+@pytest.mark.parametrize("z,refused", [
+    (1.5, True), (1.0 + 1e-9, True), (complex(np.inf), True),
+    (complex(np.nan), True), (1.0, False),
+], ids=["outside", "near-circle", "inf", "nan", "circle"])
 @pytest.mark.parametrize("entry", sorted(_POINT_ENTRY_POINTS))
-def test_point_entry_points_share_one_refusal_rule(entry, z, error):
-    data = (BoundaryData.from_fourier([(1, 1.0)]), BoundaryData.constant(1.0),
-            SourceTerm.constant(4.0))
+def test_point_entry_points_share_one_refusal_rule(entry, z, refused):
     zero = (BoundaryData.zero(), BoundaryData.zero(), SourceTerm.zero())
-    for f, h, g in (data, zero):  # the rule does not depend on the data
-        with pytest.raises(error):
+    for f, h, g in (_CIRCLE_DATA, zero):  # the rule does not depend on the data
+        if refused:
+            with pytest.raises(DomainError):
+                _POINT_ENTRY_POINTS[entry](f, h, g, z)
+        else:
             _POINT_ENTRY_POINTS[entry](f, h, g, z)
+
+
+def _on_circle(entry, out, z):
+    """The last value of an entry point's output; for gradients, -(z d_z + zbar d_zbar)."""
+    if entry == "gradient_point":
+        return -(z * out.d_z + np.conj(z) * out.d_zbar)
+    if entry in ("boundary_gradient", "green_gradient"):
+        return -(z * out[0][-1] + np.conj(z) * out[1][-1])
+    return np.atleast_1d(out)[-1]
+
+
+@pytest.mark.parametrize("entry", sorted(_POINT_ENTRY_POINTS))
+def test_point_entry_points_are_exact_on_the_circle(entry):
+    # On the circle s = 0: F0 = f, H0 = 0, G = 0, Phi = f, and the inward
+    # normal derivative -(z Phi_z + zbar Phi_zbar) is h for Phi and for the
+    # boundary part, 0 for the Green part.
+    f, h, g = _CIRCLE_DATA
+    circle = np.exp(2j * np.pi * np.arange(512) / 512)
+    past_one = circle[np.abs(circle) > 1.0]  # |z| = 1 + 2.2e-16 by round-off
+    assert past_one.size > 0
+    expected = {"f0_transform": f, "h0_transform": None, "green_potential": None,
+                "solve_point": f, "solve_points": f, "gradient_point": h,
+                "boundary_gradient": h, "green_gradient": None}[entry]
+    for z in (1.0 + 0j, *past_one):
+        value = _on_circle(entry, _POINT_ENTRY_POINTS[entry](f, h, g, z), z)
+        exact = 0.0 if expected is None else expected.eval_at(np.angle(z))[0]
+        assert abs(value - exact) <= 1e-13
 
 
 @pytest.mark.parametrize("r", [0.98, 0.99, 0.999])
@@ -480,37 +518,29 @@ def test_reference_fields_match_exact_solutions(reference_cases, reference_field
         assert err < 1e-8, f"{name}: {err}"
 
 
-def test_grid_refuses_unresolvable_outer_radius():
-    # Only radii past MAX_GRID_RADIUS are unresolvable; up to it the pure
-    # load g = 4 gives the exact (1 - |z|^2)^2.
+def test_grid_is_exact_up_to_the_circle():
+    # The pure load g = 4 gives (1 - |z|^2)^2 at every radius, the last
+    # radius 1 - 1/n_r included.
     zero = BoundaryData.zero()
-    for n_r in (100, 1000):  # last radius 0.99 and 0.999
+    for n_r in (100, 1000, 1001, 2000):
         field = solver.solve_grid(zero, zero, SourceTerm.constant(4.0), n_r, 8)
         assert field.radii[-1] == pytest.approx(1.0 - 1.0 / n_r)
         expected = (1.0 - np.abs(field.points) ** 2) ** 2
-        assert np.all(np.abs(field.values - expected) <= 1e-12 * expected)
-    with pytest.raises(ResolutionPolicyError):
-        solver.solve_grid(zero, zero, SourceTerm.constant(4.0), 1001, 8)
+        assert np.max(np.abs(field.values - expected)) <= 1e-14
 
 
 def test_grid_near_boundary_override():
     # Near-boundary grids need no override: F0 + H0 of the same data has
-    # the multiplier r^|m| (1 + (|m| + 1) s / 2) up to r = 0.999.
+    # the multiplier r^|m| (1 + (|m| + 1) s / 2) up to r = 1 - 1/2000.
     modes = {0: 0.5, 1: 1.0 - 0.5j, -3: 0.25j, 17: -0.75}
     data = BoundaryData.from_fourier(modes.items())
-    for n_r in (100, 1000):
+    for n_r in (100, 1000, 2000):
         field = solver.solve_grid(data, data, SourceTerm.zero(), n_r, 8)
         r, th = field.radii[:, None], field.thetas[None, :]
         s = 1.0 - r**2
         expected = sum(c * r ** abs(m) * np.exp(1j * m * th) * (1.0 + (abs(m) + 1) * s / 2.0)
                        for m, c in modes.items())
         assert np.max(np.abs(field.values - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-def test_grid_hard_radius_cap_cannot_be_overridden():
-    zero = BoundaryData.zero()
-    with pytest.raises(ResolutionPolicyError):
-        solver.solve_grid(zero, zero, SourceTerm.zero(), 2000, 4)
 
 
 def test_grid_argument_validation():
@@ -523,36 +553,15 @@ def test_grid_argument_validation():
         solver.solve_grid(zero, zero, SourceTerm.zero(), 4, 4, r_max=1.5)
 
 
-def test_grid_isolates_failing_nodes(monkeypatch):
-    original = solver.Solution.values
-    target = 0.4j
+@pytest.mark.parametrize("error", [RuntimeError, DomainError])
+def test_grid_propagates_evaluator_errors(monkeypatch, error):
+    # No per-node fallback: an error of the evaluator leaves solve_grid.
+    def broken(self, zs, gradient):
+        raise error("injected bug")
 
-    def sabotaged(self, zs):
-        if np.any(np.abs(zs - target) < 1e-12):
-            raise DomainError("injected failure")
-        return original(self, zs)
-
-    monkeypatch.setattr(solver.Solution, "values", sabotaged)
+    monkeypatch.setattr(solver.Solution, "_evaluate", broken)
     zero = BoundaryData.zero(8)
-    field = solver.solve_grid(zero, zero, SourceTerm.constant(4.0), 4, 4, r_max=0.8)
-    assert len(field.failures) == 1
-    i, j, message = field.failures[0]
-    assert (i, j) == (2, 1)
-    assert "injected failure" in message
-    assert np.isnan(field.values[2, 1].real)
-    good = ~np.isnan(field.values.real)
-    assert good.sum() == 15
-    expected = (1.0 - np.abs(field.points) ** 2) ** 2
-    assert np.allclose(field.values[good], expected[good], atol=1e-9)
-
-
-def test_grid_propagates_errors_outside_the_taxonomy(monkeypatch):
-    def broken(self, zs):
-        raise RuntimeError("injected bug")
-
-    monkeypatch.setattr(solver.Solution, "values", broken)
-    zero = BoundaryData.zero(8)
-    with pytest.raises(RuntimeError, match="injected bug"):
+    with pytest.raises(error, match="injected bug"):
         solver.solve_grid(zero, zero, SourceTerm.constant(4.0), 4, 4, r_max=0.8)
 
 

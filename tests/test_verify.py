@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biharmonic_disk import verify
+from biharmonic_disk import solver, verify
 from biharmonic_disk.errors import DomainError, FingerprintMismatchError
 from biharmonic_disk.solver import BoundaryData, SourceTerm, solve_grid
 from biharmonic_disk.verify import CheckResult, manufactured_case
@@ -181,7 +181,7 @@ def test_fd_residual_argument_validation(reference_cases):
 
 def test_trace_recovery_constant_case(reference_cases):
     checks = verify.boundary_trace_check(reference_cases["constant"], [0.98, 0.99])
-    assert len(checks) == 3
+    assert len(checks) == 5
     trace = [c for c in checks if c.name.startswith("trace-recovery")]
     assert all(c.passed for c in trace)
     # constant trace is recovered to roundoff
@@ -205,6 +205,33 @@ def test_trace_recovery_pure_h_case():
 def test_trace_recovery_flat_case(reference_cases):
     checks = verify.boundary_trace_check(reference_cases["flat"], [0.98, 0.99])
     assert all(c.passed for c in checks), [(c.name, c.computed, c.tolerance) for c in checks]
+
+
+def test_exact_circle_checks_hold_on_a_high_degree_case():
+    case = manufactured_case(SourceTerm([
+        (16, 0, 1.0), (3, 11, 0.5j), (9, 9, -0.25), (0, 0, 1.0)]))
+    by_name = {c.name: c for c in verify.boundary_trace_check(case, [0.98, 0.99])}
+    for name in ("trace-exact[r=1]", "normal-trace-exact[r=1]"):
+        assert by_name[name].passed, (name, by_name[name].computed)
+
+
+def test_exact_normal_trace_catches_a_relative_error_of_1e_6(monkeypatch):
+    # Scaling the s^1 row by 1 + 1e-6 leaves the trace exact (s = 0 on the
+    # circle) and hides inside the loose quotient tolerance, but moves the
+    # normal derivative on the circle by ~1e-6.
+    original = solver._boundary_rows
+
+    def skewed(f, h):
+        p, j, alpha, beta = original(f, h)
+        scale = np.array([1.0, 1.0 + 1e-6])
+        return p, j, alpha * scale, beta * scale
+
+    monkeypatch.setattr(solver, "_boundary_rows", skewed)
+    case = manufactured_case(SourceTerm([(0, 0, 1.0), (2, 2, -1.0)]))  # h = 4
+    by_name = {c.name: c for c in verify.boundary_trace_check(case, [0.98, 0.99])}
+    assert by_name["trace-exact[r=1]"].passed
+    assert by_name["normal-trace-recovery[r=0.98,0.99]"].passed
+    assert not by_name["normal-trace-exact[r=1]"].passed
 
 
 def test_trace_radii_validation(reference_cases):
