@@ -518,15 +518,19 @@ def test_reference_fields_match_exact_solutions(reference_cases, reference_field
         assert err < 1e-8, f"{name}: {err}"
 
 
-def test_grid_is_exact_up_to_the_circle():
-    # The pure load g = 4 gives (1 - |z|^2)^2 at every radius, the last
-    # radius 1 - 1/n_r included.
+def test_grid_refuses_unresolvable_outer_radius():
+    # The only unresolvable outer radius is one past the circle. Up to it
+    # the pure load g = 4 gives (1 - |z|^2)^2 at every radius, the last
+    # radius 1 - 1/n_r included (1001 radii reach past the old 0.999 cap).
     zero = BoundaryData.zero()
-    for n_r in (100, 1000, 1001, 2000):
+    for n_r in (100, 1000, 1001):
         field = solver.solve_grid(zero, zero, SourceTerm.constant(4.0), n_r, 8)
         assert field.radii[-1] == pytest.approx(1.0 - 1.0 / n_r)
         expected = (1.0 - np.abs(field.points) ** 2) ** 2
         assert np.max(np.abs(field.values - expected)) <= 1e-14
+    for r_max in (1.0 + 1e-9, 1.5):
+        with pytest.raises(DomainError):
+            solver.solve_grid(zero, zero, SourceTerm.constant(4.0), 100, 8, r_max=r_max)
 
 
 def test_grid_near_boundary_override():
@@ -541,6 +545,18 @@ def test_grid_near_boundary_override():
         expected = sum(c * r ** abs(m) * np.exp(1j * m * th) * (1.0 + (abs(m) + 1) * s / 2.0)
                        for m, c in modes.items())
         assert np.max(np.abs(field.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_grid_hard_radius_cap_cannot_be_overridden():
+    # The hard cap is the circle itself: 2000 radii (last 0.9995) are solved
+    # exactly, and no r_max past 1, however close, is admitted.
+    zero = BoundaryData.zero()
+    field = solver.solve_grid(zero, zero, SourceTerm.constant(4.0), 2000, 4)
+    assert field.radii[-1] == pytest.approx(1.0 - 1.0 / 2000)
+    expected = (1.0 - np.abs(field.points) ** 2) ** 2
+    assert np.max(np.abs(field.values - expected)) <= 1e-14
+    with pytest.raises(DomainError):
+        solver.solve_grid(zero, zero, SourceTerm.zero(), 2000, 4, r_max=1.0 + np.finfo(float).eps)
 
 
 def test_grid_argument_validation():
