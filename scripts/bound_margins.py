@@ -18,18 +18,11 @@ constant, so its worst margin over the sweep is printed last.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from biharmonic_disk import green
 from biharmonic_disk.quadrature import DEFAULT_RULES, disk_integrate
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    radii: tuple = (0.0, 0.2, 0.4, 0.6, 0.8, 0.9)
-    resolution_factor: int = 2
 
 
 BOUNDS = (
@@ -40,20 +33,14 @@ BOUNDS = (
 )
 
 
-def sweep(cfg: SweepConfig) -> float:
-    base = DEFAULT_RULES.disk
-    # |.| integrands lose smoothness on the sign/branch locus, so boost the
-    # plain rule instead of recentring
-    rule = replace(
-        base,
-        scheme="plain",
-        center=0j,
-        n_radial=cfg.resolution_factor * base.n_radial,
-        n_angular=cfg.resolution_factor * base.n_angular,
-    )
+def sweep(radii) -> float:
+    # |.| integrands lose smoothness on the sign/branch locus, so integrate
+    # on the doubled plain rule, as verify.bound_suite does, instead of
+    # recentring
+    rule = DEFAULT_RULES.disk.doubled()
     print(f"{'|z|':>5}  " + "".join(f"{name + ' margin':>18}" for name, _, _ in BOUNDS))
     worst_grad = np.inf
-    for r in cfg.radii:
+    for r in radii:
         z = complex(r)
         margins = []
         for name, integrand, limit in BOUNDS:
@@ -70,14 +57,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--radii", default="0,0.2,0.4,0.6,0.8,0.9",
                         help="comma-separated |z| values to sweep")
-    parser.add_argument("--resolution-factor", type=int, default=2,
-                        help="multiplier on the default disk rule resolution")
     args = parser.parse_args()
-    cfg = SweepConfig(
-        radii=tuple(float(r) for r in args.radii.split(",")),
-        resolution_factor=args.resolution_factor,
-    )
-    worst = sweep(cfg)
+    worst = sweep([float(r) for r in args.radii.split(",")])
     raise SystemExit(0 if worst > 0 else 1)
 
 

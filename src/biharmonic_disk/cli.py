@@ -1,22 +1,21 @@
 """Command-line front end: case files in, field/report files out.
 
-Cases are JSON documents describing the data triple (f, h, g) plus optional
-quadrature overrides and a sampling seed:
+Cases are JSON documents describing the data triple (f, h, g) and a
+sampling seed:
 
     {
       "schema": 1,
       "f": {"fourier": [[1, 1.0, 0.0]]},
       "h": {"samples": [[0.0, 0.0], ...]},
       "g": {"terms": [[0, 0, 4.0, 0.0]]},
-      "quadrature": {"circle_nodes": 512},
       "seed": 42
     }
 
 Fourier coefficients are [mode, re, im] triples, monomial loads are
 [a, b, re, im] quadruples, and every omitted field defaults to zero data.
-Solved values come from closed forms, so the quadrature settings do not
-change them; circle_nodes and angular_nodes set the rules of the integral
-route for A and B in ``lipschitz``.
+Solved values come from closed forms; the integral route for A and B in
+``lipschitz`` and the ``identities`` checks use the fixed oracle rules
+``quadrature.DEFAULT_RULES``.
 Unknown keys anywhere are rejected. Output files are written atomically
 (temp file then rename) with sorted keys and shortest round-trip floats,
 so identical inputs produce byte-identical files.
@@ -45,7 +44,6 @@ from .errors import (
     FingerprintMismatchError,
     SingularityError,
 )
-from .quadrature import CircleRule, DiskRule, RuleSet
 from .solver import BoundaryData, SourceTerm, solve_grid
 
 _SCHEMA = 1
@@ -62,12 +60,11 @@ _QUOTIENT_GRID = (40, 80, 0.95)
 
 @dataclass(eq=False)
 class CaseFile:
-    """A parsed case: data triple, quadrature rules, sampling seed."""
+    """A parsed case: data triple and sampling seed."""
 
     f: BoundaryData
     h: BoundaryData
     g: SourceTerm
-    rules: RuleSet
     seed: int
 
 
@@ -139,28 +136,11 @@ def _parse_source(doc, where: str) -> SourceTerm:
         raise CaseFormatError(f"{where}.terms: {exc}") from exc
 
 
-def _parse_rules(doc) -> RuleSet:
-    if doc is None:
-        return RuleSet()
-    if not isinstance(doc, dict):
-        raise CaseFormatError("quadrature must be an object")
-    _require_keys(doc, {"circle_nodes", "angular_nodes"}, "quadrature")
-    for key in doc:
-        if not isinstance(doc[key], int) or doc[key] < 1:
-            raise CaseFormatError(f"quadrature.{key} must be a positive integer")
-    try:
-        circle = CircleRule(doc.get("circle_nodes", 512))
-        disk = DiskRule(n_angular=doc.get("angular_nodes", 256))
-    except DomainError as exc:
-        raise CaseFormatError(f"quadrature: {exc}") from exc
-    return RuleSet(circle=circle, disk=disk)
-
-
 def parse_case_dict(doc: dict) -> CaseFile:
     """Validate and build a CaseFile from a decoded JSON document."""
     if not isinstance(doc, dict):
         raise CaseFormatError("case file must contain a JSON object")
-    _require_keys(doc, {"schema", "f", "h", "g", "quadrature", "seed"}, "case")
+    _require_keys(doc, {"schema", "f", "h", "g", "seed"}, "case")
     if doc.get("schema", _SCHEMA) != _SCHEMA:
         raise CaseFormatError(f"unsupported schema {doc.get('schema')!r}")
     seed = doc.get("seed", 42)
@@ -170,7 +150,6 @@ def parse_case_dict(doc: dict) -> CaseFile:
         f=_parse_boundary(doc.get("f"), "f"),
         h=_parse_boundary(doc.get("h"), "h"),
         g=_parse_source(doc.get("g"), "g"),
-        rules=_parse_rules(doc.get("quadrature")),
         seed=seed,
     )
 
@@ -192,10 +171,6 @@ def serialize_case(case: CaseFile) -> dict:
         "f": {"samples": [[v.real, v.imag] for v in case.f.samples]},
         "h": {"samples": [[v.real, v.imag] for v in case.h.samples]},
         "g": {"terms": [[a, b, c.real, c.imag] for a, b, c in case.g.terms]},
-        "quadrature": {
-            "circle_nodes": case.rules.circle.n_nodes,
-            "angular_nodes": case.rules.disk.n_angular,
-        },
         "seed": case.seed,
     }
 
@@ -246,9 +221,8 @@ def _report_doc(checks) -> dict:
 
 
 def cmd_identities(args) -> int:
-    rules = RuleSet()
-    checks = verify.identity_suite(rules, tolerance=args.tol)
-    checks += verify.bound_suite(rules, tolerance=1e-6 if args.tol is None else args.tol)
+    checks = verify.identity_suite(tolerance=args.tol)
+    checks += verify.bound_suite(tolerance=1e-6 if args.tol is None else args.tol)
     ok = _print_checks(checks)
     if args.json:
         _atomic_write_json(args.json, _report_doc(checks))
@@ -305,7 +279,7 @@ def cmd_verify(args) -> int:
 
 def cmd_lipschitz(args) -> int:
     case = parse_case(args.case)
-    report, ab = lipschitz.analyze_case(case.f, case.h, case.g, case.rules)
+    report, ab = lipschitz.analyze_case(case.f, case.h, case.g)
     n_r, n_theta, r_max = _QUOTIENT_GRID
     field = solve_grid(case.f, case.h, case.g, n_r, n_theta, r_max=r_max)
     quotient = lipschitz.empirical_quotient(field, seed=case.seed)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .quadrature import DEFAULT_RULES, RuleSet, disk_integrate_centered
+from .quadrature import DEFAULT_RULES, CircleRule, disk_integrate_centered
 from .solver import BoundaryData, SolutionField, SourceTerm, gradient_point
 
 # Coefficients of the certified gradient bound P.
@@ -63,9 +63,9 @@ class ABResult:
         |(1/4pi) int e^{-+i theta}(3f + h) dtheta
             - int zetabar-or-zeta (log|zeta|^2 + 1 - |zeta|^2) g dA|^2
 
-    with the Green term subtracted; the *_flipped variants add it instead,
-    recording how sensitive the invariant is to that sign choice. Iterating
-    yields (a_value, b_value, q_value).
+    with the Green term subtracted. The circle integral uses
+    max(512, f.n, h.n) equispaced nodes, so no mode of the sampled data
+    aliases onto e^{+-i theta}. Iterating yields (a_value, b_value, q_value).
     """
 
     a_value: float
@@ -73,8 +73,6 @@ class ABResult:
     q_value: float
     a_integral: float
     b_integral: float
-    a_integral_flipped: float
-    b_integral_flipped: float
 
     def __iter__(self):
         return iter((self.a_value, self.b_value, self.q_value))
@@ -129,19 +127,20 @@ def p_bound(l: float, h_sup: float, g_sup: float) -> float:
     return _COEFF_L * l + _COEFF_H * h_sup + _COEFF_G * g_sup
 
 
-def _origin_boundary_terms(f: BoundaryData, h: BoundaryData, rules: RuleSet):
+def _origin_boundary_terms(f: BoundaryData, h: BoundaryData):
     # (1/4pi) int e^{-+ i theta} (3 f + h) dtheta  =  Phi_z(0), Phi_zbar(0)
     # restricted to the boundary part: F0 and H0 have z-derivative
-    # (3/2) e^{-i theta} and (1/2) e^{-i theta} at z = 0.
-    n = rules.circle.n_nodes
-    th = rules.circle.thetas
+    # (3/2) e^{-i theta} and (1/2) e^{-i theta} at z = 0. No fewer nodes
+    # than samples, so no mode of the data aliases onto e^{+-i theta}.
+    n = max(DEFAULT_RULES.circle.n_nodes, f.n, h.n)
+    th = CircleRule(n).thetas
     combo = 3.0 * f.resample(n) + h.resample(n)
     t_a = complex(np.mean(np.exp(-1j * th) * combo) / 2.0)
     t_b = complex(np.mean(np.exp(1j * th) * combo) / 2.0)
     return t_a, t_b
 
 
-def _origin_green_terms(g: SourceTerm, rules: RuleSet):
+def _origin_green_terms(g: SourceTerm):
     # int zetabar (log|zeta|^2 + 1 - |zeta|^2) g(zeta) dA and its conjugate
     # partner; the radial panel rule absorbs the rho log rho behaviour.
     if g.is_zero:
@@ -155,28 +154,25 @@ def _origin_green_terms(g: SourceTerm, rules: RuleSet):
         rho2 = zeta.real**2 + zeta.imag**2
         return zeta * (np.log(rho2) + 1.0 - rho2) * g.evaluate(zeta)
 
-    g_a = complex(disk_integrate_centered(rules.disk, f_a, center=0j))
-    g_b = complex(disk_integrate_centered(rules.disk, f_b, center=0j))
+    g_a = complex(disk_integrate_centered(DEFAULT_RULES.disk, f_a, center=0j))
+    g_b = complex(disk_integrate_centered(DEFAULT_RULES.disk, f_b, center=0j))
     return g_a, g_b
 
 
-def compute_ab(f: BoundaryData, h: BoundaryData, g: SourceTerm,
-               rules: RuleSet = DEFAULT_RULES) -> ABResult:
+def compute_ab(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> ABResult:
     """A, B, Q at the origin, from the closed-form gradient and from the integral formulas."""
     pair = gradient_point(f, h, g, 0j)
     a_value = abs(pair.d_z) ** 2
     b_value = abs(pair.d_zbar) ** 2
 
-    t_a, t_b = _origin_boundary_terms(f, h, rules)
-    g_a, g_b = _origin_green_terms(g, rules)
+    t_a, t_b = _origin_boundary_terms(f, h)
+    g_a, g_b = _origin_green_terms(g)
     return ABResult(
         a_value=a_value,
         b_value=b_value,
         q_value=a_value - b_value,
         a_integral=abs(t_a - g_a) ** 2,
         b_integral=abs(t_b - g_b) ** 2,
-        a_integral_flipped=abs(t_a + g_a) ** 2,
-        b_integral_flipped=abs(t_b + g_b) ** 2,
     )
 
 
@@ -207,10 +203,10 @@ def classify(l_boundary: float, h_sup: float, g_sup: float,
     )
 
 
-def analyze_case(f: BoundaryData, h: BoundaryData, g: SourceTerm,
-                 rules: RuleSet = DEFAULT_RULES) -> tuple[LipschitzReport, ABResult]:
+def analyze_case(f: BoundaryData, h: BoundaryData,
+                 g: SourceTerm) -> tuple[LipschitzReport, ABResult]:
     """Measure every constant for one case and classify it."""
-    ab = compute_ab(f, h, g, rules)
+    ab = compute_ab(f, h, g)
     return classify(
         l_boundary=estimate_boundary_lipschitz(f),
         h_sup=h.sup_norm(),
@@ -226,13 +222,15 @@ def empirical_quotient(field: SolutionField, max_pairs: int = 100_000,
     """Largest |Phi(z1) - Phi(z2)| / |z1 - z2| over seeded node pairs.
 
     Small grids are scanned exhaustively; larger ones are subsampled with
-    at most ``max_pairs`` seeded random pairs. Failed (NaN) nodes are
-    skipped; coincident nodes (the r = 0 ring) are ignored.
+    at most ``max_pairs`` seeded random pairs. Coincident nodes (the
+    r = 0 ring) are ignored. A non-finite node value raises
+    ``DegenerateDataError``: every grid node is evaluated, so one means the
+    field is broken, and skipping it could make the quotient read low.
     """
     zs = field.points.ravel()
     vals = field.values.ravel()
-    ok = np.isfinite(vals)
-    zs, vals = zs[ok], vals[ok]
+    if not np.all(np.isfinite(vals)):
+        raise DegenerateDataError("the field holds non-finite values")
     n = zs.size
     if n < 2:
         raise DegenerateDataError("need at least two evaluated nodes")

@@ -4,27 +4,28 @@ Area integrals are always taken against normalized Lebesgue measure
 dA = dx dy / pi, so the disk has mass one, and circle integrals against
 dtheta / 2pi, so the circle mean of 1 is 1.
 
-Three rules live here.
+These rules are the independent oracle that ``verify`` and ``lipschitz``
+hold the closed forms against, at the fixed resolution ``DEFAULT_RULES``.
 
 * ``CircleRule``: equally weighted, equally spaced angles. Spectrally
   accurate for smooth periodic integrands and exact for trigonometric
   polynomials of degree below the node count.
 
-* ``DiskRule`` plain scheme: Gauss nodes for the radial weight r on [0, 1]
+* ``disk_integrate``: Gauss nodes for the radial weight r on [0, 1]
   (exact for radial polynomials of degree <= 2 n_radial - 1) crossed with a
   CircleRule in angle. Exact for monomials z^a conj(z)^b up to the rule's
   degree, but blind to the logarithmic singularities the Green kernels carry.
 
-* ``DiskRule`` centered scheme: the integrand is pulled back through the
-  Mobius involution exchanging 0 and ``center`` so that the singular point
-  of a Green-type integrand lands at the origin, where the radial grid is
-  graded geometrically. Radial panels run from ``geo_start`` to
+* ``disk_integrate_centered``: the integrand is pulled back through the
+  Mobius involution exchanging 0 and a given centre, so that the singular
+  point of a Green-type integrand lands at the origin, where the radial grid
+  is graded geometrically. Radial panels run from ``geo_start`` to
   ``geo_split`` geometrically and uniformly from there to 1, with a fixed
   Gauss-Legendre order per panel; the node at radius 0 is never used.
 
-Node sets are cached per parameter combination, and summation is performed
-angle first, then ascending radius, so repeated calls are bitwise
-reproducible.
+A ``DiskRule`` carries the resolution of both. Node sets are cached per
+parameter combination, and summation is performed angle first, then
+ascending radius, so repeated calls are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -73,16 +74,15 @@ def circle_integrate(rule: CircleRule, integrand) -> complex:
 
 @dataclass(frozen=True)
 class DiskRule:
-    """Product rule on the disk, either plain or recentred at a singularity.
+    """Resolution of the two disk rules, plain and recentred.
 
-    n_radial only affects the plain scheme; the centered radial grid is
-    controlled by the panel fields. n_angular is shared.
+    n_radial only affects ``disk_integrate``; the radial grid of
+    ``disk_integrate_centered`` is controlled by the panel fields.
+    n_angular is shared.
     """
 
     n_radial: int = 128
     n_angular: int = 256
-    scheme: str = "plain"
-    center: complex = 0j
     geo_panels: int = 40
     geo_start: float = 1e-12
     geo_split: float = 0.5
@@ -90,20 +90,12 @@ class DiskRule:
     panel_order: int = 8
 
     def __post_init__(self):
-        if self.scheme not in ("plain", "centered"):
-            raise DomainError(f"unknown scheme {self.scheme!r}")
         if self.n_radial < 1 or self.n_angular < 1:
             raise DomainError("DiskRule needs positive node counts")
         if not (0.0 < self.geo_start < self.geo_split < 1.0):
             raise DomainError("need 0 < geo_start < geo_split < 1")
         if self.geo_panels < 1 or self.outer_panels < 1 or self.panel_order < 1:
             raise DomainError("panel counts and order must be positive")
-        if abs(self.center) >= 1.0:
-            raise DomainError("center must lie in the open unit disk")
-        object.__setattr__(self, "center", complex(self.center))
-
-    def centered_at(self, center: complex) -> "DiskRule":
-        return replace(self, scheme="centered", center=complex(center))
 
     def doubled(self) -> "DiskRule":
         """Same rule with radial and angular resolution doubled."""
@@ -117,7 +109,7 @@ class DiskRule:
 
     @property
     def radial_nodes(self):
-        """(radii, weights) integrating int_0^1 p(r) r dr under the plain scheme."""
+        """(radii, weights) integrating int_0^1 p(r) r dr for ``disk_integrate``."""
         return _jacobi_radial(self.n_radial)
 
     @property
@@ -136,10 +128,8 @@ def disk_integrate(rule: DiskRule, integrand) -> complex:
     """Integrate ``integrand(zeta)`` over the disk against dA = dx dy / pi.
 
     The integrand receives a 2d complex array of nodes and must return a
-    matching array. Dispatches on the rule's scheme.
+    matching array.
     """
-    if rule.scheme == "centered":
-        return disk_integrate_centered(rule, integrand)
     radii, w = rule.radial_nodes
     zeta = radii[:, None] * np.exp(1j * _circle_angles(rule.n_angular))[None, :]
     vals = np.asarray(integrand(zeta), dtype=complex)
@@ -148,15 +138,14 @@ def disk_integrate(rule: DiskRule, integrand) -> complex:
     return complex(np.dot(2.0 * w, vals.mean(axis=1)))
 
 
-def disk_integrate_centered(rule: DiskRule, integrand, center=None) -> complex:
+def disk_integrate_centered(rule: DiskRule, integrand, center: complex) -> complex:
     """Integrate with the pulled-back grid centered at the singular point.
 
-    ``center`` overrides the rule's stored center when given. The integrand
-    sees the physical nodes zeta (not the pulled-back ones) and the Jacobian
-    of the substitution is applied internally.
+    ``center`` must lie in the open unit disk. The integrand sees the
+    physical nodes zeta (not the pulled-back ones) and the Jacobian of the
+    substitution is applied internally.
     """
-    c = rule.center if center is None else complex(center)
-    mob = MobiusMap(c)
+    mob = MobiusMap(center)
     rho, w = rule.centered_radial_nodes
     eta = rho[:, None] * np.exp(1j * _circle_angles(rule.n_angular))[None, :]
     zeta, jac = mob.pullback(eta)
@@ -168,7 +157,7 @@ def disk_integrate_centered(rule: DiskRule, integrand, center=None) -> complex:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """The quadrature pair a solve uses: one circle rule, one disk rule."""
+    """The oracle's quadrature pair: one circle rule, one disk rule."""
 
     circle: CircleRule = CircleRule()
     disk: DiskRule = DiskRule()

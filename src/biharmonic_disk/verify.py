@@ -14,7 +14,7 @@ results, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import DomainError, FingerprintMismatchError
 from .lipschitz import estimate_boundary_lipschitz, p_bound
 from .quadrature import (
     DEFAULT_RULES,
-    RuleSet,
     circle_integrate,
     disk_integrate,
     disk_integrate_centered,
@@ -157,8 +156,7 @@ def _log_ratio(z: complex, zeta: np.ndarray) -> np.ndarray:
     return np.log((w.real**2 + w.imag**2) / (d.real**2 + d.imag**2))
 
 
-def identity_suite(rules: RuleSet = DEFAULT_RULES,
-                   tolerance: Optional[float] = None,
+def identity_suite(tolerance: Optional[float] = None,
                    trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
     """Exact-equality checks: kernel means, moments, and log-kernel masses.
 
@@ -173,7 +171,7 @@ def identity_suite(rules: RuleSet = DEFAULT_RULES,
 
     checks: list[CheckResult] = []
     for z in SAMPLE_POINTS:
-        mean = circle_integrate(rules.circle, lambda th: tk(z * np.exp(-1j * th)))
+        mean = circle_integrate(DEFAULT_RULES.circle, lambda th: tk(z * np.exp(-1j * th)))
         checks.append(CheckResult.equality(
             f"trace-kernel-mean[z={_zkey(z)}]", mean, 1.0, tol(1e-10)))
 
@@ -184,7 +182,7 @@ def identity_suite(rules: RuleSet = DEFAULT_RULES,
             checks.append(CheckResult.equality(
                 f"moment-series[beta={beta},r={r:g}]", series, closed, tol(1e-12)))
             quad = circle_integrate(
-                rules.circle,
+                DEFAULT_RULES.circle,
                 lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-2 * beta),
             )
             checks.append(CheckResult.equality(
@@ -192,18 +190,18 @@ def identity_suite(rules: RuleSet = DEFAULT_RULES,
     for r in SAMPLE_RADII:
         series = kernels.kernel_moment(3, r)
         quad = circle_integrate(
-            rules.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-6))
+            DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-6))
         checks.append(CheckResult.equality(
             f"moment-rule[beta=3,r={r:g}]", quad, series, tol(1e-10)))
 
     for z in SAMPLE_POINTS:
         rep = disk_integrate_centered(
-            rules.disk, lambda zeta: _log_ratio(z, zeta), center=z)
+            DEFAULT_RULES.disk, lambda zeta: _log_ratio(z, zeta), center=z)
         checks.append(CheckResult.equality(
             f"log-kernel-mass[z={_zkey(z)}]", rep, 1.0 - abs(z) ** 2, tol(1e-8)))
 
         ival = disk_integrate_centered(
-            rules.disk,
+            DEFAULT_RULES.disk,
             lambda zeta: np.abs(z - zeta) ** 2 * _log_ratio(z, zeta),
             center=z,
         )
@@ -213,7 +211,7 @@ def identity_suite(rules: RuleSet = DEFAULT_RULES,
 
         # same weight integrated in the first argument at fixed second one
         jval = disk_integrate_centered(
-            rules.disk,
+            DEFAULT_RULES.disk,
             lambda w: np.abs(w - z) ** 2
             * np.log(np.abs((1.0 - np.conj(w) * z) / (z - w)) ** 2),
             center=z,
@@ -223,15 +221,14 @@ def identity_suite(rules: RuleSet = DEFAULT_RULES,
     return checks
 
 
-def bound_suite(rules: RuleSet = DEFAULT_RULES,
-                tolerance: float = 1e-6) -> list[CheckResult]:
+def bound_suite(tolerance: float = 1e-6) -> list[CheckResult]:
     """Inequality checks for the Green kernel and its derivative masses.
 
-    Integrands carrying absolute values are integrated on the plain scheme
+    Integrands carrying absolute values are integrated on the plain rule
     at doubled resolution (|.| breaks smoothness where the sign or a branch
     changes); the smooth sub-integrals use the recentred rule.
     """
-    plain = replace(rules.disk.doubled(), scheme="plain", center=0j)
+    plain = DEFAULT_RULES.disk.doubled()
     checks: list[CheckResult] = []
     for z in SAMPLE_POINTS:
         name = _zkey(z)
@@ -244,14 +241,14 @@ def bound_suite(rules: RuleSet = DEFAULT_RULES,
             f"green-grad-abs-mass[z={name}]", gdmass, 23.0 / 6.0, tolerance))
 
         j1 = disk_integrate_centered(
-            rules.disk,
+            DEFAULT_RULES.disk,
             lambda zeta: np.abs(z - zeta) * _log_ratio(z, zeta),
             center=z,
         )
         checks.append(CheckResult.bound(f"j1[z={name}]", j1, 0.5, tolerance))
 
         j2 = disk_integrate_centered(
-            rules.disk,
+            DEFAULT_RULES.disk,
             lambda zeta: (1.0 - np.abs(zeta) ** 2)
             * np.abs(z - zeta) / np.abs(1.0 - np.conj(zeta) * z),
             center=z,
@@ -259,7 +256,7 @@ def bound_suite(rules: RuleSet = DEFAULT_RULES,
         checks.append(CheckResult.bound(f"j2[z={name}]", j2, 17.0 / 6.0, tolerance))
 
         j3 = abs(z) * disk_integrate(
-            replace(rules.disk, scheme="plain", center=0j),
+            DEFAULT_RULES.disk,
             lambda zeta: 1.0 - np.abs(zeta) ** 2,
         ).real
         checks.append(CheckResult.bound(f"j3[z={name}]", j3, 0.5, tolerance))
@@ -274,7 +271,7 @@ def bound_suite(rules: RuleSet = DEFAULT_RULES,
 
     for r in SAMPLE_RADII:
         cube = circle_integrate(
-            rules.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-3))
+            DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-3))
         limit = np.sqrt(1.0 + r**2) / (1.0 - r**2) ** 2
         checks.append(CheckResult.bound(
             f"angular-cube-moment[r={r:g}]", cube, limit, tolerance))

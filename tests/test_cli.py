@@ -30,7 +30,6 @@ def test_parse_minimal_case():
     assert np.all(case.h.samples == 0)
     assert case.g.is_zero
     assert case.seed == 42
-    assert case.rules.circle.n_nodes == 512
 
 
 def test_parse_full_case():
@@ -40,7 +39,6 @@ def test_parse_full_case():
             "f": {"fourier": [[1, 1.0, 0.0], [-2, 0.0, 0.5]]},
             "h": {"samples": [[1.0, 0.0]] * 8},
             "g": {"terms": [[1, 1, 2.0, 0.0]]},
-            "quadrature": {"circle_nodes": 256, "angular_nodes": 128},
             "seed": 7,
         }
     )
@@ -48,8 +46,6 @@ def test_parse_full_case():
     assert case.h.n == 8
     assert np.all(case.h.samples == 1.0)
     assert case.g.terms == ((1, 1, 2.0),)
-    assert case.rules.circle.n_nodes == 256
-    assert case.rules.disk.n_angular == 128
     assert case.seed == 7
 
 
@@ -65,7 +61,7 @@ def test_parse_fourier_n_samples():
         ({"schema": 1, "bogus": 1}, "unknown key 'bogus' in case"),
         ({"schema": 1, "f": {"weird": []}}, "unknown key 'weird' in f"),
         ({"schema": 1, "g": {"whatever": []}}, "unknown key 'whatever' in g"),
-        ({"schema": 1, "quadrature": {"nodes": 3}}, "unknown key 'nodes' in quadrature"),
+        ({"schema": 1, "quadrature": {"nodes": 3}}, "unknown key 'quadrature' in case"),
         ({"schema": 1, "seed": "abc"}, "seed must be an integer"),
         ({"schema": 1, "f": {"fourier": [[1, 1.0]]}}, "f.fourier must be"),
         ({"schema": 1, "f": {"samples": [[0.0, 0.0]] * 3}}, "f.samples"),
@@ -73,11 +69,11 @@ def test_parse_fourier_n_samples():
         ({"schema": 1, "f": {"samples": [[0.0, 0.0]] * 8, "n_samples": 8}}, "conflicts"),
         ({"schema": 1, "g": {"terms": [[-1, 0, 1.0, 0.0]]}}, "negative exponent in g.terms"),
         ({"schema": 1, "g": {"terms": [[1, 1, 1.0]]}}, "g.terms must be"),
-        ({"schema": 1, "quadrature": {"circle_nodes": 0}}, "positive integer"),
+        ({"schema": 1, "quadrature": {"circle_nodes": 0}}, "unknown key 'quadrature' in case"),
         ({"schema": 1, "f": []}, "f must be an object"),
         ([1, 2], "JSON object"),
         ({"schema": 1, "quadrature": {"radial_nodes": 64}},
-         "unknown key 'radial_nodes' in quadrature"),
+         "unknown key 'quadrature' in case"),
         ({"schema": 1, "g": {"terms": [[0, 0, float("nan"), 0.0]]}}, "must be finite"),
     ],
 )
@@ -110,7 +106,6 @@ def test_serialize_round_trip():
     assert np.allclose(again.h.samples, original.h.samples)
     assert again.g.terms == original.g.terms
     assert again.seed == original.seed
-    assert again.rules.circle.n_nodes == original.rules.circle.n_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +295,23 @@ def test_lipschitz_rotation_case(tmp_path, capsys):
     assert get("Q = A - B") == pytest.approx(2.25, abs=1e-9)
     assert get("empirical quotient") <= get("P (gradient") + 1e-9
     assert "verdict: lipschitz-only" in out
+
+
+def test_lipschitz_integral_form_matches_on_1024_samples(tmp_path, capsys):
+    # e^{-511 i theta} aliases onto e^{i theta} on a 512-node circle rule;
+    # the integral route must take as many nodes as the data has samples.
+    doc = {"schema": 1, "f": {"fourier": [[1, 1.0, 0.0], [-511, 1.0, 0.0]],
+                              "n_samples": 1024}}
+    rc = cli.main(["lipschitz", "--case", write_case(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    values = {}
+    for line in out.splitlines():
+        key, sep, tail = line.rpartition("=")
+        if sep and key.startswith("A "):
+            values[key.strip()] = float(tail)
+    assert values["A (integral form)"] == pytest.approx(2.25, abs=1e-12)
+    assert values["A (integral form)"] == pytest.approx(values["A = |Phi_z(0)|^2"], abs=1e-12)
 
 
 def test_lipschitz_all_zero_case_is_degenerate(tmp_path, capsys):

@@ -142,8 +142,20 @@ def test_ab_routes_agree_with_green_term_present():
     ab = compute_ab(f, h, g)
     assert ab.a_integral == pytest.approx(ab.a_value, abs=1e-10)
     assert ab.b_integral == pytest.approx(ab.b_value, abs=1e-10)
-    # the sign-flipped variant must disagree, or the Green term vanished
-    assert abs(ab.a_integral_flipped - ab.a_value) > 1e-3
+    # dropping the load must change the integral, or the Green term vanished
+    no_load = compute_ab(f, h, SourceTerm.zero())
+    assert abs(no_load.a_integral - ab.a_integral) > 1e-3
+
+
+@pytest.mark.parametrize("n_f,n_h", [(1024, 1024), (512, 2048)])
+def test_ab_integral_route_is_exact_beyond_512_samples(n_f, n_h):
+    # modes -(N/2 - 1) and N/2 - 1 alias onto e^{+-i theta} on a 512-node
+    # rule once N > 512; the integral route must not see them
+    f = BoundaryData.from_fourier([(1, 1.0), (-(n_f // 2 - 1), 1.0)], n_f)
+    h = BoundaryData.from_fourier([(-1, 0.5), (n_h // 2 - 1, 2.0)], n_h)
+    ab = compute_ab(f, h, SourceTerm.zero())
+    assert ab.a_integral == pytest.approx(ab.a_value, abs=1e-12)
+    assert ab.b_integral == pytest.approx(ab.b_value, abs=1e-12)
 
 
 def test_ab_iterates_as_triple():
@@ -251,7 +263,7 @@ def test_quotient_subsampling_is_seeded(dense_radial_field):
     assert a <= 8.0 / (3.0 * np.sqrt(3.0)) + 1e-12
 
 
-def test_quotient_skips_failed_nodes(reference_fields):
+def test_quotient_refuses_non_finite_nodes(reference_fields):
     field = reference_fields["bump"]
     broken = solver.SolutionField(
         radii=field.radii,
@@ -263,10 +275,8 @@ def test_quotient_skips_failed_nodes(reference_fields):
         r_max=field.r_max,
     )
     broken.values[5, :] = np.nan
-    q = empirical_quotient(broken)
-    assert np.isfinite(q)
-    # surviving pairs still obey the slope bound of (1 - |z|^2)^2
-    assert q <= 8.0 / (3.0 * np.sqrt(3.0)) + 1e-9
+    with pytest.raises(DegenerateDataError):
+        empirical_quotient(broken)
 
 
 def test_quotient_degenerate_fields():

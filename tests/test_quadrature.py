@@ -81,70 +81,39 @@ def test_disk_integrand_shape_check():
 
 @pytest.mark.parametrize("center", [0j, 0.3 + 0j, 0.8j])
 def test_centered_mass_is_one(center):
-    rule = DiskRule().centered_at(center)
-    val = disk_integrate(rule, lambda z: np.ones_like(z, dtype=float))
+    val = disk_integrate_centered(DiskRule(), lambda z: np.ones_like(z, dtype=float), center)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_centered_log_identity():
     # int log|(1 - conj(z) zeta)/(z - zeta)|^2 dA(zeta) = 1 - |z|^2.
     z = 0.3 + 0j
-    rule = DiskRule().centered_at(z)
 
     def integrand(zeta):
         num = np.abs(1.0 - np.conj(z) * zeta) ** 2
         den = np.abs(z - zeta) ** 2
         return np.log(num / den)
 
-    assert disk_integrate(rule, integrand) == pytest.approx(0.91, abs=1e-10)
-
-
-def test_centered_override_matches_stored_center():
-    z = 0.25 + 0.1j
-
-    def integrand(zeta):
-        return 1.0 / np.sqrt(np.abs(zeta - z))
-
-    a = disk_integrate(DiskRule().centered_at(z), integrand)
-    b = disk_integrate_centered(DiskRule(scheme="centered"), integrand, center=z)
-    assert a == pytest.approx(b, rel=1e-14)
+    assert disk_integrate_centered(DiskRule(), integrand, z) == pytest.approx(0.91, abs=1e-10)
 
 
 def test_centered_handles_inverse_square_root_singularity():
     # int |zeta|^(-1/2) dA = int_0^1 r^(-1/2) 2r dr = 4/3, centered at the origin.
-    rule = DiskRule().centered_at(0j)
-    val = disk_integrate(rule, lambda z: np.abs(z) ** -0.5)
+    val = disk_integrate_centered(DiskRule(), lambda z: np.abs(z) ** -0.5, 0j)
     assert val == pytest.approx(4.0 / 3.0, rel=1e-10)
-
-
-def test_plain_scheme_dispatches_to_centered():
-    rule = DiskRule(scheme="centered", center=0.2)
-    direct = disk_integrate(rule, lambda z: np.abs(z) ** 2)
-    assert direct == pytest.approx(0.5, abs=1e-10)
 
 
 def test_doubled_doubles_every_resolution_knob():
     rule = DiskRule(n_radial=10, n_angular=20, geo_panels=5, outer_panels=3)
     d = rule.doubled()
     assert (d.n_radial, d.n_angular, d.geo_panels, d.outer_panels) == (20, 40, 10, 6)
-    assert d.scheme == rule.scheme
-
-
-def test_centered_at_preserves_other_fields():
-    rule = DiskRule(n_angular=64)
-    c = rule.centered_at(0.5j)
-    assert c.scheme == "centered"
-    assert c.center == 0.5j
-    assert c.n_angular == 64
 
 
 def test_rule_validation():
     with pytest.raises(DomainError):
-        DiskRule(scheme="polar")
-    with pytest.raises(DomainError):
         DiskRule(n_radial=0)
     with pytest.raises(DomainError):
-        DiskRule(center=1.0 + 0j)
+        disk_integrate_centered(DiskRule(), lambda z: np.ones_like(z), center=1.0)
     with pytest.raises(DomainError):
         DiskRule(geo_start=0.7, geo_split=0.5)
 
@@ -173,18 +142,17 @@ def test_plain_rule_radial_polynomial_exact(k):
 
 @given(c=st.complex_numbers(max_magnitude=0.7, allow_infinity=False, allow_nan=False))
 def test_centered_polynomial_matches_plain(c):
-    plain = DiskRule(n_radial=32, n_angular=128)
-    cent = plain.centered_at(c)
+    rule = DiskRule(n_radial=32, n_angular=128)
 
     def integrand(z):
         return (1.0 - np.abs(z) ** 2) ** 2
 
-    a = disk_integrate(plain, integrand)
-    b = disk_integrate(cent, integrand)
+    a = disk_integrate(rule, integrand)
+    b = disk_integrate_centered(rule, integrand, c)
     assert b == pytest.approx(a, abs=1e-9)
 
 
 def test_default_rules_bundle():
     rules = quadrature.DEFAULT_RULES
     assert rules.circle.n_nodes == 512
-    assert rules.disk.scheme == "plain"
+    assert rules.disk.n_angular == 256
