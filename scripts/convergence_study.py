@@ -17,7 +17,6 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,35 +31,28 @@ CASES = {
     "swirl": SourceTerm([(3, 1, 1.0), (2, 2, 0.5)]),  # non-radial degree 4
 }
 
-
-@dataclass
-class StudyConfig:
-    case: str = "sextic"
-    spacings: tuple = (0.04, 0.02)
-    extent: float = 0.5
-    grids: tuple = ((8, 16), (16, 32), (32, 64))
-    r_max: float = 0.9
-    run_field: bool = True
-    run_residual: bool = True
+# Polar grids (n_r, n_theta) of the solution error sweep, and their outer radius.
+GRIDS = ((8, 16), (16, 32), (32, 64))
+R_MAX = 0.9
 
 
-def solution_error_sweep(cfg: StudyConfig) -> None:
-    case = manufactured_case(CASES[cfg.case])
-    print(f"\nsolution error, case {cfg.case!r}, r <= {cfg.r_max:g}")
+def solution_error_sweep(name: str) -> None:
+    case = manufactured_case(CASES[name])
+    print(f"\nsolution error, case {name!r}, r <= {R_MAX:g}")
     print(f"{'grid':>10}  {'sup error':>12}")
-    for n_r, n_theta in cfg.grids:
-        fld = solve_grid(case.f, case.h, case.g, n_r, n_theta, r_max=cfg.r_max)
+    for n_r, n_theta in GRIDS:
+        fld = solve_grid(case.f, case.h, case.g, n_r, n_theta, r_max=R_MAX)
         err = float(np.max(np.abs(fld.values - case.phi_star(fld.points))))
         print(f"{n_r:>4}x{n_theta:<5}  {err:12.3e}")
 
 
-def residual_sweep(cfg: StudyConfig) -> None:
-    case = manufactured_case(CASES[cfg.case])
-    print(f"\nbilaplacian residual, case {cfg.case!r}, extent {cfg.extent:g}")
+def residual_sweep(name: str, spacings, extent: float) -> None:
+    case = manufactured_case(CASES[name])
+    print(f"\nbilaplacian residual, case {name!r}, extent {extent:g}")
     print(f"{'spacing':>8}  {'residual':>12}  {'order':>6}")
     previous = None
-    for h in cfg.spacings:
-        res = fd_bilaplacian_residual(case, h, extent=cfg.extent, tolerance=np.inf).computed.real
+    for h in spacings:
+        res = fd_bilaplacian_residual(case, h, extent=extent, tolerance=np.inf).computed.real
         order = ""
         if previous is not None:
             h_prev, r_prev = previous
@@ -69,33 +61,16 @@ def residual_sweep(cfg: StudyConfig) -> None:
         previous = (h, res)
 
 
-def parse_args() -> StudyConfig:
+def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--case", default="sextic", choices=sorted(CASES))
     parser.add_argument("--spacings", default="0.04,0.02",
                         help="comma-separated finite-difference spacings")
     parser.add_argument("--extent", type=float, default=0.5,
                         help="half-width of the residual grid")
-    parser.add_argument("--skip-field", action="store_true",
-                        help="skip the grid solution error sweep")
-    parser.add_argument("--skip-residual", action="store_true",
-                        help="skip the residual order sweep")
     args = parser.parse_args()
-    return StudyConfig(
-        case=args.case,
-        spacings=tuple(float(s) for s in args.spacings.split(",")),
-        extent=args.extent,
-        run_field=not args.skip_field,
-        run_residual=not args.skip_residual,
-    )
-
-
-def main() -> None:
-    cfg = parse_args()
-    if cfg.run_field:
-        solution_error_sweep(cfg)
-    if cfg.run_residual:
-        residual_sweep(cfg)
+    solution_error_sweep(args.case)
+    residual_sweep(args.case, [float(s) for s in args.spacings.split(",")], args.extent)
 
 
 if __name__ == "__main__":

@@ -17,10 +17,8 @@ from .kernels import (
     h0_eval,
     kernel_moment,
     kernel_moment_series,
-    poisson_eval,
-    polylog_integral,
 )
-from .green import MobiusMap, g_dz, g_eval, h2_eval, h3_eval, mobius_pullback
+from .green import MobiusMap, g_dz, g_eval, h2_eval, h3_eval
 from .quadrature import (
     DEFAULT_RULES,
     CircleRule,
@@ -48,7 +46,6 @@ from .solver import (
 )
 from .lipschitz import (
     ABResult,
-    GradientMatrixStats,
     LipschitzReport,
     analyze_case,
     classify,

@@ -8,8 +8,7 @@ The Green function used throughout is
 a real, symmetric, nonpositive function of two disk points that vanishes to
 second order as either argument reaches the circle. Its diagonal value is
 the limit -(1 - |z|^2)^2; the log factor is tamed there by the |z - zeta|^2
-prefactor and ``g_eval`` evaluates it in the guarded split form once the
-points are closer than 1e-8.
+prefactor, and ``g_eval`` returns that limit where z == zeta exactly.
 
 Derivatives in the first argument:
 
@@ -31,9 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError
-
-# Below this separation the log term switches to the guarded split form.
-DIAGONAL_GUARD = 1e-8
 
 
 def _abs2(w):
@@ -165,7 +161,3 @@ class MobiusMap:
         jac = (1.0 - _abs2(self.center)) ** 2 / _abs2(den) ** 2
         return _maybe_scalar(zeta), _maybe_scalar(np.asarray(jac))
 
-
-def mobius_pullback(mobius: MobiusMap, eta):
-    """Functional alias for MobiusMap.pullback."""
-    return mobius.pullback(eta)

@@ -11,8 +11,7 @@ and ``f0_eval`` the kernel weighting the boundary trace,
 
 Both are nonnegative on the open disk, and F0 has circle mean one at every
 interior point, which is the discrete sanity check the identity suite leans
-on. The classical harmonic Poisson kernel ``poisson_eval`` is kept alongside
-as a reference point.
+on.
 
 Closed-form Wirtinger z-derivatives of theta -> H0(z e^{-i theta}) and
 theta -> F0(z e^{-i theta}) are provided for gradient work; for these real
@@ -23,9 +22,7 @@ kernels the zbar-derivative is the conjugate of the z-derivative.
     (1/2pi) int |1 - r e^{i theta}|^(-2 beta) dtheta
         = sum_n (Gamma(n+beta) / (n! Gamma(beta)))^2 r^(2n),
 
-with closed forms for beta = 1, 2 and the series for everything else, and
-``polylog_integral`` the companion radial integrals
-int_0^1 t^a log(1/t)^(p-1) dt = Gamma(p) / (1+a)^p.
+with closed forms for beta = 1, 2 and the series for everything else.
 
 All evaluators accept scalars or numpy arrays of points and refuse points
 with |z| > 1 - 1e-12; the kernels degenerate on the circle and quadrature
@@ -37,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import DomainError
 
@@ -47,9 +43,6 @@ BOUNDARY_MARGIN = 1e-12
 # Moment series truncation: next term below this relative size, or hard stop.
 _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 100_000
-
-#: A point of the open unit disk, represented as a python complex number.
-DiskPoint = complex
 
 
 @dataclass(frozen=True)
@@ -77,12 +70,6 @@ def _as_points(z, name: str = "z"):
 
 def _maybe_scalar(out):
     return out[()] if out.ndim == 0 else out
-
-
-def poisson_eval(z):
-    """Classical harmonic Poisson kernel (1 - |z|^2) / |1 - z|^2."""
-    z = _as_points(z)
-    return _maybe_scalar((1.0 - _abs2(z)) / _abs2(1.0 - z))
 
 
 def h0_eval(z):
@@ -179,16 +166,3 @@ def _check_moment_args(beta, r):
     if not np.isfinite(r) or r < 0 or r >= 1:
         raise DomainError("r must lie in [0, 1)")
 
-
-def polylog_integral(a: float, p: float, radial: bool = False) -> float:
-    """Logarithmic moment int_0^1 t^a (log 1/t)^(p-1) dt = Gamma(p)/(1+a)^p.
-
-    With radial=True returns the disk-radial variant
-    int_0^1 r^(2a+1) (log 1/r^2)^(p-1) dr, which is half the base value.
-    """
-    if not np.isfinite(a) or a <= -1:
-        raise DomainError("a must exceed -1")
-    if not np.isfinite(p) or p < 1:
-        raise DomainError("p must be at least 1")
-    base = float(_gamma(p)) / (1.0 + a) ** p
-    return 0.5 * base if radial else base

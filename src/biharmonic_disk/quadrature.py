@@ -54,11 +54,6 @@ class CircleRule:
     def thetas(self) -> np.ndarray:
         return _circle_angles(self.n_nodes)
 
-    @property
-    def points(self) -> np.ndarray:
-        """The nodes as unit-circle complex numbers."""
-        return np.exp(1j * self.thetas)
-
 
 def circle_integrate(rule: CircleRule, integrand) -> complex:
     """Mean of ``integrand(thetas)`` against dtheta / 2pi.

@@ -66,6 +66,9 @@ from .quadrature import _circle_angles
 # Exponent cap for SourceTerm monomials.
 MAX_EXPONENT = 16
 
+# Radii and angles of the polar grid behind SourceTerm.sup_norm_estimate.
+_SUP_GRID = 512
+
 # Points are refused only for |z| > 1 + this: exp(1j * theta) can round to
 # |z| = 1 + 2.2e-16, and the table is exact on the circle itself.
 _CIRCLE_SLACK = 4 * np.finfo(float).eps
@@ -222,13 +225,6 @@ class SourceTerm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return all(a == 0 and b == 0 for a, b, _ in self.terms)
-
-    def constant_value(self) -> complex:
-        return sum((c for a, b, c in self.terms if a == 0 and b == 0), 0j)
-
     def evaluate(self, zeta) -> np.ndarray:
         zeta = np.asarray(zeta, dtype=complex)
         out = np.zeros(zeta.shape, dtype=complex)
@@ -251,16 +247,13 @@ class SourceTerm:
         """Certified upper bound sum |c_k| for the sup over the closed disk."""
         return float(sum(abs(c) for _, _, c in self.terms))
 
-    def sup_norm_estimate(self, n_radial: int = 512, n_angular: int = 512) -> float:
-        """Dense polar-grid maximum of |g| over the closed disk (a lower estimate)."""
+    def sup_norm_estimate(self) -> float:
+        """Maximum of |g| on a 512 x 512 polar grid of the closed disk (a lower estimate)."""
         if self.is_zero:
             return 0.0
-        r = np.linspace(0.0, 1.0, n_radial)
-        zeta = r[:, None] * np.exp(1j * _circle_angles(n_angular))[None, :]
+        r = np.linspace(0.0, 1.0, _SUP_GRID)
+        zeta = r[:, None] * np.exp(1j * _circle_angles(_SUP_GRID))[None, :]
         return float(np.max(np.abs(self.evaluate(zeta))))
-
-    def scaled(self, factor: complex) -> "SourceTerm":
-        return SourceTerm((a, b, c * factor) for a, b, c in self.terms)
 
     def __add__(self, other: "SourceTerm") -> "SourceTerm":
         return SourceTerm(tuple(self.terms) + tuple(other.terms))

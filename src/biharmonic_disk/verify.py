@@ -49,7 +49,14 @@ SAMPLE_RADII = (0.0, 0.25, 0.5, 0.75, 0.9)
 _FD_MAX_SPACING = 0.05
 _FD_DISK = 0.85
 
+# Central-difference step of the gradient crosscheck.
 _GRAD_STEP = 1e-5
+
+# Tolerance of every inequality in the bound suite.
+_BOUND_TOL = 1e-6
+
+# Equispaced angles of the rings in the boundary trace checks.
+_TRACE_ANGLES = 32
 
 
 @dataclass(frozen=True)
@@ -156,49 +163,46 @@ def _log_ratio(z: complex, zeta: np.ndarray) -> np.ndarray:
     return np.log((w.real**2 + w.imag**2) / (d.real**2 + d.imag**2))
 
 
-def identity_suite(tolerance: Optional[float] = None,
-                   trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
+def identity_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
     """Exact-equality checks: kernel means, moments, and log-kernel masses.
 
-    ``tolerance`` overrides every per-check default when given.
-    ``trace_kernel`` substitutes the trace kernel in the mean check (used by
-    the negative-control tests to prove the check can fail).
+    Each family has its own tolerance: 1e-10 for the kernel means and the
+    circle-rule moments, 1e-12 for the moment series and 1e-8 for the
+    recentred log-kernel masses. ``trace_kernel`` substitutes the trace
+    kernel in the mean check (used by the negative-control tests to prove
+    the check can fail).
     """
     tk = kernels.f0_eval if trace_kernel is None else trace_kernel
-
-    def tol(default: float) -> float:
-        return default if tolerance is None else tolerance
-
     checks: list[CheckResult] = []
     for z in SAMPLE_POINTS:
         mean = circle_integrate(DEFAULT_RULES.circle, lambda th: tk(z * np.exp(-1j * th)))
         checks.append(CheckResult.equality(
-            f"trace-kernel-mean[z={_zkey(z)}]", mean, 1.0, tol(1e-10)))
+            f"trace-kernel-mean[z={_zkey(z)}]", mean, 1.0, 1e-10))
 
     for beta in (1, 2):
         for r in SAMPLE_RADII:
             closed = kernels.kernel_moment(beta, r)
             series = kernels.kernel_moment_series(beta, r)
             checks.append(CheckResult.equality(
-                f"moment-series[beta={beta},r={r:g}]", series, closed, tol(1e-12)))
+                f"moment-series[beta={beta},r={r:g}]", series, closed, 1e-12))
             quad = circle_integrate(
                 DEFAULT_RULES.circle,
                 lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-2 * beta),
             )
             checks.append(CheckResult.equality(
-                f"moment-rule[beta={beta},r={r:g}]", quad, closed, tol(1e-10)))
+                f"moment-rule[beta={beta},r={r:g}]", quad, closed, 1e-10))
     for r in SAMPLE_RADII:
         series = kernels.kernel_moment(3, r)
         quad = circle_integrate(
             DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-6))
         checks.append(CheckResult.equality(
-            f"moment-rule[beta=3,r={r:g}]", quad, series, tol(1e-10)))
+            f"moment-rule[beta=3,r={r:g}]", quad, series, 1e-10))
 
     for z in SAMPLE_POINTS:
         rep = disk_integrate_centered(
             DEFAULT_RULES.disk, lambda zeta: _log_ratio(z, zeta), center=z)
         checks.append(CheckResult.equality(
-            f"log-kernel-mass[z={_zkey(z)}]", rep, 1.0 - abs(z) ** 2, tol(1e-8)))
+            f"log-kernel-mass[z={_zkey(z)}]", rep, 1.0 - abs(z) ** 2, 1e-8))
 
         ival = disk_integrate_centered(
             DEFAULT_RULES.disk,
@@ -207,7 +211,7 @@ def identity_suite(tolerance: Optional[float] = None,
         )
         expected = (1.0 - abs(z) ** 4) / 4.0
         checks.append(CheckResult.equality(
-            f"weighted-log-mass[z={_zkey(z)}]", ival, expected, tol(1e-8)))
+            f"weighted-log-mass[z={_zkey(z)}]", ival, expected, 1e-8))
 
         # same weight integrated in the first argument at fixed second one
         jval = disk_integrate_centered(
@@ -217,12 +221,14 @@ def identity_suite(tolerance: Optional[float] = None,
             center=z,
         )
         checks.append(CheckResult.equality(
-            f"weighted-log-mass-swapped[zeta={_zkey(z)}]", jval, expected, tol(1e-8)))
+            f"weighted-log-mass-swapped[zeta={_zkey(z)}]", jval, expected, 1e-8))
     return checks
 
 
-def bound_suite(tolerance: float = 1e-6) -> list[CheckResult]:
+def bound_suite() -> list[CheckResult]:
     """Inequality checks for the Green kernel and its derivative masses.
+
+    Every bound carries the tolerance ``_BOUND_TOL`` (1e-6).
 
     Integrands carrying absolute values are integrated on the plain rule
     at doubled resolution (|.| breaks smoothness where the sign or a branch
@@ -234,18 +240,18 @@ def bound_suite(tolerance: float = 1e-6) -> list[CheckResult]:
         name = _zkey(z)
         gmass = disk_integrate(plain, lambda zeta: np.abs(green.g_eval(z, zeta)))
         checks.append(CheckResult.bound(
-            f"green-abs-mass[z={name}]", gmass, 0.75, tolerance))
+            f"green-abs-mass[z={name}]", gmass, 0.75, _BOUND_TOL))
 
         gdmass = disk_integrate(plain, lambda zeta: np.abs(green.g_dz(z, zeta).d_z))
         checks.append(CheckResult.bound(
-            f"green-grad-abs-mass[z={name}]", gdmass, 23.0 / 6.0, tolerance))
+            f"green-grad-abs-mass[z={name}]", gdmass, 23.0 / 6.0, _BOUND_TOL))
 
         j1 = disk_integrate_centered(
             DEFAULT_RULES.disk,
             lambda zeta: np.abs(z - zeta) * _log_ratio(z, zeta),
             center=z,
         )
-        checks.append(CheckResult.bound(f"j1[z={name}]", j1, 0.5, tolerance))
+        checks.append(CheckResult.bound(f"j1[z={name}]", j1, 0.5, _BOUND_TOL))
 
         j2 = disk_integrate_centered(
             DEFAULT_RULES.disk,
@@ -253,28 +259,28 @@ def bound_suite(tolerance: float = 1e-6) -> list[CheckResult]:
             * np.abs(z - zeta) / np.abs(1.0 - np.conj(zeta) * z),
             center=z,
         )
-        checks.append(CheckResult.bound(f"j2[z={name}]", j2, 17.0 / 6.0, tolerance))
+        checks.append(CheckResult.bound(f"j2[z={name}]", j2, 17.0 / 6.0, _BOUND_TOL))
 
         j3 = abs(z) * disk_integrate(
             DEFAULT_RULES.disk,
             lambda zeta: 1.0 - np.abs(zeta) ** 2,
         ).real
-        checks.append(CheckResult.bound(f"j3[z={name}]", j3, 0.5, tolerance))
+        checks.append(CheckResult.bound(f"j3[z={name}]", j3, 0.5, _BOUND_TOL))
 
         h2mass = disk_integrate(plain, lambda zeta: np.abs(green.h2_eval(z, zeta)))
         checks.append(CheckResult.bound(
-            f"h2-abs-mass[z={name}]", h2mass, 5.0 * (2.0 - abs(z) ** 2), tolerance))
+            f"h2-abs-mass[z={name}]", h2mass, 5.0 * (2.0 - abs(z) ** 2), _BOUND_TOL))
 
         h3mass = disk_integrate(plain, lambda zeta: np.abs(green.h3_eval(z, zeta)))
         checks.append(CheckResult.bound(
-            f"h3-abs-mass[z={name}]", h3mass, 7.0 / 3.0, tolerance))
+            f"h3-abs-mass[z={name}]", h3mass, 7.0 / 3.0, _BOUND_TOL))
 
     for r in SAMPLE_RADII:
         cube = circle_integrate(
             DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-3))
         limit = np.sqrt(1.0 + r**2) / (1.0 - r**2) ** 2
         checks.append(CheckResult.bound(
-            f"angular-cube-moment[r={r:g}]", cube, limit, tolerance))
+            f"angular-cube-moment[r={r:g}]", cube, limit, _BOUND_TOL))
     return checks
 
 
@@ -316,8 +322,7 @@ def fd_bilaplacian_residual(case, grid_spacing: float, extent: float = 0.8,
         f"fd-bilaplacian-residual[h={h:g}]", float(np.max(resid[ok])), 0.0, tolerance)
 
 
-def boundary_trace_check(case, radii: Sequence[float],
-                         n_angles: int = 32) -> list[CheckResult]:
+def boundary_trace_check(case, radii: Sequence[float]) -> list[CheckResult]:
     """Recovery of f and h: in the limit r -> 1, and exactly on the circle.
 
     The trace gap |Phi(r e^{i theta}) - f(e^{i theta})| is compared against
@@ -333,7 +338,7 @@ def boundary_trace_check(case, radii: Sequence[float],
         raise DomainError("trace radii must lie in (0, 1)")
     l_est = estimate_boundary_lipschitz(case.f)
     scale = p_bound(l_est, case.h.sup_norm(), case.g.sup_norm_bound())
-    th = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    th = 2.0 * np.pi * np.arange(_TRACE_ANGLES) / _TRACE_ANGLES
     f_ref, h_ref = case.f.eval_at(th), case.h.eval_at(th)
     solution = Solution(case.f, case.h, case.g)
     ring = {r: solution.values(r * np.exp(1j * th)) for r in radii}
@@ -367,7 +372,6 @@ def boundary_trace_check(case, radii: Sequence[float],
 
 
 def gradient_crosscheck(case, points: Sequence[complex],
-                        step: float = _GRAD_STEP,
                         tolerance: float = 1e-6) -> list[CheckResult]:
     """Closed-form kernel gradients vs central differences of the field."""
     checks = []
@@ -376,10 +380,10 @@ def gradient_crosscheck(case, points: Sequence[complex],
         if abs(z) > 0.9:
             raise DomainError("crosscheck points must satisfy |z| <= 0.9")
         pair = gradient_point(case.f, case.h, case.g, z)
-        stencil = np.array([z + step, z - step, z + 1j * step, z - 1j * step])
+        stencil = z + _GRAD_STEP * np.array([1.0, -1.0, 1j, -1j])
         ve = solve_points(case.f, case.h, case.g, stencil)
-        ux = (ve[0] - ve[1]) / (2.0 * step)
-        uy = (ve[2] - ve[3]) / (2.0 * step)
+        ux = (ve[0] - ve[1]) / (2.0 * _GRAD_STEP)
+        uy = (ve[2] - ve[3]) / (2.0 * _GRAD_STEP)
         fd_z = (ux - 1j * uy) / 2.0
         fd_zbar = (ux + 1j * uy) / 2.0
         gap = max(abs(pair.d_z - fd_z), abs(pair.d_zbar - fd_zbar))
@@ -388,9 +392,8 @@ def gradient_crosscheck(case, points: Sequence[complex],
     return checks
 
 
-def solution_error(case: ManufacturedCase, field: SolutionField,
-                   tolerance: float = 1e-8) -> CheckResult:
-    """Sup of |computed - phi_star| over the field's nodes with r <= 0.9."""
+def solution_error(case: ManufacturedCase, field: SolutionField) -> CheckResult:
+    """Sup of |computed - phi_star| over the field's nodes with r <= 0.9, to 1e-8."""
     expected = case_fingerprint(case.f, case.h, case.g)
     if field.fingerprint != expected:
         raise FingerprintMismatchError(
@@ -400,4 +403,4 @@ def solution_error(case: ManufacturedCase, field: SolutionField,
     pts = field.points[sel]
     diff = np.abs(field.values[sel] - case.phi_star.evaluate(pts))
     err = float(np.max(diff)) if diff.size else 0.0
-    return CheckResult.equality("solution-error", err, 0.0, tolerance)
+    return CheckResult.equality("solution-error", err, 0.0, 1e-8)

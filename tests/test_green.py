@@ -151,10 +151,3 @@ def test_mobius_preserves_disk(c, eta):
 def test_mobius_rejects_circle_center():
     with pytest.raises(DomainError):
         green.MobiusMap(1.0)
-
-
-def test_mobius_pullback_alias():
-    m = green.MobiusMap(0.2)
-    a = m.pullback(0.1j)
-    b = green.mobius_pullback(m, 0.1j)
-    assert a[0] == b[0] and a[1] == b[1]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from biharmonic_disk import kernels
 from biharmonic_disk.errors import DomainError
@@ -12,14 +11,6 @@ from biharmonic_disk.errors import DomainError
 disk_points = st.complex_numbers(max_magnitude=0.95, allow_infinity=False, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2 * np.pi)
 radii = st.floats(min_value=0.0, max_value=0.95)
-
-
-def test_poisson_on_axis():
-    assert kernels.poisson_eval(0.5) == pytest.approx(3.0)
-
-
-def test_poisson_at_origin_is_one():
-    assert kernels.poisson_eval(0j) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -53,7 +44,7 @@ def test_evaluators_accept_arrays():
     assert out[1] == pytest.approx(4.5)
 
 
-@pytest.mark.parametrize("func", [kernels.poisson_eval, kernels.h0_eval, kernels.f0_eval])
+@pytest.mark.parametrize("func", [kernels.h0_eval, kernels.f0_eval])
 def test_evaluators_refuse_circle_points(func):
     with pytest.raises(DomainError):
         func(1.0 + 0j)
@@ -65,7 +56,6 @@ def test_evaluators_refuse_circle_points(func):
 
 @given(z=disk_points)
 def test_kernels_are_nonnegative(z):
-    assert kernels.poisson_eval(z) >= 0.0
     assert kernels.h0_eval(z) >= 0.0
 
 
@@ -164,36 +154,3 @@ def test_moment_argument_validation():
         kernels.kernel_moment(1.0, 1.0)
     with pytest.raises(DomainError):
         kernels.kernel_moment(1.0, -0.1)
-
-
-@pytest.mark.parametrize(
-    "a,p,expected",
-    [
-        (0.0, 1.0, 1.0),
-        (1.0, 1.0, 0.5),
-        (0.0, 2.0, 1.0),
-        (1.0, 2.0, 0.25),
-        (2.0, 3.0, 2.0 / 27.0),
-    ],
-)
-def test_polylog_integral_closed_forms(a, p, expected):
-    assert kernels.polylog_integral(a, p) == pytest.approx(expected, rel=1e-13)
-
-
-@given(a=st.floats(min_value=-0.5, max_value=5.0), p=st.floats(min_value=1.0, max_value=4.0))
-def test_polylog_radial_variant_is_half(a, p):
-    full = kernels.polylog_integral(a, p)
-    assert kernels.polylog_integral(a, p, radial=True) == pytest.approx(0.5 * full)
-
-
-@given(a=st.floats(min_value=-0.5, max_value=5.0), p=st.floats(min_value=1.0, max_value=4.0))
-def test_polylog_matches_numeric_quadrature(a, p):
-    numeric, _ = quad(lambda t: t**a * np.log(1.0 / t) ** (p - 1.0), 0.0, 1.0, limit=200)
-    assert kernels.polylog_integral(a, p) == pytest.approx(numeric, rel=1e-6, abs=1e-9)
-
-
-def test_polylog_argument_validation():
-    with pytest.raises(DomainError):
-        kernels.polylog_integral(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        kernels.polylog_integral(0.0, 0.5)

@@ -1,5 +1,7 @@
 """Distortion constants: gradient bounds, origin invariants, quotients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from biharmonic_disk import lipschitz, solver
 from biharmonic_disk.errors import DegenerateDataError, DomainError
 from biharmonic_disk.lipschitz import (
-    GradientMatrixStats,
     classify,
     compute_ab,
     empirical_quotient,
@@ -16,27 +17,6 @@ from biharmonic_disk.lipschitz import (
     p_bound,
 )
 from biharmonic_disk.solver import BoundaryData, SourceTerm
-
-finite = st.floats(min_value=-10.0, max_value=10.0)
-
-
-# ---------------------------------------------------------------------------
-# gradient matrix statistics
-
-
-def test_gradient_stats_from_wirtinger():
-    stats = GradientMatrixStats.from_wirtinger(3.0 + 4.0j, 1.0)
-    assert stats.norm == pytest.approx(6.0)
-    assert stats.min_stretch == pytest.approx(4.0)
-    assert stats.jacobian == pytest.approx(24.0)
-
-
-@given(a=finite, b=finite, c=finite, d=finite)
-def test_gradient_stats_invariants(a, b, c, d):
-    stats = GradientMatrixStats.from_wirtinger(complex(a, b), complex(c, d))
-    assert stats.norm >= stats.min_stretch >= 0.0
-    assert abs(stats.jacobian) == pytest.approx(stats.norm * stats.min_stretch, rel=1e-9, abs=1e-9)
-
 
 # ---------------------------------------------------------------------------
 # boundary Lipschitz estimate
@@ -76,6 +56,35 @@ def test_lipschitz_estimate_is_homogeneous(scale):
     f = BoundaryData.from_fourier([(1, 1.0), (2, 0.5j)], 64)
     base = estimate_boundary_lipschitz(f)
     assert estimate_boundary_lipschitz(f * scale) == pytest.approx(scale * base, rel=1e-12, abs=1e-12)
+
+
+def _all_pairs_lipschitz(f):
+    # every chord pair at once: the O(N^2) reference for the offset walk
+    th = 2.0 * np.pi * np.arange(f.n) / f.n
+    pts = np.exp(1j * th)
+    iu = np.triu_indices(f.n, k=1)
+    num = np.abs(f.samples[iu[0]] - f.samples[iu[1]])
+    den = np.abs(pts[iu[0]] - pts[iu[1]])
+    return float(np.max(num / den))
+
+
+@pytest.mark.parametrize("n", [8, 16, 512, 1024])
+def test_lipschitz_estimate_equals_all_pairs_maximum(n):
+    rng = np.random.default_rng(n)
+    f = BoundaryData(rng.normal(size=n) + 1j * rng.normal(size=n))
+    assert estimate_boundary_lipschitz(f) == _all_pairs_lipschitz(f)
+
+
+def test_lipschitz_estimate_memory_is_bounded():
+    rng = np.random.default_rng(0)
+    f = BoundaryData(rng.normal(size=2048) + 1j * rng.normal(size=2048))
+    tracemalloc.start()
+    try:
+        estimate_boundary_lipschitz(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +350,6 @@ def test_q_value_consistent_with_gradient_stats(reference_cases):
     case = reference_cases["quartic"]
     ab = compute_ab(case.f, case.h, case.g)
     pair = solver.gradient_point(case.f, case.h, case.g, 0j)
-    stats = GradientMatrixStats.from_wirtinger(pair.d_z, pair.d_zbar)
-    assert ab.q_value == pytest.approx(stats.jacobian, abs=1e-12)
-    assert ab.a_value <= stats.norm**2 + 1e-12
+    p, q = abs(pair.d_z), abs(pair.d_zbar)
+    assert ab.q_value == pytest.approx(p * p - q * q, abs=1e-12)
+    assert ab.a_value <= (p + q) ** 2 + 1e-12

@@ -35,12 +35,6 @@ def test_circle_trig_polynomial_exact():
     assert val == pytest.approx(2.5, abs=1e-14)
 
 
-def test_circle_points_on_unit_circle():
-    rule = CircleRule(17)
-    assert np.allclose(np.abs(rule.points), 1.0)
-    assert rule.points[0] == pytest.approx(1.0)
-
-
 def test_circle_rule_validation():
     with pytest.raises(DomainError):
         CircleRule(0)

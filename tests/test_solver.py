@@ -136,9 +136,8 @@ def test_source_term_merges_and_drops_zeros():
 
 def test_source_term_classification():
     assert SourceTerm.zero().is_zero
-    assert SourceTerm.constant(4.0).is_constant
-    assert SourceTerm.constant(4.0).constant_value() == 4.0
-    assert not SourceTerm.monomial(1, 1).is_constant
+    assert not SourceTerm.constant(4.0).is_zero
+    assert SourceTerm([(1, 1, 2.0), (1, 1, -2.0)]).is_zero
 
 
 def test_source_term_evaluate():
@@ -185,7 +184,7 @@ def test_source_term_rejects_non_finite_coefficients(c):
 
 
 def test_source_term_algebra():
-    g = SourceTerm.monomial(1, 1, 2.0).scaled(3.0) + SourceTerm.constant(1.0)
+    g = SourceTerm.monomial(1, 1, 2.0) + SourceTerm.constant(1.0) + SourceTerm.monomial(1, 1, 4.0)
     assert g.terms == ((0, 0, 1.0), (1, 1, 6.0))
 
 

@@ -94,13 +94,6 @@ def test_identity_suite_contains_weighted_log_value():
     assert c.expected.real == pytest.approx(0.234375)
 
 
-def test_identity_suite_tolerance_override():
-    none_pass = verify.identity_suite(tolerance=0.0)
-    assert any(not c.passed for c in none_pass)
-    all_pass = verify.identity_suite(tolerance=1e-3)
-    assert all(c.passed for c in all_pass)
-
-
 def test_identity_suite_negative_control():
     # A trace kernel offset by +0.01 shifts every mean off 1 and must fail.
     from biharmonic_disk import kernels
