@@ -9,8 +9,10 @@ integral bound leaves:
     int |H2(z, .)| dA     <= 5 (2 - |z|^2)
     int |H3(z, .)| dA     <= 7/3
 
-The gradient-mass bound 23/6 is the one entering the certified Lipschitz
-constant, so its worst margin over the sweep is printed last.
+The integrands, limits and quadrature rule are those of the matching
+``verify.bound_suite`` checks. The gradient-mass bound 23/6 is the one
+entering the certified Lipschitz constant, so its worst margin over the
+sweep is printed last.
 
     python3 scripts/bound_margins.py --radii 0,0.2,0.4,0.6,0.8,0.9
 """
@@ -21,34 +23,25 @@ import argparse
 
 import numpy as np
 
-from biharmonic_disk import green
-from biharmonic_disk.quadrature import DEFAULT_RULES, disk_integrate
+from biharmonic_disk import verify
 
-
-BOUNDS = (
-    ("int |G|", lambda z, zeta: np.abs(green.g_eval(z, zeta)), lambda z: 0.75),
-    ("int |G_z|", lambda z, zeta: np.abs(green.g_dz(z, zeta).d_z), lambda z: 23.0 / 6.0),
-    ("int |H2|", lambda z, zeta: np.abs(green.h2_eval(z, zeta)), lambda z: 5.0 * (2.0 - abs(z) ** 2)),
-    ("int |H3|", lambda z, zeta: np.abs(green.h3_eval(z, zeta)), lambda z: 7.0 / 3.0),
-)
+# Column heading of each verify.bound_suite mass check, in column order.
+LABELS = {
+    "green-abs-mass": "int |G|",
+    "green-grad-abs-mass": "int |G_z|",
+    "h2-abs-mass": "int |H2|",
+    "h3-abs-mass": "int |H3|",
+}
 
 
 def sweep(radii) -> float:
-    # |.| integrands lose smoothness on the sign/branch locus, so integrate
-    # on the doubled plain rule, as verify.bound_suite does, instead of
-    # recentring
-    rule = DEFAULT_RULES.disk.doubled()
-    print(f"{'|z|':>5}  " + "".join(f"{name + ' margin':>18}" for name, _, _ in BOUNDS))
+    print(f"{'|z|':>5}  " + "".join(f"{label + ' margin':>18}" for label in LABELS.values()))
     worst_grad = np.inf
     for r in radii:
-        z = complex(r)
-        margins = []
-        for name, integrand, limit in BOUNDS:
-            mass = disk_integrate(rule, lambda zeta: integrand(z, zeta)).real
-            margins.append(limit(z) - mass)
-            if name == "int |G_z|":
-                worst_grad = min(worst_grad, margins[-1])
-        print(f"{r:5.2f}  " + "".join(f"{m:18.6f}" for m in margins))
+        margins = {name: limit - mass.real
+                   for name, mass, limit in verify._abs_masses(complex(r))}
+        worst_grad = min(worst_grad, margins["green-grad-abs-mass"])
+        print(f"{r:5.2f}  " + "".join(f"{margins[name]:18.6f}" for name in LABELS))
     print(f"\nsmallest gradient-mass margin: {worst_grad:.6f} (must stay positive)")
     return worst_grad
 

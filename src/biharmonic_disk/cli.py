@@ -22,8 +22,8 @@ so identical inputs produce byte-identical files.
 
 Commands: identities, solve, verify, lipschitz, kernel. Every check runs
 at its fixed tolerance, and the ``verify`` residual at spacing 0.02. Exit
-status is 0 only on full success; malformed input exits 2, failed checks,
-mismatched fingerprints and I/O errors exit 1. ``solve`` evaluates every
+status is 0 only on full success; malformed input and refused points or
+data exit 2, failed checks and I/O errors exit 1. ``solve`` evaluates every
 grid node, so the ``failures`` key of its output is always ``[]``; it is
 kept because the benchmark harness under ``perfbench/`` reads it.
 """
@@ -40,13 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, green, kernels, lipschitz, verify
-from .errors import (
-    CaseFormatError,
-    DegenerateDataError,
-    DomainError,
-    FingerprintMismatchError,
-    SingularityError,
-)
+from .errors import CaseFormatError, DegenerateDataError, DomainError, SingularityError
 from .solver import BoundaryData, SourceTerm, solve_grid
 
 _SCHEMA = 1
@@ -283,7 +277,7 @@ def cmd_lipschitz(args) -> int:
     print(f"Q = A - B                       = {report.q_value:.12g}")
     print(f"A (integral form)               = {ab.a_integral:.12g}")
     print(f"B (integral form)               = {ab.b_integral:.12g}")
-    print(f"upper bound                     = {report.upper_bound:.12g}")
+    print(f"upper bound                     = {report.p_upper:.12g}")
     print(f"lower bound                     = {report.lower_bound:.12g}")
     print(f"empirical quotient              = {quotient:.12g}")
     print(f"verdict: {report.verdict}")
@@ -364,15 +358,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except CaseFormatError as exc:
+    except (CaseFormatError, DomainError, DegenerateDataError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, DegenerateDataError, SingularityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FingerprintMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

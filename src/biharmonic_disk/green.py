@@ -12,8 +12,8 @@ prefactor, and ``g_eval`` returns that limit where z == zeta exactly.
 
 Derivatives in the first argument:
 
-    g_dz   : first Wirtinger derivative, continuous across the diagonal with
-             limit conj(z) (1 - |z|^2),
+    g_dz   : first Wirtinger derivative d_z, continuous across the diagonal
+             with limit conj(z) (1 - |z|^2); G is real, so d_zbar = conj(d_z),
     h2_eval: the mixed second derivative d^2 G / dz dzbar,
     h3_eval: the third derivative d^3 G / dz dzbar dz.
 
@@ -70,18 +70,15 @@ def g_eval(z, zeta):
 
 
 def g_dz(z, zeta):
-    """First Wirtinger derivative of G in z, as a WirtingerPair.
+    """First Wirtinger derivative d_z of G in z.
 
     d_z = (zb - zetab) log|(1 - zetab z)/(z - zeta)|^2
           - (zb - zetab)(1 - |zeta|^2)/(1 - zetab z) + zb (1 - |zeta|^2)
 
     which matches central differences of g_eval and has diagonal limit
-    conj(z) (1 - |z|^2). G is real, so d_zbar is the conjugate.
+    conj(z) (1 - |z|^2). G is real, so d_zbar = conj(d_z).
     """
-    from .kernels import WirtingerPair
-
-    dz = _maybe_scalar(_g_dz_values(_as_disk(z, "z"), _as_disk(zeta, "zeta")))
-    return WirtingerPair(dz, np.conj(dz))
+    return _maybe_scalar(_g_dz_values(_as_disk(z, "z"), _as_disk(zeta, "zeta")))
 
 
 def _g_dz_values(z, zeta):

@@ -13,9 +13,9 @@ Both are nonnegative on the open disk, and F0 has circle mean one at every
 interior point, which is the discrete sanity check the identity suite leans
 on.
 
-Closed-form Wirtinger z-derivatives of theta -> H0(z e^{-i theta}) and
-theta -> F0(z e^{-i theta}) are provided for gradient work; for these real
-kernels the zbar-derivative is the conjugate of the z-derivative.
+``h0_dz`` and ``f0_dz`` return the closed-form Wirtinger z-derivative d_z of
+theta -> H0(z e^{-i theta}) and theta -> F0(z e^{-i theta}); the kernels are
+real, so the zbar-derivative d_zbar is conj(d_z).
 
 ``kernel_moment`` evaluates the circle moments
 
@@ -31,11 +31,10 @@ never needs them there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
+from .green import _abs2, _maybe_scalar
 
 # Evaluation is refused closer to the unit circle than this.
 BOUNDARY_MARGIN = 1e-12
@@ -43,19 +42,6 @@ BOUNDARY_MARGIN = 1e-12
 # Moment series truncation: next term below this relative size, or hard stop.
 _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 100_000
-
-
-@dataclass(frozen=True)
-class WirtingerPair:
-    """A Wirtinger derivative pair (d/dz, d/dzbar) at one point."""
-
-    d_z: complex
-    d_zbar: complex
-
-
-def _abs2(w):
-    w = np.asarray(w)
-    return w.real**2 + w.imag**2
 
 
 def _as_points(z, name: str = "z"):
@@ -66,10 +52,6 @@ def _as_points(z, name: str = "z"):
     if np.any(_abs2(arr) > (1.0 - BOUNDARY_MARGIN) ** 2):
         raise DomainError(f"{name} must satisfy |{name}| <= 1 - {BOUNDARY_MARGIN}")
     return arr
-
-
-def _maybe_scalar(out):
-    return out[()] if out.ndim == 0 else out
 
 
 def h0_eval(z):
@@ -86,20 +68,14 @@ def f0_eval(z):
     return _maybe_scalar(0.5 * s**2 / q + 0.5 * s**3 / q**2)
 
 
-def h0_dz(z, theta) -> WirtingerPair:
-    """Wirtinger z-derivative of theta -> H0(z e^{-i theta}).
-
-    Returns the pair (d_z, d_zbar); the kernel is real so d_zbar is the
-    conjugate of d_z.
-    """
-    dz = _maybe_scalar(_h0_dz_values(_as_points(z), np.asarray(theta, dtype=float)))
-    return WirtingerPair(dz, np.conj(dz))
+def h0_dz(z, theta):
+    """Wirtinger z-derivative d_z of theta -> H0(z e^{-i theta}); d_zbar = conj(d_z)."""
+    return _maybe_scalar(_h0_dz_values(_as_points(z), np.asarray(theta, dtype=float)))
 
 
-def f0_dz(z, theta) -> WirtingerPair:
-    """Wirtinger z-derivative of theta -> F0(z e^{-i theta})."""
-    dz = _maybe_scalar(_f0_dz_values(_as_points(z), np.asarray(theta, dtype=float)))
-    return WirtingerPair(dz, np.conj(dz))
+def f0_dz(z, theta):
+    """Wirtinger z-derivative d_z of theta -> F0(z e^{-i theta}); d_zbar = conj(d_z)."""
+    return _maybe_scalar(_f0_dz_values(_as_points(z), np.asarray(theta, dtype=float)))
 
 
 def _h0_dz_values(z, theta):

@@ -51,7 +51,7 @@ class ABResult:
 
     with the Green term subtracted. The circle integral uses
     max(512, f.n, h.n) equispaced nodes, so no mode of the sampled data
-    aliases onto e^{+-i theta}. Iterating yields (a_value, b_value, q_value).
+    aliases onto e^{+-i theta}.
     """
 
     a_value: float
@@ -59,9 +59,6 @@ class ABResult:
     q_value: float
     a_integral: float
     b_integral: float
-
-    def __iter__(self):
-        return iter((self.a_value, self.b_value, self.q_value))
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,6 @@ class LipschitzReport:
     b_value: float
     q_value: float
     lower_bound: float
-    upper_bound: float
     verdict: str
     g_sup_estimate: float
 
@@ -157,9 +153,9 @@ def _origin_green_terms(g: SourceTerm):
 
 def compute_ab(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> ABResult:
     """A, B, Q at the origin, from the closed-form gradient and from the integral formulas."""
-    pair = gradient_point(f, h, g, 0j)
-    a_value = abs(pair.d_z) ** 2
-    b_value = abs(pair.d_zbar) ** 2
+    d_z, d_zbar = gradient_point(f, h, g, 0j)
+    a_value = abs(d_z) ** 2
+    b_value = abs(d_zbar) ** 2
 
     t_a, t_b = _origin_boundary_terms(f, h)
     g_a, g_b = _origin_green_terms(g)
@@ -193,7 +189,6 @@ def classify(l_boundary: float, h_sup: float, g_sup: float,
         b_value=b_value,
         q_value=q_value,
         lower_bound=lower,
-        upper_bound=p_upper,
         verdict=verdict,
         g_sup_estimate=g_sup if g_sup_estimate is None else g_sup_estimate,
     )

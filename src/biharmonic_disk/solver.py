@@ -60,7 +60,6 @@ import numpy as np
 
 from . import kernels  # noqa: F401 - re-exported; callers reach it as solver.kernels
 from .errors import DegenerateDataError, DomainError
-from .kernels import WirtingerPair
 from .quadrature import _circle_angles
 
 # Exponent cap for SourceTerm monomials.
@@ -153,15 +152,18 @@ class BoundaryData:
         return a, b
 
     def resample(self, n_nodes: int) -> np.ndarray:
-        """Samples of the interpolant at n_nodes uniform angles.
+        """Samples of the interpolant at n_nodes >= N uniform angles.
 
-        Upsampling zero-pads the spectrum (O(n log n)); downsampling
-        evaluates the interpolant directly.
+        Zero-pads the spectrum (O(n log n)). Fewer nodes than samples would
+        alias the upper modes onto lower ones, so that raises
+        ``DegenerateDataError``.
         """
         if n_nodes == self.n:
             return self.samples
         if n_nodes < self.n:
-            return self.eval_at(_circle_angles(n_nodes))
+            raise DegenerateDataError(
+                f"cannot resample {self.n} samples to {n_nodes} nodes without aliasing"
+            )
         a, b = self._harmonic_parts()
         padded = np.zeros(n_nodes, dtype=complex)
         padded[: a.size] = a
@@ -171,18 +173,6 @@ class BoundaryData:
     def sup_norm(self) -> float:
         dense = max(2048, self.n)
         return float(np.max(np.abs(self.resample(dense))))
-
-    def __mul__(self, scalar):
-        return BoundaryData(self.samples * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "BoundaryData"):
-        if other.n != self.n:
-            other_samples = other.resample(self.n)
-        else:
-            other_samples = other.samples
-        return BoundaryData(self.samples + other_samples)
 
 
 class SourceTerm:
@@ -431,9 +421,12 @@ def solve_points(f: BoundaryData, h: BoundaryData, g: SourceTerm, zs) -> np.ndar
 
 
 def gradient_point(f: BoundaryData, h: BoundaryData, g: SourceTerm,
-                   z: complex) -> WirtingerPair:
-    """Wirtinger gradient (Phi_z, Phi_zbar) at z."""
-    return WirtingerPair(*map(complex, Solution(f, h, g).gradient(z)))
+                   z: complex) -> tuple[complex, complex]:
+    """Wirtinger gradient (Phi_z, Phi_zbar) at z.
+
+    The same tuple ``Solution.gradient`` returns, with complex scalars.
+    """
+    return tuple(map(complex, Solution(f, h, g).gradient(z)))
 
 
 def boundary_gradient(f: Optional[BoundaryData], h: Optional[BoundaryData], zs):

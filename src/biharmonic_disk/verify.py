@@ -58,6 +58,17 @@ _BOUND_TOL = 1e-6
 # Equispaced angles of the rings in the boundary trace checks.
 _TRACE_ANGLES = 32
 
+# Mass bounds int |K(z, .)| dA <= limit(z) of the Green kernel and its
+# derivatives, as (check name, integrand, limit); scripts/bound_margins.py
+# sweeps the same rows over radii.
+_ABS_MASS_BOUNDS = (
+    ("green-abs-mass", lambda z, zeta: np.abs(green.g_eval(z, zeta)), lambda z: 0.75),
+    ("green-grad-abs-mass", lambda z, zeta: np.abs(green.g_dz(z, zeta)), lambda z: 23.0 / 6.0),
+    ("h2-abs-mass", lambda z, zeta: np.abs(green.h2_eval(z, zeta)),
+     lambda z: 5.0 * (2.0 - abs(z) ** 2)),
+    ("h3-abs-mass", lambda z, zeta: np.abs(green.h3_eval(z, zeta)), lambda z: 7.0 / 3.0),
+)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -225,55 +236,47 @@ def identity_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]
     return checks
 
 
+def _abs_masses(z: complex) -> list[tuple[str, complex, float]]:
+    """(check name, mass, limit) at z for each row of ``_ABS_MASS_BOUNDS``.
+
+    |.| breaks smoothness where the sign or a branch changes, so the masses
+    are integrated on the plain rule at doubled resolution, not recentred.
+    """
+    plain = DEFAULT_RULES.disk.doubled()
+    return [(name, disk_integrate(plain, lambda zeta: integrand(z, zeta)), limit(z))
+            for name, integrand, limit in _ABS_MASS_BOUNDS]
+
+
 def bound_suite() -> list[CheckResult]:
     """Inequality checks for the Green kernel and its derivative masses.
 
-    Every bound carries the tolerance ``_BOUND_TOL`` (1e-6).
-
-    Integrands carrying absolute values are integrated on the plain rule
-    at doubled resolution (|.| breaks smoothness where the sign or a branch
-    changes); the smooth sub-integrals use the recentred rule.
+    Every bound carries the tolerance ``_BOUND_TOL`` (1e-6). The smooth
+    sub-integrals j1, j2 use the recentred rule; j3 is |z| times a fixed
+    mass, integrated once.
     """
-    plain = DEFAULT_RULES.disk.doubled()
+    area = disk_integrate(DEFAULT_RULES.disk, lambda zeta: 1.0 - np.abs(zeta) ** 2).real
     checks: list[CheckResult] = []
     for z in SAMPLE_POINTS:
         name = _zkey(z)
-        gmass = disk_integrate(plain, lambda zeta: np.abs(green.g_eval(z, zeta)))
-        checks.append(CheckResult.bound(
-            f"green-abs-mass[z={name}]", gmass, 0.75, _BOUND_TOL))
-
-        gdmass = disk_integrate(plain, lambda zeta: np.abs(green.g_dz(z, zeta).d_z))
-        checks.append(CheckResult.bound(
-            f"green-grad-abs-mass[z={name}]", gdmass, 23.0 / 6.0, _BOUND_TOL))
-
+        masses = [CheckResult.bound(f"{label}[z={name}]", mass, limit, _BOUND_TOL)
+                  for label, mass, limit in _abs_masses(z)]
         j1 = disk_integrate_centered(
             DEFAULT_RULES.disk,
             lambda zeta: np.abs(z - zeta) * _log_ratio(z, zeta),
             center=z,
         )
-        checks.append(CheckResult.bound(f"j1[z={name}]", j1, 0.5, _BOUND_TOL))
-
         j2 = disk_integrate_centered(
             DEFAULT_RULES.disk,
             lambda zeta: (1.0 - np.abs(zeta) ** 2)
             * np.abs(z - zeta) / np.abs(1.0 - np.conj(zeta) * z),
             center=z,
         )
-        checks.append(CheckResult.bound(f"j2[z={name}]", j2, 17.0 / 6.0, _BOUND_TOL))
-
-        j3 = abs(z) * disk_integrate(
-            DEFAULT_RULES.disk,
-            lambda zeta: 1.0 - np.abs(zeta) ** 2,
-        ).real
-        checks.append(CheckResult.bound(f"j3[z={name}]", j3, 0.5, _BOUND_TOL))
-
-        h2mass = disk_integrate(plain, lambda zeta: np.abs(green.h2_eval(z, zeta)))
-        checks.append(CheckResult.bound(
-            f"h2-abs-mass[z={name}]", h2mass, 5.0 * (2.0 - abs(z) ** 2), _BOUND_TOL))
-
-        h3mass = disk_integrate(plain, lambda zeta: np.abs(green.h3_eval(z, zeta)))
-        checks.append(CheckResult.bound(
-            f"h3-abs-mass[z={name}]", h3mass, 7.0 / 3.0, _BOUND_TOL))
+        # the Green and gradient masses come before j1..j3, the H2 and H3 ones after
+        checks += masses[:2] + [
+            CheckResult.bound(f"j1[z={name}]", j1, 0.5, _BOUND_TOL),
+            CheckResult.bound(f"j2[z={name}]", j2, 17.0 / 6.0, _BOUND_TOL),
+            CheckResult.bound(f"j3[z={name}]", abs(z) * area, 0.5, _BOUND_TOL),
+        ] + masses[2:]
 
     for r in SAMPLE_RADII:
         cube = circle_integrate(
@@ -379,14 +382,14 @@ def gradient_crosscheck(case, points: Sequence[complex],
         z = complex(z)
         if abs(z) > 0.9:
             raise DomainError("crosscheck points must satisfy |z| <= 0.9")
-        pair = gradient_point(case.f, case.h, case.g, z)
+        d_z, d_zbar = gradient_point(case.f, case.h, case.g, z)
         stencil = z + _GRAD_STEP * np.array([1.0, -1.0, 1j, -1j])
         ve = solve_points(case.f, case.h, case.g, stencil)
         ux = (ve[0] - ve[1]) / (2.0 * _GRAD_STEP)
         uy = (ve[2] - ve[3]) / (2.0 * _GRAD_STEP)
         fd_z = (ux - 1j * uy) / 2.0
         fd_zbar = (ux + 1j * uy) / 2.0
-        gap = max(abs(pair.d_z - fd_z), abs(pair.d_zbar - fd_zbar))
+        gap = max(abs(d_z - fd_z), abs(d_zbar - fd_zbar))
         checks.append(CheckResult.equality(
             f"gradient-crosscheck[z={_zkey(z)}]", gap, 0.0, tolerance))
     return checks
