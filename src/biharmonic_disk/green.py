@@ -18,9 +18,17 @@ Derivatives in the first argument:
     h3_eval: the third derivative d^3 G / dz dzbar dz.
 
 h2 diverges logarithmically and h3 like 1/|z - zeta| at the diagonal, so both
-refuse to evaluate there. ``MobiusMap`` carries the disk automorphism
-eta -> (c - eta)/(1 - eta conj(c)) used to recentre singular integrands,
-together with its area Jacobian.
+refuse to evaluate there.
+
+All four share the subexpressions z - zeta, |z - zeta|^2, 1 - conj(zeta) z,
+its squared modulus and the log of their ratio. ``KernelParts`` builds them
+once for a pair of arguments and evaluates each kernel from them; the four
+functions above are one ``KernelParts`` each, and a caller that needs
+several kernels at the same nodes (the mass bounds in ``verify``) builds
+one ``KernelParts`` for all of them.
+
+``MobiusMap`` carries the disk automorphism eta -> (c - eta)/(1 - eta conj(c))
+used to recentre singular integrands, together with its area Jacobian.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ def _as_disk(z, name):
 
 
 def _maybe_scalar(out):
+    out = np.asarray(out)
     return out[()] if out.ndim == 0 else out
 
 
@@ -56,17 +65,53 @@ def _log_ratio(ad2, aw2):
     return np.log(aw2) - np.log(safe)
 
 
+class KernelParts:
+    """The subexpressions the Green kernels share at (z, zeta), built once.
+
+    d = z - zeta, ad2 = |d|^2, w = 1 - conj(zeta) z, aw2 = |w|^2,
+    log = log(aw2 / ad2) (finite placeholder where ad2 == 0) and
+    s = 1 - |zeta|^2. Each kernel method returns an array of the broadcast
+    shape of z and zeta; ``h2`` and ``h3`` refuse the diagonal.
+    """
+
+    __slots__ = ("z", "zeta", "d", "ad2", "w", "aw2", "log", "s")
+
+    def __init__(self, z, zeta):
+        self.z = _as_disk(z, "z")
+        self.zeta = _as_disk(zeta, "zeta")
+        self.d = self.z - self.zeta
+        self.ad2 = _abs2(self.d)
+        self.w = 1.0 - np.conj(self.zeta) * self.z
+        self.aw2 = _abs2(self.w)
+        self.log = _log_ratio(self.ad2, self.aw2)
+        self.s = 1.0 - _abs2(self.zeta)
+
+    def _refuse_diagonal(self, name):
+        if np.any(self.ad2 == 0.0):
+            raise SingularityError(f"{name} is singular on the diagonal z == zeta")
+
+    def g(self):
+        # |z - zeta|^2 log(...) -> 0 on the diagonal; keep 0 * inf out of the product
+        log_term = np.where(self.ad2 > 0.0, self.ad2 * self.log, 0.0)
+        return log_term - (1.0 - _abs2(self.z)) * self.s
+
+    def g_dz(self):
+        dbar = np.conj(self.d)
+        log_part = np.where(self.ad2 > 0.0, dbar * self.log, 0.0)
+        return log_part - dbar * self.s / self.w + np.conj(self.z) * self.s
+
+    def h2(self):
+        self._refuse_diagonal("h2_eval")
+        return self.log - self.s * (1.0 - _abs2(self.z) * _abs2(self.zeta)) / self.aw2
+
+    def h3(self):
+        self._refuse_diagonal("h3_eval")
+        return -self.s / (self.d * self.w) - np.conj(self.zeta) * self.s / self.w**2
+
+
 def g_eval(z, zeta):
     """Evaluate G(z, zeta); either argument may be an array."""
-    z = _as_disk(z, "z")
-    zeta = _as_disk(zeta, "zeta")
-    d = z - zeta
-    ad2 = _abs2(d)
-    aw2 = _abs2(1.0 - np.conj(zeta) * z)
-    # |z - zeta|^2 log(...) -> 0 on the diagonal; keep 0 * inf out of the product
-    log_term = np.where(ad2 > 0.0, ad2 * _log_ratio(ad2, aw2), 0.0)
-    out = log_term - (1.0 - _abs2(z)) * (1.0 - _abs2(zeta))
-    return _maybe_scalar(np.asarray(out))
+    return _maybe_scalar(KernelParts(z, zeta).g())
 
 
 def g_dz(z, zeta):
@@ -78,17 +123,7 @@ def g_dz(z, zeta):
     which matches central differences of g_eval and has diagonal limit
     conj(z) (1 - |z|^2). G is real, so d_zbar = conj(d_z).
     """
-    return _maybe_scalar(_g_dz_values(_as_disk(z, "z"), _as_disk(zeta, "zeta")))
-
-
-def _g_dz_values(z, zeta):
-    d = z - zeta
-    ad2 = _abs2(d)
-    w = 1.0 - np.conj(zeta) * z
-    s = 1.0 - _abs2(zeta)
-    dbar = np.conj(d)
-    log_part = np.where(ad2 > 0.0, dbar * _log_ratio(ad2, _abs2(w)), 0.0)
-    return log_part - dbar * s / w + np.conj(z) * s
+    return _maybe_scalar(KernelParts(z, zeta).g_dz())
 
 
 def h2_eval(z, zeta):
@@ -99,14 +134,7 @@ def h2_eval(z, zeta):
 
     Real-valued; diverges logarithmically on the diagonal.
     """
-    z = _as_disk(z, "z")
-    zeta = _as_disk(zeta, "zeta")
-    ad2 = _abs2(z - zeta)
-    if np.any(ad2 == 0.0):
-        raise SingularityError("h2_eval is singular on the diagonal z == zeta")
-    aw2 = _abs2(1.0 - np.conj(zeta) * z)
-    out = _log_ratio(ad2, aw2) - (1.0 - _abs2(zeta)) * (1.0 - _abs2(z) * _abs2(zeta)) / aw2
-    return _maybe_scalar(np.asarray(out))
+    return _maybe_scalar(KernelParts(z, zeta).h2())
 
 
 def h3_eval(z, zeta):
@@ -117,15 +145,7 @@ def h3_eval(z, zeta):
 
     Complex-valued with a simple-pole-type singularity on the diagonal.
     """
-    z = _as_disk(z, "z")
-    zeta = _as_disk(zeta, "zeta")
-    d = z - zeta
-    if np.any(_abs2(d) == 0.0):
-        raise SingularityError("h3_eval is singular on the diagonal z == zeta")
-    w = 1.0 - np.conj(zeta) * z
-    s = 1.0 - _abs2(zeta)
-    out = -s / (d * w) - np.conj(zeta) * s / w**2
-    return _maybe_scalar(np.asarray(out))
+    return _maybe_scalar(KernelParts(z, zeta).h3())
 
 
 @dataclass(frozen=True)
@@ -156,5 +176,5 @@ class MobiusMap:
         den = 1.0 - eta * np.conj(self.center)
         zeta = (self.center - eta) / den
         jac = (1.0 - _abs2(self.center)) ** 2 / _abs2(den) ** 2
-        return _maybe_scalar(zeta), _maybe_scalar(np.asarray(jac))
+        return _maybe_scalar(zeta), _maybe_scalar(jac)
 

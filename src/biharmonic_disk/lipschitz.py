@@ -138,17 +138,14 @@ def _origin_green_terms(g: SourceTerm):
     if g.is_zero:
         return 0j, 0j
 
-    def f_a(zeta):
+    def integrand(zeta):
         rho2 = zeta.real**2 + zeta.imag**2
-        return np.conj(zeta) * (np.log(rho2) + 1.0 - rho2) * g.evaluate(zeta)
+        weight = np.log(rho2) + 1.0 - rho2
+        load = g.evaluate(zeta)
+        return np.stack([np.conj(zeta) * weight * load, zeta * weight * load])
 
-    def f_b(zeta):
-        rho2 = zeta.real**2 + zeta.imag**2
-        return zeta * (np.log(rho2) + 1.0 - rho2) * g.evaluate(zeta)
-
-    g_a = complex(disk_integrate_centered(DEFAULT_RULES.disk, f_a, center=0j))
-    g_b = complex(disk_integrate_centered(DEFAULT_RULES.disk, f_b, center=0j))
-    return g_a, g_b
+    g_a, g_b = disk_integrate_centered(DEFAULT_RULES.disk, integrand, center=0j)
+    return complex(g_a), complex(g_b)
 
 
 def compute_ab(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> ABResult:

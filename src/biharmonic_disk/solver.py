@@ -60,12 +60,13 @@ import numpy as np
 
 from . import kernels  # noqa: F401 - re-exported; callers reach it as solver.kernels
 from .errors import DegenerateDataError, DomainError
-from .quadrature import _circle_angles
+from .quadrature import _BLOCK_NODES, _circle_angles
 
 # Exponent cap for SourceTerm monomials.
 MAX_EXPONENT = 16
 
-# Radii and angles of the polar grid behind SourceTerm.sup_norm_estimate.
+# Radii and angles of the polar grid behind SourceTerm.sup_norm_estimate,
+# which walks it in blocks of rows as the disk quadrature does.
 _SUP_GRID = 512
 
 # Points are refused only for |z| > 1 + this: exp(1j * theta) can round to
@@ -242,8 +243,12 @@ class SourceTerm:
         if self.is_zero:
             return 0.0
         r = np.linspace(0.0, 1.0, _SUP_GRID)
-        zeta = r[:, None] * np.exp(1j * _circle_angles(_SUP_GRID))[None, :]
-        return float(np.max(np.abs(self.evaluate(zeta))))
+        circle = np.exp(1j * _circle_angles(_SUP_GRID))
+        step = _BLOCK_NODES // _SUP_GRID
+        return max(
+            float(np.max(np.abs(self.evaluate(r[i:i + step, None] * circle[None, :]))))
+            for i in range(0, _SUP_GRID, step)
+        )
 
     def __add__(self, other: "SourceTerm") -> "SourceTerm":
         return SourceTerm(tuple(self.terms) + tuple(other.terms))

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import green, kernels
+from .green import _abs2
 from .errors import DomainError, FingerprintMismatchError
 from .lipschitz import estimate_boundary_lipschitz, p_bound
 from .quadrature import (
@@ -59,14 +60,13 @@ _BOUND_TOL = 1e-6
 _TRACE_ANGLES = 32
 
 # Mass bounds int |K(z, .)| dA <= limit(z) of the Green kernel and its
-# derivatives, as (check name, integrand, limit); scripts/bound_margins.py
+# derivatives, as (check name, kernel, limit); scripts/bound_margins.py
 # sweeps the same rows over radii.
 _ABS_MASS_BOUNDS = (
-    ("green-abs-mass", lambda z, zeta: np.abs(green.g_eval(z, zeta)), lambda z: 0.75),
-    ("green-grad-abs-mass", lambda z, zeta: np.abs(green.g_dz(z, zeta)), lambda z: 23.0 / 6.0),
-    ("h2-abs-mass", lambda z, zeta: np.abs(green.h2_eval(z, zeta)),
-     lambda z: 5.0 * (2.0 - abs(z) ** 2)),
-    ("h3-abs-mass", lambda z, zeta: np.abs(green.h3_eval(z, zeta)), lambda z: 7.0 / 3.0),
+    ("green-abs-mass", green.KernelParts.g, lambda z: 0.75),
+    ("green-grad-abs-mass", green.KernelParts.g_dz, lambda z: 23.0 / 6.0),
+    ("h2-abs-mass", green.KernelParts.h2, lambda z: 5.0 * (2.0 - abs(z) ** 2)),
+    ("h3-abs-mass", green.KernelParts.h3, lambda z: 7.0 / 3.0),
 )
 
 
@@ -168,10 +168,27 @@ def _zkey(z: complex) -> str:
     return f"{z.real:.4g}{z.imag:+.4g}j"
 
 
-def _log_ratio(z: complex, zeta: np.ndarray) -> np.ndarray:
-    d = zeta - z
-    w = 1.0 - np.conj(zeta) * z
-    return np.log((w.real**2 + w.imag**2) / (d.real**2 + d.imag**2))
+def _log_parts(z: complex, zeta: np.ndarray):
+    """|z - zeta|^2, |1 - conj(zeta) z|^2 and the log of their inverse ratio."""
+    d2 = _abs2(zeta - z)
+    w2 = _abs2(1.0 - np.conj(zeta) * z)
+    return d2, w2, np.log(w2 / d2)
+
+
+def _log_mass_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
+    """The log-kernel mass, its |z - zeta|^2-weighted form, and the swapped form."""
+    d2, _, log = _log_parts(z, zeta)
+    # the weight integrated in G's first argument at fixed second one z; its
+    # own formula, so that the check is not the unswapped row under a new name
+    swapped = np.abs(zeta - z) ** 2 * np.log(np.abs((1.0 - np.conj(z) * zeta) / (z - zeta)) ** 2)
+    return np.stack([log, d2 * log, swapped])
+
+
+def _j_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
+    """j1 = |z - zeta| log-ratio and j2 = (1 - |zeta|^2) |z - zeta| / |1 - conj(zeta) z|."""
+    d2, w2, log = _log_parts(z, zeta)
+    dist = np.sqrt(d2)
+    return np.stack([dist * log, (1.0 - _abs2(zeta)) * dist / np.sqrt(w2)])
 
 
 def identity_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
@@ -210,29 +227,17 @@ def identity_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]
             f"moment-rule[beta=3,r={r:g}]", quad, series, 1e-10))
 
     for z in SAMPLE_POINTS:
-        rep = disk_integrate_centered(
-            DEFAULT_RULES.disk, lambda zeta: _log_ratio(z, zeta), center=z)
-        checks.append(CheckResult.equality(
-            f"log-kernel-mass[z={_zkey(z)}]", rep, 1.0 - abs(z) ** 2, 1e-8))
-
-        ival = disk_integrate_centered(
-            DEFAULT_RULES.disk,
-            lambda zeta: np.abs(z - zeta) ** 2 * _log_ratio(z, zeta),
-            center=z,
-        )
+        rep, ival, jval = disk_integrate_centered(
+            DEFAULT_RULES.disk, lambda zeta: _log_mass_integrands(z, zeta), center=z)
         expected = (1.0 - abs(z) ** 4) / 4.0
-        checks.append(CheckResult.equality(
-            f"weighted-log-mass[z={_zkey(z)}]", ival, expected, 1e-8))
-
-        # same weight integrated in the first argument at fixed second one
-        jval = disk_integrate_centered(
-            DEFAULT_RULES.disk,
-            lambda w: np.abs(w - z) ** 2
-            * np.log(np.abs((1.0 - np.conj(w) * z) / (z - w)) ** 2),
-            center=z,
-        )
-        checks.append(CheckResult.equality(
-            f"weighted-log-mass-swapped[zeta={_zkey(z)}]", jval, expected, 1e-8))
+        checks += [
+            CheckResult.equality(
+                f"log-kernel-mass[z={_zkey(z)}]", rep, 1.0 - abs(z) ** 2, 1e-8),
+            CheckResult.equality(
+                f"weighted-log-mass[z={_zkey(z)}]", ival, expected, 1e-8),
+            CheckResult.equality(
+                f"weighted-log-mass-swapped[zeta={_zkey(z)}]", jval, expected, 1e-8),
+        ]
     return checks
 
 
@@ -240,11 +245,16 @@ def _abs_masses(z: complex) -> list[tuple[str, complex, float]]:
     """(check name, mass, limit) at z for each row of ``_ABS_MASS_BOUNDS``.
 
     |.| breaks smoothness where the sign or a branch changes, so the masses
-    are integrated on the plain rule at doubled resolution, not recentred.
+    are integrated on the plain rule at doubled resolution, not recentred,
+    all four in one pass that builds the kernels' shared parts once per block.
     """
-    plain = DEFAULT_RULES.disk.doubled()
-    return [(name, disk_integrate(plain, lambda zeta: integrand(z, zeta)), limit(z))
-            for name, integrand, limit in _ABS_MASS_BOUNDS]
+    def integrand(zeta):
+        parts = green.KernelParts(z, zeta)
+        return np.stack([np.abs(kernel(parts)) for _, kernel, _ in _ABS_MASS_BOUNDS])
+
+    masses = disk_integrate(DEFAULT_RULES.disk.doubled(), integrand)
+    return [(name, mass, limit(z))
+            for (name, _, limit), mass in zip(_ABS_MASS_BOUNDS, masses)]
 
 
 def bound_suite() -> list[CheckResult]:
@@ -260,17 +270,8 @@ def bound_suite() -> list[CheckResult]:
         name = _zkey(z)
         masses = [CheckResult.bound(f"{label}[z={name}]", mass, limit, _BOUND_TOL)
                   for label, mass, limit in _abs_masses(z)]
-        j1 = disk_integrate_centered(
-            DEFAULT_RULES.disk,
-            lambda zeta: np.abs(z - zeta) * _log_ratio(z, zeta),
-            center=z,
-        )
-        j2 = disk_integrate_centered(
-            DEFAULT_RULES.disk,
-            lambda zeta: (1.0 - np.abs(zeta) ** 2)
-            * np.abs(z - zeta) / np.abs(1.0 - np.conj(zeta) * z),
-            center=z,
-        )
+        j1, j2 = disk_integrate_centered(
+            DEFAULT_RULES.disk, lambda zeta: _j_integrands(z, zeta), center=z)
         # the Green and gradient masses come before j1..j3, the H2 and H3 ones after
         checks += masses[:2] + [
             CheckResult.bound(f"j1[z={name}]", j1, 0.5, _BOUND_TOL),

@@ -87,6 +87,19 @@ def test_lipschitz_estimate_memory_is_bounded():
     assert peak < 8 * 2**20
 
 
+def test_compute_ab_working_memory_is_bounded():
+    f = BoundaryData.from_fourier([(1, 1.0), (3, 0.5j)], 512)
+    g = SourceTerm([(0, 0, 4.0), (2, 1, 1.0 - 1j)])
+    compute_ab(f, f, g)  # the rules' node caches are filled once per process
+    tracemalloc.start()
+    try:
+        compute_ab(f, f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # certified gradient bound
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from biharmonic_disk import quadrature
 from biharmonic_disk.errors import DomainError
+from biharmonic_disk.green import MobiusMap
 from biharmonic_disk.quadrature import CircleRule, DiskRule, circle_integrate, disk_integrate, disk_integrate_centered
 
 
@@ -71,6 +72,8 @@ def test_disk_integrand_shape_check():
     rule = DiskRule(n_radial=4, n_angular=8)
     with pytest.raises(DomainError):
         disk_integrate(rule, lambda z: np.ones(5))
+    with pytest.raises(DomainError):
+        disk_integrate(rule, lambda z: np.ones((2,) + z.shape + (1,)))
 
 
 @pytest.mark.parametrize("center", [0j, 0.3 + 0j, 0.8j])
@@ -150,3 +153,57 @@ def test_default_rules_bundle():
     rules = quadrature.DEFAULT_RULES
     assert rules.circle.n_nodes == 512
     assert rules.disk.n_angular == 256
+
+
+# ---------------------------------------------------------------------------
+# row blocks and stacked integrands
+
+
+def _full_grid(rule, integrand, center=None):
+    """Reference: values on the whole grid at once, row means, then one dot."""
+    circle = np.exp(1j * 2.0 * np.pi * np.arange(rule.n_angular) / rule.n_angular)
+    if center is None:
+        radii, w = rule.radial_nodes
+        vals = np.asarray(integrand(radii[:, None] * circle[None, :]), dtype=complex)
+        return complex(np.dot(2.0 * w, vals.mean(axis=1)))
+    rho, w = rule.centered_radial_nodes
+    zeta, jac = MobiusMap(center).pullback(rho[:, None] * circle[None, :])
+    vals = np.asarray(integrand(zeta), dtype=complex) * jac
+    return complex(np.dot(2.0 * rho * w, vals.mean(axis=1)))
+
+
+def _log_moment(c):
+    return lambda zeta: np.conj(zeta) * np.log(np.abs(zeta - c) ** 2)
+
+
+def _assert_within_one_ulp(got, expected):
+    for a, b in ((got.real, expected.real), (got.imag, expected.imag)):
+        assert abs(a - b) <= np.spacing(abs(b))
+
+
+@pytest.mark.parametrize("center", [0j, 0.5 * np.exp(1j * np.pi / 4), 0.9 + 0j])
+def test_blocked_centered_rule_matches_full_grid(center):
+    rule = DiskRule()
+    assert rule.centered_radial_nodes[0].size * rule.n_angular > 4 * quadrature._BLOCK_NODES
+    got = disk_integrate_centered(rule, _log_moment(center), center)
+    _assert_within_one_ulp(got, _full_grid(rule, _log_moment(center), center))
+
+
+def test_blocked_plain_rule_matches_full_grid():
+    rule = DiskRule().doubled()
+    assert rule.n_radial * rule.n_angular > 4 * quadrature._BLOCK_NODES
+    integrand = _log_moment(0.3 + 0.2j)
+    _assert_within_one_ulp(disk_integrate(rule, integrand), _full_grid(rule, integrand))
+
+
+@pytest.mark.parametrize("center", [None, 0j, 0.5j, 0.9 + 0j])
+def test_stacked_integrand_equals_separate_calls(center):
+    def run(integrand):
+        if center is None:
+            return disk_integrate(DiskRule(), integrand)
+        return disk_integrate_centered(DiskRule(), integrand, center)
+
+    parts = [lambda z: np.ones(z.shape), lambda z: np.abs(z - 0.1), _log_moment(0.5j)]
+    stacked = run(lambda z: np.stack([part(z) for part in parts]))
+    assert stacked.shape == (3,)
+    assert list(stacked) == [run(part) for part in parts]

@@ -171,6 +171,14 @@ def test_sup_norm_bound_and_estimate():
     assert SourceTerm.zero().sup_norm_estimate() == 0.0
 
 
+def test_sup_norm_estimate_walks_its_grid_in_row_blocks():
+    g = SourceTerm([(3, 1, 1.0 - 2j), (0, 4, 0.5), (2, 2, -1.0)])
+    r = np.linspace(0.0, 1.0, 512)
+    zeta = r[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(512) / 512)[None, :]
+    assert g.sup_norm_estimate() == float(np.max(np.abs(g.evaluate(zeta))))
+    assert _peak_bytes(SourceTerm.constant(4.0).sup_norm_estimate) < 2 * 2**20
+
+
 def test_source_term_exponent_validation():
     with pytest.raises(DomainError):
         SourceTerm([(-1, 0, 1.0)])

@@ -1,5 +1,7 @@
 """The check suites: identities, bounds, residuals, traces, crosschecks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,18 @@ def test_bound_suite_green_mass_grows_toward_center():
     near_edge = checks["green-abs-mass[z=0.9]"].computed.real
     assert near_center > near_edge
     assert near_center <= 0.75
+
+
+@pytest.mark.parametrize("suite", [verify.identity_suite, verify.bound_suite])
+def test_suite_working_memory_is_bounded(suite):
+    suite()  # the rules' node caches are filled once per process
+    tracemalloc.start()
+    try:
+        suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
