@@ -22,7 +22,8 @@ real, so the zbar-derivative d_zbar is conj(d_z).
     (1/2pi) int |1 - r e^{i theta}|^(-2 beta) dtheta
         = sum_n (Gamma(n+beta) / (n! Gamma(beta)))^2 r^(2n),
 
-with closed forms for beta = 1, 2 and the series for everything else.
+with closed forms for beta = 1, 2 and the series for everything else. The
+series stops on a bound of its tail and refuses radii too close to 1.
 
 All evaluators accept scalars or numpy arrays of points and refuse points
 with |z| > 1 - 1e-12; the kernels degenerate on the circle and quadrature
@@ -39,7 +40,7 @@ from .green import _abs2, _maybe_scalar
 # Evaluation is refused closer to the unit circle than this.
 BOUNDARY_MARGIN = 1e-12
 
-# Moment series truncation: next term below this relative size, or hard stop.
+# Moment series truncation: tail bound below this relative size, or refusal.
 _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 100_000
 
@@ -120,20 +121,23 @@ def kernel_moment_series(beta: float, r: float) -> float:
     """Same moment, always summed as sum_n (Gamma(n+beta)/(n! Gamma(beta)))^2 r^{2n}.
 
     The coefficient ratio ((n+beta)/(n+1))^2 makes the recurrence cheap; no
-    gamma values are needed beyond the n = 0 term, which is 1.
+    gamma values are needed beyond the n = 0 term, which is 1. The ratios tend
+    to r^2 monotonically, so q = max(ratio, r^2) bounds the tail by term q/(1-q);
+    past ``_SERIES_MAX_TERMS`` terms (r too close to 1) ``DomainError`` is raised.
     """
     _check_moment_args(beta, r)
     r2 = r * r
     total = 1.0
     term = 1.0
-    n = 0
-    while True:
-        term *= ((n + beta) / (n + 1.0)) ** 2 * r2
+    for n in range(_SERIES_MAX_TERMS):
+        ratio = ((n + beta) / (n + 1.0)) ** 2 * r2
+        term *= ratio
         total += term
-        n += 1
-        if term < _SERIES_RTOL * total or n > _SERIES_MAX_TERMS:
-            break
-    return total
+        q = max(ratio, r2)
+        if q < 1.0 and term * q <= _SERIES_RTOL * total * (1.0 - q):
+            return total
+    raise DomainError(
+        f"moment series needs over {_SERIES_MAX_TERMS} terms at beta={beta:g}, r={r:g}")
 
 
 def _check_moment_args(beta, r):

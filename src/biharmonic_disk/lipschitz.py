@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDataError, DomainError
-from .quadrature import DEFAULT_RULES, CircleRule, disk_integrate_centered
+from .quadrature import DEFAULT_RULES, CircleRule, _circle_angles, disk_integrate_centered
 from .solver import BoundaryData, SolutionField, SourceTerm, gradient_point
 
 # Coefficients of the certified gradient bound P.
@@ -97,8 +97,7 @@ def estimate_boundary_lipschitz(f: BoundaryData) -> float:
         raise DegenerateDataError(
             f"need at least {_MIN_SAMPLES} boundary samples, got {n}"
         )
-    th = 2.0 * np.pi * np.arange(n) / n
-    pts = np.exp(1j * th)
+    pts = np.exp(1j * _circle_angles(n))
     # row k of each view is the array shifted by k: entry j is node j + k mod n
     f_shift = sliding_window_view(np.concatenate([f.samples, f.samples]), n)
     p_shift = sliding_window_view(np.concatenate([pts, pts]), n)

@@ -15,16 +15,19 @@ hold the closed forms against, at the fixed resolution ``DEFAULT_RULES``.
   (exact for radial polynomials of degree <= 2 n_radial - 1) crossed with a
   CircleRule in angle. Exact for monomials z^a conj(z)^b up to the rule's
   degree, but blind to the logarithmic singularities the Green kernels carry.
+  The radial rule is Gauss-Jacobi(0, 1) by Golub-Welsch, with
+  Christoffel-number weights.
 
 * ``disk_integrate_centered``: the integrand is pulled back through the
   Mobius involution exchanging 0 and a given centre, so that the singular
   point of a Green-type integrand lands at the origin, where the radial grid
-  is graded geometrically. Radial panels run from ``geo_start`` to
-  ``geo_split`` geometrically and uniformly from there to 1, with a fixed
-  Gauss-Legendre order per panel; the node at radius 0 is never used.
+  is graded geometrically. Radial panels run from ``_GEO_START`` (1e-12) to
+  ``_GEO_SPLIT`` (0.5) geometrically and uniformly from there to 1, with
+  ``_PANEL_ORDER`` (8) Gauss-Legendre nodes per panel (numpy's ``leggauss``);
+  the node at radius 0 is never used.
 
-A ``DiskRule`` carries the resolution of both. Node sets are cached per
-parameter combination.
+A ``DiskRule`` carries the resolution of both. Node sets, built with numpy
+alone, are cached per resolution.
 
 Both disk rules walk their grid in blocks of whole radial rows, about
 ``_BLOCK_NODES`` (8192) nodes each; a recentred block is pulled back through
@@ -46,7 +49,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DomainError
 from .green import MobiusMap
@@ -55,6 +57,11 @@ from .green import MobiusMap
 # so an integrand's temporaries stay within a few MiB whatever the rule;
 # smaller blocks cost more per-block overhead than they save in cache.
 _BLOCK_NODES = 1 << 13
+
+# Split points and Gauss-Legendre order of the recentred rule's radial panels.
+_GEO_START = 1e-12
+_GEO_SPLIT = 0.5
+_PANEL_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -89,25 +96,21 @@ class DiskRule:
     """Resolution of the two disk rules, plain and recentred.
 
     n_radial only affects ``disk_integrate``; the radial grid of
-    ``disk_integrate_centered`` is controlled by the panel fields.
+    ``disk_integrate_centered`` by the panel counts (the split points and
+    panel order are the constants ``_GEO_START``, ``_GEO_SPLIT``, ``_PANEL_ORDER``).
     n_angular is shared.
     """
 
     n_radial: int = 128
     n_angular: int = 256
     geo_panels: int = 40
-    geo_start: float = 1e-12
-    geo_split: float = 0.5
     outer_panels: int = 10
-    panel_order: int = 8
 
     def __post_init__(self):
         if self.n_radial < 1 or self.n_angular < 1:
             raise DomainError("DiskRule needs positive node counts")
-        if not (0.0 < self.geo_start < self.geo_split < 1.0):
-            raise DomainError("need 0 < geo_start < geo_split < 1")
-        if self.geo_panels < 1 or self.outer_panels < 1 or self.panel_order < 1:
-            raise DomainError("panel counts and order must be positive")
+        if self.geo_panels < 1 or self.outer_panels < 1:
+            raise DomainError("panel counts must be positive")
 
     def doubled(self) -> "DiskRule":
         """Same rule with radial and angular resolution doubled."""
@@ -127,13 +130,7 @@ class DiskRule:
     @property
     def centered_radial_nodes(self):
         """(rho, weights) integrating int_0^1 F(rho) drho on the panel grid."""
-        return _panel_radial(
-            self.geo_panels,
-            self.geo_start,
-            self.geo_split,
-            self.outer_panels,
-            self.panel_order,
-        )
+        return _panel_radial(self.geo_panels, self.outer_panels)
 
 
 def disk_integrate(rule: DiskRule, integrand):
@@ -216,25 +213,34 @@ def _circle_angles(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _jacobi_radial(n: int):
-    # Gauss rule for int_{-1}^{1} q(x) (1+x) dx, mapped to [0, 1] with r = (1+x)/2:
-    # int_0^1 p(r) r dr = sum v_i/4 p((1+x_i)/2).
-    x, v = roots_jacobi(n, 0.0, 1.0)
+    # Gauss rule for int_{-1}^{1} q(x) (1+x) dx by Golub-Welsch, mapped to
+    # [0, 1] with r = (1+x)/2: int_0^1 p(r) r dr = sum v_i/4 p((1+x_i)/2).
+    k = np.arange(n, dtype=float)
+    a = 1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
+    b = np.sqrt(k * (k + 1.0)) / (2.0 * k + 1.0)  # b[0] = 0
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1))
+    # v_i = 1 / sum_k p_k(x_i)^2 over the orthonormal p_k, p_0 = 1/sqrt(2)
+    prev, p = np.zeros(n), np.full(n, 2.0**-0.5)
+    norm2 = p * p
+    for j in range(n - 1):
+        prev, p = p, ((x - a[j]) * p - b[j] * prev) / b[j + 1]
+        norm2 += p * p
     r = 0.5 * (1.0 + x)
-    w = 0.25 * v
+    w = 0.25 / norm2
     r.setflags(write=False)
     w.setflags(write=False)
     return r, w
 
 
 @lru_cache(maxsize=32)
-def _panel_radial(geo_panels, geo_start, geo_split, outer_panels, order):
+def _panel_radial(geo_panels, outer_panels):
     edges = np.concatenate(
         [
-            np.geomspace(geo_start, geo_split, geo_panels + 1),
-            np.linspace(geo_split, 1.0, outer_panels + 1)[1:],
+            np.geomspace(_GEO_START, _GEO_SPLIT, geo_panels + 1),
+            np.linspace(_GEO_SPLIT, 1.0, outer_panels + 1)[1:],
         ]
     )
-    x, v = roots_legendre(order)
+    x, v = np.polynomial.legendre.leggauss(_PANEL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     rho = (mid[:, None] + half[:, None] * x[None, :]).ravel()

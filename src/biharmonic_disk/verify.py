@@ -25,6 +25,7 @@ from .errors import DomainError, FingerprintMismatchError
 from .lipschitz import estimate_boundary_lipschitz, p_bound
 from .quadrature import (
     DEFAULT_RULES,
+    _circle_angles,
     circle_integrate,
     disk_integrate,
     disk_integrate_centered,
@@ -342,7 +343,7 @@ def boundary_trace_check(case, radii: Sequence[float]) -> list[CheckResult]:
         raise DomainError("trace radii must lie in (0, 1)")
     l_est = estimate_boundary_lipschitz(case.f)
     scale = p_bound(l_est, case.h.sup_norm(), case.g.sup_norm_bound())
-    th = 2.0 * np.pi * np.arange(_TRACE_ANGLES) / _TRACE_ANGLES
+    th = _circle_angles(_TRACE_ANGLES)
     f_ref, h_ref = case.f.eval_at(th), case.h.eval_at(th)
     solution = Solution(case.f, case.h, case.g)
     ring = {r: solution.values(r * np.exp(1j * th)) for r in radii}

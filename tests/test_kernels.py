@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from biharmonic_disk import kernels
@@ -123,11 +123,29 @@ def test_moment_beta_two_closed_form():
     assert kernels.kernel_moment(2, r) == pytest.approx(1.25 / 0.75**3, rel=1e-14)
 
 
-@given(r=radii, beta=st.sampled_from([1.0, 2.0]))
-def test_moment_series_matches_closed_form(r, beta):
-    closed = kernels.kernel_moment(beta, r)
-    series = kernels.kernel_moment_series(beta, r)
-    assert series == pytest.approx(closed, rel=1e-12)
+# Closed forms of the circle moment in r^2, for the integer beta that have them.
+_CLOSED_MOMENTS = {
+    1: lambda r2: 1.0 / (1.0 - r2),
+    2: lambda r2: (1.0 + r2) / (1.0 - r2) ** 3,
+    3: lambda r2: (1.0 + 4.0 * r2 + r2 * r2) / (1.0 - r2) ** 5,
+}
+
+
+@given(r=radii)
+@example(r=0.999)
+@example(r=0.9999)
+@example(r=0.99999)
+def test_moment_series_matches_closed_form(r):
+    # close to the circle the series may be refused, but never truncated
+    for beta, closed_form in _CLOSED_MOMENTS.items():
+        closed = closed_form(r * r)
+        try:
+            series = kernels.kernel_moment_series(beta, r)
+        except DomainError:
+            assert r > 0.99
+            continue
+        assert series == pytest.approx(closed, rel=1e-12)
+        assert kernels.kernel_moment(beta, r) == pytest.approx(closed, rel=1e-12)
 
 
 @given(beta=st.floats(min_value=0.5, max_value=4.0))

@@ -1,10 +1,15 @@
 """Circle and disk quadrature: exactness, normalization, singular recentering."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import biharmonic_disk
 from biharmonic_disk import quadrature
 from biharmonic_disk.errors import DomainError
 from biharmonic_disk.green import MobiusMap
@@ -112,21 +117,26 @@ def test_rule_validation():
     with pytest.raises(DomainError):
         disk_integrate_centered(DiskRule(), lambda z: np.ones_like(z), center=1.0)
     with pytest.raises(DomainError):
-        DiskRule(geo_start=0.7, geo_split=0.5)
+        DiskRule(geo_panels=0)
+    with pytest.raises(DomainError):
+        DiskRule(outer_panels=0)
 
 
-def test_radial_nodes_integrate_weight():
-    r, w = DiskRule(n_radial=12).radial_nodes
-    # int_0^1 r dr = 1/2 and int_0^1 r^3 r dr = 1/5.
-    assert np.sum(w) == pytest.approx(0.5, abs=1e-15)
-    assert np.dot(w, r**3) == pytest.approx(0.2, abs=1e-15)
+@pytest.mark.parametrize("n", [12, 128, 256])
+def test_radial_nodes_integrate_weight(n):
+    # 128 is the default rule and 256 its doubled one.
+    r, w = DiskRule(n_radial=n).radial_nodes
+    assert np.all(w > 0)
+    assert 0.0 < r[0] and r[-1] < 1.0 and np.all(np.diff(r) > 0)
+    # int_0^1 r^k r dr = 1/(k+2), exactly for every k <= 2n - 1.
+    for k in range(2 * n):
+        assert np.dot(w, r**k) == pytest.approx(1.0 / (k + 2), rel=1e-12, abs=0)
 
 
 def test_centered_radial_nodes_integrate_unit_interval():
-    rule = DiskRule()
-    rho, w = rule.centered_radial_nodes
-    # panels span [geo_start, 1], so the constant mass misses exactly geo_start
-    assert np.sum(w) == pytest.approx(1.0 - rule.geo_start, abs=1e-14)
+    rho, w = DiskRule().centered_radial_nodes
+    # panels span [_GEO_START, 1], so the constant mass misses exactly _GEO_START
+    assert np.sum(w) == pytest.approx(1.0 - quadrature._GEO_START, abs=1e-14)
     assert np.dot(w, rho) == pytest.approx(0.5, abs=1e-13)
 
 
@@ -147,6 +157,17 @@ def test_centered_polynomial_matches_plain(c):
     a = disk_integrate(rule, integrand)
     b = disk_integrate_centered(rule, integrand, c)
     assert b == pytest.approx(a, abs=1e-9)
+
+
+def test_package_imports_without_scipy():
+    # the rules are built from numpy alone; nothing the package imports pulls scipy in
+    code = ("import sys, biharmonic_disk, biharmonic_disk.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = os.path.dirname(os.path.dirname(biharmonic_disk.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 def test_default_rules_bundle():
