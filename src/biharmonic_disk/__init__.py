@@ -55,6 +55,7 @@ from .verify import (
     gradient_crosscheck,
     identity_suite,
     manufactured_case,
+    oracle_suite,
     solution_error,
 )
 

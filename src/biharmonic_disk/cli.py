@@ -13,6 +13,8 @@ sampling seed:
 
 Fourier coefficients are [mode, re, im] triples, monomial loads are
 [a, b, re, im] quadruples, and every omitted field defaults to zero data.
+Modes, exponents, ``n_samples`` and ``seed`` must be JSON integers: 1.5,
+1.0, "1" and true are refused, not truncated.
 Solved values come from closed forms; the integral route for A and B in
 ``lipschitz`` and the ``identities`` checks use the fixed oracle rules
 ``quadrature.DEFAULT_RULES``.
@@ -68,6 +70,11 @@ class CaseFile:
     seed: int
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python, so refuse it explicitly."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_keys(doc: dict, allowed: set, where: str):
     unknown = set(doc) - allowed
     if unknown:
@@ -85,7 +92,7 @@ def _parse_boundary(doc, where: str) -> BoundaryData:
     if "fourier" in doc and "samples" in doc:
         raise CaseFormatError(f"{where} cannot give both fourier and samples")
     n_samples = doc.get("n_samples", 512)
-    if not isinstance(n_samples, int) or n_samples < 4 or n_samples % 2:
+    if not _is_int(n_samples) or n_samples < 4 or n_samples % 2:
         raise CaseFormatError(f"{where}.n_samples must be an even integer >= 4")
     if "samples" in doc:
         if "n_samples" in doc:
@@ -103,10 +110,13 @@ def _parse_boundary(doc, where: str) -> BoundaryData:
     for row in doc.get("fourier", ()):
         try:
             m, re, im = row
-            modes.append((int(m), complex(float(re), float(im))))
+            value = complex(float(re), float(im))
         except (TypeError, ValueError) as exc:
             raise CaseFormatError(
                 f"{where}.fourier must be [mode, re, im] triples") from exc
+        if not _is_int(m):
+            raise CaseFormatError(f"{where}.fourier modes must be integers, got {m!r}")
+        modes.append((m, value))
     try:
         return BoundaryData.from_fourier(modes, n_samples)
     except DegenerateDataError as exc:
@@ -123,13 +133,16 @@ def _parse_source(doc, where: str) -> SourceTerm:
     for row in doc.get("terms", ()):
         try:
             a, b, re, im = row
-            a, b = int(a), int(b)
+            value = complex(float(re), float(im))
         except (TypeError, ValueError) as exc:
             raise CaseFormatError(
                 f"{where}.terms must be [a, b, re, im] quadruples") from exc
+        if not (_is_int(a) and _is_int(b)):
+            raise CaseFormatError(
+                f"{where}.terms exponents must be integers, got {a!r}, {b!r}")
         if a < 0 or b < 0:
             raise CaseFormatError(f"negative exponent in {where}.terms")
-        terms.append((a, b, complex(float(re), float(im))))
+        terms.append((a, b, value))
     try:
         return SourceTerm(terms)
     except DomainError as exc:
@@ -144,7 +157,7 @@ def parse_case_dict(doc: dict) -> CaseFile:
     if doc.get("schema", _SCHEMA) != _SCHEMA:
         raise CaseFormatError(f"unsupported schema {doc.get('schema')!r}")
     seed = doc.get("seed", 42)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise CaseFormatError("seed must be an integer")
     return CaseFile(
         f=_parse_boundary(doc.get("f"), "f"),
@@ -161,6 +174,8 @@ def parse_case(path: str) -> CaseFile:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CaseFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise CaseFormatError(f"{path}: not UTF-8 text (byte {exc.start})")
     return parse_case_dict(doc)
 
 
@@ -210,7 +225,7 @@ def _report_doc(checks) -> dict:
 
 
 def cmd_identities(args) -> int:
-    checks = verify.identity_suite() + verify.bound_suite()
+    checks = verify.oracle_suite()
     ok = _print_checks(checks)
     if args.json:
         _atomic_write_json(args.json, _report_doc(checks))

@@ -25,7 +25,9 @@ its squared modulus and the log of their ratio. ``KernelParts`` builds them
 once for a pair of arguments and evaluates each kernel from them; the four
 functions above are one ``KernelParts`` each, and a caller that needs
 several kernels at the same nodes (the mass bounds in ``verify``) builds
-one ``KernelParts`` for all of them.
+one ``KernelParts`` for all of them. The two rational terms of g_dz and
+of h3 are folded into one fraction each (see their docstrings), the form
+evaluated.
 
 ``MobiusMap`` carries the disk automorphism eta -> (c - eta)/(1 - eta conj(c))
 used to recentre singular integrands, together with its area Jacobian.
@@ -98,7 +100,8 @@ class KernelParts:
     def g_dz(self):
         dbar = np.conj(self.d)
         log_part = np.where(self.ad2 > 0.0, dbar * self.log, 0.0)
-        return log_part - dbar * self.s / self.w + np.conj(self.z) * self.s
+        # conj(z) s - dbar s / w folds to conj(zeta) (1 - |z|^2) s / w
+        return log_part + (1.0 - _abs2(self.z)) * self.s * np.conj(self.zeta) / self.w
 
     def h2(self):
         self._refuse_diagonal("h2_eval")
@@ -106,7 +109,8 @@ class KernelParts:
 
     def h3(self):
         self._refuse_diagonal("h3_eval")
-        return -self.s / (self.d * self.w) - np.conj(self.zeta) * self.s / self.w**2
+        # w + conj(zeta) d = s folds the two poles into one fraction
+        return -self.s**2 / (self.d * self.w**2)
 
 
 def g_eval(z, zeta):
@@ -119,9 +123,12 @@ def g_dz(z, zeta):
 
     d_z = (zb - zetab) log|(1 - zetab z)/(z - zeta)|^2
           - (zb - zetab)(1 - |zeta|^2)/(1 - zetab z) + zb (1 - |zeta|^2)
+        = (zb - zetab) log|(1 - zetab z)/(z - zeta)|^2
+          + (1 - |z|^2)(1 - |zeta|^2) zetab / (1 - zetab z),
 
-    which matches central differences of g_eval and has diagonal limit
-    conj(z) (1 - |z|^2). G is real, so d_zbar = conj(d_z).
+    folded with zb (1 - zetab z) - (zb - zetab) = zetab (1 - |z|^2), the
+    form evaluated. It matches central differences of g_eval and has
+    diagonal limit conj(z) (1 - |z|^2). G is real, so d_zbar = conj(d_z).
     """
     return _maybe_scalar(KernelParts(z, zeta).g_dz())
 
@@ -142,8 +149,11 @@ def h3_eval(z, zeta):
 
         -(1 - |zeta|^2) / ((z - zeta)(1 - zetab z))
         - zetab (1 - |zeta|^2) / (1 - zetab z)^2
+      = -(1 - |zeta|^2)^2 / ((z - zeta)(1 - zetab z)^2),
 
-    Complex-valued with a simple-pole-type singularity on the diagonal.
+    folded with (1 - zetab z) + zetab (z - zeta) = 1 - |zeta|^2, the form
+    evaluated. Complex-valued with a simple-pole-type singularity on the
+    diagonal.
     """
     return _maybe_scalar(KernelParts(z, zeta).h3())
 

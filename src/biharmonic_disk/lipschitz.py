@@ -17,7 +17,7 @@ gives an independent lower estimate that must stay below P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -192,16 +192,32 @@ def classify(l_boundary: float, h_sup: float, g_sup: float,
 
 def analyze_case(f: BoundaryData, h: BoundaryData,
                  g: SourceTerm) -> tuple[LipschitzReport, ABResult]:
-    """Measure every constant for one case and classify it."""
-    ab = compute_ab(f, h, g)
-    return classify(
-        l_boundary=estimate_boundary_lipschitz(f),
-        h_sup=h.sup_norm(),
-        g_sup=g.sup_norm_bound(),
-        a_value=ab.a_value,
-        b_value=ab.b_value,
-        g_sup_estimate=g.sup_norm_estimate(),
-    ), ab
+    """Measure every constant for one case and classify it.
+
+    Data near the limits of double precision can overflow on the way; any
+    reported constant that is not finite raises ``DegenerateDataError``
+    instead of being reported.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ab = compute_ab(f, h, g)
+            report = classify(
+                l_boundary=estimate_boundary_lipschitz(f),
+                h_sup=h.sup_norm(),
+                g_sup=g.sup_norm_bound(),
+                a_value=ab.a_value,
+                b_value=ab.b_value,
+                g_sup_estimate=g.sup_norm_estimate(),
+            )
+    except OverflowError as exc:  # a Python float power past the double range
+        raise DegenerateDataError("a reported constant overflows double precision") from exc
+    for result in (report, ab):
+        for field in fields(result):
+            value = getattr(result, field.name)
+            if not isinstance(value, str) and not np.isfinite(value):
+                raise DegenerateDataError(
+                    f"{field.name} is {value}: the data overflow double precision")
+    return report, ab
 
 
 def empirical_quotient(field: SolutionField, max_pairs: int = 100_000,

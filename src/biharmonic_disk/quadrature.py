@@ -33,14 +33,17 @@ Both disk rules walk their grid in blocks of whole radial rows, about
 ``_BLOCK_NODES`` (8192) nodes each; a recentred block is pulled back through
 the Mobius map and validated once. The integrand may return a stack of
 integrands, shape ``(k,) + zeta.shape``, which share that block's nodes and
-Jacobian; the result is then an array of k values. Working memory is one
-block's nodes plus whatever the integrand builds on them: 128 KiB per
-complex array, whatever the rule's resolution. Summation is angle first
-(the mean of each row, kept for every row) and then one dot of the row
-means against the radial weights per integrand, the order a single pass
-over the whole grid uses. Block size does not change the result, a stacked
-integrand gets exactly what separate calls get, and repeated calls are
-bitwise reproducible.
+Jacobian; the result is then an array of k values. Integrand values keep
+their own dtype: a real integrand is never widened to complex. Working
+memory is one block's nodes plus whatever the integrand builds on them:
+64 KiB per real and 128 KiB per complex array, whatever the rule's
+resolution. Summation is angle first (the mean of each row, taken
+separately for the real and the imaginary part and kept for every row) and
+then one dot of the row means against the radial weights per integrand and
+part, the order a single pass over the whole grid uses. Block size does not
+change the result, a stacked integrand gets exactly what separate calls
+get, a real integrand gets exactly what its complex cast gets, and repeated
+calls are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -137,9 +140,10 @@ def disk_integrate(rule: DiskRule, integrand):
     """Integrate ``integrand(zeta)`` over the disk against dA = dx dy / pi.
 
     The integrand receives a 2d complex array of nodes, one block of radial
-    rows at a time, and returns either a matching array (the result is a
-    complex) or a stack of them, shape ``(k,) + zeta.shape`` (the result is
-    an array of k complexes, one per integrand).
+    rows at a time, and returns either a matching array, real or complex
+    (the result is a complex), or a stack of them, shape
+    ``(k,) + zeta.shape`` (the result is an array of k complexes, one per
+    integrand).
     """
     radii, w = rule.radial_nodes
     circle = np.exp(1j * _circle_angles(rule.n_angular))
@@ -171,26 +175,37 @@ def disk_integrate_centered(rule: DiskRule, integrand, center: complex):
 
 
 def _block_values(integrand, zeta):
-    vals = np.asarray(integrand(zeta), dtype=complex)
+    # a real integrand stays real: its values are never widened to complex
+    vals = np.asarray(integrand(zeta))
+    if not np.iscomplexobj(vals):
+        vals = vals.astype(float, copy=False)
     if vals.ndim not in (2, 3) or vals.shape[-2:] != zeta.shape:
         raise DomainError("disk integrand must return one value per node")
     return vals
 
 
+def _row_means(vals):
+    """Angular means of the real and of the imaginary parts, stacked."""
+    re = vals.real.mean(axis=-1)
+    im = vals.imag.mean(axis=-1) if np.iscomplexobj(vals) else np.zeros_like(re)
+    return np.stack([re, im])
+
+
 def _sum_rows(block, weights, n_angular):
     """Sum of each row's angular mean times its radial weight.
 
-    ``block(rows)`` returns the values on a slice of rows. The row means are
-    kept and dotted with the weights once per integrand at the end, the
-    order of a single pass over the whole grid.
+    ``block(rows)`` returns the values on a slice of rows. The row means of
+    the real and imaginary parts are kept and dotted with the weights once
+    per integrand and part at the end, the order of a single pass over the
+    whole grid.
     """
     step = max(1, _BLOCK_NODES // n_angular)
-    means = np.concatenate(
-        [block(slice(i, i + step)).mean(axis=-1) for i in range(0, weights.size, step)],
+    re, im = np.concatenate(
+        [_row_means(block(slice(i, i + step))) for i in range(0, weights.size, step)],
         axis=-1)
-    if means.ndim == 1:
-        return complex(np.dot(weights, means))
-    return np.array([np.dot(weights, row) for row in means])
+    if re.ndim == 1:
+        return complex(np.dot(weights, re), np.dot(weights, im))
+    return np.array([complex(np.dot(weights, a), np.dot(weights, b)) for a, b in zip(re, im)])
 
 
 @dataclass(frozen=True)

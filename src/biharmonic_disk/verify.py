@@ -169,77 +169,21 @@ def _zkey(z: complex) -> str:
     return f"{z.real:.4g}{z.imag:+.4g}j"
 
 
-def _log_parts(z: complex, zeta: np.ndarray):
-    """|z - zeta|^2, |1 - conj(zeta) z|^2 and the log of their inverse ratio."""
+def _log_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
+    """The recentred integrands at z, one stack for both suites.
+
+    Rows: the log-kernel mass, its |z - zeta|^2-weighted form and the swapped
+    form (identities), then j1 = |z - zeta| log-ratio and
+    j2 = (1 - |zeta|^2) |z - zeta| / |1 - conj(zeta) z| (bounds).
+    """
     d2 = _abs2(zeta - z)
     w2 = _abs2(1.0 - np.conj(zeta) * z)
-    return d2, w2, np.log(w2 / d2)
-
-
-def _log_mass_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
-    """The log-kernel mass, its |z - zeta|^2-weighted form, and the swapped form."""
-    d2, _, log = _log_parts(z, zeta)
+    log = np.log(w2 / d2)
     # the weight integrated in G's first argument at fixed second one z; its
     # own formula, so that the check is not the unswapped row under a new name
     swapped = np.abs(zeta - z) ** 2 * np.log(np.abs((1.0 - np.conj(z) * zeta) / (z - zeta)) ** 2)
-    return np.stack([log, d2 * log, swapped])
-
-
-def _j_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
-    """j1 = |z - zeta| log-ratio and j2 = (1 - |zeta|^2) |z - zeta| / |1 - conj(zeta) z|."""
-    d2, w2, log = _log_parts(z, zeta)
     dist = np.sqrt(d2)
-    return np.stack([dist * log, (1.0 - _abs2(zeta)) * dist / np.sqrt(w2)])
-
-
-def identity_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
-    """Exact-equality checks: kernel means, moments, and log-kernel masses.
-
-    Each family has its own tolerance: 1e-10 for the kernel means and the
-    circle-rule moments, 1e-12 for the moment series and 1e-8 for the
-    recentred log-kernel masses. ``trace_kernel`` substitutes the trace
-    kernel in the mean check (used by the negative-control tests to prove
-    the check can fail).
-    """
-    tk = kernels.f0_eval if trace_kernel is None else trace_kernel
-    checks: list[CheckResult] = []
-    for z in SAMPLE_POINTS:
-        mean = circle_integrate(DEFAULT_RULES.circle, lambda th: tk(z * np.exp(-1j * th)))
-        checks.append(CheckResult.equality(
-            f"trace-kernel-mean[z={_zkey(z)}]", mean, 1.0, 1e-10))
-
-    for beta in (1, 2):
-        for r in SAMPLE_RADII:
-            closed = kernels.kernel_moment(beta, r)
-            series = kernels.kernel_moment_series(beta, r)
-            checks.append(CheckResult.equality(
-                f"moment-series[beta={beta},r={r:g}]", series, closed, 1e-12))
-            quad = circle_integrate(
-                DEFAULT_RULES.circle,
-                lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-2 * beta),
-            )
-            checks.append(CheckResult.equality(
-                f"moment-rule[beta={beta},r={r:g}]", quad, closed, 1e-10))
-    for r in SAMPLE_RADII:
-        series = kernels.kernel_moment(3, r)
-        quad = circle_integrate(
-            DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-6))
-        checks.append(CheckResult.equality(
-            f"moment-rule[beta=3,r={r:g}]", quad, series, 1e-10))
-
-    for z in SAMPLE_POINTS:
-        rep, ival, jval = disk_integrate_centered(
-            DEFAULT_RULES.disk, lambda zeta: _log_mass_integrands(z, zeta), center=z)
-        expected = (1.0 - abs(z) ** 4) / 4.0
-        checks += [
-            CheckResult.equality(
-                f"log-kernel-mass[z={_zkey(z)}]", rep, 1.0 - abs(z) ** 2, 1e-8),
-            CheckResult.equality(
-                f"weighted-log-mass[z={_zkey(z)}]", ival, expected, 1e-8),
-            CheckResult.equality(
-                f"weighted-log-mass-swapped[zeta={_zkey(z)}]", jval, expected, 1e-8),
-        ]
-    return checks
+    return np.stack([log, d2 * log, swapped, dist * log, (1.0 - _abs2(zeta)) * dist / np.sqrt(w2)])
 
 
 def _abs_masses(z: complex) -> list[tuple[str, complex, float]]:
@@ -258,23 +202,59 @@ def _abs_masses(z: complex) -> list[tuple[str, complex, float]]:
             for (name, _, limit), mass in zip(_ABS_MASS_BOUNDS, masses)]
 
 
-def bound_suite() -> list[CheckResult]:
-    """Inequality checks for the Green kernel and its derivative masses.
+def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
+    """Every identity check, then every bound check, as ``identities`` reports them.
 
-    Every bound carries the tolerance ``_BOUND_TOL`` (1e-6). The smooth
-    sub-integrals j1, j2 use the recentred rule; j3 is |z| times a fixed
-    mass, integrated once.
+    Per sample point one recentred pass integrates the three log-kernel
+    masses of ``identity_suite`` and j1, j2 of ``bound_suite`` together.
+    ``trace_kernel`` substitutes the trace kernel in the mean check (used by
+    the negative-control tests to prove the check can fail).
     """
+    tk = kernels.f0_eval if trace_kernel is None else trace_kernel
+    identities: list[CheckResult] = []
+    for z in SAMPLE_POINTS:
+        mean = circle_integrate(DEFAULT_RULES.circle, lambda th: tk(z * np.exp(-1j * th)))
+        identities.append(CheckResult.equality(
+            f"trace-kernel-mean[z={_zkey(z)}]", mean, 1.0, 1e-10))
+
+    for beta in (1, 2):
+        for r in SAMPLE_RADII:
+            closed = kernels.kernel_moment(beta, r)
+            series = kernels.kernel_moment_series(beta, r)
+            identities.append(CheckResult.equality(
+                f"moment-series[beta={beta},r={r:g}]", series, closed, 1e-12))
+            quad = circle_integrate(
+                DEFAULT_RULES.circle,
+                lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-2 * beta),
+            )
+            identities.append(CheckResult.equality(
+                f"moment-rule[beta={beta},r={r:g}]", quad, closed, 1e-10))
+    for r in SAMPLE_RADII:
+        series = kernels.kernel_moment(3, r)
+        quad = circle_integrate(
+            DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-6))
+        identities.append(CheckResult.equality(
+            f"moment-rule[beta=3,r={r:g}]", quad, series, 1e-10))
+
     area = disk_integrate(DEFAULT_RULES.disk, lambda zeta: 1.0 - np.abs(zeta) ** 2).real
-    checks: list[CheckResult] = []
+    bounds: list[CheckResult] = []
     for z in SAMPLE_POINTS:
         name = _zkey(z)
+        rep, ival, jval, j1, j2 = disk_integrate_centered(
+            DEFAULT_RULES.disk, lambda zeta: _log_integrands(z, zeta), center=z)
+        expected = (1.0 - abs(z) ** 4) / 4.0
+        identities += [
+            CheckResult.equality(
+                f"log-kernel-mass[z={name}]", rep, 1.0 - abs(z) ** 2, 1e-8),
+            CheckResult.equality(
+                f"weighted-log-mass[z={name}]", ival, expected, 1e-8),
+            CheckResult.equality(
+                f"weighted-log-mass-swapped[zeta={name}]", jval, expected, 1e-8),
+        ]
         masses = [CheckResult.bound(f"{label}[z={name}]", mass, limit, _BOUND_TOL)
                   for label, mass, limit in _abs_masses(z)]
-        j1, j2 = disk_integrate_centered(
-            DEFAULT_RULES.disk, lambda zeta: _j_integrands(z, zeta), center=z)
         # the Green and gradient masses come before j1..j3, the H2 and H3 ones after
-        checks += masses[:2] + [
+        bounds += masses[:2] + [
             CheckResult.bound(f"j1[z={name}]", j1, 0.5, _BOUND_TOL),
             CheckResult.bound(f"j2[z={name}]", j2, 17.0 / 6.0, _BOUND_TOL),
             CheckResult.bound(f"j3[z={name}]", abs(z) * area, 0.5, _BOUND_TOL),
@@ -284,9 +264,30 @@ def bound_suite() -> list[CheckResult]:
         cube = circle_integrate(
             DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-3))
         limit = np.sqrt(1.0 + r**2) / (1.0 - r**2) ** 2
-        checks.append(CheckResult.bound(
+        bounds.append(CheckResult.bound(
             f"angular-cube-moment[r={r:g}]", cube, limit, _BOUND_TOL))
-    return checks
+    return identities + bounds
+
+
+def identity_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
+    """Exact-equality checks: kernel means, moments, and log-kernel masses.
+
+    The equality checks of ``oracle_suite``, which takes the same
+    ``trace_kernel``. Each family has its own tolerance: 1e-10 for the kernel
+    means and the circle-rule moments, 1e-12 for the moment series and 1e-8
+    for the recentred log-kernel masses.
+    """
+    return [c for c in oracle_suite(trace_kernel) if c.kind == "equality"]
+
+
+def bound_suite() -> list[CheckResult]:
+    """Inequality checks for the Green kernel and its derivative masses.
+
+    The bound checks of ``oracle_suite``. Every bound carries the tolerance
+    ``_BOUND_TOL`` (1e-6). The smooth sub-integrals j1, j2 use the recentred
+    rule; j3 is |z| times a fixed mass, integrated once.
+    """
+    return [c for c in oracle_suite() if c.kind == "bound"]
 
 
 def fd_bilaplacian_residual(case, grid_spacing: float, extent: float = 0.8,

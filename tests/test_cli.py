@@ -75,6 +75,20 @@ def test_parse_fourier_n_samples():
         ({"schema": 1, "quadrature": {"radial_nodes": 64}},
          "unknown key 'quadrature' in case"),
         ({"schema": 1, "g": {"terms": [[0, 0, float("nan"), 0.0]]}}, "must be finite"),
+        ({"schema": 1, "f": {"fourier": [[1.5, 1, 0]]}}, "f.fourier modes must be integers"),
+        ({"schema": 1, "h": {"fourier": [[1.0, 1, 0]]}}, "h.fourier modes must be integers"),
+        ({"schema": 1, "f": {"fourier": [[True, 1, 0]]}}, "f.fourier modes must be integers"),
+        ({"schema": 1, "f": {"fourier": [["2", 1, 0]]}}, "f.fourier modes must be integers"),
+        # json reads 1e400 as inf
+        ({"schema": 1, "f": {"fourier": [[float("inf"), 1, 0]]}},
+         "f.fourier modes must be integers"),
+        ({"schema": 1, "g": {"terms": [[2.7, 0, 1, 0]]}}, "g.terms exponents must be integers"),
+        ({"schema": 1, "g": {"terms": [[0, True, 1, 0]]}}, "g.terms exponents must be integers"),
+        ({"schema": 1, "g": {"terms": [["2", 0, 1, 0]]}}, "g.terms exponents must be integers"),
+        ({"schema": 1, "f": {"fourier": [], "n_samples": 8.0}}, "f.n_samples must be an even"),
+        ({"schema": 1, "h": {"fourier": [], "n_samples": True}}, "h.n_samples must be an even"),
+        ({"schema": 1, "seed": True}, "seed must be an integer"),
+        ({"schema": 1, "seed": 7.0}, "seed must be an integer"),
     ],
 )
 def test_parse_rejections(doc, fragment):
@@ -89,6 +103,18 @@ def test_parse_case_reports_json_line(tmp_path):
     with pytest.raises(CaseFormatError) as exc_info:
         cli.parse_case(str(path))
     assert "line 2" in str(exc_info.value)
+
+
+def test_parse_case_refuses_non_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"schema": 1, "seed": "\u00e9"}'.encode("latin-1"))
+    with pytest.raises(CaseFormatError) as exc_info:
+        cli.parse_case(str(path))
+    assert str(path) in str(exc_info.value)
+    assert "UTF-8" in str(exc_info.value)
+    rc = cli.main(["verify", "--case", str(path)])
+    assert rc == 2
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +222,7 @@ def test_identities_pass(capsys):
 
 def test_identities_failed_check_exits_1(monkeypatch, capsys):
     failing = verify.CheckResult.bound("planted", 2.0, 1.0, 0.0)
-    monkeypatch.setattr(verify, "bound_suite", lambda: [failing])
+    monkeypatch.setattr(verify, "oracle_suite", lambda: [failing])
     rc = cli.main(["identities"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
@@ -298,6 +324,16 @@ def test_lipschitz_all_zero_case_is_degenerate(tmp_path, capsys):
     case = write_case(tmp_path, {"schema": 1})
     rc = cli.main(["lipschitz", "--case", case])
     assert rc == 2
+
+
+def test_lipschitz_refuses_overflowing_constants(tmp_path, capsys):
+    # |g| = sqrt(2) 1e308 overflows P; nothing is printed as a result
+    doc = {"schema": 1, "g": {"terms": [[0, 0, 1e308, 1e308]]}}
+    rc = cli.main(["lipschitz", "--case", write_case(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "overflow" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

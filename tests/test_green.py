@@ -113,6 +113,37 @@ def test_h3_is_z_derivative_of_h2(z, zeta):
     assert green.h3_eval(z, zeta) == pytest.approx(fd, abs=1e-3)
 
 
+def _kernel_pairs(kind, n=2000):
+    """Seeded (z, zeta) pairs: anywhere in the disk, 1e-9 apart, or zeta 1e-9 inside the circle."""
+    rng = np.random.default_rng(20171)
+
+    def disk(rmax):
+        return np.sqrt(rng.uniform(0.0, rmax**2, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+    z = disk(0.99)
+    if kind == "near-diagonal":
+        return z, z + 1e-9 * np.exp(2j * np.pi * rng.uniform(size=n))
+    if kind == "near-circle":
+        return z, (1.0 - 1e-9) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return z, disk(0.999)
+
+
+@pytest.mark.parametrize("kind", ["anywhere", "near-diagonal", "near-circle"])
+def test_folded_kernels_match_unfolded_formulas(kind):
+    # h3 and g_dz are evaluated with their rational terms folded into one
+    # fraction; the unfolded sums are written out here on the same
+    # subexpressions. Near the circle the unfolded terms cancel to O(s^2),
+    # so the tolerance is relative to the sum of their magnitudes.
+    z, zeta = _kernel_pairs(kind)
+    parts = green.KernelParts(z, zeta)
+    d, w, s, log = parts.d, parts.w, parts.s, parts.log
+    h3_terms = (-s / (d * w), -np.conj(zeta) * s / w**2)
+    g_dz_terms = (np.conj(d) * log, -np.conj(d) * s / w, np.conj(z) * s)
+    for got, terms in ((green.h3_eval(z, zeta), h3_terms), (green.g_dz(z, zeta), g_dz_terms)):
+        scale = sum(np.abs(t) for t in terms)
+        assert np.all(np.abs(got - sum(terms)) <= 1e-12 * scale)
+
+
 def test_h2_real_and_log_divergent():
     # Approaching the diagonal the log ratio dominates and is positive.
     z = 0.3

@@ -243,6 +243,19 @@ def test_analyze_case_end_to_end():
     assert report.verdict == "lipschitz-only"
 
 
+@pytest.mark.parametrize("f, h, g", [
+    # P overflows: |g| = sqrt(2) 1e308
+    (BoundaryData.zero(), BoundaryData.zero(), SourceTerm([(0, 0, 1e308 + 1e308j)])),
+    # L overflows on the chord quotients
+    (BoundaryData.from_fourier([(1, 1e308 + 1e308j)]), BoundaryData.zero(), SourceTerm.zero()),
+    # A = |Phi_z(0)|^2 overflows as a float power
+    (BoundaryData.from_fourier([(1, 1e200)]), BoundaryData.zero(), SourceTerm.zero()),
+])
+def test_analyze_case_refuses_non_finite_constants(f, h, g):
+    with pytest.raises(DegenerateDataError, match="overflow"):
+        lipschitz.analyze_case(f, h, g)
+
+
 # ---------------------------------------------------------------------------
 # empirical quotient
 

@@ -181,16 +181,22 @@ def test_default_rules_bundle():
 
 
 def _full_grid(rule, integrand, center=None):
-    """Reference: values on the whole grid at once, row means, then one dot."""
+    """Reference: values on the whole grid at once, row means, then one dot.
+
+    The real and imaginary parts get their own row means and their own dot.
+    """
     circle = np.exp(1j * 2.0 * np.pi * np.arange(rule.n_angular) / rule.n_angular)
     if center is None:
         radii, w = rule.radial_nodes
-        vals = np.asarray(integrand(radii[:, None] * circle[None, :]), dtype=complex)
-        return complex(np.dot(2.0 * w, vals.mean(axis=1)))
-    rho, w = rule.centered_radial_nodes
-    zeta, jac = MobiusMap(center).pullback(rho[:, None] * circle[None, :])
-    vals = np.asarray(integrand(zeta), dtype=complex) * jac
-    return complex(np.dot(2.0 * rho * w, vals.mean(axis=1)))
+        weights = 2.0 * w
+        vals = np.asarray(integrand(radii[:, None] * circle[None, :]))
+    else:
+        rho, w = rule.centered_radial_nodes
+        weights = 2.0 * rho * w
+        zeta, jac = MobiusMap(center).pullback(rho[:, None] * circle[None, :])
+        vals = np.asarray(integrand(zeta)) * jac
+    return complex(np.dot(weights, vals.real.mean(axis=1)),
+                   np.dot(weights, vals.imag.mean(axis=1)))
 
 
 def _log_moment(c):
@@ -228,3 +234,24 @@ def test_stacked_integrand_equals_separate_calls(center):
     stacked = run(lambda z: np.stack([part(z) for part in parts]))
     assert stacked.shape == (3,)
     assert list(stacked) == [run(part) for part in parts]
+
+
+@pytest.mark.parametrize("center", [None, 0j, 0.5j, 0.9 + 0j])
+def test_real_integrand_equals_its_complex_cast(center):
+    # a real integrand is integrated in its own dtype, with the same sums
+    # its complex cast gets for the real part
+    def run(integrand):
+        if center is None:
+            return disk_integrate(DiskRule().doubled(), integrand)
+        return disk_integrate_centered(DiskRule(), integrand, center)
+
+    def real(z):
+        return np.stack([np.abs(z - 0.1), np.log(np.abs(z - 0.5j) ** 2), 1.0 - np.abs(z) ** 2])
+
+    got = run(real)
+    cast = run(lambda z: real(z).astype(complex))
+    assert got.dtype == cast.dtype == complex
+    assert list(got) == list(cast)
+    assert all(v.imag == 0.0 for v in got)
+    single = run(lambda z: real(z)[1])
+    assert single == run(lambda z: real(z)[1] + 0j) == got[1]

@@ -136,7 +136,13 @@ def test_bound_suite_green_mass_grows_toward_center():
     assert near_center <= 0.75
 
 
-@pytest.mark.parametrize("suite", [verify.identity_suite, verify.bound_suite])
+def test_oracle_suite_is_identities_then_bounds():
+    oracle = verify.oracle_suite()
+    assert len(oracle) == 85
+    assert oracle == verify.identity_suite() + verify.bound_suite()
+
+
+@pytest.mark.parametrize("suite", [verify.identity_suite, verify.bound_suite, verify.oracle_suite])
 def test_suite_working_memory_is_bounded(suite):
     suite()  # the rules' node caches are filled once per process
     tracemalloc.start()
