@@ -30,11 +30,11 @@ A ``DiskRule`` carries the resolution of both. Node sets, built with numpy
 alone, are cached per resolution.
 
 Both disk rules walk their grid in blocks of whole radial rows, about
-``_BLOCK_NODES`` (8192) nodes each; a recentred block is pulled back through
-the Mobius map and validated once. The integrand may return a stack of
-integrands, shape ``(k,) + zeta.shape``, which share that block's nodes and
-Jacobian; the result is then an array of k values. Integrand values keep
-their own dtype: a real integrand is never widened to complex. Working
+``_BLOCK_NODES`` (8192) evaluated nodes each; a recentred block is pulled back
+through the Mobius map and validated once. The integrand may return a stack
+of integrands, shape ``(k,) + zeta.shape``, which share that block's nodes
+and Jacobian; the result is then an array of k values. Integrand values
+keep their own dtype: a real integrand is never widened to complex. Working
 memory is one block's nodes plus whatever the integrand builds on them:
 64 KiB per real and 128 KiB per complex array, whatever the rule's
 resolution. Summation is angle first (the mean of each row, taken
@@ -44,6 +44,22 @@ part, the order a single pass over the whole grid uses. Block size does not
 change the result, a stacked integrand gets exactly what separate calls
 get, a real integrand gets exactly what its complex cast gets, and repeated
 calls are bitwise reproducible.
+
+Both rules take ``mirror``, a promise that the integrand takes equal values
+at zeta and at its reflection across the line through 0 and ``mirror`` (the
+real axis when ``mirror == 0``). That line must pass through a grid angle,
+n_angular arg(mirror) / pi an even integer, and n_angular must be even, so
+that the reflection maps the grid onto itself and fixes the two axis nodes
+of each row; otherwise ``DomainError``. Each row is then evaluated only on
+the n_angular / 2 + 1 angles of the closed half circle between the two axis
+directions, with the weights (1, 2, ..., 2, 1) / n_angular: the row mean is
+(2 * sum of the inner columns + (first + last)) / n_angular. A folded block
+holds twice the rows of an unfolded one. The recentred rule also needs its
+center on the mirror line: a Mobius map centred there commutes with the
+reflection, so the pulled-back integrand times the Jacobian is symmetric in
+the same way and is folded on the same half grid. The promises above hold
+for folded rows too; a folded result differs from the unfolded one by
+round-off only.
 """
 
 from __future__ import annotations
@@ -65,6 +81,8 @@ _BLOCK_NODES = 1 << 13
 _GEO_START = 1e-12
 _GEO_SPLIT = 0.5
 _PANEL_ORDER = 8
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -99,9 +117,10 @@ class DiskRule:
     """Resolution of the two disk rules, plain and recentred.
 
     n_radial only affects ``disk_integrate``; the radial grid of
-    ``disk_integrate_centered`` by the panel counts (the split points and
-    panel order are the constants ``_GEO_START``, ``_GEO_SPLIT``, ``_PANEL_ORDER``).
-    n_angular is shared.
+    ``disk_integrate_centered`` is set by the panel counts (the split points
+    and panel order are the constants ``_GEO_START``, ``_GEO_SPLIT``,
+    ``_PANEL_ORDER``). n_angular is shared; a folded rule (``mirror``) needs
+    it even.
     """
 
     n_radial: int = 128
@@ -136,7 +155,7 @@ class DiskRule:
         return _panel_radial(self.geo_panels, self.outer_panels)
 
 
-def disk_integrate(rule: DiskRule, integrand):
+def disk_integrate(rule: DiskRule, integrand, mirror: complex | None = None):
     """Integrate ``integrand(zeta)`` over the disk against dA = dx dy / pi.
 
     The integrand receives a 2d complex array of nodes, one block of radial
@@ -144,34 +163,70 @@ def disk_integrate(rule: DiskRule, integrand):
     (the result is a complex), or a stack of them, shape
     ``(k,) + zeta.shape`` (the result is an array of k complexes, one per
     integrand).
+
+    ``mirror`` promises that the integrand takes equal values at zeta and at
+    its reflection across the line through 0 and ``mirror`` (the real axis
+    when ``mirror == 0``); the rule then evaluates only the closed half
+    circle of each row on one side of that line (see the module docstring).
     """
     radii, w = rule.radial_nodes
-    circle = np.exp(1j * _circle_angles(rule.n_angular))
+    circle, _ = _angular_nodes(rule.n_angular, mirror)
 
     def block(rows):
         zeta = radii[rows, None] * circle[None, :]
         return _block_values(integrand, zeta)
 
-    return _sum_rows(block, 2.0 * w, rule.n_angular)
+    return _sum_rows(block, 2.0 * w, rule.n_angular, mirror is not None)
 
 
-def disk_integrate_centered(rule: DiskRule, integrand, center: complex):
+def disk_integrate_centered(rule: DiskRule, integrand, center: complex,
+                            mirror: complex | None = None):
     """Integrate with the pulled-back grid centered at the singular point.
 
     ``center`` must lie in the open unit disk. The integrand sees the
     physical nodes zeta (not the pulled-back ones), a block of rows at a
     time, and may return a stack of integrands as ``disk_integrate`` does;
-    the Jacobian of the substitution is applied internally.
+    the Jacobian of the substitution is applied internally. ``mirror`` is
+    the promise ``disk_integrate`` takes; ``center`` must then lie on the
+    mirror line, so that the Mobius map commutes with the reflection and the
+    pulled-back integrand is symmetric too.
     """
     mob = MobiusMap(center)
     rho, w = rule.centered_radial_nodes
-    circle = np.exp(1j * _circle_angles(rule.n_angular))
+    circle, axis = _angular_nodes(rule.n_angular, mirror)
+    if axis is not None and abs((mob.center * np.conj(axis)).imag) > 4 * _EPS * abs(mob.center):
+        raise DomainError("a folded recentred rule needs its center on the mirror line")
 
     def block(rows):
         zeta, jac = mob.pullback(rho[rows, None] * circle[None, :])
         return _block_values(integrand, zeta) * jac
 
-    return _sum_rows(block, 2.0 * rho * w, rule.n_angular)
+    return _sum_rows(block, 2.0 * rho * w, rule.n_angular, mirror is not None)
+
+
+def _angular_nodes(n, mirror):
+    """Unit-circle nodes of one row, and the mirror line's direction.
+
+    Without a mirror these are the n nodes e^{2 pi i k / n} (direction None).
+    With one, the line through 0 and ``mirror`` must pass through a node, so
+    that the grid is closed under the reflection across it and that node and
+    its opposite are fixed by it: n arg(mirror) / pi must be an even integer
+    (to round-off) and n even. The nodes are then the n/2 + 1 of the closed
+    half circle from that node, counterclockwise, to its opposite.
+    """
+    circle = np.exp(1j * _circle_angles(n))
+    if mirror is None:
+        return circle, None
+    if n % 2:
+        raise DomainError("a folded rule needs an even angular node count")
+    turns = n * np.angle(complex(mirror)) / np.pi
+    k = round(turns)
+    if k % 2 or abs(turns - k) > 4 * n * _EPS:
+        raise DomainError(
+            f"the {n}-angle grid is not closed under the reflection across the line "
+            f"through 0 and {complex(mirror)}")
+    start = k // 2
+    return circle[(start + np.arange(n // 2 + 1)) % n], circle[start % n]
 
 
 def _block_values(integrand, zeta):
@@ -184,14 +239,26 @@ def _block_values(integrand, zeta):
     return vals
 
 
-def _row_means(vals):
+def _row_mean(part, n, folded):
+    """Angular mean of each row of a real array.
+
+    A folded row is a closed half circle: its two ends stand for one node of
+    the full row each and every other column for two, the weights
+    (1, 2, ..., 2, 1) / n.
+    """
+    if not folded:
+        return part.mean(axis=-1)
+    return (2.0 * part[..., 1:-1].sum(axis=-1) + (part[..., 0] + part[..., -1])) / n
+
+
+def _row_means(vals, n, folded):
     """Angular means of the real and of the imaginary parts, stacked."""
-    re = vals.real.mean(axis=-1)
-    im = vals.imag.mean(axis=-1) if np.iscomplexobj(vals) else np.zeros_like(re)
+    re = _row_mean(vals.real, n, folded)
+    im = _row_mean(vals.imag, n, folded) if np.iscomplexobj(vals) else np.zeros_like(re)
     return np.stack([re, im])
 
 
-def _sum_rows(block, weights, n_angular):
+def _sum_rows(block, weights, n_angular, folded):
     """Sum of each row's angular mean times its radial weight.
 
     ``block(rows)`` returns the values on a slice of rows. The row means of
@@ -199,9 +266,10 @@ def _sum_rows(block, weights, n_angular):
     per integrand and part at the end, the order of a single pass over the
     whole grid.
     """
-    step = max(1, _BLOCK_NODES // n_angular)
+    step = max(1, _BLOCK_NODES // (n_angular // 2 + 1 if folded else n_angular))
     re, im = np.concatenate(
-        [_row_means(block(slice(i, i + step))) for i in range(0, weights.size, step)],
+        [_row_means(block(slice(i, i + step)), n_angular, folded)
+         for i in range(0, weights.size, step)],
         axis=-1)
     if re.ndim == 1:
         return complex(np.dot(weights, re), np.dot(weights, im))

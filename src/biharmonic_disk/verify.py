@@ -191,13 +191,14 @@ def _abs_masses(z: complex) -> list[tuple[str, complex, float]]:
 
     |.| breaks smoothness where the sign or a branch changes, so the masses
     are integrated on the plain rule at doubled resolution, not recentred,
-    all four in one pass that builds the kernels' shared parts once per block.
+    all four in one pass that builds the kernels' shared parts once per block
+    and folds its rows across the line through 0 and z (``mirror=z``).
     """
     def integrand(zeta):
         parts = green.KernelParts(z, zeta)
         return np.stack([np.abs(kernel(parts)) for _, kernel, _ in _ABS_MASS_BOUNDS])
 
-    masses = disk_integrate(DEFAULT_RULES.disk.doubled(), integrand)
+    masses = disk_integrate(DEFAULT_RULES.disk.doubled(), integrand, mirror=z)
     return [(name, mass, limit(z))
             for (name, _, limit), mass in zip(_ABS_MASS_BOUNDS, masses)]
 
@@ -205,10 +206,16 @@ def _abs_masses(z: complex) -> list[tuple[str, complex, float]]:
 def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
     """Every identity check, then every bound check, as ``identities`` reports them.
 
-    Per sample point one recentred pass integrates the three log-kernel
-    masses of ``identity_suite`` and j1, j2 of ``bound_suite`` together.
-    ``trace_kernel`` substitutes the trace kernel in the mean check (used by
-    the negative-control tests to prove the check can fail).
+    Per sample point z one recentred pass integrates the three log-kernel
+    masses of ``identity_suite`` and j1, j2 of ``bound_suite`` together, and
+    one plain pass at doubled resolution the four |K| masses. Every integrand
+    of both passes is a function of |zeta|, |zeta - z| and |1 - conj(zeta) z|,
+    so it is symmetric across the line through 0 and z, and both passes fold
+    their rows onto half circles (``mirror=z``); so does the radial area
+    integral behind j3 (``mirror=0``). Every sample point lies on a grid
+    angle of both disk rules, which the fold requires. ``trace_kernel``
+    substitutes the trace kernel in the mean check (used by the
+    negative-control tests to prove the check can fail).
     """
     tk = kernels.f0_eval if trace_kernel is None else trace_kernel
     identities: list[CheckResult] = []
@@ -236,12 +243,12 @@ def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
         identities.append(CheckResult.equality(
             f"moment-rule[beta=3,r={r:g}]", quad, series, 1e-10))
 
-    area = disk_integrate(DEFAULT_RULES.disk, lambda zeta: 1.0 - np.abs(zeta) ** 2).real
+    area = disk_integrate(DEFAULT_RULES.disk, lambda zeta: 1.0 - np.abs(zeta) ** 2, mirror=0j).real
     bounds: list[CheckResult] = []
     for z in SAMPLE_POINTS:
         name = _zkey(z)
         rep, ival, jval, j1, j2 = disk_integrate_centered(
-            DEFAULT_RULES.disk, lambda zeta: _log_integrands(z, zeta), center=z)
+            DEFAULT_RULES.disk, lambda zeta: _log_integrands(z, zeta), center=z, mirror=z)
         expected = (1.0 - abs(z) ** 4) / 4.0
         identities += [
             CheckResult.equality(

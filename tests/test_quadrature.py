@@ -223,12 +223,23 @@ def test_blocked_plain_rule_matches_full_grid():
     _assert_within_one_ulp(disk_integrate(rule, integrand), _full_grid(rule, integrand))
 
 
-@pytest.mark.parametrize("center", [None, 0j, 0.5j, 0.9 + 0j])
-def test_stacked_integrand_equals_separate_calls(center):
+# (center, mirror) of each rule case; center None is the plain rule
+_RULE_CASES = [pytest.param(c, None, id=str(c)) for c in (None, 0j, 0.5j, 0.9 + 0j)] + [
+    pytest.param(None, 0.5j, id="None-mirror"),
+    pytest.param(0.5j, 0.5j, id="0.5j-mirror"),
+]
+
+
+def _integrate(rule, integrand, center, mirror):
+    if center is None:
+        return disk_integrate(rule, integrand, mirror=mirror)
+    return disk_integrate_centered(rule, integrand, center, mirror=mirror)
+
+
+@pytest.mark.parametrize("center, mirror", _RULE_CASES)
+def test_stacked_integrand_equals_separate_calls(center, mirror):
     def run(integrand):
-        if center is None:
-            return disk_integrate(DiskRule(), integrand)
-        return disk_integrate_centered(DiskRule(), integrand, center)
+        return _integrate(DiskRule(), integrand, center, mirror)
 
     parts = [lambda z: np.ones(z.shape), lambda z: np.abs(z - 0.1), _log_moment(0.5j)]
     stacked = run(lambda z: np.stack([part(z) for part in parts]))
@@ -236,14 +247,13 @@ def test_stacked_integrand_equals_separate_calls(center):
     assert list(stacked) == [run(part) for part in parts]
 
 
-@pytest.mark.parametrize("center", [None, 0j, 0.5j, 0.9 + 0j])
-def test_real_integrand_equals_its_complex_cast(center):
+@pytest.mark.parametrize("center, mirror", _RULE_CASES)
+def test_real_integrand_equals_its_complex_cast(center, mirror):
     # a real integrand is integrated in its own dtype, with the same sums
     # its complex cast gets for the real part
     def run(integrand):
-        if center is None:
-            return disk_integrate(DiskRule().doubled(), integrand)
-        return disk_integrate_centered(DiskRule(), integrand, center)
+        rule = DiskRule().doubled() if center is None else DiskRule()
+        return _integrate(rule, integrand, center, mirror)
 
     def real(z):
         return np.stack([np.abs(z - 0.1), np.log(np.abs(z - 0.5j) ** 2), 1.0 - np.abs(z) ** 2])
@@ -255,3 +265,46 @@ def test_real_integrand_equals_its_complex_cast(center):
     assert all(v.imag == 0.0 for v in got)
     single = run(lambda z: real(z)[1])
     assert single == run(lambda z: real(z)[1] + 0j) == got[1]
+
+
+# ---------------------------------------------------------------------------
+# mirror-folded rows
+
+
+def _mirror_symmetric(c):
+    # complex, and symmetric across the line through 0 and c; log-singular at c
+    return lambda zeta: (1.0 + 0.5j + np.abs(zeta) ** 2) * np.log(np.abs(zeta - c) ** 2)
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "centered"])
+@pytest.mark.parametrize("center", [0j, 0.25 + 0j, 0.5 * np.exp(1j * np.pi / 4), 0.9 + 0j])
+def test_folded_rule_matches_full_grid(center, plain):
+    rule = DiskRule().doubled() if plain else DiskRule()
+    columns = set()
+
+    def integrand(zeta):
+        columns.add(zeta.shape[-1])
+        return _mirror_symmetric(center)(zeta)
+
+    if plain:
+        got = disk_integrate(rule, integrand, mirror=center)
+        ref = _full_grid(rule, _mirror_symmetric(center))
+    else:
+        got = disk_integrate_centered(rule, integrand, center, mirror=center)
+        ref = _full_grid(rule, _mirror_symmetric(center), center)
+    assert columns == {rule.n_angular // 2 + 1}  # a closed half circle per row
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("call", [
+    # an odd angular count has no node opposite the axis node
+    lambda f: disk_integrate(DiskRule(n_angular=255), f, mirror=0j),
+    # the mirror line passes between two grid angles, or through none
+    lambda f: disk_integrate(DiskRule(), f, mirror=np.exp(1j * np.pi / 256)),
+    lambda f: disk_integrate_centered(DiskRule(), f, 0j, mirror=np.exp(0.1j)),
+    # a Mobius map centred off the mirror line does not commute with the reflection
+    lambda f: disk_integrate_centered(DiskRule(), f, 0.3j, mirror=0.5),
+], ids=["odd-count", "between-angles", "off-grid", "center-off-axis"])
+def test_folded_rule_refusals(call):
+    with pytest.raises(DomainError):
+        call(lambda z: np.ones(z.shape))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biharmonic_disk import solver, verify
+from biharmonic_disk import green, lipschitz, solver, verify
 from biharmonic_disk.errors import DomainError, FingerprintMismatchError
 from biharmonic_disk.solver import BoundaryData, SourceTerm, solve_grid
 from biharmonic_disk.verify import CheckResult, manufactured_case
@@ -140,6 +140,56 @@ def test_oracle_suite_is_identities_then_bounds():
     oracle = verify.oracle_suite()
     assert len(oracle) == 85
     assert oracle == verify.identity_suite() + verify.bound_suite()
+
+
+# |z| that scripts/bound_margins.py sweeps: its default radii and the CI smoke run's
+_MARGIN_RADII = (0.0, 0.2, 0.3, 0.4, 0.6, 0.8, 0.9)
+
+
+def _disk_nodes(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.sqrt(rng.uniform(0.0, 0.999, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+def _mirror_image(z, zeta):
+    # reflection across the line through 0 and z; the real axis for z = 0
+    u = z / abs(z) if z else 1.0
+    return u * u * np.conj(zeta)
+
+
+@pytest.mark.parametrize(
+    "z", list(dict.fromkeys([*verify.SAMPLE_POINTS, *map(complex, _MARGIN_RADII)])),
+    ids=verify._zkey)
+def test_folded_integrands_are_mirror_symmetric(z):
+    # the oracle folds every disk integral at z across the line through 0 and
+    # z; that is exact only if each integrand takes equal values at mirror nodes
+    def integrands(zeta):
+        parts = green.KernelParts(z, zeta)
+        masses = [np.abs(kernel(parts)) for _, kernel, _ in verify._ABS_MASS_BOUNDS]
+        return np.concatenate([masses, verify._log_integrands(z, zeta)])
+
+    zeta = _disk_nodes(4000, seed=11)
+    here, there = integrands(zeta), integrands(_mirror_image(z, zeta))
+    assert here.shape == (9, 4000)
+    np.testing.assert_allclose(there, here, rtol=1e-12, atol=1e-14)
+
+
+def test_origin_green_integrand_is_not_mirror_symmetric(monkeypatch):
+    # compute_ab's Green terms integrate conj(zeta) w(zeta) g(zeta), which the
+    # reflection zeta -> conj(zeta) does not preserve for a generic load, so
+    # that pass must not fold
+    seen = {}
+
+    def capture(rule, integrand, center, mirror=None):
+        seen.update(integrand=integrand, center=center, mirror=mirror)
+        return np.zeros(2, dtype=complex)
+
+    monkeypatch.setattr(lipschitz, "disk_integrate_centered", capture)
+    lipschitz._origin_green_terms(SourceTerm([(0, 0, 0.5), (2, 1, 1.0 - 1j)]))
+    assert seen["center"] == 0 and seen["mirror"] is None
+    zeta = _disk_nodes(4000, seed=11)
+    here, there = seen["integrand"](zeta), seen["integrand"](np.conj(zeta))
+    assert np.max(np.abs(there - here)) > 0.1 * np.max(np.abs(here))
 
 
 @pytest.mark.parametrize("suite", [verify.identity_suite, verify.bound_suite, verify.oracle_suite])
