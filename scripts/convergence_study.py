@@ -1,13 +1,10 @@
 #!/usr/bin/env python3
-"""Convergence study: solver error and finite-difference residual vs resolution.
+"""Convergence study: the finite-difference residual vs spacing.
 
-Two sweeps on manufactured polynomial solutions:
-
-  * solution error: sup |Phi - Phi*| over polar grids of increasing size,
-    which should sit at the round-off floor for every polynomial case;
-  * residual order: the finite-difference bilaplacian residual at a
-    sequence of spacings, second order (slope ~ 2) on degree-6 solutions
-    and at the floor on quartics.
+The finite-difference bilaplacian residual of a manufactured polynomial
+solution at a sequence of spacings: second order (slope ~ 2) on degree-6
+solutions and at the floor on quartics. The solver itself is exact for
+this data, so only the check's own discretisation error varies.
 
 Run from the repository root:
 
@@ -20,7 +17,7 @@ import argparse
 
 import numpy as np
 
-from biharmonic_disk import SourceTerm, manufactured_case, solve_grid
+from biharmonic_disk import SourceTerm, manufactured_case
 from biharmonic_disk.verify import fd_bilaplacian_residual
 
 CASES = {
@@ -30,20 +27,6 @@ CASES = {
     "sextic": SourceTerm.monomial(3, 3),  # |z|^6
     "swirl": SourceTerm([(3, 1, 1.0), (2, 2, 0.5)]),  # non-radial degree 4
 }
-
-# Polar grids (n_r, n_theta) of the solution error sweep, and their outer radius.
-GRIDS = ((8, 16), (16, 32), (32, 64))
-R_MAX = 0.9
-
-
-def solution_error_sweep(name: str) -> None:
-    case = manufactured_case(CASES[name])
-    print(f"\nsolution error, case {name!r}, r <= {R_MAX:g}")
-    print(f"{'grid':>10}  {'sup error':>12}")
-    for n_r, n_theta in GRIDS:
-        fld = solve_grid(case.f, case.h, case.g, n_r, n_theta, r_max=R_MAX)
-        err = float(np.max(np.abs(fld.values - case.phi_star(fld.points))))
-        print(f"{n_r:>4}x{n_theta:<5}  {err:12.3e}")
 
 
 def residual_sweep(name: str, spacings, extent: float) -> None:
@@ -69,7 +52,6 @@ def main() -> None:
     parser.add_argument("--extent", type=float, default=0.5,
                         help="half-width of the residual grid")
     args = parser.parse_args()
-    solution_error_sweep(args.case)
     residual_sweep(args.case, [float(s) for s in args.spacings.split(",")], args.extent)
 
 

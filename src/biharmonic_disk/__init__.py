@@ -35,6 +35,7 @@ from .solver import (
     solve_grid,
     solve_point,
     solve_points,
+    table_coefficients,
 )
 from .lipschitz import (
     ABResult,
@@ -57,6 +58,7 @@ from .verify import (
     manufactured_case,
     oracle_suite,
     solution_error,
+    uniqueness_checks,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

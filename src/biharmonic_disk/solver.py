@@ -53,6 +53,7 @@ with radii r_max * k / n_r.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -367,6 +368,28 @@ def _check_points(zs: np.ndarray) -> None:
     r = np.abs(zs)
     if np.any(r > 1.0 + _CIRCLE_SLACK):
         raise DomainError(f"radius {float(r.max())} lies outside the closed unit disk")
+
+
+def table_coefficients(f: Optional[BoundaryData] = None, h: Optional[BoundaryData] = None,
+                       g: Optional[SourceTerm] = None) -> np.ndarray:
+    """The table expanded as Phi = sum of c[d, l] w_d t^l, w_d = z^d or zbar^|d| (d < 0).
+
+    Rows run in FFT order (``c[d, l]`` takes either sign of d) over the modes of
+    the table, of f and h, and +-1; row s^p t^j adds C(p, k) (-1)^k to level j + k.
+    """
+    blocks = [b for b in (_boundary_rows(f, h), _load_rows(g)) if b is not None]
+    width = max([a.shape[0] for _, _, a, _ in blocks]
+                + [d.n // 2 + 1 for d in (f, h) if d is not None] + [2])
+    depth = max((p + j for ps, js, _, _ in blocks for p, j in zip(ps, js)), default=0) + 1
+    c = np.zeros((2 * width - 1, depth), dtype=complex)
+    for ps, js, alpha, beta in blocks:
+        d = np.arange(alpha.shape[0])
+        for row, (p, j) in enumerate(zip(ps, js)):
+            for k in range(p + 1):
+                weight = math.comb(p, k) * (-1) ** k
+                c[d, j + k] += weight * alpha[:, row]
+                c[-d, j + k] += weight * beta[:, row]
+    return c
 
 
 def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):

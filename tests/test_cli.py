@@ -351,6 +351,19 @@ def test_verify_pure_load_case(tmp_path, capsys):
     assert doc["passed"] is True
     names = [c["name"] for c in doc["checks"]]
     assert names[0].startswith("fd-bilaplacian-residual")
-    assert any(n.startswith("trace-recovery") for n in names)
-    assert "trace-exact[r=1]" in names and "normal-trace-exact[r=1]" in names
-    assert any(n.startswith("gradient-crosscheck") for n in names)
+    exact = ["trace-modes-exact", "normal-modes-exact", "bilaplacian-exact",
+             "trace-exact[r=1]", "normal-trace-exact[r=1]"]
+    assert names[1:6] == exact
+    assert all(n.startswith("gradient-crosscheck") for n in names[6:])
+    # S = sum |g_k| = 4 for g = 4, so every exact check carries 4e-12
+    assert {c["tolerance"] for c in doc["checks"] if c["name"] in exact} == {4e-12}
+
+
+def test_verify_accepts_four_samples(tmp_path, capsys):
+    # solve accepts 4-sample data, and so must verify: its tolerances come
+    # from the data's coefficients, not a chord estimate needing 8 samples
+    case = write_case(tmp_path, {"f": {"n_samples": 4, "fourier": [[1, 1.0, 0.0]]}})
+    rc = cli.main(["verify", "--case", case])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "9/9 checks passed" in out

@@ -434,6 +434,51 @@ def test_solve_points_matches_individual_solves():
 
 
 # ---------------------------------------------------------------------------
+# table coefficients
+
+_COEF = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16), _COEF), max_size=5))
+def test_table_coefficients_are_the_manufactured_solution(terms):
+    # w_d t^l is a basis, so the table of the unique solution holds Phi*'s
+    # term z^a zbar^b at (a - b, min(a, b)) and nothing else. The FFT of the
+    # 512 samples leaves ~eps noise in every mode m, which the s^1 row scales
+    # by m/2: 4,000 examples reached 38 eps.
+    phi = SourceTerm(terms)
+    case = verify.manufactured_case(phi)
+    coef = solver.table_coefficients(case.f, case.h, case.g)
+    expected = np.zeros_like(coef)
+    for a, b, c in phi.terms:
+        expected[a - b, min(a, b)] += c
+    scale = sum((1 + a + b) * abs(c) for a, b, c in phi.terms)
+    assert np.max(np.abs(coef - expected)) <= 256 * np.finfo(float).eps * max(1.0, scale)
+
+
+def test_table_coefficients_cover_the_data_modes():
+    # rows run 0..N/2 then -N/2..-1 for the widest data, even when it is zero,
+    # and always hold the modes +-1 that compute_ab reads
+    coef = solver.table_coefficients(BoundaryData.zero(8), BoundaryData.zero(16),
+                                     SourceTerm.monomial(0, 2))
+    assert coef.shape == (17, 3)
+    assert coef[-2, 0] == pytest.approx(1.0 / 24.0)
+    assert solver.table_coefficients(g=SourceTerm.constant(2.0))[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("data", [
+    ([(1, 1.0)], [], []),
+    ([(1, 0.3 - 0.2j), (-1, 0.7j), (4, 1.0)], [(-1, 2.0), (1, -0.5)], [(2, 1, 1.0 - 1j)]),
+    ([], [(0, 1.0)], [(0, 1, 0.25j), (3, 2, 2.0), (0, 0, 1.0)]),
+])
+def test_table_coefficients_hold_the_origin_gradient(data):
+    f_modes, h_modes, terms = data
+    f, h = BoundaryData.from_fourier(f_modes, 64), BoundaryData.from_fourier(h_modes, 32)
+    g = SourceTerm(terms)
+    coef = solver.table_coefficients(f, h, g)
+    assert (coef[1, 0], coef[-1, 0]) == solver.gradient_point(f, h, g, 0j)
+
+
+# ---------------------------------------------------------------------------
 # gradients
 
 
