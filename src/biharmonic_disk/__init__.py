@@ -6,7 +6,6 @@ from .errors import (
     CaseFormatError,
     DegenerateDataError,
     DomainError,
-    FingerprintMismatchError,
     SingularityError,
 )
 from .kernels import f0_dz, f0_eval, h0_dz, h0_eval, kernel_moment, kernel_moment_series
@@ -57,7 +56,6 @@ from .verify import (
     identity_suite,
     manufactured_case,
     oracle_suite,
-    solution_error,
     uniqueness_checks,
 )
 

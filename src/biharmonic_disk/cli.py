@@ -27,9 +27,11 @@ values and ``verify``'s ``normal-trace-exact[r=1]`` by round-off.
 Commands: identities, solve, verify, lipschitz, kernel. Every check runs
 at its fixed tolerance, and the ``verify`` residual at spacing 0.02. Exit
 status is 0 only on full success; malformed input and refused points or
-data exit 2, failed checks and I/O errors exit 1. ``solve`` evaluates every
-grid node, so the ``failures`` key of its output is always ``[]``; it is
-kept because the benchmark harness under ``perfbench/`` reads it.
+data (such as boundary data whose spectrum overflows) exit 2, failed checks
+and I/O errors exit 1. ``solve`` writes ``solver.case_fingerprint`` of the
+data with the field. It evaluates every grid node, so the ``failures`` key
+of its output is always ``[]``; it is kept because the benchmark harness
+under ``perfbench/`` reads it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import __version__, green, kernels, lipschitz, verify
 from .errors import CaseFormatError, DegenerateDataError, DomainError, SingularityError
-from .solver import BoundaryData, SourceTerm, solve_grid
+from .solver import BoundaryData, SourceTerm, case_fingerprint, solve_grid
 
 _SCHEMA = 1
 
@@ -251,7 +253,7 @@ def cmd_solve(args) -> int:
     rows = np.stack(parts, axis=-1).reshape(-1, len(columns)).tolist()
     doc = {
         "schema": _SCHEMA,
-        "case_fingerprint": field.fingerprint,
+        "case_fingerprint": case_fingerprint(case.f, case.h, case.g),
         "tool_version": __version__,
         "n_r": field.n_r,
         "n_theta": field.n_theta,

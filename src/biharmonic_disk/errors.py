@@ -17,9 +17,5 @@ class DegenerateDataError(ValueError):
     """Input data too small or trivial for the requested operation."""
 
 
-class FingerprintMismatchError(ValueError):
-    """A solution field was paired with a case it was not computed from."""
-
-
 class CaseFormatError(ValueError):
     """A case file failed structural validation."""

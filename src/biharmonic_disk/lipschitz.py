@@ -32,7 +32,6 @@ _COEFF_L = 220.0 / 3.0
 _COEFF_H = 4.0
 _COEFF_G = 23.0 / 3.0
 
-_MIN_SAMPLES = 8
 _PAIR_EPS = 1e-12
 
 # Chord pairs held at once by estimate_boundary_lipschitz.
@@ -94,10 +93,6 @@ def estimate_boundary_lipschitz(f: BoundaryData) -> float:
     walked by offset, at most ``_PAIR_BLOCK`` of them at a time.
     """
     n = f.n
-    if n < _MIN_SAMPLES:
-        raise DegenerateDataError(
-            f"need at least {_MIN_SAMPLES} boundary samples, got {n}"
-        )
     pts = np.exp(1j * _circle_angles(n))
     # row k of each view is the array shifted by k: entry j is node j + k mod n
     f_shift = sliding_window_view(np.concatenate([f.samples, f.samples]), n)

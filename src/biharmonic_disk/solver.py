@@ -11,10 +11,11 @@ normal-derivative kernels and G[.] is the Green potential
 
     G[g](z) = int_D G(z, zeta) g(zeta) dA(zeta).
 
-Boundary data is canonically a vector of uniform samples (``BoundaryData``),
-loads are finite sums of monomials z^a conj(z)^b (``SourceTerm``). For this
-data model every transform has a closed form, and together they make Phi a
-polynomial in z and zbar of Almansi's shape (s = 1 - |z|^2, t = |z|^2):
+Boundary data is canonically a vector of uniform samples (``BoundaryData``,
+which computes its spectrum once, at construction), loads are finite sums of
+monomials z^a conj(z)^b (``SourceTerm``). For this data model every
+transform has a closed form, and together they make Phi a polynomial in z
+and zbar of Almansi's shape (s = 1 - |z|^2, t = |z|^2):
 
     Phi(z) = sum over rows (p, j) of s^p t^j (alpha_pj(z) + beta_pj(zbar)).
 
@@ -23,7 +24,7 @@ polynomial in z and zbar of Almansi's shape (s = 1 - |z|^2, t = |z|^2):
 * Boundary, rows (0, 0) and (1, 0). F0 acts on the mode e^{i m theta} as
   the multiplier r^|m| (1 + |m| s / 2) and H0 as r^|m| s / 2. Splitting the
   data into u = A(z) + B(zbar), the analytic and antianalytic parts of its
-  harmonic extension,
+  harmonic extension (coefficients ``BoundaryData.a`` and ``.b``),
 
       F0[f] = u + (s/2) (z A'(z) + zbar B'(zbar)),    H0[h] = (s/2) u.
 
@@ -88,9 +89,17 @@ class BoundaryData:
     whenever every |mode| < N/2; ``eval_at`` evaluates the band-limited
     trigonometric interpolant (real-symmetric Nyquist convention), so
     resampling to a finer uniform grid is lossless.
+
+    The spectrum is computed once, by one FFT at construction: ``a`` and
+    ``b`` are the coefficients of the interpolant's harmonic extension
+    u = sum_m a_m z^m + sum_m b_m zbar^m. a holds the modes 0..N/2, b the
+    modes 0, -1..-N/2 (b_0 = 0). The Nyquist coefficient is halved into
+    both, so the interpolant carries it as a cosine. ``samples``, ``a`` and
+    ``b`` are read-only arrays. Samples whose spectrum overflows double
+    precision raise ``DegenerateDataError``.
     """
 
-    __slots__ = ("samples",)
+    __slots__ = ("samples", "a", "b")
 
     def __init__(self, samples):
         arr = np.asarray(samples, dtype=complex).copy()
@@ -100,8 +109,18 @@ class BoundaryData:
             )
         if not np.all(np.isfinite(arr)):
             raise DegenerateDataError("boundary samples must be finite")
-        arr.setflags(write=False)
-        self.samples = arr
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = np.fft.fft(arr) / arr.size
+        if not np.all(np.isfinite(coef)):
+            raise DegenerateDataError(
+                "the spectrum of the boundary samples overflows double precision")
+        half = arr.size // 2
+        nyquist = 0.5 * coef[half]
+        a = np.concatenate((coef[:half], [nyquist]))
+        b = np.concatenate(([0.0], coef[:half:-1], [nyquist]))
+        for part in (arr, a, b):
+            part.setflags(write=False)
+        self.samples, self.a, self.b = arr, a, b
 
     @property
     def n(self) -> int:
@@ -135,23 +154,14 @@ class BoundaryData:
 
     def eval_at(self, theta) -> np.ndarray:
         w = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=float)))
-        a, b = self._harmonic_parts()
-        return _polyval(w, a) + _polyval(np.conj(w), b)
+        return _polyval(w, self.a) + _polyval(np.conj(w), self.b)
 
-    def _harmonic_parts(self):
-        """Coefficients (a, b) with u = sum_m a_m z^m + sum_m b_m zbar^m.
-
-        u is the harmonic extension of the interpolant: a holds the modes
-        0..N/2, b the modes 0, -1..-N/2 (b_0 = 0). The Nyquist coefficient is
-        halved into both, so the interpolant carries it as a cosine
-        (real-symmetric convention).
-        """
-        half = self.n // 2
-        coef = np.fft.fft(self.samples) / self.n
-        nyquist = 0.5 * coef[half]
-        a = np.concatenate((coef[:half], [nyquist]))
-        b = np.concatenate(([0.0], coef[:half:-1], [nyquist]))
-        return a, b
+    def modes(self, n: int) -> np.ndarray:
+        """The spectrum as n > N coefficients in FFT order: a at modes 0..N/2, b at -1..-N/2."""
+        out = np.zeros(n, dtype=complex)
+        out[: self.a.size] = self.a
+        out[n - self.b.size + 1 :] = self.b[:0:-1]
+        return out
 
     def resample(self, n_nodes: int) -> np.ndarray:
         """Samples of the interpolant at n_nodes >= N uniform angles.
@@ -166,11 +176,7 @@ class BoundaryData:
             raise DegenerateDataError(
                 f"cannot resample {self.n} samples to {n_nodes} nodes without aliasing"
             )
-        a, b = self._harmonic_parts()
-        padded = np.zeros(n_nodes, dtype=complex)
-        padded[: a.size] = a
-        padded[n_nodes - b.size + 1 :] = b[:0:-1]
-        return np.fft.ifft(padded) * n_nodes
+        return np.fft.ifft(self.modes(n_nodes)) * n_nodes
 
     def sup_norm(self) -> float:
         dense = max(2048, self.n)
@@ -401,8 +407,7 @@ def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
     a_f, b_f, a_h, b_h = np.zeros((4, width), dtype=complex)
     for d, a_out, b_out in ((f, a_f, b_f), (h, a_h, b_h)):
         if d is not None:
-            a, b = d._harmonic_parts()
-            a_out[:a.size], b_out[:b.size] = a, b
+            a_out[:d.a.size], b_out[:d.b.size] = d.a, d.b
     m = np.arange(width)
     alpha = np.stack([a_f, 0.5 * (m * a_f + a_h)], axis=1)
     beta = np.stack([b_f, 0.5 * (m * b_f + b_h)], axis=1)
@@ -481,7 +486,6 @@ class SolutionField:
     values: np.ndarray
     d_z: Optional[np.ndarray]
     d_zbar: Optional[np.ndarray]
-    fingerprint: str
     r_max: float
     failures: list = field(default_factory=list)
 
@@ -521,6 +525,5 @@ def solve_grid(f: BoundaryData, h: BoundaryData, g: SourceTerm,
         values=outs[0],
         d_z=d_z,
         d_zbar=d_zbar,
-        fingerprint=case_fingerprint(f, h, g),
         r_max=r_max,
     )

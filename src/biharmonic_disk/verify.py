@@ -24,7 +24,7 @@ import numpy as np
 
 from . import green, kernels
 from .green import _abs2
-from .errors import DomainError, FingerprintMismatchError
+from .errors import DomainError
 from .quadrature import (
     DEFAULT_RULES,
     _circle_angles,
@@ -35,9 +35,7 @@ from .quadrature import (
 from .solver import (
     BoundaryData,
     Solution,
-    SolutionField,
     SourceTerm,
-    case_fingerprint,
     gradient_point,
     solve_points,
     table_coefficients,
@@ -338,21 +336,15 @@ def fd_bilaplacian_residual(case, grid_spacing: float, extent: float = 0.8,
         f"fd-bilaplacian-residual[h={h:g}]", float(np.max(resid[ok])), 0.0, tolerance)
 
 
-def _spectrum(data: BoundaryData, n: int) -> np.ndarray:
-    """Data's modes in the FFT order of n table rows, Nyquist split as in the table."""
-    a, b = data._harmonic_parts()
-    return np.concatenate([a, np.zeros(n + 1 - 2 * a.size), b[:0:-1]])
-
-
 def _exact_checks(case, gaps) -> list[CheckResult]:
     """Per (name, gap array), its largest |entry| against 1e-12 max(1, S).
 
     S = sum (1 + |m|)|f_m| + sum |h_m| + sum |g_k| serves every check:
     per-check scales fail, because the s^1 row cancels across levels.
     """
-    a, b = case.f._harmonic_parts()
-    scale = (np.sum((1 + np.arange(a.size)) * (np.abs(a) + np.abs(b)))
-             + np.sum(np.abs(case.h._harmonic_parts())) + case.g.sup_norm_bound())
+    f, h = case.f, case.h
+    scale = (np.sum((1 + np.arange(f.a.size)) * (np.abs(f.a) + np.abs(f.b)))
+             + np.sum(np.abs([h.a, h.b])) + case.g.sup_norm_bound())
     tol = 1e-12 * max(1.0, float(scale))
     return [CheckResult.equality(name, float(np.max(np.abs(gap))), 0.0, tol)
             for name, gap in gaps]
@@ -375,8 +367,8 @@ def uniqueness_checks(case) -> list[CheckResult]:
     for a, b, coef in case.g.terms:
         bilap[a - b, min(a, b)] -= coef
     return _exact_checks(case, (
-        ("trace-modes-exact", np.sum(c, axis=1) - _spectrum(case.f, n)),
-        ("normal-modes-exact", -np.sum((d + 2 * l) * c, axis=1) - _spectrum(case.h, n)),
+        ("trace-modes-exact", np.sum(c, axis=1) - case.f.modes(n)),
+        ("normal-modes-exact", -np.sum((d + 2 * l) * c, axis=1) - case.h.modes(n)),
         ("bilaplacian-exact", bilap)))
 
 
@@ -415,16 +407,3 @@ def gradient_crosscheck(case, points: Sequence[complex],
             f"gradient-crosscheck[z={_zkey(z)}]", gap, 0.0, tolerance))
     return checks
 
-
-def solution_error(case: ManufacturedCase, field: SolutionField) -> CheckResult:
-    """Sup of |computed - phi_star| over the field's nodes with r <= 0.9, to 1e-8."""
-    expected = case_fingerprint(case.f, case.h, case.g)
-    if field.fingerprint != expected:
-        raise FingerprintMismatchError(
-            "field fingerprint does not match this case's data"
-        )
-    sel = field.radii <= 0.9 + 1e-12
-    pts = field.points[sel]
-    diff = np.abs(field.values[sel] - case.phi_star.evaluate(pts))
-    err = float(np.max(diff)) if diff.size else 0.0
-    return CheckResult.equality("solution-error", err, 0.0, 1e-8)

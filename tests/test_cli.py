@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from biharmonic_disk import cli, verify
+from biharmonic_disk import cli, solver, verify
 from biharmonic_disk.errors import CaseFormatError
 
 
@@ -18,6 +18,9 @@ def write_case(tmp_path, doc, name="case.json"):
 PURE_LOAD = {"schema": 1, "g": {"terms": [[0, 0, 4.0, 0.0]]}}
 ROTATION = {"schema": 1, "f": {"fourier": [[1, 1.0, 0.0]]}}
 CONSTANT = {"schema": 1, "f": {"fourier": [[0, 1.0, 0.0]]}}
+FOUR_SAMPLES = {"f": {"n_samples": 4, "fourier": [[1, 1.0, 0.0]]}}
+# finite samples whose spectrum overflows double precision
+OVERFLOW = {"f": {"fourier": [[1, 1e308, 1e308]]}}
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +205,29 @@ def test_solve_unwritable_output_leaves_no_file(tmp_path):
     assert not target_dir.exists()
 
 
+def test_solve_fingerprint_matches_case(tmp_path):
+    doc = {"schema": 1, "f": {"fourier": [[1, 1.0, 0.0]]}, "h": {"fourier": [[0, -4.0, 0.0]]},
+           "g": {"terms": [[1, 1, 2.0, 0.5]]}}
+    case = write_case(tmp_path, doc)
+    out = str(tmp_path / "field.json")
+    assert cli.main(["solve", "--case", case, "--grid", "4,4", "--out", out]) == 0
+    parsed = cli.parse_case(case)
+    expected = solver.case_fingerprint(parsed.f, parsed.h, parsed.g)
+    assert json.loads(open(out).read())["case_fingerprint"] == expected
+
+
+def test_overflowing_spectrum_is_refused(tmp_path, capsys):
+    case = write_case(tmp_path, OVERFLOW)
+    out = tmp_path / "field.json"
+    for argv in (["solve", "--case", case, "--grid", "4,4", "--out", str(out)],
+                 ["verify", "--case", case]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "overflow" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+
+
 def test_solve_missing_case_file(tmp_path):
     rc = cli.main(["solve", "--case", str(tmp_path / "nope.json"),
                    "--grid", "4,4", "--out", str(tmp_path / "o.json")])
@@ -326,6 +352,14 @@ def test_lipschitz_all_zero_case_is_degenerate(tmp_path, capsys):
     assert rc == 2
 
 
+def test_lipschitz_accepts_four_samples(tmp_path, capsys):
+    rc = cli.main(["lipschitz", "--case", write_case(tmp_path, FOUR_SAMPLES)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("L (boundary Lipschitz estimate) = 1\n")
+    assert "verdict: lipschitz-only" in out
+
+
 def test_lipschitz_refuses_overflowing_constants(tmp_path, capsys):
     # |g| = sqrt(2) 1e308 overflows P; nothing is printed as a result
     doc = {"schema": 1, "g": {"terms": [[0, 0, 1e308, 1e308]]}}
@@ -361,9 +395,8 @@ def test_verify_pure_load_case(tmp_path, capsys):
 
 def test_verify_accepts_four_samples(tmp_path, capsys):
     # solve accepts 4-sample data, and so must verify: its tolerances come
-    # from the data's coefficients, not a chord estimate needing 8 samples
-    case = write_case(tmp_path, {"f": {"n_samples": 4, "fourier": [[1, 1.0, 0.0]]}})
-    rc = cli.main(["verify", "--case", case])
+    # from the data's coefficients
+    rc = cli.main(["verify", "--case", write_case(tmp_path, FOUR_SAMPLES)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "9/9 checks passed" in out

@@ -121,9 +121,26 @@ def test_unresolvable_mode_is_rejected():
 
 
 def test_samples_are_read_only():
-    data = BoundaryData.zero(8)
-    with pytest.raises(ValueError):
-        data.samples[0] = 1.0
+    data = BoundaryData.from_fourier([(1, 1.0), (-2, 0.5j)], 8)
+    for part in (data.samples, data.a, data.b):
+        with pytest.raises(ValueError):
+            part[0] = 1.0
+
+
+def test_spectrum_overflow_is_refused_at_construction():
+    # samples of 1e308 (1 + i) e^{i theta} are finite, but their FFT sums overflow
+    with pytest.raises(DegenerateDataError, match="overflow"):
+        BoundaryData.from_fourier([(1, 1e308 + 1e308j)])
+
+
+@pytest.mark.parametrize("n_samples, n", [(4, 5), (16, 17), (16, 40), (64, 129)])
+def test_modes_are_the_interpolant_in_fft_order(n_samples, n):
+    rng = np.random.default_rng(n_samples + n)
+    data = BoundaryData(rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples))
+    spectrum = data.modes(n)
+    assert spectrum.shape == (n,)
+    values = np.fft.ifft(spectrum) * n
+    assert np.allclose(values, data.eval_at(CircleRule(n).thetas), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +573,6 @@ def test_grid_geometry():
     assert field.n_r == 4 and field.n_theta == 8
     assert field.points.shape == (4, 8)
     assert np.all(field.values == 0.0)
-
-
-def test_grid_fingerprint_matches_case(reference_cases, reference_fields):
-    case = reference_cases["bump"]
-    field = reference_fields["bump"]
-    assert field.fingerprint == case_fingerprint(case.f, case.h, case.g)
 
 
 def test_reference_fields_match_exact_solutions(reference_cases, reference_fields):

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biharmonic_disk import green, lipschitz, solver, verify
-from biharmonic_disk.errors import DomainError, FingerprintMismatchError
-from biharmonic_disk.solver import BoundaryData, SourceTerm, solve_grid
+from biharmonic_disk.errors import DomainError
+from biharmonic_disk.solver import BoundaryData, SourceTerm
 from biharmonic_disk.verify import CheckResult, manufactured_case
 
 
@@ -392,6 +392,20 @@ def test_exact_trace_catches_an_unsplit_nyquist_mode(monkeypatch):
     assert {"trace-modes-exact", "trace-exact[r=1]"} <= _failed(_exact_checks(case))
 
 
+def test_checks_take_the_spectrum_from_the_data(monkeypatch):
+    # every datum runs its one FFT when it is built; no check runs another
+    case = manufactured_case(SourceTerm([(0, 0, 1.0), (2, 2, -1.0), (2, 1, 0.5)]))
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: calls.append(1) or fft(*args, **kw))
+    verify.fd_bilaplacian_residual(case, 0.02)
+    verify.uniqueness_checks(case)
+    verify.boundary_trace_check(case)
+    verify.gradient_crosscheck(case, [0.3 + 0.2j, -0.4 + 0j])
+    lipschitz.analyze_case(case.f, case.h, case.g)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # gradient crosscheck
 
@@ -414,30 +428,6 @@ def test_gradient_crosscheck_quartic(reference_cases):
 def test_gradient_crosscheck_rejects_outer_points(reference_cases):
     with pytest.raises(DomainError):
         verify.gradient_crosscheck(reference_cases["bump"], [0.95 + 0j])
-
-
-# ---------------------------------------------------------------------------
-# solution error
-
-
-def test_solution_error_on_solved_fields(reference_cases, reference_fields):
-    for name, case in reference_cases.items():
-        res = verify.solution_error(case, reference_fields[name])
-        assert res.passed, name
-        assert res.computed.real < 1e-10
-
-
-def test_solution_error_requires_matching_fingerprint(reference_cases, reference_fields):
-    with pytest.raises(FingerprintMismatchError):
-        verify.solution_error(reference_cases["bump"], reference_fields["quartic"])
-
-
-def test_solution_error_ignores_outer_radii():
-    case = manufactured_case(SourceTerm([(0, 0, 1.0), (1, 1, -1.0)]))
-    field = solve_grid(case.f, case.h, case.g, 24, 8, r_max=0.96)
-    assert field.radii[-1] > 0.9  # some nodes fall outside the scored disk
-    res = verify.solution_error(case, field)
-    assert res.passed
 
 
 def test_sample_point_sets():
