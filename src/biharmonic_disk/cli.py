@@ -20,14 +20,14 @@ Solved values come from closed forms; the integral route for A and B in
 ``quadrature.DEFAULT_RULES``.
 Unknown keys anywhere are rejected. Output files are written atomically
 (temp file then rename) with sorted keys and shortest round-trip floats,
-so identical inputs produce byte-identical files at one BLAS thread count.
-Another count may reorder the solver's matmul sums, which moves ``solve``'s
-values and ``verify``'s ``normal-trace-exact[r=1]`` by round-off.
+so identical inputs produce byte-identical files, with one or two BLAS
+threads alike.
 
 Commands: identities, solve, verify, lipschitz, kernel. Every check runs
 at its fixed tolerance, and the ``verify`` residual at spacing 0.02. Exit
 status is 0 only on full success; malformed input and refused points or
-data (such as boundary data whose spectrum overflows) exit 2, failed checks
+data (such as boundary data whose spectrum, or whose derivative table for
+``solve --gradient`` and ``verify``, overflows) exit 2, failed checks
 and I/O errors exit 1. ``solve`` writes ``solver.case_fingerprint`` of the
 data with the field. It evaluates every grid node, so the ``failures`` key
 of its output is always ``[]``; it is kept because the benchmark harness

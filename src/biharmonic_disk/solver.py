@@ -39,10 +39,15 @@ and zbar of Almansi's shape (s = 1 - |z|^2, t = |z|^2):
 Values and Wirtinger gradients share one evaluator, which differentiates
 the table, never the field: d/dz (s^p t^j) = zbar (j s^p t^(j-1) - p s^(p-1)
 t^j) (z for d/dzbar), plus alpha' and beta'. Powers of z, s and t come from
-repeated products and meet the table in one matmul per block and chunk of
-points. The integral forms (circle quadrature of the kernels in ``kernels``,
-recentred disk quadrature of ``green.g_eval``) stay in ``quadrature``,
-``verify`` and the tests as the independent oracle for the table.
+repeated products. A block of width W meets the powers of z by baby and
+giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973): with
+b = isqrt(W - 1) + 1 and q = ceil(W / b), each row is
+sum_k (z^b)^k (C_k @ [z^0 .. z^(b-1)]), so a chunk of points needs b + 1
+powers of z instead of W, one matmul per block for the inner sums and q - 1
+multiply-adds in z^b. The integral forms (circle quadrature of the kernels
+in ``kernels``, recentred disk quadrature of ``green.g_eval``) stay in
+``quadrature``, ``verify`` and the tests as the independent oracle for the
+table.
 
 The table is exact on the closed disk: on the circle s = 0, so Phi takes
 the value f there and -(z Phi_z + zbar Phi_zbar) the value h. Every point
@@ -75,8 +80,9 @@ _SUP_GRID = 512
 # |z| = 1 + 2.2e-16, and the table is exact on the circle itself.
 _CIRCLE_SLACK = 4 * np.finfo(float).eps
 
-# Points per evaluation chunk times table width stays under this, which
-# bounds the table of powers of z at 512 KiB whatever the number of points.
+# Points per evaluation chunk times the entries each point needs (its baby
+# powers of z and the inner sums of every block row the call contracts)
+# stays under this, which bounds them at 512 KiB whatever the number of points.
 _CHUNK_ENTRIES = 1 << 15
 
 _polyval = np.polynomial.polynomial.polyval
@@ -294,19 +300,25 @@ class Solution:
 
     Any of f, h, g may be None. Boundary rows (width N/2 + 1) and load rows
     (width at most MAX_EXPONENT + 1) are separate blocks, so load rows are
-    not padded to the band.
+    not padded to the band. A call whose values or gradients overflow
+    double precision raises ``DegenerateDataError``; the derivative rows
+    carry one more factor of the mode, so gradients overflow first.
     """
 
     def __init__(self, f: Optional[BoundaryData] = None,
                  h: Optional[BoundaryData] = None, g: Optional[SourceTerm] = None):
         blocks = [b for b in (_boundary_rows(f, h), _load_rows(g)) if b is not None]
         # [alpha; conj(beta); alpha'; conj(beta')] by table row: conj(zbar^m) = z^m,
-        # so one matmul against powers of z gives all four
-        self._coefs = [np.vstack([a.T, b.T.conj(), _deriv(a).T, _deriv(b).T.conj()])
-                       for _, _, a, b in blocks]
+        # so one contraction against powers of z gives all four. Derivative
+        # rows that overflow are kept; _evaluate refuses the outputs they reach.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._blocks = [_giant_steps(np.vstack([a.T, b.T.conj(), _deriv(a).T,
+                                                    _deriv(b).T.conj()]))
+                            for _, _, a, b in blocks]
         self._p = np.array([p for rows in blocks for p in rows[0]], dtype=int)
         self._j = np.array([j for rows in blocks for j in rows[1]], dtype=int)
-        self._width = max((coef.shape[1] for coef in self._coefs), default=1)
+        self._baby = max((b for _, b, _ in self._blocks), default=1)
+        self._inner = sum(coef.shape[0] for coef, _, _ in self._blocks)
 
     def values(self, zs) -> np.ndarray:
         """Phi at each point of zs (any shape)."""
@@ -324,26 +336,64 @@ class Solution:
         p, j = self._p, self._j
         kinds = 4 if gradient else 2
         outs = np.zeros((3 if gradient else 1, zs.size), dtype=complex)
-        step = max(1, _CHUNK_ENTRIES // self._width)
-        for lo in range(0, zs.size if self._coefs else 0, step):
-            z = zs[lo:lo + step]
-            t = z.real**2 + z.imag**2
-            s_pow, t_pow = _powers(1.0 - t, 3), _powers(t, j.max() + 1)
-            z_pow = _powers(z, self._width)
-            x = np.concatenate([
-                (coef[:kinds * coef.shape[0] // 4] @ z_pow[:coef.shape[1]])
-                .reshape(kinds, -1, z.size) for coef in self._coefs], axis=1)
-            u = x[0] + np.conj(x[1])
-            weight = s_pow[p] * t_pow[j]
-            outs[0, lo:lo + step] = np.sum(weight * u, axis=0)
-            if gradient:
-                # d/dt (s^p t^j); d/dz multiplies it by zbar and d/dzbar by z
-                d_weight = (j[:, None] * s_pow[p] * t_pow[np.maximum(j - 1, 0)]
-                            - p[:, None] * s_pow[np.maximum(p - 1, 0)] * t_pow[j])
-                radial = np.sum(d_weight * u, axis=0)
-                outs[1, lo:lo + step] = np.conj(z) * radial + np.sum(weight * x[2], axis=0)
-                outs[2, lo:lo + step] = z * radial + np.sum(weight * np.conj(x[3]), axis=0)
+        # per point: the baby powers z^0 .. z^baby and the call's inner sums
+        step = max(1, _CHUNK_ENTRIES // (self._baby + 1 + kinds * self._inner // 4))
+        # an overflow (rows, or sums of rows, past the double range) reaches
+        # the outputs as inf or nan, which the check below refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, zs.size if self._blocks else 0, step):
+                z = zs[lo:lo + step]
+                t = z.real**2 + z.imag**2
+                s_pow, t_pow = _powers(1.0 - t, 3), _powers(t, j.max() + 1)
+                z_pow = _powers(z, self._baby + 1)
+                x = np.concatenate([_contract(coef, b, q, kinds, z_pow)
+                                    for coef, b, q in self._blocks], axis=1)
+                u = x[0] + np.conj(x[1])
+                weight = s_pow[p] * t_pow[j]
+                outs[0, lo:lo + step] = np.sum(weight * u, axis=0)
+                if gradient:
+                    # d/dt (s^p t^j); d/dz multiplies it by zbar and d/dzbar by z
+                    d_weight = (j[:, None] * s_pow[p] * t_pow[np.maximum(j - 1, 0)]
+                                - p[:, None] * s_pow[np.maximum(p - 1, 0)] * t_pow[j])
+                    radial = np.sum(d_weight * u, axis=0)
+                    outs[1, lo:lo + step] = np.conj(z) * radial + np.sum(weight * x[2], axis=0)
+                    outs[2, lo:lo + step] = z * radial + np.sum(weight * np.conj(x[3]), axis=0)
+        if not np.all(np.isfinite(outs)):
+            raise DegenerateDataError(
+                f"the {'gradient' if gradient else 'value'} of the data overflows "
+                "double precision")
         return tuple(out.reshape(shape) for out in outs)
+
+
+def _giant_steps(coef: np.ndarray):
+    """(matrix, b, q): a block's rows of width W laid out for baby and giant steps.
+
+    b = isqrt(W - 1) + 1 and q = ceil(W / b). Row i of coef, zero-padded to
+    q b, becomes rows i q .. i q + q - 1 of the (rows q) x b matrix: row
+    i q + k holds the coefficients C_k of z^(k b) .. z^(k b + b - 1). Rows
+    keep their kind order, so a prefix of the matrix serves the first kinds.
+    """
+    n_rows, width = coef.shape
+    b = math.isqrt(width - 1) + 1
+    q = -(-width // b)
+    padded = np.zeros((n_rows, q * b), dtype=complex)
+    padded[:, :width] = coef
+    return padded.reshape(n_rows * q, b), b, q
+
+
+def _contract(coef: np.ndarray, b: int, q: int, kinds: int, z_pow: np.ndarray) -> np.ndarray:
+    """The first kinds of a block's rows at the points of z_pow, shape (kinds, rows, n).
+
+    sum_k (z^b)^k (C_k @ [z^0 .. z^(b-1)]): one matmul for the inner sums,
+    then Horner in the giant step z^b = z_pow[b] (q - 1 multiply-adds).
+    """
+    n = z_pow.shape[1]
+    inner = (coef[:kinds * coef.shape[0] // 4] @ z_pow[:b]).reshape(-1, q, n)
+    acc = inner[:, -1].copy()
+    for k in range(q - 2, -1, -1):
+        acc *= z_pow[b]
+        acc += inner[:, k]
+    return acc.reshape(kinds, -1, n)
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:

@@ -21,6 +21,8 @@ CONSTANT = {"schema": 1, "f": {"fourier": [[0, 1.0, 0.0]]}}
 FOUR_SAMPLES = {"f": {"n_samples": 4, "fourier": [[1, 1.0, 0.0]]}}
 # finite samples whose spectrum overflows double precision
 OVERFLOW = {"f": {"fourier": [[1, 1e308, 1e308]]}}
+# a finite spectrum whose derivative rows overflow: 255^2 1e304 / 2 > 1.8e308
+DERIVATIVE_OVERFLOW = {"f": {"fourier": [[255, 1e304, 0.0]]}}
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +228,22 @@ def test_overflowing_spectrum_is_refused(tmp_path, capsys):
         assert "overflow" in captured.err
         assert captured.out == ""
     assert not out.exists()
+
+
+def test_overflowing_derivative_table_is_refused(tmp_path, capsys):
+    case = write_case(tmp_path, DERIVATIVE_OVERFLOW)
+    out = tmp_path / "field.json"
+    for argv in (["solve", "--case", case, "--grid", "4,4", "--gradient", "--out", str(out)],
+                 ["verify", "--case", case]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "gradient of the data overflows" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+    # the value rows are finite, so a values-only solve still succeeds
+    assert cli.main(["solve", "--case", case, "--grid", "4,4", "--out", str(out)]) == 0
+    rows = np.array(json.loads(out.read_text())["rows"])
+    assert np.all(np.isfinite(rows))
 
 
 def test_solve_missing_case_file(tmp_path):

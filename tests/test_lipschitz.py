@@ -292,6 +292,49 @@ def test_quotient_subsampling_is_seeded(dense_radial_field):
     assert a <= 8.0 / (3.0 * np.sqrt(3.0)) + 1e-12
 
 
+def _unblocked_quotient(field, max_pairs=100_000, seed=42):
+    # every pair at once, as the quotient was computed before it walked blocks
+    zs, vals = field.points.ravel(), field.values.ravel()
+    n = zs.size
+    if n * (n - 1) // 2 <= max_pairs:
+        i, j = np.triu_indices(n, k=1)
+    else:
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, n, size=max_pairs)
+        j = rng.integers(0, n, size=max_pairs)
+    gap = np.abs(zs[i] - zs[j])
+    keep = gap > 1e-12
+    return float(np.max(np.abs(vals[i][keep] - vals[j][keep]) / gap[keep]))
+
+
+@pytest.mark.parametrize("grid, max_pairs", [
+    ((40, 80, 0.95), 100_000),  # seeded draws, four blocks
+    ((20, 20, 0.9), 100_000),  # all 79,800 pairs, three blocks
+    ((20, 20, 0.9), 1_000),  # one block
+])
+def test_quotient_blocks_equal_the_unblocked_maximum(grid, max_pairs):
+    f = BoundaryData.from_fourier([(1, 1.0), (-2, 0.5j), (5, 0.1)])
+    g = SourceTerm([(2, 1, 1.0), (0, 0, -0.5)])
+    field = solver.solve_grid(f, f, g, *grid[:2], r_max=grid[2])
+    for seed in (1, 42):
+        assert empirical_quotient(field, max_pairs, seed) == \
+            _unblocked_quotient(field, max_pairs, seed)
+
+
+def test_quotient_memory_is_bounded():
+    # the 40 x 80 grid of the lipschitz command: 100,000 seeded pairs
+    f = BoundaryData.from_fourier([(1, 1.0), (3, 0.5j)])
+    field = solver.solve_grid(f, f, SourceTerm.constant(4.0), 40, 80, r_max=0.95)
+    empirical_quotient(field)
+    tracemalloc.start()
+    try:
+        empirical_quotient(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_quotient_refuses_non_finite_nodes(reference_fields):
     field = reference_fields["bump"]
     broken = solver.SolutionField(

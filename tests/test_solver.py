@@ -436,8 +436,10 @@ def test_batch_solve_memory_is_bounded_by_the_chunk():
     def run():
         solver.solve_points(f, h, g, zs)
         solver.boundary_gradient(f, h, zs)
+        solver.Solution(f, h, g).gradient(zs)
 
-    assert _peak_bytes(run) < 16 * 2**20
+    # the outputs (at most 3 x 20,000 complex, 0.92 MiB) and one chunk's working set
+    assert _peak_bytes(run) < 2 * 2**20
 
 
 def test_solve_points_matches_individual_solves():
@@ -493,6 +495,109 @@ def test_table_coefficients_hold_the_origin_gradient(data):
     g = SourceTerm(terms)
     coef = solver.table_coefficients(f, h, g)
     assert (coef[1, 0], coef[-1, 0]) == solver.gradient_point(f, h, g, 0j)
+
+
+# ---------------------------------------------------------------------------
+# baby-step giant-step contraction
+
+
+def _full_power_table(f, h, g, zs):
+    """(Phi, Phi_z, Phi_zbar): every table row contracted with all W powers of z."""
+    t = zs.real**2 + zs.imag**2
+    s = 1.0 - t
+    out = np.zeros((3, zs.size), dtype=complex)
+    for rows in (solver._boundary_rows(f, h), solver._load_rows(g)):
+        if rows is None:
+            continue
+        ps, js, alpha, beta = rows
+        m = np.arange(alpha.shape[0])[:, None]
+        z_pow = np.cumprod(np.vstack([np.ones(zs.size), np.tile(zs, (m.size - 1, 1))]), axis=0)
+        dz_pow = m * np.vstack([np.zeros(zs.size), z_pow[:-1]])  # d/dz z^m = m z^(m-1)
+        u = alpha.T @ z_pow + beta.T @ np.conj(z_pow)
+        du, dbu = alpha.T @ dz_pow, beta.T @ np.conj(dz_pow)
+        for row, (p, j) in enumerate(zip(ps, js)):
+            weight = s**p * t**j
+            d_weight = j * s**p * t**max(j - 1, 0) - p * s**max(p - 1, 0) * t**j
+            out[0] += weight * u[row]
+            out[1] += np.conj(zs) * d_weight * u[row] + weight * du[row]
+            out[2] += zs * d_weight * u[row] + weight * dbu[row]
+    return out
+
+
+def _assert_matches_full_power_table(f, h, g, zs):
+    # S weighs f by 1 + |m|, the s^1 row's multiplier, and S2 by one more
+    # 1 + |m| for the derivative; differentiating a load row gains at most
+    # a factor MAX_EXPONENT + 1
+    s1 = s2 = 0.0
+    for data, power in ((f, 1), (h, 0)):
+        if data is not None:
+            weight = 1.0 + np.arange(data.a.size)
+            mass = np.abs(data.a) + np.abs(data.b)
+            s1 += np.sum(weight**power * mass)
+            s2 += np.sum(weight ** (power + 1) * mass)
+    g_sum = 0.0 if g is None else g.sup_norm_bound()
+    s1, s2 = s1 + g_sum, s2 + (solver.MAX_EXPONENT + 1) * g_sum
+    width = max([d.n // 2 + 1 for d in (f, h) if d is not None] + [solver.MAX_EXPONENT + 1])
+    u = np.finfo(float).eps / 2
+    solution = solver.Solution(f, h, g)
+    expected = _full_power_table(f, h, g, zs)
+    assert np.max(np.abs(solution.values(zs) - expected[0])) <= 8 * width * u * s1
+    assert np.max(np.abs(np.array(solution.gradient(zs)) - expected[1:])) <= 8 * width * u * s2
+
+
+def _disk_and_circle(rng):
+    inner = np.sqrt(rng.uniform(size=60)) * np.exp(2j * np.pi * rng.uniform(size=60))
+    circle = np.exp(2j * np.pi * rng.uniform(size=20))
+    return np.concatenate([[0.0, 1.0, -1j], inner, circle])
+
+
+def _noise(rng, n, scale=1.0):
+    return BoundaryData(scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_f=st.sampled_from([4, 6, 64, 512]),
+       n_h=st.sampled_from([4, 64, 512, 1024]), h_scale=st.floats(1e-3, 1e3),
+       terms=st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16), _COEF), max_size=3))
+def test_giant_steps_match_the_full_power_table(seed, n_f, n_h, h_scale, terms):
+    rng = np.random.default_rng(seed)
+    f, h = _noise(rng, n_f), _noise(rng, n_h, h_scale)
+    _assert_matches_full_power_table(f, h, SourceTerm(terms), _disk_and_circle(rng))
+
+
+@pytest.mark.parametrize("n_f, terms, width, b, q", [
+    (None, [(1, 1, 1.0), (3, 3, -0.5j)], 1, 1, 1),  # load block alone
+    (None, [(15, 0, 1.0), (2, 9, 0.5)], 16, 4, 4),
+    (None, [(0, 16, 1.0j), (4, 1, 2.0)], 17, 5, 4),
+    (16, [], 9, 3, 3),
+    (18, [], 10, 4, 3),
+    (30, [(16, 0, 1.0)], 16, 4, 4),  # and a load block of width 17
+    (32, [], 17, 5, 4),
+])
+def test_giant_steps_at_square_widths(n_f, terms, width, b, q):
+    # widths b^2 and b^2 + 1 are where b = isqrt(W - 1) + 1 steps up
+    rng = np.random.default_rng(width)
+    f = None if n_f is None else _noise(rng, n_f)
+    g = SourceTerm(terms)
+    rows = solver._boundary_rows(f, f) if f is not None else solver._load_rows(g)
+    assert rows[2].shape[0] == width
+    assert solver._giant_steps(np.ones((4, width)))[1:] == (b, q)
+    _assert_matches_full_power_table(f, f, g, _disk_and_circle(rng))
+
+
+@pytest.mark.parametrize("modes", [
+    [(255, 1e304)],  # 255^2 |a_255| / 2 passes 1.8e308 in the s^1 row's derivative
+    [(179, 1e304), (180, 1e304), (181, 1e304)],  # finite rows whose sum overflows
+])
+def test_overflowing_gradients_are_refused(modes):
+    # the values stay finite, and neither call warns
+    f = BoundaryData.from_fourier(modes)
+    solution = solver.Solution(f)
+    zs = np.array([0.0, 0.5, 0.99j, 1.0])
+    assert np.all(np.isfinite(solution.values(zs)))
+    with pytest.raises(DegenerateDataError, match="gradient of the data overflows"):
+        solution.gradient(zs)
+    with pytest.raises(DegenerateDataError, match="gradient of the data overflows"):
+        solver.solve_grid(f, f, SourceTerm.zero(), 2000, 4, with_gradient=True)
 
 
 # ---------------------------------------------------------------------------
