@@ -22,6 +22,7 @@ from .quadrature import (
 from .solver import (
     BoundaryData,
     Case,
+    Solution,
     SolutionField,
     SourceTerm,
     boundary_gradient,
@@ -34,7 +35,6 @@ from .solver import (
     solve_grid,
     solve_point,
     solve_points,
-    table_coefficients,
 )
 from .lipschitz import (
     ABResult,

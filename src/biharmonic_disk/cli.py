@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__, green, kernels, lipschitz, verify
 from .errors import CaseFormatError, DegenerateDataError, DomainError, SingularityError
-from .solver import BoundaryData, SourceTerm, case_fingerprint, solve_grid
+from .solver import BoundaryData, Case, SourceTerm, case_fingerprint, solve_grid
 
 _SCHEMA = 1
 
@@ -61,13 +61,10 @@ _CROSSCHECK_POINTS = (0.3 + 0.2j, -0.4 + 0j, 0.5j)
 _QUOTIENT_GRID = (40, 80, 0.95)
 
 
-@dataclass(eq=False)
-class CaseFile:
-    """A parsed case: data triple and sampling seed."""
+@dataclass(frozen=True)
+class CaseFile(Case):
+    """A parsed case: the data triple and a sampling seed."""
 
-    f: BoundaryData
-    h: BoundaryData
-    g: SourceTerm
     seed: int
 
 

@@ -6,8 +6,8 @@ module computes the constants entering its two-sided distortion bounds:
 * L, an empirical Lipschitz constant of the boundary trace f,
 * the certified gradient bound  P = (220/3) L + 4 sup|h| + (23/3) sup|g|,
 * the origin invariants  A = |Phi_z(0)|^2,  B = |Phi_zbar(0)|^2  and
-  Q = A - B, each computed both from two coefficients of the solver's
-  table and, by quadrature, from the integral formulas they reduce to,
+  Q = A - B, each computed both from the solver's table at the origin
+  and, by quadrature, from the integral formulas they reduce to,
 * the verdict: Phi is reported bi-Lipschitz when Q > 2 P^2, with lower
   bound Q/P - 2P on the difference quotient, else Lipschitz-only.
 
@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDataError, DomainError
 from .quadrature import DEFAULT_RULES, CircleRule, _circle_angles, disk_integrate_centered
-from .solver import BoundaryData, SolutionField, SourceTerm, table_coefficients
+from .solver import BoundaryData, Solution, SolutionField, SourceTerm
 
 # Coefficients of the certified gradient bound P.
 _COEFF_L = 220.0 / 3.0
@@ -42,9 +42,9 @@ _PAIR_BLOCK = 1 << 15
 class ABResult:
     """Origin gradient invariants, each computed two ways.
 
-    a_value, b_value, q_value come from the table coefficients c[1, 0] = Phi_z(0)
-    and c[-1, 0] = Phi_zbar(0). a_integral / b_integral evaluate by quadrature
-    the formulas
+    a_value, b_value, q_value come from the table's gradient at the origin,
+    Phi_z(0) = c[1, 0] and Phi_zbar(0) = c[-1, 0] of ``Solution.coefficients``.
+    a_integral / b_integral evaluate by quadrature the formulas
 
         |(1/4pi) int e^{-+i theta}(3f + h) dtheta
             - int zetabar-or-zeta (log|zeta|^2 + 1 - |zeta|^2) g dA|^2
@@ -144,10 +144,8 @@ def _origin_green_terms(g: SourceTerm):
 
 
 def compute_ab(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> ABResult:
-    """A, B, Q at the origin, from two table coefficients and from the integral formulas."""
-    c = table_coefficients(f, h, g)
-    a_value = abs(c[1, 0]) ** 2
-    b_value = abs(c[-1, 0]) ** 2
+    """A, B, Q at the origin, from the table's gradient there and from the integral formulas."""
+    a_value, b_value = np.abs(Solution(f, h, g).gradient(0j)) ** 2
 
     t_a, t_b = _origin_boundary_terms(f, h)
     g_a, g_b = _origin_green_terms(g)

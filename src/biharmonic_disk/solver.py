@@ -19,7 +19,10 @@ and zbar of Almansi's shape (s = 1 - |z|^2, t = |z|^2):
 
     Phi(z) = sum over rows (p, j) of s^p t^j (alpha_pj(z) + beta_pj(zbar)).
 
-``Solution`` assembles this table once per case, from two blocks:
+``Solution`` is the public evaluator. It assembles this table from two
+blocks, and ``Solution.coefficients`` expands it into the coefficients of
+w_d t^l (w_d = z^d, or zbar^|d| for d < 0). ``Case.solution`` is a case's
+own ``Solution``, assembled on first use and then reused. The two blocks:
 
 * Boundary, rows (0, 0) and (1, 0). F0 acts on the mode e^{i m theta} as
   the multiplier r^|m| (1 + |m| s / 2) and H0 as r^|m| s / 2. Splitting the
@@ -61,6 +64,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -275,6 +279,11 @@ class Case:
     h: BoundaryData
     g: SourceTerm
 
+    @cached_property
+    def solution(self) -> "Solution":
+        """The case's table, assembled on first use and then reused."""
+        return Solution(self.f, self.h, self.g)
+
 
 def case_fingerprint(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> str:
     """Stable hash of the problem data (f, h, g) a field was built from.
@@ -307,7 +316,10 @@ class Solution:
 
     def __init__(self, f: Optional[BoundaryData] = None,
                  h: Optional[BoundaryData] = None, g: Optional[SourceTerm] = None):
-        blocks = [b for b in (_boundary_rows(f, h), _load_rows(g)) if b is not None]
+        self._rows = blocks = [b for b in (_boundary_rows(f, h), _load_rows(g)) if b is not None]
+        # the modes coefficients() covers: those of the table, of f and h, and +-1
+        self._width = max([a.shape[0] for _, _, a, _ in blocks]
+                          + [d.n // 2 + 1 for d in (f, h) if d is not None] + [2])
         # [alpha; conj(beta); alpha'; conj(beta')] by table row: conj(zbar^m) = z^m,
         # so one contraction against powers of z gives all four. Derivative
         # rows that overflow are kept; _evaluate refuses the outputs they reach.
@@ -319,6 +331,23 @@ class Solution:
         self._j = np.array([j for rows in blocks for j in rows[1]], dtype=int)
         self._baby = max((b for _, b, _ in self._blocks), default=1)
         self._inner = sum(coef.shape[0] for coef, _, _ in self._blocks)
+
+    def coefficients(self) -> np.ndarray:
+        """The table expanded as Phi = sum of c[d, l] w_d t^l, w_d = z^d or zbar^|d| (d < 0).
+
+        Rows run in FFT order (``c[d, l]`` takes either sign of d) over the modes of
+        the table, of f and h, and +-1; row s^p t^j adds C(p, k) (-1)^k to level j + k.
+        """
+        depth = int(np.max(self._p + self._j, initial=0)) + 1
+        c = np.zeros((2 * self._width - 1, depth), dtype=complex)
+        for ps, js, alpha, beta in self._rows:
+            d = np.arange(alpha.shape[0])
+            for row, (p, j) in enumerate(zip(ps, js)):
+                for k in range(p + 1):
+                    weight = math.comb(p, k) * (-1) ** k
+                    c[d, j + k] += weight * alpha[:, row]
+                    c[-d, j + k] += weight * beta[:, row]
+        return c
 
     def values(self, zs) -> np.ndarray:
         """Phi at each point of zs (any shape)."""
@@ -424,28 +453,6 @@ def _check_points(zs: np.ndarray) -> None:
     r = np.abs(zs)
     if np.any(r > 1.0 + _CIRCLE_SLACK):
         raise DomainError(f"radius {float(r.max())} lies outside the closed unit disk")
-
-
-def table_coefficients(f: Optional[BoundaryData] = None, h: Optional[BoundaryData] = None,
-                       g: Optional[SourceTerm] = None) -> np.ndarray:
-    """The table expanded as Phi = sum of c[d, l] w_d t^l, w_d = z^d or zbar^|d| (d < 0).
-
-    Rows run in FFT order (``c[d, l]`` takes either sign of d) over the modes of
-    the table, of f and h, and +-1; row s^p t^j adds C(p, k) (-1)^k to level j + k.
-    """
-    blocks = [b for b in (_boundary_rows(f, h), _load_rows(g)) if b is not None]
-    width = max([a.shape[0] for _, _, a, _ in blocks]
-                + [d.n // 2 + 1 for d in (f, h) if d is not None] + [2])
-    depth = max((p + j for ps, js, _, _ in blocks for p, j in zip(ps, js)), default=0) + 1
-    c = np.zeros((2 * width - 1, depth), dtype=complex)
-    for ps, js, alpha, beta in blocks:
-        d = np.arange(alpha.shape[0])
-        for row, (p, j) in enumerate(zip(ps, js)):
-            for k in range(p + 1):
-                weight = math.comb(p, k) * (-1) ** k
-                c[d, j + k] += weight * alpha[:, row]
-                c[-d, j + k] += weight * beta[:, row]
-    return c
 
 
 def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):

@@ -32,14 +32,7 @@ from .quadrature import (
     disk_integrate,
     disk_integrate_centered,
 )
-from .solver import (
-    BoundaryData,
-    Solution,
-    SourceTerm,
-    gradient_point,
-    solve_points,
-    table_coefficients,
-)
+from .solver import BoundaryData, Case, SourceTerm
 
 # Interior points where pointwise identities and bounds are spot-checked.
 SAMPLE_POINTS = (0j, 0.25 + 0j, 0.5 * np.exp(1j * np.pi / 4), 0.75 + 0j, 0.9 + 0j)
@@ -57,9 +50,6 @@ _GRAD_STEP = 1e-5
 
 # Tolerance of every inequality in the bound suite.
 _BOUND_TOL = 1e-6
-
-# Equispaced angles of the rings in the boundary trace checks.
-_TRACE_ANGLES = 32
 
 # Mass bounds int |K(z, .)| dA <= limit(z) of the Green kernel and its
 # derivatives, as (check name, kernel, limit); scripts/bound_margins.py
@@ -133,13 +123,10 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class ManufacturedCase:
+class ManufacturedCase(Case):
     """A problem instance generated from a known polynomial solution."""
 
     phi_star: SourceTerm
-    f: BoundaryData
-    h: BoundaryData
-    g: SourceTerm
 
 
 def manufactured_case(phi_star: SourceTerm, n_samples: int = 512) -> ManufacturedCase:
@@ -156,10 +143,10 @@ def manufactured_case(phi_star: SourceTerm, n_samples: int = 512) -> Manufacture
         f_modes[mode] = f_modes.get(mode, 0j) + c
         h_modes[mode] = h_modes.get(mode, 0j) - (a + b) * c
     return ManufacturedCase(
-        phi_star=phi_star,
         f=BoundaryData.from_fourier(f_modes.items(), n_samples),
         h=BoundaryData.from_fourier(h_modes.items(), n_samples),
         g=phi_star.bilaplacian(),
+        phi_star=phi_star,
     )
 
 
@@ -298,14 +285,21 @@ def bound_suite() -> list[CheckResult]:
     return [c for c in oracle_suite() if c.kind == "bound"]
 
 
-def fd_bilaplacian_residual(case, grid_spacing: float, extent: float = 0.8,
+def fd_bilaplacian_residual(case: Case, grid_spacing: float, extent: float = 0.8,
                             tolerance: float = 1e-6) -> CheckResult:
     """Max |FD bilaplacian of Phi - g| on a Cartesian sub-grid.
 
     The field is evaluated on a square grid confined to |z| <= extent and
-    the 5-point Laplacian is iterated twice and scaled by 1/16 (the solver's
-    Laplacian is a quarter of the coordinate one). Second order accurate:
-    exact on quartic solutions, O(spacing^2) otherwise.
+    the 5-point Laplacian L_h is iterated twice and scaled by 1/16 (the
+    solver's Laplacian is a quarter of the coordinate one, L). The check
+    allows ``tolerance`` for round-off plus the truncation bound
+    T = (h^2/24) sum |c[d, l]| (n)_6 R^(n-6) over the table's coefficients,
+    with n = |d| + 2l, R = extent and (n)_6 = n (n-1) ... (n-5), 0 below
+    degree 6. Proof: L_h^2 - L^2 = (L_h - L)(L_h + L), a second difference
+    obeys |d2 v / h^2 - v_xx| <= (h^2/12) sup |v_xxxx| and
+    |d2 v / h^2| <= sup |v_xx| (nonnegative Peano kernels, so complex v too),
+    which leaves 8 sixth derivatives over 16 on the stencil's hull, each at
+    most (a+b)_6 r^(a+b-6) on z^a zbar^b (Vandermonde's identity).
     """
     h = float(grid_spacing)
     if not (0.0 < h <= _FD_MAX_SPACING):
@@ -320,7 +314,7 @@ def fd_bilaplacian_residual(case, grid_spacing: float, extent: float = 0.8,
     inside = np.abs(zg) <= extent
 
     values = np.full(zg.shape, np.nan, dtype=complex)
-    values[inside] = solve_points(case.f, case.h, case.g, zg[inside])
+    values[inside] = case.solution.values(zg[inside])
 
     def lap(u):
         return (u[1:-1, 2:] + u[1:-1, :-2] + u[2:, 1:-1] + u[:-2, 1:-1]
@@ -332,11 +326,17 @@ def fd_bilaplacian_residual(case, grid_spacing: float, extent: float = 0.8,
     ok = np.isfinite(resid)
     if not np.any(ok):
         raise DomainError("stencil exits the allowed disk: no interior centers")
-    return CheckResult.equality(
-        f"fd-bilaplacian-residual[h={h:g}]", float(np.max(resid[ok])), 0.0, tolerance)
+    c = case.solution.coefficients()
+    row = np.arange(c.shape[0])
+    n = np.minimum(row, c.shape[0] - row)[:, None] + 2.0 * np.arange(c.shape[1])
+    # weight first: at most 1.1e7 for R <= _FD_DISK, so only c near the double range overflows
+    weight = np.prod([np.maximum(n - k, 0.0) for k in range(6)], axis=0) * extent ** (n - 6.0)
+    truncation = h**2 / 24.0 * float(np.sum(np.abs(c) * weight))
+    return CheckResult.equality(f"fd-bilaplacian-residual[h={h:g}]",
+                                float(np.max(resid[ok])), 0.0, tolerance + truncation)
 
 
-def _exact_checks(case, gaps) -> list[CheckResult]:
+def _exact_checks(case: Case, gaps) -> list[CheckResult]:
     """Per (name, gap array), its largest |entry| against 1e-12 max(1, S).
 
     S = sum (1 + |m|)|f_m| + sum |h_m| + sum |g_k| serves every check:
@@ -350,14 +350,14 @@ def _exact_checks(case, gaps) -> list[CheckResult]:
             for name, gap in gaps]
 
 
-def uniqueness_checks(case) -> list[CheckResult]:
+def uniqueness_checks(case: Case) -> list[CheckResult]:
     """The uniqueness theorem's three conditions on the table's coefficients c[d, l].
 
     On the circle Phi's mode d is sum_l c[d, l] and its inward normal
     derivative -sum_l (|d| + 2l) c[d, l]; Delta^2 (w_d t^l) is
     (|d|+l)(|d|+l-1) l (l-1) w_d t^(l-2), and g's z^a zbar^b sits at (a-b, min(a, b)).
     """
-    c = table_coefficients(case.f, case.h, case.g)
+    c = case.solution.coefficients()
     n, depth = c.shape
     row = np.arange(n)
     d = np.minimum(row, n - row)[:, None]  # |d| of each row in FFT order
@@ -374,38 +374,31 @@ def uniqueness_checks(case) -> list[CheckResult]:
             ("bilaplacian-exact", bilap)))
 
 
-def boundary_trace_check(case) -> list[CheckResult]:
+def boundary_trace_check(case: Case) -> list[CheckResult]:
     """Phi = f and -(z Phi_z + zbar Phi_zbar) = h on the circle, through the evaluator.
 
-    At ``_TRACE_ANGLES`` equispaced angles; ``uniqueness_checks`` never run the evaluator.
+    At each datum's own sample nodes, against its samples, so the checks
+    also cover the split of the spectrum; ``uniqueness_checks`` never run
+    the evaluator.
     """
-    th = _circle_angles(_TRACE_ANGLES)
-    circle = np.exp(1j * th)
-    solution = Solution(case.f, case.h, case.g)
-    d_z, d_zbar = solution.gradient(circle)
-    normal = -(circle * d_z + np.conj(circle) * d_zbar)
+    f_nodes, h_nodes = (np.exp(1j * _circle_angles(d.n)) for d in (case.f, case.h))
+    d_z, d_zbar = case.solution.gradient(h_nodes)
+    normal = -(h_nodes * d_z + np.conj(h_nodes) * d_zbar)
     return _exact_checks(case, (
-        ("trace-exact[r=1]", solution.values(circle) - case.f.eval_at(th)),
-        ("normal-trace-exact[r=1]", normal - case.h.eval_at(th))))
+        ("trace-exact[r=1]", case.solution.values(f_nodes) - case.f.samples),
+        ("normal-trace-exact[r=1]", normal - case.h.samples)))
 
 
-def gradient_crosscheck(case, points: Sequence[complex],
+def gradient_crosscheck(case: Case, points: Sequence[complex],
                         tolerance: float = 1e-6) -> list[CheckResult]:
-    """Closed-form kernel gradients vs central differences of the field."""
-    checks = []
-    for z in points:
-        z = complex(z)
-        if abs(z) > 0.9:
-            raise DomainError("crosscheck points must satisfy |z| <= 0.9")
-        d_z, d_zbar = gradient_point(case.f, case.h, case.g, z)
-        stencil = z + _GRAD_STEP * np.array([1.0, -1.0, 1j, -1j])
-        ve = solve_points(case.f, case.h, case.g, stencil)
-        ux = (ve[0] - ve[1]) / (2.0 * _GRAD_STEP)
-        uy = (ve[2] - ve[3]) / (2.0 * _GRAD_STEP)
-        fd_z = (ux - 1j * uy) / 2.0
-        fd_zbar = (ux + 1j * uy) / 2.0
-        gap = max(abs(d_z - fd_z), abs(d_zbar - fd_zbar))
-        checks.append(CheckResult.equality(
-            f"gradient-crosscheck[z={_zkey(z)}]", gap, 0.0, tolerance))
-    return checks
+    """Table gradients vs central differences of the field, all points in one pass."""
+    zs = np.asarray(points, dtype=complex).ravel()
+    if np.any(np.abs(zs) > 0.9):
+        raise DomainError("crosscheck points must satisfy |z| <= 0.9")
+    d_z, d_zbar = case.solution.gradient(zs)
+    ve = case.solution.values(zs[:, None] + _GRAD_STEP * np.array([1.0, -1.0, 1j, -1j]))
+    ux, uy = ((ve[:, ::2] - ve[:, 1::2]) / (2.0 * _GRAD_STEP)).T
+    gaps = np.maximum(np.abs(d_z - (ux - 1j * uy) / 2.0), np.abs(d_zbar - (ux + 1j * uy) / 2.0))
+    return [CheckResult.equality(f"gradient-crosscheck[z={_zkey(z)}]", gap, 0.0, tolerance)
+            for z, gap in zip(zs, gaps)]
 

@@ -23,6 +23,12 @@ FOUR_SAMPLES = {"f": {"n_samples": 4, "fourier": [[1, 1.0, 0.0]]}}
 OVERFLOW = {"f": {"fourier": [[1, 1e308, 1e308]]}}
 # a finite spectrum whose derivative rows overflow: 255^2 1e304 / 2 > 1.8e308
 DERIVATIVE_OVERFLOW = {"f": {"fourier": [[255, 1e304, 0.0]]}}
+MIXED = {"schema": 1, "f": {"fourier": [[0, 1.0, 0.0]]}, "h": {"fourier": [[0, -4.0, 0.0]]},
+         "g": {"terms": [[0, 0, 4.0, 0.0]]}, "seed": 7}
+# a table of degree 22, far past the quartics the FD residual is exact on
+DEGREE_20 = {"f": {"fourier": [[20, 1.0, 0.0], [-7, 0.5, 0.5], [3, 0.0, -1.0]]},
+             "h": {"fourier": [[3, 1.0, 0.0], [-12, 0.0, 0.5]]},
+             "g": {"terms": [[5, 0, 1.0, 0.0], [2, 3, 0.0, 1.0], [4, 1, -0.5, 0.0]]}}
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +41,8 @@ def test_parse_minimal_case():
     assert np.all(case.h.samples == 0)
     assert case.g.is_zero
     assert case.seed == 42
+    assert isinstance(case, solver.Case)
+    assert case.solution is case.solution
 
 
 def test_parse_full_case():
@@ -409,6 +417,21 @@ def test_verify_pure_load_case(tmp_path, capsys):
     assert all(n.startswith("gradient-crosscheck") for n in names[6:])
     # S = sum |g_k| = 4 for g = 4, so every exact check carries 4e-12
     assert {c["tolerance"] for c in doc["checks"] if c["name"] in exact} == {4e-12}
+
+
+def test_verify_assembles_the_table_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    rows = solver._boundary_rows
+    monkeypatch.setattr(solver, "_boundary_rows", lambda *args: calls.append(1) or rows(*args))
+    assert cli.main(["verify", "--case", write_case(tmp_path, MIXED)]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_passes_a_high_degree_case(tmp_path, capsys):
+    case = write_case(tmp_path, DEGREE_20)
+    assert cli.main(["verify", "--case", case]) == 0
+    assert "9/9 checks passed" in capsys.readouterr().out
+    assert cli.main(["lipschitz", "--case", case]) == 0
 
 
 def test_verify_accepts_four_samples(tmp_path, capsys):

@@ -466,7 +466,7 @@ def test_table_coefficients_are_the_manufactured_solution(terms):
     # by m/2: 4,000 examples reached 38 eps.
     phi = SourceTerm(terms)
     case = verify.manufactured_case(phi)
-    coef = solver.table_coefficients(case.f, case.h, case.g)
+    coef = case.solution.coefficients()
     expected = np.zeros_like(coef)
     for a, b, c in phi.terms:
         expected[a - b, min(a, b)] += c
@@ -477,11 +477,11 @@ def test_table_coefficients_are_the_manufactured_solution(terms):
 def test_table_coefficients_cover_the_data_modes():
     # rows run 0..N/2 then -N/2..-1 for the widest data, even when it is zero,
     # and always hold the modes +-1 that compute_ab reads
-    coef = solver.table_coefficients(BoundaryData.zero(8), BoundaryData.zero(16),
-                                     SourceTerm.monomial(0, 2))
+    coef = solver.Solution(BoundaryData.zero(8), BoundaryData.zero(16),
+                           SourceTerm.monomial(0, 2)).coefficients()
     assert coef.shape == (17, 3)
     assert coef[-2, 0] == pytest.approx(1.0 / 24.0)
-    assert solver.table_coefficients(g=SourceTerm.constant(2.0))[1, 0] == 0.0
+    assert solver.Solution(g=SourceTerm.constant(2.0)).coefficients()[1, 0] == 0.0
 
 
 @pytest.mark.parametrize("data", [
@@ -493,7 +493,7 @@ def test_table_coefficients_hold_the_origin_gradient(data):
     f_modes, h_modes, terms = data
     f, h = BoundaryData.from_fourier(f_modes, 64), BoundaryData.from_fourier(h_modes, 32)
     g = SourceTerm(terms)
-    coef = solver.table_coefficients(f, h, g)
+    coef = solver.Solution(f, h, g).coefficients()
     assert (coef[1, 0], coef[-1, 0]) == solver.gradient_point(f, h, g, 0j)
 
 

@@ -1,5 +1,6 @@
 """The check suites: identities, bounds, residuals, traces, crosschecks."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -228,6 +229,46 @@ def test_fd_residual_name_carries_spacing(reference_cases):
     assert res.passed
 
 
+def _truncation_bound(case, h, extent):
+    """(h^2/24) sum |c[d, l]| (n)_6 R^(n-6), n = |d| + 2l, entry by entry."""
+    c = case.solution.coefficients()
+    total = 0.0
+    for (row, level), coef in np.ndenumerate(c):
+        n = min(row, c.shape[0] - row) + 2 * level
+        if n >= 6:
+            total += abs(coef) * math.perm(n, 6) * extent ** (n - 6)
+    return h * h / 24.0 * total
+
+
+def test_fd_residual_passes_the_manufactured_sextic():
+    # |z|^6: the truncation error is O(h^2) and far above the round-off allowance
+    case = manufactured_case(SourceTerm.monomial(3, 3))
+    res = verify.fd_bilaplacian_residual(case, 0.02)
+    bound = _truncation_bound(case, 0.02, 0.8)
+    assert res.passed
+    assert res.computed.real > 1e-6
+    assert res.tolerance == pytest.approx(1e-6 + bound, rel=1e-12)
+    assert bound == pytest.approx(0.02**2 / 24.0 * 720.0, rel=1e-12)
+
+
+_LOW = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(st.integers(-18, 18), _LOW), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(-18, 18), _LOW), max_size=2),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), _LOW), max_size=3))
+def test_fd_residual_stays_within_its_truncation_bound(f_modes, h_modes, terms):
+    # tables up to degree 20: f and h modes |m| <= 18 (the s row adds 2),
+    # loads of degree <= 16 (the Green rows add 4)
+    case = solver.Case(BoundaryData.from_fourier(f_modes, 64),
+                       BoundaryData.from_fourier(h_modes, 64), SourceTerm(terms))
+    res = verify.fd_bilaplacian_residual(case, 0.02)
+    bound = _truncation_bound(case, 0.02, 0.8)
+    assert res.tolerance == pytest.approx(1e-6 + bound, rel=1e-12)
+    assert res.computed.real <= 1e-6 + bound
+    assert res.passed
+
+
 def test_fd_residual_argument_validation(reference_cases):
     case = reference_cases["bump"]
     with pytest.raises(DomainError):
@@ -265,7 +306,7 @@ def test_trace_recovery_constant_case(reference_cases):
 def test_trace_recovery_pure_h_case():
     # phi = 1 - |z|^2: f = 0, h = 2, g = 0, so the table is 1 - t exactly
     case = manufactured_case(SourceTerm([(0, 0, 1.0), (1, 1, -1.0)]))
-    coef = solver.table_coefficients(case.f, case.h, case.g)
+    coef = case.solution.coefficients()
     expected = np.zeros_like(coef)
     expected[0, :2] = 1.0, -1.0
     np.testing.assert_array_equal(coef, expected)
@@ -392,6 +433,14 @@ def test_exact_trace_catches_an_unsplit_nyquist_mode(monkeypatch):
     assert {"trace-modes-exact", "trace-exact[r=1]"} <= _failed(_exact_checks(case))
 
 
+def test_cases_assemble_their_table_once():
+    case = manufactured_case(SourceTerm([(0, 0, 1.0), (3, 1, 0.5)]))
+    assert isinstance(case, solver.Case)
+    assert case.solution is case.solution
+    np.testing.assert_array_equal(
+        case.solution.coefficients(), solver.Solution(case.f, case.h, case.g).coefficients())
+
+
 def test_checks_take_the_spectrum_from_the_data(monkeypatch):
     # every datum runs its one FFT when it is built; no check runs another
     case = manufactured_case(SourceTerm([(0, 0, 1.0), (2, 2, -1.0), (2, 1, 0.5)]))
@@ -418,6 +467,21 @@ def test_gradient_crosscheck_bump(reference_cases):
     for c in checks:
         assert c.passed
         assert c.computed.real < 1e-7
+
+
+def test_gradient_crosscheck_batch_matches_a_point_loop():
+    case = manufactured_case(SourceTerm([(5, 2, 1.0), (0, 3, 0.5j), (1, 1, -2.0)]))
+    points = [0.3 + 0.2j, -0.4 + 0j, 0.5j, 0.1 - 0.7j]
+    batched = [c.computed.real for c in verify.gradient_crosscheck(case, points)]
+    for z, gap in zip(points, batched):
+        d_z, d_zbar = case.solution.gradient(z)
+        ve = case.solution.values(z + verify._GRAD_STEP * np.array([1.0, -1.0, 1j, -1j]))
+        ux = (ve[0] - ve[1]) / (2.0 * verify._GRAD_STEP)
+        uy = (ve[2] - ve[3]) / (2.0 * verify._GRAD_STEP)
+        looped = max(abs(d_z - (ux - 1j * uy) / 2.0), abs(d_zbar - (ux + 1j * uy) / 2.0))
+        # a gap is a difference of gradient-sized numbers, and a matmul over
+        # more points may round them by an ulp: compare at the gradients' scale
+        assert abs(gap - looped) <= 4 * np.finfo(float).eps * max(abs(d_z), abs(d_zbar))
 
 
 def test_gradient_crosscheck_quartic(reference_cases):
