@@ -31,6 +31,12 @@ own ``Solution``, assembled on first use and then reused. The two blocks:
 
       F0[f] = u + (s/2) (z A'(z) + zbar B'(zbar)),    H0[h] = (s/2) u.
 
+  The block keeps the modes below the data's bandwidth w: the smallest w
+  whose tail sum_{m >= w} (|a_f,m| + |b_f,m| + |a_h,m| + |b_h,m|) is at
+  most u (||f.samples||_1 + ||h.samples||_1), u = eps / 2, which is what
+  rounding the samples can move the spectrum by. ``Solution.value_tail``
+  and ``.gradient_tail`` bound what the dropped modes contribute.
+
 * Green, rows (2, j). For one load term c z^a zbar^b,
 
       -G[c z^a zbar^b] = c w^|a-b| s^2 P_k(t) / ((a+1)(a+2)(b+1)(b+2)),
@@ -52,11 +58,11 @@ in ``kernels``, recentred disk quadrature of ``green.g_eval``) stay in
 ``quadrature``, ``verify`` and the tests as the independent oracle for the
 table.
 
-The table is exact on the closed disk: on the circle s = 0, so Phi takes
-the value f there and -(z Phi_z + zbar Phi_zbar) the value h. Every point
-entry point refuses a point by one rule: ``DomainError`` for a non-finite z
-or |z| > 1 + ``_CIRCLE_SLACK``. ``solve_grid`` evaluates on a polar grid
-with radii r_max * k / n_r.
+The table is exact on the closed disk, up to the dropped tail: on the
+circle s = 0, so Phi takes the value f there and -(z Phi_z + zbar Phi_zbar)
+the value h. Every point entry point refuses a point by one rule:
+``DomainError`` for a non-finite z or |z| > 1 + ``_CIRCLE_SLACK``.
+``solve_grid`` evaluates on a polar grid with radii r_max * k / n_r.
 """
 
 from __future__ import annotations
@@ -88,6 +94,10 @@ _CIRCLE_SLACK = 4 * np.finfo(float).eps
 # powers of z and the inner sums of every block row the call contracts)
 # stays under this, which bounds them at 512 KiB whatever the number of points.
 _CHUNK_ENTRIES = 1 << 15
+
+# Unit round-off u = eps / 2: the boundary block drops the modes whose
+# tail is below u times the 1-norm of the samples (``_boundary_rows``).
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 _polyval = np.polynomial.polynomial.polyval
 
@@ -307,16 +317,42 @@ def case_fingerprint(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> str:
 class Solution:
     """Phi = F0[f] + H0[h] - G[g] as one Almansi table (module docstring).
 
-    Any of f, h, g may be None. Boundary rows (width N/2 + 1) and load rows
-    (width at most MAX_EXPONENT + 1) are separate blocks, so load rows are
-    not padded to the band. A call whose values or gradients overflow
-    double precision raises ``DegenerateDataError``; the derivative rows
-    carry one more factor of the mode, so gradients overflow first.
+    Any of f, h, g may be None. Boundary rows (cut to the data's bandwidth
+    w <= N/2 + 1, ``_boundary_rows``) and load rows (width at most
+    MAX_EXPONENT + 1) are separate blocks, so load rows are not padded to
+    the band. A call whose values or gradients overflow double precision
+    raises ``DegenerateDataError``; the derivative rows carry one more
+    factor of the mode, so gradients overflow first.
+
+    ``value_tail`` and ``gradient_tail`` bound, on the closed disk, what the
+    cut drops from Phi and from |Phi_z| + |Phi_zbar|. With T_f and T_h the
+    sums of |a_m| + |b_m| over the dropped modes m >= w >= 1 of f and h,
+    the value tail is T_f + T_h / 2 and the gradient tail is
+    1.5 sum m (|a_f,m| + |b_f,m|) + T_h. Proof, for the mode z^m (zbar^m is
+    its conjugate image, with the roles of d/dz and d/dzbar swapped), with
+    x = r^2 and s = 1 - x:
+
+    * Lemma: (m/2) r^(m-1) s <= 1/2. Its maximum over x of
+      (m/2) x^k (1 - x), k = (m-1)/2, is (1/2) ((2k+1)/(k+1)) (k/(k+1))^k:
+      1/2 for m = 1 and 0.38 for m = 2; for m >= 3 the middle factor is
+      below 2 and (k/(k+1))^k <= 1/2.
+    * Values: the F0 multiplier r^m (1 + m s/2) is at most 1, since
+      r^m m s/2 <= r m r^(m-1) (1 - r) <= 1 - r^m, and the H0 multiplier
+      r^m s/2 at most 1/2.
+    * F0 gradient: z^m (1 + m s/2) has
+      Phi_z = m z^(m-1) (1 + m s/2 - x/2) and Phi_zbar = -(m/2) z^(m+1), so
+      |Phi_z| + |Phi_zbar| = m r^(m-1) (1 + m s/2) <= 1.5 m by the lemma
+      (equality at m = 1, z = 0).
+    * H0 gradient: z^m s/2 has Phi_z = z^(m-1) ((m/2) s - x/2) and
+      Phi_zbar = -z^(m+1) / 2, so |Phi_z| + |Phi_zbar| is at most
+      r^(m-1) max((m/2) s, x/2) + r^(m+1)/2 <= 1/2 + 1/2 (equality at r = 1).
     """
 
     def __init__(self, f: Optional[BoundaryData] = None,
                  h: Optional[BoundaryData] = None, g: Optional[SourceTerm] = None):
-        self._rows = blocks = [b for b in (_boundary_rows(f, h), _load_rows(g)) if b is not None]
+        boundary = _boundary_rows(f, h)
+        self._tails = _dropped_tails(f, h, 0 if boundary is None else boundary[2].shape[0])
+        self._rows = blocks = [b for b in (boundary, _load_rows(g)) if b is not None]
         # the modes coefficients() covers: those of the table, of f and h, and +-1
         self._width = max([a.shape[0] for _, _, a, _ in blocks]
                           + [d.n // 2 + 1 for d in (f, h) if d is not None] + [2])
@@ -331,6 +367,16 @@ class Solution:
         self._j = np.array([j for rows in blocks for j in rows[1]], dtype=int)
         self._baby = max((b for _, b, _ in self._blocks), default=1)
         self._inner = sum(coef.shape[0] for coef, _, _ in self._blocks)
+
+    @property
+    def value_tail(self) -> float:
+        """Bound on |Phi| of the boundary modes the table drops (class docstring)."""
+        return self._tails[0]
+
+    @property
+    def gradient_tail(self) -> float:
+        """Bound on |Phi_z| + |Phi_zbar| of the dropped boundary modes (class docstring)."""
+        return self._tails[1]
 
     def coefficients(self) -> np.ndarray:
         """The table expanded as Phi = sum of c[d, l] w_d t^l, w_d = z^d or zbar^|d| (d < 0).
@@ -456,19 +502,49 @@ def _check_points(zs: np.ndarray) -> None:
 
 
 def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
-    """(p, j, alpha, beta) of rows (0, 0) and (1, 0), or None for zero data."""
+    """(p, j, alpha, beta) of rows (0, 0) and (1, 0), or None for zero data.
+
+    The block is cut to the data's bandwidth: its width w is the smallest
+    whose tail T(w) = sum_{m >= w} (|a_f,m| + |b_f,m| + |a_h,m| + |b_h,m|)
+    is at most u (||f.samples||_1 + ||h.samples||_1), u = eps / 2. Rounding
+    each sample by u |f_k| can move the spectrum by that much in 1-norm, so
+    the cut adds no more error than rounding the samples already does.
+    w >= 1: T(0) >= max_k |f_k| + max_k |h_k|, which exceeds the floor for
+    any N < 1/u.
+    """
     given = [d for d in (f, h) if d is not None]
     if not any(np.any(d.samples) for d in given):
         return None
-    width = max(d.n for d in given) // 2 + 1
-    a_f, b_f, a_h, b_h = np.zeros((4, width), dtype=complex)
-    for d, a_out, b_out in ((f, a_f, b_f), (h, a_h, b_h)):
+    spectra = np.zeros((4, max(d.n for d in given) // 2 + 1), dtype=complex)
+    for d, a_out, b_out in ((f, *spectra[:2]), (h, *spectra[2:])):
         if d is not None:
             a_out[:d.a.size], b_out[:d.b.size] = d.a, d.b
+    # T(w) from the top mode down. |.| of a finite spectrum can overflow, and
+    # an infinite tail keeps its modes; u scales the samples before |.|, so
+    # their norm cannot overflow.
+    with np.errstate(over="ignore"):
+        tails = np.cumsum(np.abs(spectra[:, ::-1]).sum(axis=0))
+    floor = sum(float(np.abs(_UNIT_ROUNDOFF * d.samples).sum()) for d in given)
+    width = int(np.count_nonzero(tails > floor))
+    a_f, b_f, a_h, b_h = spectra[:, :width]
     m = np.arange(width)
     alpha = np.stack([a_f, 0.5 * (m * a_f + a_h)], axis=1)
     beta = np.stack([b_f, 0.5 * (m * b_f + b_h)], axis=1)
     return [0, 1], [0, 0], alpha, beta
+
+
+def _dropped_tails(f: Optional[BoundaryData], h: Optional[BoundaryData], width: int):
+    """(value, gradient) bounds of the modes m >= width of f and h (``Solution``)."""
+    value = gradient = 0.0
+    if f is not None and f.a.size > width:
+        mass = np.abs(f.a[width:]) + np.abs(f.b[width:])
+        value += float(mass.sum())
+        gradient += 1.5 * float(np.arange(width, f.a.size) @ mass)
+    if h is not None and h.a.size > width:
+        mass = float((np.abs(h.a[width:]) + np.abs(h.b[width:])).sum())
+        value += 0.5 * mass
+        gradient += mass
+    return value, gradient
 
 
 def _load_rows(g: Optional[SourceTerm]):

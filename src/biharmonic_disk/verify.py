@@ -292,7 +292,9 @@ def fd_bilaplacian_residual(case: Case, grid_spacing: float, extent: float = 0.8
     The field is evaluated on a square grid confined to |z| <= extent and
     the 5-point Laplacian L_h is iterated twice and scaled by 1/16 (the
     solver's Laplacian is a quarter of the coordinate one, L). The check
-    allows ``tolerance`` for round-off plus the truncation bound
+    allows ``tolerance`` max(1, S) for round-off (S as in
+    ``_data_scale``: the round-off of the differences grows like
+    eps |Phi| / h^4) plus the truncation bound
     T = (h^2/24) sum |c[d, l]| (n)_6 R^(n-6) over the table's coefficients,
     with n = |d| + 2l, R = extent and (n)_6 = n (n-1) ... (n-5), 0 below
     degree 6. Proof: L_h^2 - L^2 = (L_h - L)(L_h + L), a second difference
@@ -332,22 +334,32 @@ def fd_bilaplacian_residual(case: Case, grid_spacing: float, extent: float = 0.8
     # weight first: at most 1.1e7 for R <= _FD_DISK, so only c near the double range overflows
     weight = np.prod([np.maximum(n - k, 0.0) for k in range(6)], axis=0) * extent ** (n - 6.0)
     truncation = h**2 / 24.0 * float(np.sum(np.abs(c) * weight))
-    return CheckResult.equality(f"fd-bilaplacian-residual[h={h:g}]",
-                                float(np.max(resid[ok])), 0.0, tolerance + truncation)
+    return CheckResult.equality(f"fd-bilaplacian-residual[h={h:g}]", float(np.max(resid[ok])),
+                                0.0, tolerance * _data_scale(case) + truncation)
 
 
-def _exact_checks(case: Case, gaps) -> list[CheckResult]:
-    """Per (name, gap array), its largest |entry| against 1e-12 max(1, S).
+def _data_scale(case: Case) -> float:
+    """max(1, S), S = sum (1 + |m|)|f_m| + sum |h_m| + sum |g_k|: the size of the data.
 
-    S = sum (1 + |m|)|f_m| + sum |h_m| + sum |g_k| serves every check:
-    per-check scales fail, because the s^1 row cancels across levels.
+    One S serves every check: per-check scales fail, because the s^1 row
+    cancels across levels.
     """
     f, h = case.f, case.h
     scale = (np.sum((1 + np.arange(f.a.size)) * (np.abs(f.a) + np.abs(f.b)))
              + np.sum(np.abs([h.a, h.b])) + case.g.sup_norm_bound())
-    tol = 1e-12 * max(1.0, float(scale))
-    return [CheckResult.equality(name, float(np.max(np.abs(gap))), 0.0, tol)
-            for name, gap in gaps]
+    return max(1.0, float(scale))
+
+
+def _exact_checks(case: Case, gaps) -> list[CheckResult]:
+    """Per (name, gap array, tail), its largest |entry| against 1e-12 max(1, S) + tail.
+
+    tail is what the table's cut to the data's bandwidth may move the gap
+    by: ``Solution.value_tail`` for the traces and ``gradient_tail`` for the
+    normal derivatives, which on the circle are at most |Phi_z| + |Phi_zbar|.
+    """
+    tol = 1e-12 * _data_scale(case)
+    return [CheckResult.equality(name, float(np.max(np.abs(gap))), 0.0, tol + tail)
+            for name, gap, tail in gaps]
 
 
 def uniqueness_checks(case: Case) -> list[CheckResult]:
@@ -369,9 +381,11 @@ def uniqueness_checks(case: Case) -> list[CheckResult]:
         for a, b, coef in case.g.terms:
             bilap[a - b, min(a, b)] -= coef
         return _exact_checks(case, (
-            ("trace-modes-exact", np.sum(c, axis=1) - case.f.modes(n)),
-            ("normal-modes-exact", -np.sum((d + 2 * l) * c, axis=1) - case.h.modes(n)),
-            ("bilaplacian-exact", bilap)))
+            ("trace-modes-exact", np.sum(c, axis=1) - case.f.modes(n),
+             case.solution.value_tail),
+            ("normal-modes-exact", -np.sum((d + 2 * l) * c, axis=1) - case.h.modes(n),
+             case.solution.gradient_tail),
+            ("bilaplacian-exact", bilap, 0.0)))
 
 
 def boundary_trace_check(case: Case) -> list[CheckResult]:
@@ -385,13 +399,18 @@ def boundary_trace_check(case: Case) -> list[CheckResult]:
     d_z, d_zbar = case.solution.gradient(h_nodes)
     normal = -(h_nodes * d_z + np.conj(h_nodes) * d_zbar)
     return _exact_checks(case, (
-        ("trace-exact[r=1]", case.solution.values(f_nodes) - case.f.samples),
-        ("normal-trace-exact[r=1]", normal - case.h.samples)))
+        ("trace-exact[r=1]", case.solution.values(f_nodes) - case.f.samples,
+         case.solution.value_tail),
+        ("normal-trace-exact[r=1]", normal - case.h.samples, case.solution.gradient_tail)))
 
 
 def gradient_crosscheck(case: Case, points: Sequence[complex],
                         tolerance: float = 1e-6) -> list[CheckResult]:
-    """Table gradients vs central differences of the field, all points in one pass."""
+    """Table gradients vs central differences of the field, all points in one pass.
+
+    Each point is allowed ``tolerance`` max(1, S) (S as in ``_data_scale``):
+    the round-off of a difference quotient grows like eps |Phi| / step.
+    """
     zs = np.asarray(points, dtype=complex).ravel()
     if np.any(np.abs(zs) > 0.9):
         raise DomainError("crosscheck points must satisfy |z| <= 0.9")
@@ -399,6 +418,7 @@ def gradient_crosscheck(case: Case, points: Sequence[complex],
     ve = case.solution.values(zs[:, None] + _GRAD_STEP * np.array([1.0, -1.0, 1j, -1j]))
     ux, uy = ((ve[:, ::2] - ve[:, 1::2]) / (2.0 * _GRAD_STEP)).T
     gaps = np.maximum(np.abs(d_z - (ux - 1j * uy) / 2.0), np.abs(d_zbar - (ux + 1j * uy) / 2.0))
-    return [CheckResult.equality(f"gradient-crosscheck[z={_zkey(z)}]", gap, 0.0, tolerance)
+    allowance = tolerance * _data_scale(case)
+    return [CheckResult.equality(f"gradient-crosscheck[z={_zkey(z)}]", gap, 0.0, allowance)
             for z, gap in zip(zs, gaps)]
 

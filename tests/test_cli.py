@@ -25,6 +25,10 @@ OVERFLOW = {"f": {"fourier": [[1, 1e308, 1e308]]}}
 DERIVATIVE_OVERFLOW = {"f": {"fourier": [[255, 1e304, 0.0]]}}
 MIXED = {"schema": 1, "f": {"fourier": [[0, 1.0, 0.0]]}, "h": {"fourier": [[0, -4.0, 0.0]]},
          "g": {"terms": [[0, 0, 4.0, 0.0]]}, "seed": 7}
+# one mode below the cut's floor u ||samples||_1 (1.8e-12 for 16384 unit
+# samples, 3.6e-12 for 32768): the table drops it, and the checks allow its tail
+SUB_FLOOR_F = {"f": {"n_samples": 16384, "fourier": [[0, 1.0, 0.0], [5000, 1.5e-12, 0.0]]}}
+SUB_FLOOR_H = {"h": {"n_samples": 32768, "fourier": [[0, 1.0, 0.0], [9000, 3.5e-12, 0.0]]}}
 # a table of degree 22, far past the quartics the FD residual is exact on
 DEGREE_20 = {"f": {"fourier": [[20, 1.0, 0.0], [-7, 0.5, 0.5], [3, 0.0, -1.0]]},
              "h": {"fourier": [[3, 1.0, 0.0], [-12, 0.0, 0.5]]},
@@ -432,6 +436,25 @@ def test_verify_passes_a_high_degree_case(tmp_path, capsys):
     assert cli.main(["verify", "--case", case]) == 0
     assert "9/9 checks passed" in capsys.readouterr().out
     assert cli.main(["lipschitz", "--case", case]) == 0
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_verify_passes_mixed_scaled_by_powers_of_ten(tmp_path, capsys, k):
+    # every allowance scales with the data, the FD residual's and the
+    # crosschecks' round-off too
+    scale = 10.0**k
+    doc = {"f": {"fourier": [[0, scale, 0.0]]}, "h": {"fourier": [[0, -4.0 * scale, 0.0]]},
+           "g": {"terms": [[0, 0, 4.0 * scale, 0.0]]}}
+    assert cli.main(["verify", "--case", write_case(tmp_path, doc)]) == 0
+    assert "9/9 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", [SUB_FLOOR_F, SUB_FLOOR_H])
+def test_verify_passes_a_mode_below_the_cut(tmp_path, capsys, doc):
+    # the h mode's gap, 3.5e-12, exceeds 1e-12 plus the value tail (1.75e-12):
+    # the normal checks need the gradient tail
+    assert cli.main(["verify", "--case", write_case(tmp_path, doc)]) == 0
+    assert "9/9 checks passed" in capsys.readouterr().out
 
 
 def test_verify_accepts_four_samples(tmp_path, capsys):

@@ -601,6 +601,117 @@ def test_overflowing_gradients_are_refused(modes):
 
 
 # ---------------------------------------------------------------------------
+# the boundary block cut to the data's bandwidth
+
+
+def _block_width(f, h):
+    return solver._boundary_rows(f, h)[2].shape[0]
+
+
+def _sub_floor_data(rng, n, band, n_tail, scale):
+    """n samples of random modes |m| <= band plus n_tail modes above it.
+
+    The tail modes share a quarter of u ||samples||_1, so the cut drops
+    them. The samples come from an inverse FFT, whose round-off puts less
+    noise into the spectrum than summing exp(1j m theta) does.
+    """
+    u = np.finfo(float).eps / 2
+    coef = np.zeros(n, dtype=complex)
+    band_modes = np.arange(-band, band + 1)
+    coef[band_modes] = rng.normal(size=band_modes.size) + 1j * rng.normal(size=band_modes.size)
+    floor = u * np.sum(np.abs(n * np.fft.ifft(coef)))
+    tail = rng.choice(np.arange(band + 1, n // 2), n_tail, replace=False)
+    amplitude = rng.uniform(0.1, 1.0, n_tail)
+    coef[tail * rng.choice([-1, 1], n_tail)] = (0.25 * floor * amplitude / amplitude.sum()
+                                                * np.exp(2j * np.pi * rng.uniform(size=n_tail)))
+    return BoundaryData(scale * n * np.fft.ifft(coef))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([512, 4096]),
+       band=st.integers(0, 20), n_tail=st.integers(1, 5),
+       h_scale=st.sampled_from([0.0, 1.0, 1e3]))
+def test_the_cut_stays_within_its_recorded_tails(seed, n, band, n_tail, h_scale):
+    rng = np.random.default_rng(seed)
+    f, h = _sub_floor_data(rng, n, band, n_tail, 1.0), _sub_floor_data(rng, n, band, n_tail, h_scale)
+    zs = _disk_and_circle(rng)
+    cut = solver.Solution(f, h)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_UNIT_ROUNDOFF", 0.0)  # keep every mode
+        full = solver.Solution(f, h)
+        assert _block_width(f, h) > band + n_tail
+    assert _block_width(f, h) <= band + 1
+    assert 0.0 < cut.value_tail <= cut.gradient_tail
+    # the two tables differ in width, so they round differently: allow a few
+    # ulps of the scales _assert_matches_full_power_table weighs values and
+    # gradients by
+    u = np.finfo(float).eps / 2
+    mass_f, mass_h = (np.abs(d.a) + np.abs(d.b) for d in (f, h))
+    m = 1.0 + np.arange(f.a.size)
+    s1 = np.sum(m * mass_f) + np.sum(mass_h)
+    s2 = np.sum(m**2 * mass_f) + np.sum(m * mass_h)
+    moved = np.abs(cut.values(zs) - full.values(zs))
+    assert np.max(moved) <= cut.value_tail + 4 * u * s1
+    moved = np.sum(np.abs(np.array(cut.gradient(zs)) - full.gradient(zs)), axis=0)
+    assert np.max(moved) <= cut.gradient_tail + 4 * u * s2
+
+
+@pytest.mark.parametrize("datum, mode, sharp", [
+    ("f", 1, 0.99), ("f", 7, 0.6), ("f", 100, 0.6), ("h", 1, 0.99), ("h", 100, 0.99)])
+def test_one_dropped_mode_comes_close_to_its_bounds(datum, mode, sharp):
+    # eps z^m beside a constant 1, whose FFT is exact, so the cut drops
+    # eps z^m alone (eps = 4e-14 is below u ||samples||_1 = 5.7e-14).
+    # In f, |Phi_z| + |Phi_zbar| = eps m r^(m-1) (1 + m s/2) peaks at 1.5 eps
+    # for m = 1 (at 0) and stays above eps m (on the circle), and the value
+    # reaches eps on the circle; in h, the gradient reaches eps on the circle.
+    # Each tail is then sharp, or within the factor 1/sharp.
+    coef = np.zeros(512, dtype=complex)
+    coef[mode] = 4e-14
+    data = {datum: BoundaryData(512 * np.fft.ifft(coef)),
+            "h" if datum == "f" else "f": BoundaryData.constant(1.0)}
+    zs = np.linspace(0.0, 1.0, 4001)
+    cut = solver.Solution(data["f"], data["h"])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_UNIT_ROUNDOFF", 0.0)
+        full = solver.Solution(data["f"], data["h"])
+    assert _block_width(data["f"], data["h"]) == 1
+    assert cut.value_tail == pytest.approx(4e-14 if datum == "f" else 2e-14, rel=1e-12)
+    ulps = 8 * np.finfo(float).eps  # the two tables round the constant's part differently
+    moved = np.max(np.abs(cut.values(zs) - full.values(zs)))
+    assert (0.99 if datum == "f" else 0.0) * cut.value_tail <= moved <= cut.value_tail + ulps
+    moved = np.max(np.sum(np.abs(np.array(cut.gradient(zs)) - full.gradient(zs)), axis=0))
+    assert sharp * cut.gradient_tail <= moved <= cut.gradient_tail + ulps
+
+
+def test_grid_shaped_data_is_cut_to_its_modes():
+    # the manufactured data of degree-6 solutions of the benchmark's grid
+    # shape: load terms (3, 3) and (4, 2), free terms of degree < 5
+    rng = np.random.default_rng(3)
+    free = [(a, b) for a in range(5) for b in range(5) if a < 2 or b < 2]
+    for _ in range(20):
+        terms = [(3, 3, 1.0), (4, 2, 1j)] + [
+            (*free[i], complex(*rng.normal(size=2))) for i in rng.choice(len(free), 3)]
+        case = verify.manufactured_case(SourceTerm(terms))
+        assert _block_width(case.f, case.h) <= 5
+
+
+def test_white_noise_is_not_cut():
+    rng = np.random.default_rng(4)
+    f, h = (_noise(rng, 512) for _ in range(2))
+    assert _block_width(f, h) == 257
+    solution = solver.Solution(f, h)
+    assert (solution.value_tail, solution.gradient_tail) == (0.0, 0.0)
+
+
+def test_huge_samples_do_not_overflow_the_cut():
+    # the 1-norm of these samples, about 512 * 1.3e306, overflows double
+    # precision; the cut scales them by u before summing, and keeps every mode
+    rng = np.random.default_rng(5)
+    f = _noise(rng, 512, 1e306)
+    with np.errstate(all="raise"):
+        assert _block_width(f, None) == 257
+
+
+# ---------------------------------------------------------------------------
 # gradients
 
 

@@ -247,7 +247,8 @@ def test_fd_residual_passes_the_manufactured_sextic():
     bound = _truncation_bound(case, 0.02, 0.8)
     assert res.passed
     assert res.computed.real > 1e-6
-    assert res.tolerance == pytest.approx(1e-6 + bound, rel=1e-12)
+    # the round-off allowance scales with S = |f_0| + |h_0| + |g| = 1 + 6 + 36
+    assert res.tolerance == pytest.approx(43e-6 + bound, rel=1e-12)
     assert bound == pytest.approx(0.02**2 / 24.0 * 720.0, rel=1e-12)
 
 
@@ -264,7 +265,7 @@ def test_fd_residual_stays_within_its_truncation_bound(f_modes, h_modes, terms):
                        BoundaryData.from_fourier(h_modes, 64), SourceTerm(terms))
     res = verify.fd_bilaplacian_residual(case, 0.02)
     bound = _truncation_bound(case, 0.02, 0.8)
-    assert res.tolerance == pytest.approx(1e-6 + bound, rel=1e-12)
+    assert res.tolerance == pytest.approx(1e-6 * verify._data_scale(case) + bound, rel=1e-12)
     assert res.computed.real <= 1e-6 + bound
     assert res.passed
 
@@ -323,11 +324,21 @@ def test_exact_tolerance_scales_with_the_data():
     case = solver.Case(BoundaryData.from_fourier([(-2, 3.0)], 8),
                        BoundaryData.constant(4.0, 16), SourceTerm([(1, 0, 3.0), (2, 5, 4j)]))
     zero = solver.Case(BoundaryData.zero(4), BoundaryData.zero(4), SourceTerm.zero())
-    for data, tolerance in ((case, 20e-12), (zero, 1e-12)):
+    # mode 5000 lies below the cut's floor u ||f.samples||_1 = 1.8e-12, so
+    # the table drops it and the trace checks see it whole: S = 1 + 5001 |f_5000|
+    sub_floor = solver.Case(BoundaryData.from_fourier([(0, 1.0), (5000, 1.5e-12)], 16384),
+                            BoundaryData.zero(4), SourceTerm.zero())
+    assert sub_floor.solution.value_tail >= 1.5e-12
+    assert _exact_checks(sub_floor)["trace-modes-exact"].computed.real > 1.2e-12
+    for data, tolerance in ((case, 20e-12), (zero, 1e-12), (sub_floor, 1e-12 + 5001 * 1.5e-24)):
         checks = _exact_checks(data)
         assert _failed(checks) == set()
-        for c in checks.values():
-            assert c.tolerance == pytest.approx(tolerance, rel=1e-14)
+        # on top, what the cut to the data's bandwidth can move: the value
+        # tail for the traces, the gradient tail for the normal derivatives
+        tails = {"trace": data.solution.value_tail, "normal": data.solution.gradient_tail,
+                 "bilaplacian": 0.0}
+        for name, c in checks.items():
+            assert c.tolerance == pytest.approx(tolerance + tails[name.split("-")[0]], rel=1e-14)
 
 
 def test_exact_circle_checks_hold_on_a_high_degree_case():
@@ -431,6 +442,28 @@ def test_exact_trace_catches_an_unsplit_nyquist_mode(monkeypatch):
     case = solver.Case(BoundaryData([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]),
                        BoundaryData.zero(8), SourceTerm.zero())
     assert {"trace-modes-exact", "trace-exact[r=1]"} <= _failed(_exact_checks(case))
+
+
+def _scaled_case(f_modes, h_modes, terms, scale):
+    return solver.Case(BoundaryData.from_fourier([(m, scale * c) for m, c in f_modes]),
+                       BoundaryData.from_fourier([(m, scale * c) for m, c in h_modes]),
+                       SourceTerm((a, b, scale * c) for a, b, c in terms))
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_scaled_allowances_still_catch_a_relative_error_of_1e_4(monkeypatch, k):
+    # The FD residual and the crosschecks allow round-off in proportion to
+    # max(1, S), so correct data passes at any scale (tests/test_cli.py);
+    # a table off by 1e-4 must fail them at every scale all the same.
+    scale = 10.0**k
+    mixed = _scaled_case([(0, 1.0)], [(0, -4.0)], [(0, 0, 4.0)], scale)  # |z|^4
+    rotation = _scaled_case([(1, 1.0)], [], [], scale)
+    deriv = solver._deriv
+    _patch_rows(monkeypatch, "_load_rows", lambda c: c * (1.0 + 1e-4))
+    monkeypatch.setattr(solver, "_deriv", lambda c: deriv(c) * (1.0 + 1e-4))
+    assert not verify.fd_bilaplacian_residual(mixed, 0.02).passed
+    crosschecks = verify.gradient_crosscheck(rotation, [0.3 + 0.2j, -0.4 + 0j, 0.5j])
+    assert not any(c.passed for c in crosschecks)
 
 
 def test_cases_assemble_their_table_once():
