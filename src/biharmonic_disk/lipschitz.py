@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDataError, DomainError
 from .quadrature import DEFAULT_RULES, CircleRule, _circle_angles, disk_integrate_centered
-from .solver import BoundaryData, Solution, SolutionField, SourceTerm
+from .solver import BoundaryData, Case, SolutionField, SourceTerm
 
 # Coefficients of the certified gradient bound P.
 _COEFF_L = 220.0 / 3.0
@@ -145,10 +145,13 @@ def _origin_green_terms(g: SourceTerm):
 
 def compute_ab(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> ABResult:
     """A, B, Q at the origin, from the table's gradient there and from the integral formulas."""
-    a_value, b_value = np.abs(Solution(f, h, g).gradient(0j)) ** 2
+    return _origin_invariants(Case(f, h, g))
 
-    t_a, t_b = _origin_boundary_terms(f, h)
-    g_a, g_b = _origin_green_terms(g)
+
+def _origin_invariants(case: Case) -> ABResult:
+    a_value, b_value = np.abs(case.solution.gradient(0j)) ** 2
+    t_a, t_b = _origin_boundary_terms(case.f, case.h)
+    g_a, g_b = _origin_green_terms(case.g)
     return ABResult(
         a_value=a_value,
         b_value=b_value,
@@ -184,24 +187,23 @@ def classify(l_boundary: float, h_sup: float, g_sup: float,
     )
 
 
-def analyze_case(f: BoundaryData, h: BoundaryData,
-                 g: SourceTerm) -> tuple[LipschitzReport, ABResult]:
+def analyze_case(case: Case) -> tuple[LipschitzReport, ABResult]:
     """Measure every constant for one case and classify it.
 
-    Data near the limits of double precision can overflow on the way; any
-    reported constant that is not finite raises ``DegenerateDataError``
-    instead of being reported.
+    A and B come from ``case.solution``. Data near the limits of double
+    precision can overflow on the way; any reported constant that is not
+    finite raises ``DegenerateDataError`` instead of being reported.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            ab = compute_ab(f, h, g)
+            ab = _origin_invariants(case)
             report = classify(
-                l_boundary=estimate_boundary_lipschitz(f),
-                h_sup=h.sup_norm(),
-                g_sup=g.sup_norm_bound(),
+                l_boundary=estimate_boundary_lipschitz(case.f),
+                h_sup=case.h.sup_norm(),
+                g_sup=case.g.sup_norm_bound(),
                 a_value=ab.a_value,
                 b_value=ab.b_value,
-                g_sup_estimate=g.sup_norm_estimate(),
+                g_sup_estimate=case.g.sup_norm_estimate(),
             )
     except OverflowError as exc:  # a Python float power past the double range
         raise DegenerateDataError("a reported constant overflows double precision") from exc

@@ -34,8 +34,9 @@ own ``Solution``, assembled on first use and then reused. The two blocks:
   The block keeps the modes below the data's bandwidth w: the smallest w
   whose tail sum_{m >= w} (|a_f,m| + |b_f,m| + |a_h,m| + |b_h,m|) is at
   most u (||f.samples||_1 + ||h.samples||_1), u = eps / 2, which is what
-  rounding the samples can move the spectrum by. ``Solution.value_tail``
-  and ``.gradient_tail`` bound what the dropped modes contribute.
+  rounding the samples can move the spectrum by (``BoundaryData`` records
+  both sums). ``Solution.value_tail`` and ``.gradient_tail`` bound what the
+  dropped modes contribute.
 
 * Green, rows (2, j). For one load term c z^a zbar^b,
 
@@ -114,12 +115,17 @@ class BoundaryData:
     ``b`` are the coefficients of the interpolant's harmonic extension
     u = sum_m a_m z^m + sum_m b_m zbar^m. a holds the modes 0..N/2, b the
     modes 0, -1..-N/2 (b_0 = 0). The Nyquist coefficient is halved into
-    both, so the interpolant carries it as a cosine. ``samples``, ``a`` and
-    ``b`` are read-only arrays. Samples whose spectrum overflows double
-    precision raise ``DegenerateDataError``.
+    both, so the interpolant carries it as a cosine. Construction also
+    records the sums the cut, its tails and verify's scale read: ``floor`` =
+    u ||samples||_1 (u = eps / 2 scales the samples before |.|), and for
+    w = 0..N/2 ``tail[w]`` = T(w) = sum_{m >= w} (|a_m| + |b_m|) and
+    ``moment[w]`` = M(w) = sum_{m >= w} m (|a_m| + |b_m|), inf past the
+    double range. ``samples``, ``a``, ``b``, ``tail`` and ``moment`` are
+    read-only arrays. Samples whose spectrum overflows double precision
+    raise ``DegenerateDataError``.
     """
 
-    __slots__ = ("samples", "a", "b")
+    __slots__ = ("samples", "a", "b", "floor", "tail", "moment")
 
     def __init__(self, samples):
         arr = np.asarray(samples, dtype=complex).copy()
@@ -138,9 +144,14 @@ class BoundaryData:
         nyquist = 0.5 * coef[half]
         a = np.concatenate((coef[:half], [nyquist]))
         b = np.concatenate(([0.0], coef[:half:-1], [nyquist]))
-        for part in (arr, a, b):
+        mass = np.abs(a) + np.abs(b)
+        with np.errstate(over="ignore"):
+            tail = np.cumsum(mass[::-1])[::-1]
+            moment = np.cumsum((np.arange(half + 1) * mass)[::-1])[::-1]
+        for part in (arr, a, b, tail, moment):
             part.setflags(write=False)
-        self.samples, self.a, self.b = arr, a, b
+        self.samples, self.a, self.b, self.tail, self.moment = arr, a, b, tail, moment
+        self.floor = float(np.abs(_UNIT_ROUNDOFF * arr).sum())
 
     @property
     def n(self) -> int:
@@ -325,12 +336,14 @@ class Solution:
     factor of the mode, so gradients overflow first.
 
     ``value_tail`` and ``gradient_tail`` bound, on the closed disk, what the
-    cut drops from Phi and from |Phi_z| + |Phi_zbar|. With T_f and T_h the
-    sums of |a_m| + |b_m| over the dropped modes m >= w >= 1 of f and h,
-    the value tail is T_f + T_h / 2 and the gradient tail is
-    1.5 sum m (|a_f,m| + |b_f,m|) + T_h. Proof, for the mode z^m (zbar^m is
-    its conjugate image, with the roles of d/dz and d/dzbar swapped), with
-    x = r^2 and s = 1 - x:
+    cut drops from Phi and from |Phi_z| + |Phi_zbar|. With T_f = T_f(w),
+    M_f = M_f(w) and T_h = T_h(w) read from the records of f and h
+    (``BoundaryData``), the value tail is T_f + T_h / 2 and the gradient
+    tail 1.5 M_f + T_h. On the circle the cut moves the trace by at most
+    ``trace_tail`` = T_f and the inward normal derivative by at most
+    ``normal_tail`` = T_h (proof in ``verify._exact_checks``). Proof of the
+    closed-disk bounds, for the mode z^m (zbar^m is its conjugate image,
+    with the roles of d/dz and d/dzbar swapped), with x = r^2 and s = 1 - x:
 
     * Lemma: (m/2) r^(m-1) s <= 1/2. Its maximum over x of
       (m/2) x^k (1 - x), k = (m-1)/2, is (1/2) ((2k+1)/(k+1)) (k/(k+1))^k:
@@ -351,7 +364,10 @@ class Solution:
     def __init__(self, f: Optional[BoundaryData] = None,
                  h: Optional[BoundaryData] = None, g: Optional[SourceTerm] = None):
         boundary = _boundary_rows(f, h)
-        self._tails = _dropped_tails(f, h, 0 if boundary is None else boundary[2].shape[0])
+        width = 0 if boundary is None else boundary[2].shape[0]
+        (t_f, m_f), (t_h, _) = _dropped(f, width), _dropped(h, width)
+        self.value_tail, self.gradient_tail = t_f + t_h / 2, 1.5 * m_f + t_h
+        self.trace_tail, self.normal_tail = t_f, t_h
         self._rows = blocks = [b for b in (boundary, _load_rows(g)) if b is not None]
         # the modes coefficients() covers: those of the table, of f and h, and +-1
         self._width = max([a.shape[0] for _, _, a, _ in blocks]
@@ -367,16 +383,6 @@ class Solution:
         self._j = np.array([j for rows in blocks for j in rows[1]], dtype=int)
         self._baby = max((b for _, b, _ in self._blocks), default=1)
         self._inner = sum(coef.shape[0] for coef, _, _ in self._blocks)
-
-    @property
-    def value_tail(self) -> float:
-        """Bound on |Phi| of the boundary modes the table drops (class docstring)."""
-        return self._tails[0]
-
-    @property
-    def gradient_tail(self) -> float:
-        """Bound on |Phi_z| + |Phi_zbar| of the dropped boundary modes (class docstring)."""
-        return self._tails[1]
 
     def coefficients(self) -> np.ndarray:
         """The table expanded as Phi = sum of c[d, l] w_d t^l, w_d = z^d or zbar^|d| (d < 0).
@@ -402,6 +408,20 @@ class Solution:
     def gradient(self, zs):
         """Wirtinger gradient arrays (Phi_z, Phi_zbar) at each point of zs."""
         return self._evaluate(zs, gradient=True)[1:]
+
+    def grid(self, n_r: int, n_theta: int, r_max: float = 1.0,
+             with_gradient: bool = False) -> "SolutionField":
+        """Values (and gradients) at r = r_max k / n_r, theta = 2 pi j / n_theta, in one pass."""
+        if n_r < 1 or n_theta < 1:
+            raise DegenerateDataError("grid sizes must be positive")
+        if not (0.0 < r_max <= 1.0):
+            raise DomainError("r_max must lie in (0, 1]")
+        radii = r_max * np.arange(n_r) / n_r
+        thetas = _circle_angles(n_theta).copy()
+        outs = self._evaluate(radii[:, None] * np.exp(1j * thetas)[None, :], with_gradient)
+        d_z, d_zbar = outs[1:] if with_gradient else (None, None)
+        return SolutionField(radii=radii, thetas=thetas, values=outs[0], d_z=d_z,
+                             d_zbar=d_zbar, r_max=r_max)
 
     def _evaluate(self, zs, gradient: bool):
         """(Phi,), or (Phi, Phi_z, Phi_zbar) with gradient, at each point of zs."""
@@ -505,46 +525,38 @@ def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
     """(p, j, alpha, beta) of rows (0, 0) and (1, 0), or None for zero data.
 
     The block is cut to the data's bandwidth: its width w is the smallest
-    whose tail T(w) = sum_{m >= w} (|a_f,m| + |b_f,m| + |a_h,m| + |b_h,m|)
-    is at most u (||f.samples||_1 + ||h.samples||_1), u = eps / 2. Rounding
-    each sample by u |f_k| can move the spectrum by that much in 1-norm, so
-    the cut adds no more error than rounding the samples already does.
-    w >= 1: T(0) >= max_k |f_k| + max_k |h_k|, which exceeds the floor for
-    any N < 1/u.
+    with T_f(w) + T_h(w) <= f.floor + h.floor (the records of
+    ``BoundaryData``), that is, whose tail is at most u (||f.samples||_1 +
+    ||h.samples||_1). Rounding each sample by u |f_k| can move the spectrum
+    by that much in 1-norm, so the cut adds no more error than rounding the
+    samples already does. An infinite tail keeps its modes. w >= 1 for
+    nonzero data: T(0) >= max_k |f_k| + max_k |h_k|, which exceeds the floor
+    for any N < 1/u, unless the whole spectrum underflows to 0.
     """
     given = [d for d in (f, h) if d is not None]
-    if not any(np.any(d.samples) for d in given):
+    tails = np.zeros(max((d.tail.size for d in given), default=0))
+    with np.errstate(over="ignore"):
+        for d in given:
+            tails[:d.tail.size] += d.tail
+    width = int(np.count_nonzero(tails > sum(d.floor for d in given)))
+    if width == 0:
         return None
-    spectra = np.zeros((4, max(d.n for d in given) // 2 + 1), dtype=complex)
+    spectra = np.zeros((4, width), dtype=complex)
     for d, a_out, b_out in ((f, *spectra[:2]), (h, *spectra[2:])):
         if d is not None:
-            a_out[:d.a.size], b_out[:d.b.size] = d.a, d.b
-    # T(w) from the top mode down. |.| of a finite spectrum can overflow, and
-    # an infinite tail keeps its modes; u scales the samples before |.|, so
-    # their norm cannot overflow.
-    with np.errstate(over="ignore"):
-        tails = np.cumsum(np.abs(spectra[:, ::-1]).sum(axis=0))
-    floor = sum(float(np.abs(_UNIT_ROUNDOFF * d.samples).sum()) for d in given)
-    width = int(np.count_nonzero(tails > floor))
-    a_f, b_f, a_h, b_h = spectra[:, :width]
+            a_out[:d.a.size], b_out[:d.b.size] = d.a[:width], d.b[:width]
+    a_f, b_f, a_h, b_h = spectra
     m = np.arange(width)
     alpha = np.stack([a_f, 0.5 * (m * a_f + a_h)], axis=1)
     beta = np.stack([b_f, 0.5 * (m * b_f + b_h)], axis=1)
     return [0, 1], [0, 0], alpha, beta
 
 
-def _dropped_tails(f: Optional[BoundaryData], h: Optional[BoundaryData], width: int):
-    """(value, gradient) bounds of the modes m >= width of f and h (``Solution``)."""
-    value = gradient = 0.0
-    if f is not None and f.a.size > width:
-        mass = np.abs(f.a[width:]) + np.abs(f.b[width:])
-        value += float(mass.sum())
-        gradient += 1.5 * float(np.arange(width, f.a.size) @ mass)
-    if h is not None and h.a.size > width:
-        mass = float((np.abs(h.a[width:]) + np.abs(h.b[width:])).sum())
-        value += 0.5 * mass
-        gradient += mass
-    return value, gradient
+def _dropped(d: Optional[BoundaryData], width: int) -> tuple[float, float]:
+    """(T(width), M(width)) of a datum's records; 0 for no datum or past its modes."""
+    if d is None or width >= d.tail.size:
+        return 0.0, 0.0
+    return float(d.tail[width]), float(d.moment[width])
 
 
 def _load_rows(g: Optional[SourceTerm]):
@@ -638,25 +650,5 @@ class SolutionField:
 def solve_grid(f: BoundaryData, h: BoundaryData, g: SourceTerm,
                n_r: int, n_theta: int, r_max: float = 1.0,
                with_gradient: bool = False) -> SolutionField:
-    """Solve on the polar grid r = r_max k / n_r, theta = 2 pi j / n_theta.
-
-    Values and gradients come from one pass of the assembled table, exact at
-    every radius of the grid.
-    """
-    if n_r < 1 or n_theta < 1:
-        raise DegenerateDataError("grid sizes must be positive")
-    if not (0.0 < r_max <= 1.0):
-        raise DomainError("r_max must lie in (0, 1]")
-    radii = r_max * np.arange(n_r) / n_r
-    thetas = _circle_angles(n_theta).copy()
-    zs = radii[:, None] * np.exp(1j * thetas)[None, :]
-    outs = Solution(f, h, g)._evaluate(zs, gradient=with_gradient)
-    d_z, d_zbar = outs[1:] if with_gradient else (None, None)
-    return SolutionField(
-        radii=radii,
-        thetas=thetas,
-        values=outs[0],
-        d_z=d_z,
-        d_zbar=d_zbar,
-        r_max=r_max,
-    )
+    """Solve on the polar grid r = r_max k / n_r, theta = 2 pi j / n_theta (``Solution.grid``)."""
+    return Solution(f, h, g).grid(n_r, n_theta, r_max, with_gradient)

@@ -341,21 +341,27 @@ def fd_bilaplacian_residual(case: Case, grid_spacing: float, extent: float = 0.8
 def _data_scale(case: Case) -> float:
     """max(1, S), S = sum (1 + |m|)|f_m| + sum |h_m| + sum |g_k|: the size of the data.
 
+    S = T_f(0) + M_f(0) + T_h(0) + sum |g_k|, from the records of f and h.
     One S serves every check: per-check scales fail, because the s^1 row
     cancels across levels.
     """
     f, h = case.f, case.h
-    scale = (np.sum((1 + np.arange(f.a.size)) * (np.abs(f.a) + np.abs(f.b)))
-             + np.sum(np.abs([h.a, h.b])) + case.g.sup_norm_bound())
-    return max(1.0, float(scale))
+    return max(1.0, float(f.tail[0]) + float(f.moment[0]) + float(h.tail[0])
+               + case.g.sup_norm_bound())
 
 
 def _exact_checks(case: Case, gaps) -> list[CheckResult]:
     """Per (name, gap array, tail), its largest |entry| against 1e-12 max(1, S) + tail.
 
     tail is what the table's cut to the data's bandwidth may move the gap
-    by: ``Solution.value_tail`` for the traces and ``gradient_tail`` for the
-    normal derivatives, which on the circle are at most |Phi_z| + |Phi_zbar|.
+    by on the circle: ``Solution.trace_tail`` = T_f(w) for the traces and
+    ``normal_tail`` = T_h(w) for the normal derivatives. Proof, per dropped
+    mode m: at r = 1 (s = 0) f's multiplier r^m (1 + m s/2) is 1 and its
+    radial derivative m r^(m-1) (1 + m s/2) - m r^(m+1) is 0; h's
+    multiplier r^m s/2 is 0 and its inward normal derivative -d/dr is 1.
+    So a dropped mode of f moves the trace by |a_m| (or |b_m|) and the
+    normal derivative not at all, one of h the other way round; summing
+    over the dropped modes gives T_f(w) and T_h(w), pointwise and per mode.
     """
     tol = 1e-12 * _data_scale(case)
     return [CheckResult.equality(name, float(np.max(np.abs(gap))), 0.0, tol + tail)
@@ -382,9 +388,9 @@ def uniqueness_checks(case: Case) -> list[CheckResult]:
             bilap[a - b, min(a, b)] -= coef
         return _exact_checks(case, (
             ("trace-modes-exact", np.sum(c, axis=1) - case.f.modes(n),
-             case.solution.value_tail),
+             case.solution.trace_tail),
             ("normal-modes-exact", -np.sum((d + 2 * l) * c, axis=1) - case.h.modes(n),
-             case.solution.gradient_tail),
+             case.solution.normal_tail),
             ("bilaplacian-exact", bilap, 0.0)))
 
 
@@ -400,8 +406,8 @@ def boundary_trace_check(case: Case) -> list[CheckResult]:
     normal = -(h_nodes * d_z + np.conj(h_nodes) * d_zbar)
     return _exact_checks(case, (
         ("trace-exact[r=1]", case.solution.values(f_nodes) - case.f.samples,
-         case.solution.value_tail),
-        ("normal-trace-exact[r=1]", normal - case.h.samples, case.solution.gradient_tail)))
+         case.solution.trace_tail),
+        ("normal-trace-exact[r=1]", normal - case.h.samples, case.solution.normal_tail)))
 
 
 def gradient_crosscheck(case: Case, points: Sequence[complex],

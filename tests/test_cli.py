@@ -1,6 +1,7 @@
 """Case-file parsing and the command-line entry points, run in-process."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,9 @@ def test_parse_fourier_n_samples():
         ({"schema": 1, "h": {"fourier": [], "n_samples": True}}, "h.n_samples must be an even"),
         ({"schema": 1, "seed": True}, "seed must be an integer"),
         ({"schema": 1, "seed": 7.0}, "seed must be an integer"),
+        ({"schema": 1, "f": {"n_samples": 2**15 + 2}}, "f.n_samples must be an even integer in"),
+        ({"schema": 1, "h": {"samples": [[1.0, 0.0]] * (2**15 + 2)}},
+         "h.samples holds more than 32768 samples"),
     ],
 )
 def test_parse_rejections(doc, fragment):
@@ -132,6 +136,26 @@ def test_parse_case_refuses_non_utf8(tmp_path, capsys):
     rc = cli.main(["verify", "--case", str(path)])
     assert rc == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_huge_sample_counts_are_refused_before_allocating(tmp_path, capsys):
+    # 2^40 samples would take 16 TiB: the cap refuses them while parsing
+    case = write_case(tmp_path, {"f": {"n_samples": 2**40}})
+    tracemalloc.start()
+    try:
+        rc = cli.main(["solve", "--case", case, "--grid", "4,4", "--out", str(tmp_path / "o.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "f.n_samples must be an even integer in [4, 32768]" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_the_sample_cap_admits_32768_samples():
+    case = cli.parse_case_dict({"f": {"n_samples": 2**15}, "h": {"samples": [[1.0, 0.0]] * 2**15}})
+    assert case.f.n == case.h.n == 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +447,31 @@ def test_verify_pure_load_case(tmp_path, capsys):
     assert {c["tolerance"] for c in doc["checks"] if c["name"] in exact} == {4e-12}
 
 
-def test_verify_assembles_the_table_once(tmp_path, monkeypatch, capsys):
+def _count_assemblies(monkeypatch):
     calls = []
     rows = solver._boundary_rows
     monkeypatch.setattr(solver, "_boundary_rows", lambda *args: calls.append(1) or rows(*args))
+    return calls
+
+
+def test_verify_assembles_the_table_once(tmp_path, monkeypatch, capsys):
+    calls = _count_assemblies(monkeypatch)
     assert cli.main(["verify", "--case", write_case(tmp_path, MIXED)]) == 0
+    assert len(calls) == 1
+
+
+def test_lipschitz_assembles_the_table_once(tmp_path, monkeypatch, capsys):
+    # A and B at the origin and the quotient grid read the case's one table
+    calls = _count_assemblies(monkeypatch)
+    assert cli.main(["lipschitz", "--case", write_case(tmp_path, MIXED)]) == 0
+    assert len(calls) == 1
+
+
+def test_solve_assembles_the_table_once(tmp_path, monkeypatch):
+    calls = _count_assemblies(monkeypatch)
+    out = str(tmp_path / "field.json")
+    assert cli.main(["solve", "--case", write_case(tmp_path, MIXED), "--grid", "4,8",
+                     "--gradient", "--out", out]) == 0
     assert len(calls) == 1
 
 

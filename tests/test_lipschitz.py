@@ -236,7 +236,7 @@ def test_classify_keeps_separate_g_estimate():
 
 def test_analyze_case_end_to_end():
     f = BoundaryData.from_fourier([(1, 1.0)])
-    report, ab = lipschitz.analyze_case(f, BoundaryData.zero(), SourceTerm.zero())
+    report, ab = lipschitz.analyze_case(solver.Case(f, BoundaryData.zero(), SourceTerm.zero()))
     assert report.l_boundary == pytest.approx(1.0, abs=1e-10)
     assert report.a_value == pytest.approx(ab.a_value)
     assert report.q_value == pytest.approx(2.25, abs=1e-10)
@@ -254,7 +254,7 @@ def test_analyze_case_end_to_end():
 ])
 def test_analyze_case_refuses_non_finite_constants(f, h, g):
     with pytest.raises(DegenerateDataError, match="overflow"):
-        lipschitz.analyze_case(f, h, g)
+        lipschitz.analyze_case(solver.Case(f, h, g))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def test_quotient_never_exceeds_certified_bound(reference_cases, reference_field
     for name, case in reference_cases.items():
         if name == "constant":
             continue  # zero gradient bound is rejected by classify
-        report, _ = lipschitz.analyze_case(case.f, case.h, case.g)
+        report, _ = lipschitz.analyze_case(case)
         q = empirical_quotient(reference_fields[name])
         assert q <= report.p_upper + 1e-9, name
 

@@ -636,9 +636,11 @@ def test_the_cut_stays_within_its_recorded_tails(seed, n, band, n_tail, h_scale)
     zs = _disk_and_circle(rng)
     cut = solver.Solution(f, h)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_UNIT_ROUNDOFF", 0.0)  # keep every mode
-        full = solver.Solution(f, h)
-        assert _block_width(f, h) > band + n_tail
+        # data built with a zero floor keeps every mode
+        patch.setattr(solver, "_UNIT_ROUNDOFF", 0.0)
+        f_all, h_all = BoundaryData(f.samples), BoundaryData(h.samples)
+    full = solver.Solution(f_all, h_all)
+    assert _block_width(f_all, h_all) > band + n_tail
     assert _block_width(f, h) <= band + 1
     assert 0.0 < cut.value_tail <= cut.gradient_tail
     # the two tables differ in width, so they round differently: allow a few
@@ -672,7 +674,7 @@ def test_one_dropped_mode_comes_close_to_its_bounds(datum, mode, sharp):
     cut = solver.Solution(data["f"], data["h"])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_UNIT_ROUNDOFF", 0.0)
-        full = solver.Solution(data["f"], data["h"])
+        full = solver.Solution(BoundaryData(data["f"].samples), BoundaryData(data["h"].samples))
     assert _block_width(data["f"], data["h"]) == 1
     assert cut.value_tail == pytest.approx(4e-14 if datum == "f" else 2e-14, rel=1e-12)
     ulps = 8 * np.finfo(float).eps  # the two tables round the constant's part differently
@@ -709,6 +711,86 @@ def test_huge_samples_do_not_overflow_the_cut():
     f = _noise(rng, 512, 1e306)
     with np.errstate(all="raise"):
         assert _block_width(f, None) == 257
+
+
+def test_a_spectrum_that_underflows_is_zero_data():
+    # 5e-324 / 4 rounds to 0, so every coefficient and the floor vanish: the
+    # cut keeps no mode and the table is empty
+    f = BoundaryData([5e-324, 0.0, 0.0, 0.0])
+    assert solver._boundary_rows(f, None) is None
+    assert solver.Solution(f).values(0.5) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the records BoundaryData keeps for the cut, its tails and the checks
+
+
+def _direct_records(d):
+    """(floor, T, M) of d summed directly, one suffix at a time."""
+    mass = np.abs(d.a) + np.abs(d.b)
+    m = np.arange(mass.size)
+    with np.errstate(over="ignore"):
+        tail = np.array([np.sum(mass[w:]) for w in m])
+        moment = np.array([np.sum(m[w:] * mass[w:]) for w in m])
+    return float(np.sum(np.abs(np.finfo(float).eps / 2 * d.samples))), tail, moment
+
+
+def _joint_rule_width(f, h):
+    """The cut as one cumsum over the zero-padded spectra of f and h: the oracle."""
+    given = [d for d in (f, h) if d is not None]
+    if not any(np.any(d.samples) for d in given):
+        return 0
+    spectra = np.zeros((4, max(d.n for d in given) // 2 + 1), dtype=complex)
+    for d, a_out, b_out in ((f, *spectra[:2]), (h, *spectra[2:])):
+        if d is not None:
+            a_out[:d.a.size], b_out[:d.b.size] = d.a, d.b
+    with np.errstate(over="ignore"):
+        tails = np.cumsum(np.abs(spectra[:, ::-1]).sum(axis=0))
+    floor = sum(float(np.abs(np.finfo(float).eps / 2 * d.samples).sum()) for d in given)
+    return int(np.count_nonzero(tails > floor))
+
+
+def _assert_records_and_cut(f, h):
+    for d in (f, h):
+        floor, tail, moment = _direct_records(d)
+        assert d.floor == floor
+        np.testing.assert_allclose(d.tail, tail, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(d.moment, moment, rtol=1e-12, atol=0.0)
+        assert not (d.tail.flags.writeable or d.moment.flags.writeable)
+    for pair in ((f, h), (f, None), (None, h)):
+        rows = solver._boundary_rows(*pair)
+        assert (0 if rows is None else rows[2].shape[0]) == _joint_rule_width(*pair)
+
+
+def _random_datum(rng, n, kind):
+    if kind == "noise":
+        return _noise(rng, n, 10.0 ** rng.integers(-3, 4))
+    if kind == "fourier":
+        modes = rng.integers(-(n // 2) + 1, n // 2, 3)
+        return BoundaryData.from_fourier(zip(modes, rng.normal(size=3) + 1j * rng.normal(size=3)), n)
+    return _sub_floor_data(rng, n, int(rng.integers(0, n // 2 - 1)), 1, 1.0)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.permutations([4, 6, 64, 512, 4096]).map(lambda p: p[:2]),
+       kinds=st.tuples(*[st.sampled_from(["noise", "fourier", "sub-floor"])] * 2))
+def test_records_equal_direct_sums(seed, sizes, kinds):
+    rng = np.random.default_rng(seed)
+    _assert_records_and_cut(*(_random_datum(rng, n, kind) for n, kind in zip(sizes, kinds)))
+
+
+@pytest.mark.parametrize("f, h, inf_tails, inf_moments", [
+    (BoundaryData.zero(4), BoundaryData.zero(512), 0, 0),
+    # a 1-norm of the samples past the double range (the floor scales first)
+    (_noise(np.random.default_rng(5), 512, 1e306), BoundaryData.zero(64), 0, 249),
+    # a flat spectrum of 4 modes of modulus 5.3e307: T(0) overflows
+    (BoundaryData([1.5e308 * (1 + 1j), 0.0, 0.0, 0.0]), BoundaryData.constant(1.0, 6), 1, 2),
+    # a 1e308 spike in 64 samples: every coefficient is 1.6e306, and M overflows
+    (BoundaryData(np.r_[1e308, np.zeros(63)]), _noise(np.random.default_rng(6), 4096), 0, 31),
+])
+def test_records_at_the_edges_of_the_data(f, h, inf_tails, inf_moments):
+    _assert_records_and_cut(f, h)
+    assert (np.isinf(f.tail).sum(), np.isinf(f.moment).sum()) == (inf_tails, inf_moments)
 
 
 # ---------------------------------------------------------------------------

@@ -325,17 +325,21 @@ def test_exact_tolerance_scales_with_the_data():
                        BoundaryData.constant(4.0, 16), SourceTerm([(1, 0, 3.0), (2, 5, 4j)]))
     zero = solver.Case(BoundaryData.zero(4), BoundaryData.zero(4), SourceTerm.zero())
     # mode 5000 lies below the cut's floor u ||f.samples||_1 = 1.8e-12, so
-    # the table drops it and the trace checks see it whole: S = 1 + 5001 |f_5000|
+    # the table drops it and the trace checks see it whole: S = 1 + 5001 |f_5000|.
+    # On the circle a dropped f mode moves the trace by its |f_m| and leaves
+    # the normal derivative alone, so the traces allow T_f(w) = |f_5000| and
+    # the normal derivatives nothing on top of 1e-12 S
     sub_floor = solver.Case(BoundaryData.from_fourier([(0, 1.0), (5000, 1.5e-12)], 16384),
                             BoundaryData.zero(4), SourceTerm.zero())
-    assert sub_floor.solution.value_tail >= 1.5e-12
+    assert sub_floor.solution.trace_tail == pytest.approx(1.5e-12, rel=1e-6)
+    assert sub_floor.solution.normal_tail == 0.0
     assert _exact_checks(sub_floor)["trace-modes-exact"].computed.real > 1.2e-12
     for data, tolerance in ((case, 20e-12), (zero, 1e-12), (sub_floor, 1e-12 + 5001 * 1.5e-24)):
         checks = _exact_checks(data)
         assert _failed(checks) == set()
-        # on top, what the cut to the data's bandwidth can move: the value
-        # tail for the traces, the gradient tail for the normal derivatives
-        tails = {"trace": data.solution.value_tail, "normal": data.solution.gradient_tail,
+        # on top, what the cut to the data's bandwidth can move on the
+        # circle: T_f(w) for the traces, T_h(w) for the normal derivatives
+        tails = {"trace": data.solution.trace_tail, "normal": data.solution.normal_tail,
                  "bilaplacian": 0.0}
         for name, c in checks.items():
             assert c.tolerance == pytest.approx(tolerance + tails[name.split("-")[0]], rel=1e-14)
@@ -417,6 +421,20 @@ def test_exact_normal_trace_catches_a_relative_error_of_1e_6(monkeypatch):
     assert _failed(_exact_checks(case)) == {"normal-modes-exact", "normal-trace-exact[r=1]"}
 
 
+def test_normal_checks_do_not_allow_the_dropped_trace_modes(monkeypatch):
+    # f's mode 5000 (1.5e-12) lies below the cut, so the table drops it. A
+    # dropped f mode moves the trace on the circle but not the normal
+    # derivative, so the normal checks allow only T_h(w) = 0 on top of
+    # 1e-12 S: a shift of 1e-10 in the s^1 row, which leaves the trace alone
+    # (s = 0 on the circle), must fail them. The closed-disk gradient tail,
+    # 1.5 * 5000 * 1.5e-12 = 1.1e-8, would let it pass.
+    _patch_rows(monkeypatch, "_boundary_rows", lambda c: c + np.array([0.0, 1e-10]))
+    case = solver.Case(BoundaryData.from_fourier([(0, 1.0), (5000, 1.5e-12)], 16384),
+                       BoundaryData.constant(1.0, 16), SourceTerm.zero())
+    assert case.solution.gradient_tail > 1e-8
+    assert _failed(_exact_checks(case)) == {"normal-modes-exact", "normal-trace-exact[r=1]"}
+
+
 def test_exact_bilaplacian_catches_a_scaled_green_row(monkeypatch):
     # Green rows carry s^2, so they vanish with their normal derivative on
     # the circle: only the bilaplacian sees a 1e-6 error in one of them.
@@ -484,7 +502,7 @@ def test_checks_take_the_spectrum_from_the_data(monkeypatch):
     verify.uniqueness_checks(case)
     verify.boundary_trace_check(case)
     verify.gradient_crosscheck(case, [0.3 + 0.2j, -0.4 + 0j])
-    lipschitz.analyze_case(case.f, case.h, case.g)
+    lipschitz.analyze_case(case)
     assert calls == []
 
 
