@@ -43,6 +43,7 @@ under ``perfbench/`` reads it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -335,7 +336,9 @@ def _parse_complex(text: str, flag: str) -> complex:
         raise CaseFormatError(f"{flag} expects numeric RE,IM")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later ``main``."""
     parser = argparse.ArgumentParser(
         prog="biharmonic-disk",
         description="Solve and verify the disk biharmonic Dirichlet problem.",
@@ -345,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identities",
                        help="run the identity and bound checks at their fixed tolerances")
     p.add_argument("--json", default=None, help="also write a JSON report")
-    p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("solve", help="solve a case on a polar grid")
     p.add_argument("--case", required=True)
@@ -354,22 +356,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include Wirtinger gradient columns")
     p.add_argument("--r-max", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="residual, trace, and gradient checks on a case")
     p.add_argument("--case", required=True)
     p.add_argument("--json", default=None, help="also write a JSON report")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lipschitz", help="distortion constants and verdict")
     p.add_argument("--case", required=True)
-    p.set_defaults(func=cmd_lipschitz)
 
     p = sub.add_parser("kernel", help="evaluate a kernel at a point")
     p.add_argument("--which", required=True, choices=["F0", "H0", "G"])
     p.add_argument("--z", required=True, metavar="RE,IM")
     p.add_argument("--zeta", default=None, metavar="RE,IM")
-    p.set_defaults(func=cmd_kernel)
     return parser
 
 
@@ -380,7 +378,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        # looked up by name on every call, so a wrapper later set on
+        # cli.cmd_<command> applies although the parser is built once
+        return globals()[f"cmd_{args.command}"](args)
     except (CaseFormatError, DomainError, DegenerateDataError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

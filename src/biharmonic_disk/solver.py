@@ -106,8 +106,11 @@ _polyval = np.polynomial.polynomial.polyval
 class BoundaryData:
     """Complex boundary data as uniform samples at angles 2 pi k / N.
 
-    N must be even and at least 4. Construction from Fourier modes is exact
-    whenever every |mode| < N/2; ``eval_at`` evaluates the band-limited
+    N must be even and at least 4. ``from_fourier`` takes modes |m| < N/2
+    and builds the samples by one inverse FFT (O(N log N) whatever the
+    number of modes), so the spectrum recorded here differs from the given
+    coefficients only by the round-off of one FFT round trip: about
+    u ||c||_1 per mode at most. ``eval_at`` evaluates the band-limited
     trigonometric interpolant (real-symmetric Nyquist convention), so
     resampling to a finer uniform grid is lossless.
 
@@ -167,17 +170,34 @@ class BoundaryData:
 
     @classmethod
     def from_fourier(cls, modes, n_samples: int = 512) -> "BoundaryData":
-        """Build from (mode, coefficient) pairs: sum_m c_m e^{i m theta}."""
-        th = _circle_angles(n_samples)
-        out = np.zeros(n_samples, dtype=complex)
+        """Build from (mode, coefficient) pairs: sum_m c_m e^{i m theta}.
+
+        Repeated modes add up. The samples are one inverse FFT of the
+        spectrum, O(N log N); for N a power of two each lies within
+        7 log2(N) u ||c||_1 of the exact sum. The spectrum they give back
+        carries the noise of one FFT round trip, about u ||c||_1 per mode at
+        most, whose tail past max |m| measured a tenth of the floor of the
+        cut to the data's bandwidth (``Solution``) or less on seeded data at
+        N = 16..32768: the table keeps the modes 0..max |m|. A mode with
+        2 |m| >= N, a non-finite coefficient, or samples that overflow
+        double precision raise ``DegenerateDataError``.
+        """
+        spectrum = np.zeros(n_samples, dtype=complex)
         for mode, coeff in modes:
             mode = int(mode)
             if 2 * abs(mode) >= n_samples:
                 raise DegenerateDataError(
                     f"mode {mode} is not resolvable with {n_samples} samples"
                 )
-            out += complex(coeff) * np.exp(1j * mode * th)
-        return cls(out)
+            spectrum[mode] += complex(coeff)
+        if not np.all(np.isfinite(spectrum)):
+            raise DegenerateDataError("Fourier coefficients must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = np.fft.ifft(spectrum, norm="forward")
+        if not np.all(np.isfinite(samples)):
+            raise DegenerateDataError(
+                "the samples of the Fourier coefficients overflow double precision")
+        return cls(samples)
 
     @classmethod
     def from_function(cls, fn, n_samples: int = 512) -> "BoundaryData":
@@ -372,13 +392,7 @@ class Solution:
         # the modes coefficients() covers: those of the table, of f and h, and +-1
         self._width = max([a.shape[0] for _, _, a, _ in blocks]
                           + [d.n // 2 + 1 for d in (f, h) if d is not None] + [2])
-        # [alpha; conj(beta); alpha'; conj(beta')] by table row: conj(zbar^m) = z^m,
-        # so one contraction against powers of z gives all four. Derivative
-        # rows that overflow are kept; _evaluate refuses the outputs they reach.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._blocks = [_giant_steps(np.vstack([a.T, b.T.conj(), _deriv(a).T,
-                                                    _deriv(b).T.conj()]))
-                            for _, _, a, b in blocks]
+        self._blocks = [_giant_steps(a, b) for _, _, a, b in blocks]
         self._p = np.array([p for rows in blocks for p in rows[0]], dtype=int)
         self._j = np.array([j for rows in blocks for j in rows[1]], dtype=int)
         self._baby = max((b for _, b, _ in self._blocks), default=1)
@@ -460,20 +474,28 @@ class Solution:
         return tuple(out.reshape(shape) for out in outs)
 
 
-def _giant_steps(coef: np.ndarray):
+def _giant_steps(alpha: np.ndarray, beta: np.ndarray):
     """(matrix, b, q): a block's rows of width W laid out for baby and giant steps.
 
-    b = isqrt(W - 1) + 1 and q = ceil(W / b). Row i of coef, zero-padded to
-    q b, becomes rows i q .. i q + q - 1 of the (rows q) x b matrix: row
-    i q + k holds the coefficients C_k of z^(k b) .. z^(k b + b - 1). Rows
-    keep their kind order, so a prefix of the matrix serves the first kinds.
+    The four kinds [alpha; conj(beta); alpha'; conj(beta')], each a
+    (rows) x W table (conj(zbar^m) = z^m, so one contraction against powers
+    of z gives all four), are written straight into the padded matrix.
+    b = isqrt(W - 1) + 1 and q = ceil(W / b). Row i of the kinds, zero-padded
+    to q b, becomes rows i q .. i q + q - 1 of the (4 rows q) x b matrix:
+    row i q + k holds the coefficients C_k of z^(k b) .. z^(k b + b - 1).
+    Rows keep their kind order, so a prefix of the matrix serves the first
+    kinds. Derivative rows that overflow are kept; ``Solution._evaluate``
+    refuses the outputs they reach.
     """
-    n_rows, width = coef.shape
+    width, n_rows = alpha.shape
     b = math.isqrt(width - 1) + 1
     q = -(-width // b)
-    padded = np.zeros((n_rows, q * b), dtype=complex)
-    padded[:, :width] = coef
-    return padded.reshape(n_rows * q, b), b, q
+    out = np.zeros((4, n_rows, q * b), dtype=complex)
+    out[0, :, :width] = alpha.T
+    np.conjugate(beta.T, out=out[1, :, :width])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[2:, :, :width - 1] = _deriv(out[:2, :, :width])
+    return out.reshape(4 * n_rows * q, b), b, q
 
 
 def _contract(coef: np.ndarray, b: int, q: int, kinds: int, z_pow: np.ndarray) -> np.ndarray:
@@ -508,8 +530,8 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _deriv(c: np.ndarray) -> np.ndarray:
-    """Coefficient columns of the derivative, in the same shape (last row 0)."""
-    return np.roll(np.arange(c.shape[0])[:, None] * c, -1, axis=0)
+    """Coefficients of the derivative along the last axis: entry m holds (m + 1) c[..., m + 1]."""
+    return np.arange(1, c.shape[-1]) * c[..., 1:]
 
 
 def _check_points(zs: np.ndarray) -> None:
@@ -541,15 +563,14 @@ def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
     width = int(np.count_nonzero(tails > sum(d.floor for d in given)))
     if width == 0:
         return None
-    spectra = np.zeros((4, width), dtype=complex)
-    for d, a_out, b_out in ((f, *spectra[:2]), (h, *spectra[2:])):
+    # rows[k, p] is row (p, 0) of alpha (k = 0) or beta (k = 1): f's
+    # spectrum in row 0 and h's in row 1, which then becomes (m f + h) / 2
+    rows = np.zeros((2, 2, width), dtype=complex)
+    for d, p in ((f, 0), (h, 1)):
         if d is not None:
-            a_out[:d.a.size], b_out[:d.b.size] = d.a[:width], d.b[:width]
-    a_f, b_f, a_h, b_h = spectra
-    m = np.arange(width)
-    alpha = np.stack([a_f, 0.5 * (m * a_f + a_h)], axis=1)
-    beta = np.stack([b_f, 0.5 * (m * b_f + b_h)], axis=1)
-    return [0, 1], [0, 0], alpha, beta
+            rows[0, p, :d.a.size], rows[1, p, :d.b.size] = d.a[:width], d.b[:width]
+    rows[:, 1] = 0.5 * (np.arange(width) * rows[:, 0] + rows[:, 1])
+    return [0, 1], [0, 0], rows[0].T, rows[1].T
 
 
 def _dropped(d: Optional[BoundaryData], width: int) -> tuple[float, float]:
@@ -594,7 +615,11 @@ def solve_point(f: BoundaryData, h: BoundaryData, g: SourceTerm, z: complex) -> 
 
 
 def solve_points(f: BoundaryData, h: BoundaryData, g: SourceTerm, zs) -> np.ndarray:
-    """Phi on an array of interior points."""
+    """Phi on an array of interior points.
+
+    Each call assembles its own table; to evaluate one case more than once,
+    hold a ``Solution`` (or ``Case.solution``) and call its ``values``.
+    """
     return Solution(f, h, g).values(zs)
 
 
@@ -608,7 +633,11 @@ def gradient_point(f: BoundaryData, h: BoundaryData, g: SourceTerm,
 
 
 def boundary_gradient(f: Optional[BoundaryData], h: Optional[BoundaryData], zs):
-    """Wirtinger gradient arrays of the boundary part F0[f] + H0[h] alone."""
+    """Wirtinger gradient arrays of the boundary part F0[f] + H0[h] alone.
+
+    Each call assembles its own table; to evaluate one case more than once,
+    hold a ``Solution`` (or ``Case.solution``) and call its ``gradient``.
+    """
     return Solution(f, h).gradient(zs)
 
 

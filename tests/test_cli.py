@@ -110,6 +110,8 @@ def test_parse_fourier_n_samples():
         ({"schema": 1, "f": {"n_samples": 2**15 + 2}}, "f.n_samples must be an even integer in"),
         ({"schema": 1, "h": {"samples": [[1.0, 0.0]] * (2**15 + 2)}},
          "h.samples holds more than 32768 samples"),
+        ({"schema": 1, "f": {"fourier": [[1, float("nan"), 0.0]]}},
+         "f.fourier: Fourier coefficients must be finite"),
     ],
 )
 def test_parse_rejections(doc, fragment):
@@ -508,3 +510,14 @@ def test_verify_accepts_four_samples(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "9/9 checks passed" in out
+
+
+def test_the_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch, capsys):
+    # a wrapper set on cli.cmd_<command> after the parser exists still runs
+    assert cli.main(["kernel", "--which", "F0", "--z", "0.5,0"]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    calls = []
+    kernel = cli.cmd_kernel
+    monkeypatch.setattr(cli, "cmd_kernel", lambda args: calls.append(args.which) or kernel(args))
+    assert cli.main(["kernel", "--which", "H0", "--z", "0.5,0"]) == 0
+    assert calls == ["H0"]

@@ -1,5 +1,6 @@
 """Boundary data containers, loads, and the assembled solution operator."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,48 @@ def test_spectrum_overflow_is_refused_at_construction():
     # samples of 1e308 (1 + i) e^{i theta} are finite, but their FFT sums overflow
     with pytest.raises(DegenerateDataError, match="overflow"):
         BoundaryData.from_fourier([(1, 1e308 + 1e308j)])
+
+
+def test_repeated_modes_merge():
+    # the coefficients add up before the one inverse FFT, so modes that
+    # cancel leave no trace in the samples
+    merged = BoundaryData.from_fourier([(3, 1.0 + 0.5j), (-2, 2.0)], 16)
+    repeated = BoundaryData.from_fourier(
+        [(5, 1.0), (3, 1.0), (-2, 2.0), (3, 0.5j), (5, -1.0)], 16)
+    np.testing.assert_array_equal(repeated.samples, merged.samples)
+    assert _block_width(repeated, None) == 4
+
+
+@given(log_n=st.integers(2, 12), data=st.data())
+def test_fourier_samples_match_the_direct_sum(log_n, data):
+    # Bound, to first order in u = eps / 2, with S = sum |c_m| over the M
+    # given pairs (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2nd ed., sections 3.6 and 24.1):
+    # * from_fourier: merging a repeated mode rounds once per addition
+    #   (M u S in all). The inverse FFT of N = 2^L points carries each
+    #   coefficient to each sample through L radix-2 levels, each one product
+    #   by a twiddle factor (computed within u) and one complex addition, at
+    #   most eta = u + gamma_4 (sqrt(2) + u) < 7u relative per level, so every
+    #   sample is within 7 L u S (pocketfft's radix-4 passes are two such
+    #   levels, the middle one by +-1 and +-i, which is exact).
+    # * the reference: the angle 2 pi r / N, r = m k mod N < N, lies below
+    #   2 pi and is off by at most 3u relative (the rounded 2 pi, the product
+    #   and the quotient), so by under 6 pi u < 19u; exp adds 2u and the
+    #   product with c_m sqrt(2) gamma_2 < 3u, so each term is within
+    #   24 u |c_m|, and summing M terms adds M u S.
+    # |c_m| >= 1e-100 keeps subnormal round-off far below u S.
+    n = 2**log_n
+    coeff = st.complex_numbers(min_magnitude=1e-100, max_magnitude=1e100,
+                               allow_nan=False, allow_infinity=False)
+    modes = data.draw(st.lists(st.tuples(st.integers(1 - n // 2, n // 2 - 1), coeff),
+                               min_size=1, max_size=40))
+    m = np.array([mode for mode, _ in modes])
+    c = np.array([value for _, value in modes])
+    k = np.arange(n)
+    direct = np.sum(c[:, None] * np.exp(2j * np.pi * ((m[:, None] * k) % n) / n), axis=0)
+    u = np.finfo(float).eps / 2
+    bound = (7 * log_n + 2 * len(modes) + 24) * u * np.sum(np.abs(c))
+    assert np.max(np.abs(BoundaryData.from_fourier(modes, n).samples - direct)) <= bound
 
 
 @pytest.mark.parametrize("n_samples, n", [(4, 5), (16, 17), (16, 40), (64, 129)])
@@ -580,8 +623,39 @@ def test_giant_steps_at_square_widths(n_f, terms, width, b, q):
     g = SourceTerm(terms)
     rows = solver._boundary_rows(f, f) if f is not None else solver._load_rows(g)
     assert rows[2].shape[0] == width
-    assert solver._giant_steps(np.ones((4, width)))[1:] == (b, q)
+    assert solver._giant_steps(*rows[2:])[1:] == (b, q)
     _assert_matches_full_power_table(f, f, g, _disk_and_circle(rng))
+
+
+def _stacked_layout(alpha, beta):
+    """The giant-step matrix by stacking: the four kinds, derivatives by np.roll, then padded."""
+    def deriv(c):
+        return np.roll(np.arange(c.shape[0])[:, None] * c, -1, axis=0)
+
+    coef = np.vstack([alpha.T, beta.T.conj(), deriv(alpha).T, deriv(beta).T.conj()])
+    n_rows, width = coef.shape
+    b = math.isqrt(width - 1) + 1
+    q = -(-width // b)
+    padded = np.zeros((n_rows, q * b), dtype=complex)
+    padded[:, :width] = coef
+    return padded.reshape(n_rows * q, b), b, q
+
+
+@pytest.mark.parametrize("top", [0, 1, 15, 16, 100, None])
+def test_giant_step_layout_matches_the_stacked_kinds(top):
+    rng = np.random.default_rng(top or 7)
+    if top is None:
+        f, h = _noise(rng, 512), _noise(rng, 64)
+    else:
+        f, h = (BoundaryData.from_fourier(zip([top, -top, top // 2], rng.normal(size=3) + 1j), 512)
+                for _ in range(2))
+    g = SourceTerm((a, b, complex(*rng.normal(size=2)))
+                   for a, b in rng.integers(0, solver.MAX_EXPONENT + 1, (4, 2)))
+    for rows in (solver._boundary_rows(f, h), solver._load_rows(g)):
+        matrix, b, q = solver._giant_steps(*rows[2:])
+        expected, b_ref, q_ref = _stacked_layout(*rows[2:])
+        assert (b, q) == (b_ref, q_ref)
+        np.testing.assert_array_equal(matrix, expected)
 
 
 @pytest.mark.parametrize("modes", [
@@ -612,8 +686,8 @@ def _sub_floor_data(rng, n, band, n_tail, scale):
     """n samples of random modes |m| <= band plus n_tail modes above it.
 
     The tail modes share a quarter of u ||samples||_1, so the cut drops
-    them. The samples come from an inverse FFT, whose round-off puts less
-    noise into the spectrum than summing exp(1j m theta) does.
+    them. The samples come from an inverse FFT, as in
+    ``BoundaryData.from_fourier``.
     """
     u = np.finfo(float).eps / 2
     coef = np.zeros(n, dtype=complex)
@@ -694,6 +768,28 @@ def test_grid_shaped_data_is_cut_to_its_modes():
             (*free[i], complex(*rng.normal(size=2))) for i in rng.choice(len(free), 3)]
         case = verify.manufactured_case(SourceTerm(terms))
         assert _block_width(case.f, case.h) <= 5
+
+
+@pytest.mark.parametrize("n, n_modes, top", [
+    (16, 3, 7),
+    (512, 6, 100),  # the boundary benchmark's data
+    (4096, 6, 2047),
+    (32768, 6, 300),
+    (32768, 1000, 16383),
+])
+def test_band_limited_data_is_cut_to_its_highest_mode(n, n_modes, top):
+    # one inverse FFT round trip leaves about u ||c||_1 in each mode, and
+    # its tail past max |m| stays below the cut's floor u ||samples||_1
+    # (a tenth of it or less on 40 seeds of each shape)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        data, highest = [], 0
+        for _ in range(2):
+            modes = rng.choice(np.arange(-top, top + 1), n_modes, replace=False)
+            coeffs = (rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)) / np.sqrt(n_modes)
+            data.append(BoundaryData.from_fourier(zip(modes, coeffs), n))
+            highest = max(highest, int(np.max(np.abs(modes))))
+        assert _block_width(*data) == highest + 1
 
 
 def test_white_noise_is_not_cut():
