@@ -21,9 +21,9 @@ list; more is refused before anything is allocated. The chord estimate of
 32768 samples of white noise for f and h, ``verify`` took 2.3 s and
 ``lipschitz`` 4.6 s at a peak RSS of 54 MB, and on 65536 samples 9.1 s and
 20.0 s (2-core Xeon, one BLAS thread).
-Solved values come from closed forms; the integral route for A and B in
-``lipschitz`` and the ``identities`` checks use the fixed oracle rules
-``quadrature.DEFAULT_RULES``.
+``solve``, ``verify`` and ``lipschitz`` run closed forms only, the
+integral route for A and B included; only the ``identities`` checks use
+quadrature, at the fixed oracle rules ``quadrature.DEFAULT_RULES``.
 Unknown keys anywhere are rejected. Output files are written atomically
 (temp file then rename) with sorted keys and shortest round-trip floats,
 so identical inputs produce byte-identical files, with one or two BLAS

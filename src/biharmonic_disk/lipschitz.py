@@ -7,7 +7,7 @@ module computes the constants entering its two-sided distortion bounds:
 * the certified gradient bound  P = (220/3) L + 4 sup|h| + (23/3) sup|g|,
 * the origin invariants  A = |Phi_z(0)|^2,  B = |Phi_zbar(0)|^2  and
   Q = A - B, each computed both from the solver's table at the origin
-  and, by quadrature, from the integral formulas they reduce to,
+  and, in closed form, from the integral formulas they reduce to,
 * the verdict: Phi is reported bi-Lipschitz when Q > 2 P^2, with lower
   bound Q/P - 2P on the difference quotient, else Lipschitz-only.
 
@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDataError, DomainError
-from .quadrature import DEFAULT_RULES, CircleRule, _circle_angles, disk_integrate_centered
+from .quadrature import _circle_angles
 from .solver import BoundaryData, Case, SolutionField, SourceTerm
 
 # Coefficients of the certified gradient bound P.
@@ -44,14 +44,13 @@ class ABResult:
 
     a_value, b_value, q_value come from the table's gradient at the origin,
     Phi_z(0) = c[1, 0] and Phi_zbar(0) = c[-1, 0] of ``Solution.coefficients``.
-    a_integral / b_integral evaluate by quadrature the formulas
+    a_integral / b_integral evaluate in closed form the formulas
 
         |(1/4pi) int e^{-+i theta}(3f + h) dtheta
             - int zetabar-or-zeta (log|zeta|^2 + 1 - |zeta|^2) g dA|^2
 
-    with the Green term subtracted. The circle integral uses
-    max(512, f.n, h.n) equispaced nodes, so no mode of the sampled data
-    aliases onto e^{+-i theta}.
+    with the Green term subtracted: (3 f_{+-1} + h_{+-1}) / 2 from the data's
+    spectra, minus a sum over the load's terms derived apart from the table.
     """
 
     a_value: float
@@ -117,30 +116,22 @@ def p_bound(l: float, h_sup: float, g_sup: float) -> float:
 def _origin_boundary_terms(f: BoundaryData, h: BoundaryData):
     # (1/4pi) int e^{-+ i theta} (3 f + h) dtheta  =  Phi_z(0), Phi_zbar(0)
     # restricted to the boundary part: F0 and H0 have z-derivative
-    # (3/2) e^{-i theta} and (1/2) e^{-i theta} at z = 0. No fewer nodes
-    # than samples, so no mode of the data aliases onto e^{+-i theta}.
-    n = max(DEFAULT_RULES.circle.n_nodes, f.n, h.n)
-    th = CircleRule(n).thetas
-    combo = 3.0 * f.resample(n) + h.resample(n)
-    t_a = complex(np.mean(np.exp(-1j * th) * combo) / 2.0)
-    t_b = complex(np.mean(np.exp(1j * th) * combo) / 2.0)
-    return t_a, t_b
+    # (3/2) e^{-i theta} and (1/2) e^{-i theta} at z = 0: modes +-1 of the data
+    return complex(3.0 * f.a[1] + h.a[1]) / 2.0, complex(3.0 * f.b[1] + h.b[1]) / 2.0
 
 
 def _origin_green_terms(g: SourceTerm):
-    # int zetabar (log|zeta|^2 + 1 - |zeta|^2) g(zeta) dA and its conjugate
-    # partner; the radial panel rule absorbs the rho log rho behaviour.
-    if g.is_zero:
-        return 0j, 0j
-
-    def integrand(zeta):
-        rho2 = zeta.real**2 + zeta.imag**2
-        weight = np.log(rho2) + 1.0 - rho2
-        load = g.evaluate(zeta)
-        return np.stack([np.conj(zeta) * weight * load, zeta * weight * load])
-
-    g_a, g_b = disk_integrate_centered(DEFAULT_RULES.disk, integrand, center=0j)
-    return complex(g_a), complex(g_b)
+    # int zetabar-or-zeta (log|zeta|^2 + 1 - |zeta|^2) g dA, dA = dx dy / pi.
+    # At zeta = r e^{it} the term c zeta^a zetabar^b gives c r^(a+b+1)
+    # e^{i(a-b-+1)t}: only a - b = +-1 survives the angular mean, and then,
+    # with k = max(a, b),
+    #     2c int_0^1 r^(2k+1) (2 log r + 1 - r^2) dr = -c / ((k+1)^2 (k+2)),
+    # in factored form: the sum of its three fractions cancels to 1e-14.
+    sums = {1: 0j, -1: 0j}
+    for a, b, c in g.terms:
+        if a - b in sums:
+            sums[a - b] -= c / ((max(a, b) + 1) ** 2 * (max(a, b) + 2))
+    return sums[1], sums[-1]
 
 
 def compute_ab(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> ABResult:
@@ -168,7 +159,7 @@ def classify(l_boundary: float, h_sup: float, g_sup: float,
     p_upper = p_bound(l_boundary, h_sup, g_sup)
     if p_upper == 0.0:
         raise DegenerateDataError(
-            "all-zero data: the gradient bound is 0 and no quotient is defined"
+            "f is constant and h = g = 0: the gradient bound P is 0 and no quotient is defined"
         )
     q_value = a_value - b_value
     lower = q_value / p_upper - 2.0 * p_upper

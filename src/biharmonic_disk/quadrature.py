@@ -4,8 +4,9 @@ Area integrals are always taken against normalized Lebesgue measure
 dA = dx dy / pi, so the disk has mass one, and circle integrals against
 dtheta / 2pi, so the circle mean of 1 is 1.
 
-These rules are the independent oracle that ``verify`` and ``lipschitz``
-hold the closed forms against, at the fixed resolution ``DEFAULT_RULES``.
+These rules are the independent oracle that ``verify.oracle_suite`` (the
+``identities`` command) and the tests hold the closed forms against, at the
+fixed resolution ``DEFAULT_RULES``.
 
 * ``CircleRule``: equally weighted, equally spaced angles. Spectrally
   accurate for smooth periodic integrands and exact for trigonometric

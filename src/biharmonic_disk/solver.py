@@ -114,8 +114,9 @@ class BoundaryData:
     trigonometric interpolant (real-symmetric Nyquist convention), so
     resampling to a finer uniform grid is lossless.
 
-    The spectrum is computed once, by one FFT at construction: ``a`` and
-    ``b`` are the coefficients of the interpolant's harmonic extension
+    The spectrum is computed once, by one FFT of the samples / N (so its
+    sums overflow only if the spectrum does): ``a`` and ``b`` are the
+    coefficients of the interpolant's harmonic extension
     u = sum_m a_m z^m + sum_m b_m zbar^m. a holds the modes 0..N/2, b the
     modes 0, -1..-N/2 (b_0 = 0). The Nyquist coefficient is halved into
     both, so the interpolant carries it as a cosine. Construction also
@@ -139,7 +140,7 @@ class BoundaryData:
         if not np.all(np.isfinite(arr)):
             raise DegenerateDataError("boundary samples must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
-            coef = np.fft.fft(arr) / arr.size
+            coef = np.fft.fft(arr / arr.size)
         if not np.all(np.isfinite(coef)):
             raise DegenerateDataError(
                 "the spectrum of the boundary samples overflows double precision")
@@ -569,7 +570,8 @@ def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
     for d, p in ((f, 0), (h, 1)):
         if d is not None:
             rows[0, p, :d.a.size], rows[1, p, :d.b.size] = d.a[:width], d.b[:width]
-    rows[:, 1] = 0.5 * (np.arange(width) * rows[:, 0] + rows[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[:, 1] = 0.5 * (np.arange(width) * rows[:, 0] + rows[:, 1])
     return [0, 1], [0, 0], rows[0].T, rows[1].T
 
 

@@ -2,11 +2,12 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biharmonic_disk import cli, solver, verify
+from biharmonic_disk import cli, quadrature, solver, verify
 from biharmonic_disk.errors import CaseFormatError
 
 
@@ -24,6 +25,12 @@ FOUR_SAMPLES = {"f": {"n_samples": 4, "fourier": [[1, 1.0, 0.0]]}}
 OVERFLOW = {"f": {"fourier": [[1, 1e308, 1e308]]}}
 # a finite spectrum whose derivative rows overflow: 255^2 1e304 / 2 > 1.8e308
 DERIVATIVE_OVERFLOW = {"f": {"fourier": [[255, 1e304, 0.0]]}}
+# spectra near the top of the double range: a 1e307 constant and first mode
+# pass, while the derivative row 200 * 1e307 / 2 of mode 200 overflows
+HUGE_CONSTANT = {"f": {"fourier": [[0, 1e307, 0.0]]}}
+HUGE_FIRST_MODE = {"f": {"fourier": [[1, 1e307, 0.0]]}}
+HUGE_MODE_200 = {"f": {"fourier": [[200, 1e307, 0.0]]}}
+DEMO_CASES = sorted((Path(__file__).resolve().parents[1] / "scripts" / "cases").glob("*.json"))
 MIXED = {"schema": 1, "f": {"fourier": [[0, 1.0, 0.0]]}, "h": {"fourier": [[0, -4.0, 0.0]]},
          "g": {"terms": [[0, 0, 4.0, 0.0]]}, "seed": 7}
 # one mode below the cut's floor u ||samples||_1 (1.8e-12 for 16384 unit
@@ -268,6 +275,30 @@ def test_overflowing_spectrum_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [HUGE_CONSTANT, HUGE_FIRST_MODE])
+def test_spectrum_near_the_double_range_is_solved(tmp_path, capsys, doc):
+    # the samples are scaled by 1/N before the FFT, so its sums stay finite
+    case = write_case(tmp_path, doc)
+    out = tmp_path / "field.json"
+    assert cli.main(["solve", "--case", case, "--grid", "4,4", "--gradient", "--out", str(out)]) == 0
+    assert cli.main(["verify", "--case", case]) == 0
+    assert "9/9 checks passed" in capsys.readouterr().out
+
+
+def test_overflowing_derivative_row_is_refused(tmp_path, capsys):
+    # m a_m / 2 overflows in the boundary rows; with RuntimeWarning an error
+    # (the suite's setting) it must still be refused, not raised
+    case = write_case(tmp_path, HUGE_MODE_200)
+    out = tmp_path / "field.json"
+    for argv in (["solve", "--case", case, "--grid", "4,4", "--gradient", "--out", str(out)],
+                 ["verify", "--case", case]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "overflows" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+
+
 def test_overflowing_derivative_table_is_refused(tmp_path, capsys):
     case = write_case(tmp_path, DERIVATIVE_OVERFLOW)
     out = tmp_path / "field.json"
@@ -408,6 +439,15 @@ def test_lipschitz_all_zero_case_is_degenerate(tmp_path, capsys):
     assert rc == 2
 
 
+def test_lipschitz_constant_f_is_degenerate(tmp_path, capsys):
+    # the data are not zero, but constant f with h = g = 0 gives P = 0
+    rc = cli.main(["lipschitz", "--case", write_case(tmp_path, CONSTANT)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "f is constant and h = g = 0" in captured.err
+    assert captured.out == ""
+
+
 def test_lipschitz_accepts_four_samples(tmp_path, capsys):
     rc = cli.main(["lipschitz", "--case", write_case(tmp_path, FOUR_SAMPLES)])
     out = capsys.readouterr().out
@@ -521,3 +561,22 @@ def test_the_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatc
     monkeypatch.setattr(cli, "cmd_kernel", lambda args: calls.append(args.which) or kernel(args))
     assert cli.main(["kernel", "--which", "H0", "--z", "0.5,0"]) == 0
     assert calls == ["H0"]
+
+
+def test_only_identities_reaches_quadrature(tmp_path, monkeypatch, capsys):
+    # solve, verify and lipschitz run closed forms only; identities runs the
+    # quadrature oracle, so the patch must bite there
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature reached")
+
+    monkeypatch.setattr(quadrature, "_sum_rows", refuse)
+    monkeypatch.setattr(quadrature.CircleRule, "thetas", property(refuse))
+    assert len(DEMO_CASES) == 3
+    out = str(tmp_path / "field.json")
+    for path in map(str, DEMO_CASES):
+        assert cli.main(["solve", "--case", path, "--grid", "8,16", "--gradient", "--out", out]) == 0
+        assert cli.main(["verify", "--case", path]) == 0
+        assert cli.main(["lipschitz", "--case", path]) == 0
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="quadrature reached"):
+        cli.main(["identities"])

@@ -1,6 +1,8 @@
 """Distortion constants: gradient bounds, origin invariants, quotients."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from biharmonic_disk.lipschitz import (
     estimate_boundary_lipschitz,
     p_bound,
 )
+from biharmonic_disk.quadrature import DEFAULT_RULES, disk_integrate_centered
 from biharmonic_disk.solver import BoundaryData, SourceTerm
 
 # ---------------------------------------------------------------------------
@@ -90,7 +93,7 @@ def test_lipschitz_estimate_memory_is_bounded():
 def test_compute_ab_working_memory_is_bounded():
     f = BoundaryData.from_fourier([(1, 1.0), (3, 0.5j)], 512)
     g = SourceTerm([(0, 0, 4.0), (2, 1, 1.0 - 1j)])
-    compute_ab(f, f, g)  # the rules' node caches are filled once per process
+    compute_ab(f, f, g)  # the solver's caches are filled once per process
     tracemalloc.start()
     try:
         compute_ab(f, f, g)
@@ -169,15 +172,66 @@ def test_ab_routes_agree_with_green_term_present():
     assert abs(no_load.a_integral - ab.a_integral) > 1e-3
 
 
+def test_ab_routes_agree_on_a_load_of_degree_31():
+    # the table's load rows and the closed-form Green terms at the largest
+    # exponents a load may have
+    zero = BoundaryData.zero()
+    g = SourceTerm([(16, 15, 1.0), (15, 16, 1j), (1, 0, 0.5)])
+    ab = compute_ab(zero, zero, g)
+    assert ab.a_integral == pytest.approx(ab.a_value, rel=1e-12)
+    assert ab.b_integral == pytest.approx(ab.b_value, rel=1e-12)
+
+
 @pytest.mark.parametrize("n_f,n_h", [(1024, 1024), (512, 2048)])
 def test_ab_integral_route_is_exact_beyond_512_samples(n_f, n_h):
-    # modes -(N/2 - 1) and N/2 - 1 alias onto e^{+-i theta} on a 512-node
-    # rule once N > 512; the integral route must not see them
+    # modes -(N/2 - 1) and N/2 - 1 would alias onto e^{+-i theta} on a
+    # 512-node circle rule once N > 512; the integral route reads modes +-1
+    # off the whole spectrum and must not see them
     f = BoundaryData.from_fourier([(1, 1.0), (-(n_f // 2 - 1), 1.0)], n_f)
     h = BoundaryData.from_fourier([(-1, 0.5), (n_h // 2 - 1, 2.0)], n_h)
     ab = compute_ab(f, h, SourceTerm.zero())
     assert ab.a_integral == pytest.approx(ab.a_value, abs=1e-12)
     assert ab.b_integral == pytest.approx(ab.b_value, abs=1e-12)
+
+
+def _origin_green_by_quadrature(g):
+    # the disk integrals of conj(zeta) w g and zeta w g, w = log|zeta|^2 + 1 -
+    # |zeta|^2, by the oracle's recentred rule (the route compute_ab replaced)
+    def integrand(zeta):
+        rho2 = zeta.real**2 + zeta.imag**2
+        weight = (np.log(rho2) + 1.0 - rho2) * g.evaluate(zeta)
+        return np.stack([np.conj(zeta) * weight, zeta * weight])
+
+    return disk_integrate_centered(DEFAULT_RULES.disk, integrand, center=0j)
+
+
+_GREEN_TERM = st.tuples(
+    st.integers(0, 16), st.integers(-2, 2),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+).filter(lambda t: 0 <= t[0] - t[1] <= 16)
+
+
+@given(st.lists(_GREEN_TERM, min_size=1, max_size=6))
+def test_origin_green_terms_match_the_quadrature_oracle(raw):
+    # exponents up to 16 with a - b in -2..2: the terms a - b = +-1 survive,
+    # the others must integrate to 0 on both routes
+    g = SourceTerm([(a, a - d, c) for a, d, c in raw])
+    exact = lipschitz._origin_green_terms(g)
+    oracle = _origin_green_by_quadrature(g)
+    scale = sum(abs(c) for _, _, c in g.terms)
+    assert np.max(np.abs(np.array(exact) - oracle)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_origin_green_factor_is_correctly_rounded(k):
+    # z^k zbar^(k-1) feeds A and z^(k-1) zbar^k feeds B, each with the
+    # factor -1/((k+1)^2 (k+2)) to within one ulp of its exact value
+    exact = float(Fraction(-1, (k + 1) ** 2 * (k + 2)))
+    g_a, _ = lipschitz._origin_green_terms(SourceTerm.monomial(k, k - 1))
+    _, g_b = lipschitz._origin_green_terms(SourceTerm.monomial(k - 1, k))
+    for got in (g_a, g_b):
+        assert got.imag == 0.0
+        assert abs(got.real - exact) <= math.ulp(exact)
 
 
 def test_ab_matches_difference_quotient_at_origin():

@@ -134,6 +134,20 @@ def test_spectrum_overflow_is_refused_at_construction():
         BoundaryData.from_fourier([(1, 1e308 + 1e308j)])
 
 
+@pytest.mark.parametrize("n", [4, 512, 32768])
+def test_spectrum_is_scaled_before_the_fft(n):
+    # scaling by 1/N is exact for a power of two N, so the spectrum is the
+    # unnormalised FFT's bit for bit, and a spectrum of modulus 1e307 no
+    # longer overflows on the way
+    rng = np.random.default_rng(n)
+    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+    coef = np.fft.fft(samples) / n
+    data = BoundaryData(samples)
+    assert np.array_equal(data.a[:n // 2], coef[:n // 2])
+    assert np.array_equal(data.b[1:n // 2], coef[:n // 2:-1])
+    assert BoundaryData.constant(1e307, n).a[0] == 1e307
+
+
 def test_repeated_modes_merge():
     # the coefficients add up before the one inverse FFT, so modes that
     # cancel leave no trace in the samples

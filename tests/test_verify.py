@@ -177,24 +177,6 @@ def test_folded_integrands_are_mirror_symmetric(z):
     np.testing.assert_allclose(there, here, rtol=1e-12, atol=1e-14)
 
 
-def test_origin_green_integrand_is_not_mirror_symmetric(monkeypatch):
-    # compute_ab's Green terms integrate conj(zeta) w(zeta) g(zeta), which the
-    # reflection zeta -> conj(zeta) does not preserve for a generic load, so
-    # that pass must not fold
-    seen = {}
-
-    def capture(rule, integrand, center, mirror=None):
-        seen.update(integrand=integrand, center=center, mirror=mirror)
-        return np.zeros(2, dtype=complex)
-
-    monkeypatch.setattr(lipschitz, "disk_integrate_centered", capture)
-    lipschitz._origin_green_terms(SourceTerm([(0, 0, 0.5), (2, 1, 1.0 - 1j)]))
-    assert seen["center"] == 0 and seen["mirror"] is None
-    zeta = _disk_nodes(4000, seed=11)
-    here, there = seen["integrand"](zeta), seen["integrand"](np.conj(zeta))
-    assert np.max(np.abs(there - here)) > 0.1 * np.max(np.abs(here))
-
-
 @pytest.mark.parametrize("suite", [verify.identity_suite, verify.bound_suite, verify.oracle_suite])
 def test_suite_working_memory_is_bounded(suite):
     suite()  # the rules' node caches are filled once per process
