@@ -16,7 +16,6 @@ from .quadrature import (
     DiskRule,
     RuleSet,
     circle_integrate,
-    disk_integrate,
     disk_integrate_centered,
 )
 from .solver import (

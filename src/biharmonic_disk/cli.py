@@ -14,9 +14,9 @@ sampling seed:
 Fourier coefficients are [mode, re, im] triples, monomial loads are
 [a, b, re, im] quadruples, and every omitted field defaults to zero data.
 Modes, exponents, ``n_samples`` and ``seed`` must be JSON integers: 1.5,
-1.0, "1" and true are refused, not truncated. A datum holds at most
-``_MAX_SAMPLES`` = 32768 samples, by ``n_samples`` or by its ``samples``
-list; more is refused before anything is allocated. The chord estimate of
+1.0, "1" and true are refused, not truncated, and so is a negative seed.
+A datum holds at most ``_MAX_SAMPLES`` = 32768 samples, by ``n_samples``
+or by its ``samples`` list; more is refused before anything is allocated. The chord estimate of
 ``lipschitz`` is O(N^2) and the verify checks grow with the table: on
 32768 samples of white noise for f and h, ``verify`` took 2.3 s and
 ``lipschitz`` 4.6 s at a peak RSS of 54 MB, and on 65536 samples 9.1 s and
@@ -170,6 +170,8 @@ def parse_case_dict(doc: dict) -> CaseFile:
     seed = doc.get("seed", 42)
     if not _is_int(seed):
         raise CaseFormatError("seed must be an integer")
+    if seed < 0:
+        raise CaseFormatError("seed must be a non-negative integer")
     return CaseFile(
         f=_parse_boundary(doc.get("f"), "f"),
         h=_parse_boundary(doc.get("h"), "h"),

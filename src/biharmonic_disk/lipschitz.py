@@ -4,7 +4,10 @@ The solution operator maps data (f, h, g) to a map Phi of the disk. This
 module computes the constants entering its two-sided distortion bounds:
 
 * L, an empirical Lipschitz constant of the boundary trace f,
-* the certified gradient bound  P = (220/3) L + 4 sup|h| + (23/3) sup|g|,
+* the paper's gradient bound  P = (220/3) L + 4 sup|h| + (23/3) sup|g|.
+  ``analyze_case`` evaluates it on two lower estimates, L (the largest
+  chord quotient) and sup|h| (a dense-grid maximum), so the P it reports
+  is an estimate of the bound, not a certified one (ROADMAP item 3),
 * the origin invariants  A = |Phi_z(0)|^2,  B = |Phi_zbar(0)|^2  and
   Q = A - B, each computed both from the solver's table at the origin
   and, in closed form, from the integral formulas they reduce to,
@@ -27,7 +30,7 @@ from .errors import DegenerateDataError, DomainError
 from .quadrature import _circle_angles
 from .solver import BoundaryData, Case, SolutionField, SourceTerm
 
-# Coefficients of the certified gradient bound P.
+# Coefficients of the gradient bound P.
 _COEFF_L = 220.0 / 3.0
 _COEFF_H = 4.0
 _COEFF_G = 23.0 / 3.0
@@ -65,7 +68,9 @@ class LipschitzReport:
     """The distortion constants and verdict for one problem instance.
 
     g_sup is the certified term-sum bound used inside p_upper; g_sup_estimate
-    is the dense-grid maximum (a lower estimate of the true sup). The
+    is the dense-grid maximum (a lower estimate of the true sup). p_upper is
+    not certified: l_boundary and h_sup, which it is built from, are lower
+    estimates (the largest chord quotient and a dense-grid maximum). The
     verdict is "bi-lipschitz" exactly when q_value > 2 p_upper^2, in which
     case lower_bound = q_value/p_upper - 2 p_upper is positive; it is
     reported as-is (usually negative) otherwise.
@@ -107,7 +112,11 @@ def estimate_boundary_lipschitz(f: BoundaryData) -> float:
 
 
 def p_bound(l: float, h_sup: float, g_sup: float) -> float:
-    """Certified upper bound (220/3) l + 4 h_sup + (23/3) g_sup for sup|grad Phi|."""
+    """The paper's bound (220/3) l + 4 h_sup + (23/3) g_sup for sup|grad Phi|.
+
+    An upper bound only when l, h_sup and g_sup are upper bounds; the lower
+    estimates ``analyze_case`` passes for l and h_sup make it an estimate.
+    """
     if l < 0 or h_sup < 0 or g_sup < 0:
         raise DomainError("p_bound arguments must be nonnegative")
     return _COEFF_L * l + _COEFF_H * h_sup + _COEFF_G * g_sup

@@ -12,26 +12,21 @@ fixed resolution ``DEFAULT_RULES``.
   accurate for smooth periodic integrands and exact for trigonometric
   polynomials of degree below the node count.
 
-* ``disk_integrate``: Gauss nodes for the radial weight r on [0, 1]
-  (exact for radial polynomials of degree <= 2 n_radial - 1) crossed with a
-  CircleRule in angle. Exact for monomials z^a conj(z)^b up to the rule's
-  degree, but blind to the logarithmic singularities the Green kernels carry.
-  The radial rule is Gauss-Jacobi(0, 1) by Golub-Welsch, with
-  Christoffel-number weights.
-
 * ``disk_integrate_centered``: the integrand is pulled back through the
   Mobius involution exchanging 0 and a given centre, so that the singular
   point of a Green-type integrand lands at the origin, where the radial grid
   is graded geometrically. Radial panels run from ``_GEO_START`` (1e-12) to
   ``_GEO_SPLIT`` (0.5) geometrically and uniformly from there to 1, with
   ``_PANEL_ORDER`` (8) Gauss-Legendre nodes per panel (numpy's ``leggauss``);
-  the node at radius 0 is never used.
+  the node at radius 0 is never used. Centred at 0 the map is zeta = -eta
+  with Jacobian 1: a polar product rule, exact for z^a conj(z)^b with
+  a + b <= 14 and |a - b| < n_angular but for the mass below ``_GEO_START``.
 
-A ``DiskRule`` carries the resolution of both. Node sets, built with numpy
-alone, are cached per resolution.
+A ``DiskRule`` carries its resolution. Node sets, built with numpy alone,
+are cached per resolution.
 
-Both disk rules walk their grid in blocks of whole radial rows, about
-``_BLOCK_NODES`` (8192) evaluated nodes each; a recentred block is pulled back
+The disk rule walks its grid in blocks of whole radial rows, about
+``_BLOCK_NODES`` (8192) evaluated nodes each; a block is pulled back
 through the Mobius map and validated once. The integrand may return a stack
 of integrands, shape ``(k,) + zeta.shape``, which share that block's nodes
 and Jacobian; the result is then an array of k values. Integrand values
@@ -46,26 +41,26 @@ change the result, a stacked integrand gets exactly what separate calls
 get, a real integrand gets exactly what its complex cast gets, and repeated
 calls are bitwise reproducible.
 
-Both rules take ``mirror``, a promise that the integrand takes equal values
-at zeta and at its reflection across the line through 0 and ``mirror`` (the
-real axis when ``mirror == 0``). That line must pass through a grid angle,
-n_angular arg(mirror) / pi an even integer, and n_angular must be even, so
-that the reflection maps the grid onto itself and fixes the two axis nodes
-of each row; otherwise ``DomainError``. Each row is then evaluated only on
-the n_angular / 2 + 1 angles of the closed half circle between the two axis
-directions, with the weights (1, 2, ..., 2, 1) / n_angular: the row mean is
+The disk rule takes ``mirror``, a promise that the integrand takes equal
+values at zeta and at its reflection across the line through 0 and
+``mirror`` (the real axis when ``mirror == 0``). That line must pass
+through a grid angle, n_angular arg(mirror) / pi an even integer, and
+n_angular must be even, so that the reflection maps the grid onto itself
+and fixes the two axis nodes of each row; otherwise ``DomainError``. Each
+row is then evaluated only on the n_angular / 2 + 1 angles of the closed
+half circle between the two axis directions, with the weights
+(1, 2, ..., 2, 1) / n_angular: the row mean is
 (2 * sum of the inner columns + (first + last)) / n_angular. A folded block
-holds twice the rows of an unfolded one. The recentred rule also needs its
-center on the mirror line: a Mobius map centred there commutes with the
-reflection, so the pulled-back integrand times the Jacobian is symmetric in
-the same way and is folded on the same half grid. The promises above hold
-for folded rows too; a folded result differs from the unfolded one by
-round-off only.
+holds twice the rows of an unfolded one. The centre must lie on the mirror
+line too: a Mobius map centred there commutes with the reflection, so the
+pulled-back integrand times the Jacobian is symmetric in the same way and
+is folded on the same half grid. The promises above hold for folded rows
+too; a folded result differs from the unfolded one by round-off only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -115,40 +110,22 @@ def circle_integrate(rule: CircleRule, integrand) -> complex:
 
 @dataclass(frozen=True)
 class DiskRule:
-    """Resolution of the two disk rules, plain and recentred.
+    """Resolution of the recentred disk rule.
 
-    n_radial only affects ``disk_integrate``; the radial grid of
-    ``disk_integrate_centered`` is set by the panel counts (the split points
-    and panel order are the constants ``_GEO_START``, ``_GEO_SPLIT``,
-    ``_PANEL_ORDER``). n_angular is shared; a folded rule (``mirror``) needs
-    it even.
+    The radial grid is set by the panel counts (the split points and panel
+    order are the constants ``_GEO_START``, ``_GEO_SPLIT``,
+    ``_PANEL_ORDER``); a folded rule (``mirror``) needs n_angular even.
     """
 
-    n_radial: int = 128
     n_angular: int = 256
     geo_panels: int = 40
     outer_panels: int = 10
 
     def __post_init__(self):
-        if self.n_radial < 1 or self.n_angular < 1:
-            raise DomainError("DiskRule needs positive node counts")
+        if self.n_angular < 1:
+            raise DomainError("DiskRule needs a positive angular node count")
         if self.geo_panels < 1 or self.outer_panels < 1:
             raise DomainError("panel counts must be positive")
-
-    def doubled(self) -> "DiskRule":
-        """Same rule with radial and angular resolution doubled."""
-        return replace(
-            self,
-            n_radial=2 * self.n_radial,
-            n_angular=2 * self.n_angular,
-            geo_panels=2 * self.geo_panels,
-            outer_panels=2 * self.outer_panels,
-        )
-
-    @property
-    def radial_nodes(self):
-        """(radii, weights) integrating int_0^1 p(r) r dr for ``disk_integrate``."""
-        return _jacobi_radial(self.n_radial)
 
     @property
     def centered_radial_nodes(self):
@@ -156,41 +133,25 @@ class DiskRule:
         return _panel_radial(self.geo_panels, self.outer_panels)
 
 
-def disk_integrate(rule: DiskRule, integrand, mirror: complex | None = None):
+def disk_integrate_centered(rule: DiskRule, integrand, center: complex,
+                            mirror: complex | None = None):
     """Integrate ``integrand(zeta)`` over the disk against dA = dx dy / pi.
 
-    The integrand receives a 2d complex array of nodes, one block of radial
-    rows at a time, and returns either a matching array, real or complex
-    (the result is a complex), or a stack of them, shape
-    ``(k,) + zeta.shape`` (the result is an array of k complexes, one per
-    integrand).
+    The grid is pulled back through the Mobius map centred at ``center``,
+    which must lie in the open unit disk; put it at the integrand's singular
+    point. The integrand sees the physical nodes zeta (not the pulled-back
+    ones) as a 2d complex array, one block of radial rows at a time, and
+    returns either a matching array, real or complex (the result is a
+    complex), or a stack of them, shape ``(k,) + zeta.shape`` (the result is
+    an array of k complexes, one per integrand). The Jacobian of the
+    substitution is applied internally.
 
     ``mirror`` promises that the integrand takes equal values at zeta and at
     its reflection across the line through 0 and ``mirror`` (the real axis
-    when ``mirror == 0``); the rule then evaluates only the closed half
-    circle of each row on one side of that line (see the module docstring).
-    """
-    radii, w = rule.radial_nodes
-    circle, _ = _angular_nodes(rule.n_angular, mirror)
-
-    def block(rows):
-        zeta = radii[rows, None] * circle[None, :]
-        return _block_values(integrand, zeta)
-
-    return _sum_rows(block, 2.0 * w, rule.n_angular, mirror is not None)
-
-
-def disk_integrate_centered(rule: DiskRule, integrand, center: complex,
-                            mirror: complex | None = None):
-    """Integrate with the pulled-back grid centered at the singular point.
-
-    ``center`` must lie in the open unit disk. The integrand sees the
-    physical nodes zeta (not the pulled-back ones), a block of rows at a
-    time, and may return a stack of integrands as ``disk_integrate`` does;
-    the Jacobian of the substitution is applied internally. ``mirror`` is
-    the promise ``disk_integrate`` takes; ``center`` must then lie on the
-    mirror line, so that the Mobius map commutes with the reflection and the
-    pulled-back integrand is symmetric too.
+    when ``mirror == 0``); ``center`` must lie on that line, so that the
+    Mobius map commutes with the reflection. The rule then evaluates only
+    the closed half circle of each row on one side of the line (see the
+    module docstring).
     """
     mob = MobiusMap(center)
     rho, w = rule.centered_radial_nodes
@@ -293,27 +254,6 @@ def _circle_angles(n: int) -> np.ndarray:
     out = 2.0 * np.pi * np.arange(n) / n
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=32)
-def _jacobi_radial(n: int):
-    # Gauss rule for int_{-1}^{1} q(x) (1+x) dx by Golub-Welsch, mapped to
-    # [0, 1] with r = (1+x)/2: int_0^1 p(r) r dr = sum v_i/4 p((1+x_i)/2).
-    k = np.arange(n, dtype=float)
-    a = 1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
-    b = np.sqrt(k * (k + 1.0)) / (2.0 * k + 1.0)  # b[0] = 0
-    x = np.linalg.eigvalsh(np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1))
-    # v_i = 1 / sum_k p_k(x_i)^2 over the orthonormal p_k, p_0 = 1/sqrt(2)
-    prev, p = np.zeros(n), np.full(n, 2.0**-0.5)
-    norm2 = p * p
-    for j in range(n - 1):
-        prev, p = p, ((x - a[j]) * p - b[j] * prev) / b[j + 1]
-        norm2 += p * p
-    r = 0.5 * (1.0 + x)
-    w = 0.25 / norm2
-    r.setflags(write=False)
-    w.setflags(write=False)
-    return r, w
 
 
 @lru_cache(maxsize=32)

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -180,12 +181,13 @@ class BoundaryData:
         most, whose tail past max |m| measured a tenth of the floor of the
         cut to the data's bandwidth (``Solution``) or less on seeded data at
         N = 16..32768: the table keeps the modes 0..max |m|. A mode with
-        2 |m| >= N, a non-finite coefficient, or samples that overflow
-        double precision raise ``DegenerateDataError``.
+        2 |m| >= N, a mode that is not an integer (1.5 and 2.0 alike), a
+        non-finite coefficient, or samples that overflow double precision
+        raise ``DegenerateDataError``.
         """
         spectrum = np.zeros(n_samples, dtype=complex)
         for mode, coeff in modes:
-            mode = int(mode)
+            mode = _as_int(mode, DegenerateDataError, "a Fourier mode")
             if 2 * abs(mode) >= n_samples:
                 raise DegenerateDataError(
                     f"mode {mode} is not resolvable with {n_samples} samples"
@@ -235,10 +237,19 @@ class BoundaryData:
         return float(np.max(np.abs(self.resample(dense))))
 
 
+def _as_int(value, error, what: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer, else ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 class SourceTerm:
     """A load given as a finite sum sum_k c_k z^(a_k) conj(z)^(b_k).
 
-    Exponents are integers in [0, 16] and coefficients finite. Terms with
+    Exponents are integers in [0, 16] (Python or numpy integers; a float,
+    even 2.0, raises ``DomainError``) and coefficients finite. Terms with
     equal exponents are merged and zero coefficients dropped at construction.
     """
 
@@ -247,7 +258,8 @@ class SourceTerm:
     def __init__(self, terms=()):
         merged: dict[tuple[int, int], complex] = {}
         for a, b, c in terms:
-            a, b, c = int(a), int(b), complex(c)
+            a, b = (_as_int(e, DomainError, "an exponent") for e in (a, b))
+            c = complex(c)
             if not (0 <= a <= MAX_EXPONENT and 0 <= b <= MAX_EXPONENT):
                 raise DomainError(
                     f"exponents must lie in [0, {MAX_EXPONENT}], got ({a}, {b})"

@@ -29,7 +29,6 @@ from .quadrature import (
     DEFAULT_RULES,
     _circle_angles,
     circle_integrate,
-    disk_integrate,
     disk_integrate_centered,
 )
 from .solver import BoundaryData, Case, SourceTerm
@@ -177,16 +176,16 @@ def _log_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
 def _abs_masses(z: complex) -> list[tuple[str, complex, float]]:
     """(check name, mass, limit) at z for each row of ``_ABS_MASS_BOUNDS``.
 
-    |.| breaks smoothness where the sign or a branch changes, so the masses
-    are integrated on the plain rule at doubled resolution, not recentred,
-    all four in one pass that builds the kernels' shared parts once per block
-    and folds its rows across the line through 0 and z (``mirror=z``).
+    All four masses come from one pass of the rule recentred at z, where
+    the kernels' singularities sit. The pass builds the kernels'
+    shared parts once per block and folds its rows across the line through
+    0 and z (``mirror=z``).
     """
     def integrand(zeta):
         parts = green.KernelParts(z, zeta)
         return np.stack([np.abs(kernel(parts)) for _, kernel, _ in _ABS_MASS_BOUNDS])
 
-    masses = disk_integrate(DEFAULT_RULES.disk.doubled(), integrand, mirror=z)
+    masses = disk_integrate_centered(DEFAULT_RULES.disk, integrand, center=z, mirror=z)
     return [(name, mass, limit(z))
             for (name, _, limit), mass in zip(_ABS_MASS_BOUNDS, masses)]
 
@@ -194,16 +193,16 @@ def _abs_masses(z: complex) -> list[tuple[str, complex, float]]:
 def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
     """Every identity check, then every bound check, as ``identities`` reports them.
 
-    Per sample point z one recentred pass integrates the three log-kernel
-    masses of ``identity_suite`` and j1, j2 of ``bound_suite`` together, and
-    one plain pass at doubled resolution the four |K| masses. Every integrand
-    of both passes is a function of |zeta|, |zeta - z| and |1 - conj(zeta) z|,
-    so it is symmetric across the line through 0 and z, and both passes fold
-    their rows onto half circles (``mirror=z``); so does the radial area
-    integral behind j3 (``mirror=0``). Every sample point lies on a grid
-    angle of both disk rules, which the fold requires. ``trace_kernel``
-    substitutes the trace kernel in the mean check (used by the
-    negative-control tests to prove the check can fail).
+    Per sample point z two passes of the disk rule recentred at z run: one
+    integrates the three log-kernel masses of ``identity_suite`` and j1, j2
+    of ``bound_suite`` together, the other the four |K| masses. Every
+    integrand of both passes is a function of |zeta|, |zeta - z| and
+    |1 - conj(zeta) z|, so it is symmetric across the line through 0 and z,
+    and both passes fold their rows onto half circles (``mirror=z``); so
+    does the radial area integral behind j3 (centred at 0, ``mirror=0``).
+    Every sample point lies on a grid angle of the disk rule, which the fold
+    requires. ``trace_kernel`` substitutes the trace kernel in the mean
+    check (used by the negative-control tests to prove the check can fail).
     """
     tk = kernels.f0_eval if trace_kernel is None else trace_kernel
     identities: list[CheckResult] = []
@@ -231,7 +230,8 @@ def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
         identities.append(CheckResult.equality(
             f"moment-rule[beta=3,r={r:g}]", quad, series, 1e-10))
 
-    area = disk_integrate(DEFAULT_RULES.disk, lambda zeta: 1.0 - np.abs(zeta) ** 2, mirror=0j).real
+    area = disk_integrate_centered(
+        DEFAULT_RULES.disk, lambda zeta: 1.0 - np.abs(zeta) ** 2, center=0j, mirror=0j).real
     bounds: list[CheckResult] = []
     for z in SAMPLE_POINTS:
         name = _zkey(z)
@@ -279,8 +279,8 @@ def bound_suite() -> list[CheckResult]:
     """Inequality checks for the Green kernel and its derivative masses.
 
     The bound checks of ``oracle_suite``. Every bound carries the tolerance
-    ``_BOUND_TOL`` (1e-6). The smooth sub-integrals j1, j2 use the recentred
-    rule; j3 is |z| times a fixed mass, integrated once.
+    ``_BOUND_TOL`` (1e-6). Every disk integral runs on the recentred rule;
+    j3 is |z| times a fixed mass, integrated once.
     """
     return [c for c in oracle_suite() if c.kind == "bound"]
 

@@ -119,6 +119,7 @@ def test_parse_fourier_n_samples():
          "h.samples holds more than 32768 samples"),
         ({"schema": 1, "f": {"fourier": [[1, float("nan"), 0.0]]}},
          "f.fourier: Fourier coefficients must be finite"),
+        ({"schema": 1, "seed": -1}, "seed must be a non-negative integer"),
     ],
 )
 def test_parse_rejections(doc, fragment):

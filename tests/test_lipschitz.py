@@ -34,6 +34,31 @@ def test_lipschitz_of_first_mode():
     assert estimate_boundary_lipschitz(f) == pytest.approx(1.0, abs=1e-12)
 
 
+@given(n=st.integers(min_value=2, max_value=1024), seed=st.integers(min_value=0, max_value=2**32),
+       band=st.one_of(st.none(), st.integers(min_value=0, max_value=8)))
+def test_chord_and_sup_estimates_stay_below_the_spectral_sums(n, seed, band):
+    """Chord quotient <= M(0) and sup|f| <= T(0) for the trigonometric interpolant.
+
+    Each mode obeys |e^{imx} - e^{imy}| = 2 |sin(m (x - y) / 2)|
+    <= |m| 2 |sin((x - y) / 2)| = |m| |e^{ix} - e^{iy}|, from
+    |sin(m x)| <= |m| |sin x|; so every chord quotient is at most
+    M(0) = sum |m| (|a_m| + |b_m|), and every value at most
+    T(0) = sum (|a_m| + |b_m|). Both estimates are maxima of such
+    quotients and values, so they stay below, up to round-off. Data: 2n
+    samples of white noise (``band`` None) or of at most ``band`` modes.
+    """
+    rng = np.random.default_rng(seed)
+    size = 2 * n
+    if band is None:
+        f = BoundaryData(rng.normal(size=size) + 1j * rng.normal(size=size))
+    else:
+        modes = rng.integers(-(size // 2) + 1, size // 2, band + 1)
+        coeffs = rng.normal(size=band + 1) + 1j * rng.normal(size=band + 1)
+        f = BoundaryData.from_fourier(zip(modes.tolist(), coeffs), size)
+    assert estimate_boundary_lipschitz(f) <= f.moment[0] * (1.0 + 1e-12)
+    assert f.sup_norm() <= f.tail[0] * (1.0 + 1e-12)
+
+
 def test_lipschitz_of_second_mode_approaches_two():
     f = BoundaryData.from_fourier([(2, 1.0)], 256)
     est = estimate_boundary_lipschitz(f)

@@ -13,7 +13,7 @@ import biharmonic_disk
 from biharmonic_disk import quadrature
 from biharmonic_disk.errors import DomainError
 from biharmonic_disk.green import MobiusMap
-from biharmonic_disk.quadrature import CircleRule, DiskRule, circle_integrate, disk_integrate, disk_integrate_centered
+from biharmonic_disk.quadrature import CircleRule, DiskRule, circle_integrate, disk_integrate_centered
 
 
 def test_circle_rule_mass():
@@ -53,32 +53,33 @@ def test_circle_integrand_shape_check():
 
 
 def test_disk_mass_is_one():
-    rule = DiskRule(n_radial=16, n_angular=32)
-    assert disk_integrate(rule, lambda z: np.ones_like(z, dtype=float)) == pytest.approx(1.0, abs=1e-14)
+    val = disk_integrate_centered(DiskRule(n_angular=32), lambda z: np.ones_like(z, dtype=float), 0j)
+    assert val == pytest.approx(1.0, abs=1e-14)
 
 
 def test_disk_weight_moment():
     # int (1 - |zeta|^2) dA = 1/2 under normalized area measure.
-    rule = DiskRule(n_radial=16, n_angular=32)
-    val = disk_integrate(rule, lambda z: 1.0 - np.abs(z) ** 2)
+    rule = DiskRule(n_angular=32)
+    val = disk_integrate_centered(rule, lambda z: 1.0 - np.abs(z) ** 2, 0j)
     assert val == pytest.approx(0.5, abs=1e-14)
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (1, 1), (2, 2), (3, 3), (1, 0), (2, 1), (0, 3)])
 def test_disk_monomial_moments(a, b):
-    # int z^a conj(z)^b dA = delta_ab / (a + 1).
-    rule = DiskRule(n_radial=24, n_angular=48)
-    val = disk_integrate(rule, lambda z: z**a * np.conj(z) ** b)
+    # int z^a conj(z)^b dA = delta_ab / (a + 1); centred at 0 the rule is a
+    # polar product rule, exact for these degrees.
+    rule = DiskRule(n_angular=48)
+    val = disk_integrate_centered(rule, lambda z: z**a * np.conj(z) ** b, 0j)
     expected = 1.0 / (a + 1) if a == b else 0.0
     assert val == pytest.approx(expected, abs=1e-13)
 
 
 def test_disk_integrand_shape_check():
-    rule = DiskRule(n_radial=4, n_angular=8)
+    rule = DiskRule(n_angular=8)
     with pytest.raises(DomainError):
-        disk_integrate(rule, lambda z: np.ones(5))
+        disk_integrate_centered(rule, lambda z: np.ones(5), 0j)
     with pytest.raises(DomainError):
-        disk_integrate(rule, lambda z: np.ones((2,) + z.shape + (1,)))
+        disk_integrate_centered(rule, lambda z: np.ones((2,) + z.shape + (1,)), 0j)
 
 
 @pytest.mark.parametrize("center", [0j, 0.3 + 0j, 0.8j])
@@ -105,32 +106,15 @@ def test_centered_handles_inverse_square_root_singularity():
     assert val == pytest.approx(4.0 / 3.0, rel=1e-10)
 
 
-def test_doubled_doubles_every_resolution_knob():
-    rule = DiskRule(n_radial=10, n_angular=20, geo_panels=5, outer_panels=3)
-    d = rule.doubled()
-    assert (d.n_radial, d.n_angular, d.geo_panels, d.outer_panels) == (20, 40, 10, 6)
-
-
 def test_rule_validation():
     with pytest.raises(DomainError):
-        DiskRule(n_radial=0)
+        DiskRule(n_angular=0)
     with pytest.raises(DomainError):
         disk_integrate_centered(DiskRule(), lambda z: np.ones_like(z), center=1.0)
     with pytest.raises(DomainError):
         DiskRule(geo_panels=0)
     with pytest.raises(DomainError):
         DiskRule(outer_panels=0)
-
-
-@pytest.mark.parametrize("n", [12, 128, 256])
-def test_radial_nodes_integrate_weight(n):
-    # 128 is the default rule and 256 its doubled one.
-    r, w = DiskRule(n_radial=n).radial_nodes
-    assert np.all(w > 0)
-    assert 0.0 < r[0] and r[-1] < 1.0 and np.all(np.diff(r) > 0)
-    # int_0^1 r^k r dr = 1/(k+2), exactly for every k <= 2n - 1.
-    for k in range(2 * n):
-        assert np.dot(w, r**k) == pytest.approx(1.0 / (k + 2), rel=1e-12, abs=0)
 
 
 def test_centered_radial_nodes_integrate_unit_interval():
@@ -140,23 +124,12 @@ def test_centered_radial_nodes_integrate_unit_interval():
     assert np.dot(w, rho) == pytest.approx(0.5, abs=1e-13)
 
 
-@given(k=st.integers(min_value=0, max_value=6))
-def test_plain_rule_radial_polynomial_exact(k):
-    rule = DiskRule(n_radial=16, n_angular=8)
-    val = disk_integrate(rule, lambda z, k=k: np.abs(z) ** (2 * k))
-    assert val == pytest.approx(1.0 / (k + 1), rel=1e-13)
-
-
 @given(c=st.complex_numbers(max_magnitude=0.7, allow_infinity=False, allow_nan=False))
-def test_centered_polynomial_matches_plain(c):
-    rule = DiskRule(n_radial=32, n_angular=128)
-
-    def integrand(z):
-        return (1.0 - np.abs(z) ** 2) ** 2
-
-    a = disk_integrate(rule, integrand)
-    b = disk_integrate_centered(rule, integrand, c)
-    assert b == pytest.approx(a, abs=1e-9)
+def test_centered_polynomial_matches_closed_form(c):
+    # int (1 - |zeta|^2)^2 dA = 1/3, wherever the rule is centred
+    rule = DiskRule(n_angular=128)
+    val = disk_integrate_centered(rule, lambda z: (1.0 - np.abs(z) ** 2) ** 2, c)
+    assert val == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_package_imports_without_scipy():
@@ -180,21 +153,16 @@ def test_default_rules_bundle():
 # row blocks and stacked integrands
 
 
-def _full_grid(rule, integrand, center=None):
+def _full_grid(rule, integrand, center):
     """Reference: values on the whole grid at once, row means, then one dot.
 
     The real and imaginary parts get their own row means and their own dot.
     """
     circle = np.exp(1j * 2.0 * np.pi * np.arange(rule.n_angular) / rule.n_angular)
-    if center is None:
-        radii, w = rule.radial_nodes
-        weights = 2.0 * w
-        vals = np.asarray(integrand(radii[:, None] * circle[None, :]))
-    else:
-        rho, w = rule.centered_radial_nodes
-        weights = 2.0 * rho * w
-        zeta, jac = MobiusMap(center).pullback(rho[:, None] * circle[None, :])
-        vals = np.asarray(integrand(zeta)) * jac
+    rho, w = rule.centered_radial_nodes
+    weights = 2.0 * rho * w
+    zeta, jac = MobiusMap(center).pullback(rho[:, None] * circle[None, :])
+    vals = np.asarray(integrand(zeta)) * jac
     return complex(np.dot(weights, vals.real.mean(axis=1)),
                    np.dot(weights, vals.imag.mean(axis=1)))
 
@@ -216,30 +184,17 @@ def test_blocked_centered_rule_matches_full_grid(center):
     _assert_within_one_ulp(got, _full_grid(rule, _log_moment(center), center))
 
 
-def test_blocked_plain_rule_matches_full_grid():
-    rule = DiskRule().doubled()
-    assert rule.n_radial * rule.n_angular > 4 * quadrature._BLOCK_NODES
-    integrand = _log_moment(0.3 + 0.2j)
-    _assert_within_one_ulp(disk_integrate(rule, integrand), _full_grid(rule, integrand))
-
-
-# (center, mirror) of each rule case; center None is the plain rule
-_RULE_CASES = [pytest.param(c, None, id=str(c)) for c in (None, 0j, 0.5j, 0.9 + 0j)] + [
-    pytest.param(None, 0.5j, id="None-mirror"),
+# (center, mirror) of each rule case; a rule centred at 0 folds on any line through 0
+_RULE_CASES = [pytest.param(c, None, id=str(c)) for c in (0j, 0.5j, 0.9 + 0j)] + [
+    pytest.param(0j, 0.5j, id="0j-mirror"),
     pytest.param(0.5j, 0.5j, id="0.5j-mirror"),
 ]
-
-
-def _integrate(rule, integrand, center, mirror):
-    if center is None:
-        return disk_integrate(rule, integrand, mirror=mirror)
-    return disk_integrate_centered(rule, integrand, center, mirror=mirror)
 
 
 @pytest.mark.parametrize("center, mirror", _RULE_CASES)
 def test_stacked_integrand_equals_separate_calls(center, mirror):
     def run(integrand):
-        return _integrate(DiskRule(), integrand, center, mirror)
+        return disk_integrate_centered(DiskRule(), integrand, center, mirror=mirror)
 
     parts = [lambda z: np.ones(z.shape), lambda z: np.abs(z - 0.1), _log_moment(0.5j)]
     stacked = run(lambda z: np.stack([part(z) for part in parts]))
@@ -252,8 +207,7 @@ def test_real_integrand_equals_its_complex_cast(center, mirror):
     # a real integrand is integrated in its own dtype, with the same sums
     # its complex cast gets for the real part
     def run(integrand):
-        rule = DiskRule().doubled() if center is None else DiskRule()
-        return _integrate(rule, integrand, center, mirror)
+        return disk_integrate_centered(DiskRule(), integrand, center, mirror=mirror)
 
     def real(z):
         return np.stack([np.abs(z - 0.1), np.log(np.abs(z - 0.5j) ** 2), 1.0 - np.abs(z) ** 2])
@@ -276,31 +230,30 @@ def _mirror_symmetric(c):
     return lambda zeta: (1.0 + 0.5j + np.abs(zeta) ** 2) * np.log(np.abs(zeta - c) ** 2)
 
 
-@pytest.mark.parametrize("plain", [True, False], ids=["plain", "centered"])
+@pytest.mark.parametrize("at_origin", [True, False], ids=["origin", "centered"])
 @pytest.mark.parametrize("center", [0j, 0.25 + 0j, 0.5 * np.exp(1j * np.pi / 4), 0.9 + 0j])
-def test_folded_rule_matches_full_grid(center, plain):
-    rule = DiskRule().doubled() if plain else DiskRule()
+def test_folded_rule_matches_full_grid(center, at_origin):
+    # the rule centred at the integrand's singular point, or at 0, folded
+    # across the line through 0 and that point
+    rule = DiskRule()
+    rule_center = 0j if at_origin else center
     columns = set()
 
     def integrand(zeta):
         columns.add(zeta.shape[-1])
         return _mirror_symmetric(center)(zeta)
 
-    if plain:
-        got = disk_integrate(rule, integrand, mirror=center)
-        ref = _full_grid(rule, _mirror_symmetric(center))
-    else:
-        got = disk_integrate_centered(rule, integrand, center, mirror=center)
-        ref = _full_grid(rule, _mirror_symmetric(center), center)
+    got = disk_integrate_centered(rule, integrand, rule_center, mirror=center)
+    ref = _full_grid(rule, _mirror_symmetric(center), rule_center)
     assert columns == {rule.n_angular // 2 + 1}  # a closed half circle per row
     assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 @pytest.mark.parametrize("call", [
     # an odd angular count has no node opposite the axis node
-    lambda f: disk_integrate(DiskRule(n_angular=255), f, mirror=0j),
+    lambda f: disk_integrate_centered(DiskRule(n_angular=255), f, 0j, mirror=0j),
     # the mirror line passes between two grid angles, or through none
-    lambda f: disk_integrate(DiskRule(), f, mirror=np.exp(1j * np.pi / 256)),
+    lambda f: disk_integrate_centered(DiskRule(), f, 0j, mirror=np.exp(1j * np.pi / 256)),
     lambda f: disk_integrate_centered(DiskRule(), f, 0j, mirror=np.exp(0.1j)),
     # a Mobius map centred off the mirror line does not commute with the reflection
     lambda f: disk_integrate_centered(DiskRule(), f, 0.3j, mirror=0.5),

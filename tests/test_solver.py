@@ -13,6 +13,7 @@ from biharmonic_disk.errors import DegenerateDataError, DomainError
 from biharmonic_disk.quadrature import (
     DEFAULT_RULES,
     CircleRule,
+    DiskRule,
     circle_integrate,
     disk_integrate_centered,
 )
@@ -119,6 +120,20 @@ def test_unresolvable_mode_is_rejected():
         BoundaryData.from_fourier([(256, 1.0)], n_samples=512)
     with pytest.raises(DegenerateDataError):
         BoundaryData.from_fourier([(-8, 1.0)], n_samples=16)
+
+
+@pytest.mark.parametrize("mode", [1.5, 2.0])
+def test_non_integer_mode_is_rejected(mode):
+    # a float mode is refused, not truncated onto a neighbouring mode
+    with pytest.raises(DegenerateDataError, match="must be an integer"):
+        BoundaryData.from_fourier([(mode, 1.0)], 8)
+
+
+def test_numpy_integer_modes_and_exponents_are_accepted():
+    f = BoundaryData.from_fourier([(np.int64(1), 1.0), (np.int32(-2), 0.5)], 8)
+    ref = BoundaryData.from_fourier([(1, 1.0), (-2, 0.5)], 8)
+    np.testing.assert_array_equal(f.samples, ref.samples)
+    assert SourceTerm([(np.int64(2), np.uint8(1), 1.0)]).terms == ((2, 1, 1 + 0j),)
 
 
 def test_samples_are_read_only():
@@ -258,6 +273,10 @@ def test_source_term_exponent_validation():
         SourceTerm([(-1, 0, 1.0)])
     with pytest.raises(DomainError):
         SourceTerm([(0, solver.MAX_EXPONENT + 1, 1.0)])
+    # a float exponent is refused, not truncated to a lower degree
+    for term in [(1.5, 0, 1.0), (0, 1.5, 1.0), (2.0, 0, 1.0), (0, 2.0, 1.0)]:
+        with pytest.raises(DomainError, match="must be an integer"):
+            SourceTerm([term])
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf, complex(1.0, -np.inf)])
@@ -1065,10 +1084,11 @@ def test_grid_gradient_matches_closed_form(reference_fields):
 # ---------------------------------------------------------------------------
 # closed forms against the integral form of the representation
 
-# Mixed a != b terms with exponents up to 16 that the doubled disk rule
-# resolves to ~1e-12 at every sample point. It does not resolve z^16 zbar^16
-# or z^16 at r = 0.9 (~1e-10 absolute, 3e-6 relative); refining the rule
-# further shrinks that gap towards the closed form.
+# Mixed a != b terms with exponents up to 16 that the default disk rule at
+# twice its angular and panel resolution resolves to ~1e-12 at every sample
+# point. It does not resolve z^16 zbar^16 or z^16 at r = 0.9 (~1e-10
+# absolute, 3e-6 relative); refining the rule further shrinks that gap
+# towards the closed form.
 _ORACLE_LOAD = SourceTerm([
     (0, 0, 1.0), (3, 1, 0.5 - 1.0j), (1, 4, 2.0j), (16, 5, 0.7),
     (5, 16, -0.4j), (14, 2, 0.3 + 0.3j), (9, 16, -0.6),
@@ -1077,7 +1097,7 @@ _ORACLE_LOAD = SourceTerm([
 
 @pytest.mark.parametrize("z", verify.SAMPLE_POINTS)
 def test_green_closed_form_matches_quadrature(z):
-    rule = DEFAULT_RULES.disk.doubled()
+    rule = DiskRule(n_angular=512, geo_panels=80, outer_panels=20)
     g = _ORACLE_LOAD
 
     def oracle(kernel):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biharmonic_disk import green, lipschitz, solver, verify
+from biharmonic_disk import green, lipschitz, quadrature, solver, verify
 from biharmonic_disk.errors import DomainError
 from biharmonic_disk.solver import BoundaryData, SourceTerm
 from biharmonic_disk.verify import CheckResult, manufactured_case
@@ -137,6 +137,20 @@ def test_bound_suite_green_mass_grows_toward_center():
     near_edge = checks["green-abs-mass[z=0.9]"].computed.real
     assert near_center > near_edge
     assert near_center <= 0.75
+
+
+def test_abs_masses_at_origin_match_closed_forms():
+    # at z = 0 every kernel is radial, and its mass is a one-dimensional
+    # integral in closed form: |G| 1/4, |G_z| 8/45, |H2| 1/2, |H3| 16/15.
+    # Each |K| is at most 1/|zeta| near 0, so the rule's radial panels,
+    # which start at _GEO_START, skip at most 2 _GEO_START of its mass
+    # (|H3| = (1 - r^2)^2 / r skips just that)
+    masses = {name: mass for name, mass, _ in verify._abs_masses(0j)}
+    expected = {"green-abs-mass": 1 / 4, "green-grad-abs-mass": 8 / 45,
+                "h2-abs-mass": 1 / 2, "h3-abs-mass": 16 / 15}
+    assert masses.keys() == expected.keys()
+    for name, value in expected.items():
+        assert abs(masses[name] - value) <= 1e-12 + 2 * quadrature._GEO_START, name
 
 
 def test_oracle_suite_is_identities_then_bounds():
