@@ -9,7 +9,7 @@ from .errors import (
     SingularityError,
 )
 from .kernels import f0_dz, f0_eval, h0_dz, h0_eval, kernel_moment, kernel_moment_series
-from .green import MobiusMap, g_dz, g_eval, h2_eval, h3_eval
+from .green import KernelParts
 from .quadrature import (
     DEFAULT_RULES,
     CircleRule,

@@ -316,7 +316,7 @@ def cmd_kernel(args) -> int:
         if args.zeta is None:
             raise CaseFormatError("kernel G needs --zeta")
         zeta = _parse_complex(args.zeta, "--zeta")
-        value = complex(green.g_eval(z, zeta))
+        value = complex(green.KernelParts(z, zeta).g())
     elif args.which == "F0":
         value = complex(kernels.f0_eval(z))
     else:

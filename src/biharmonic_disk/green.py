@@ -6,36 +6,28 @@ The Green function used throughout is
                  - (1 - |z|^2)(1 - |zeta|^2),
 
 a real, symmetric, nonpositive function of two disk points that vanishes to
-second order as either argument reaches the circle. Its diagonal value is
-the limit -(1 - |z|^2)^2; the log factor is tamed there by the |z - zeta|^2
-prefactor, and ``g_eval`` returns that limit where z == zeta exactly.
+second order as either argument reaches the circle. ``KernelParts(z, zeta)``
+evaluates it and its derivatives in the first argument:
 
-Derivatives in the first argument:
+    g   : G itself,
+    g_dz: the first Wirtinger derivative d_z; G is real, so d_zbar = conj(d_z),
+    h2  : the mixed second derivative d^2 G / dz dzbar,
+    h3  : the third derivative d^3 G / dz dzbar dz.
 
-    g_dz   : first Wirtinger derivative d_z, continuous across the diagonal
-             with limit conj(z) (1 - |z|^2); G is real, so d_zbar = conj(d_z),
-    h2_eval: the mixed second derivative d^2 G / dz dzbar,
-    h3_eval: the third derivative d^3 G / dz dzbar dz.
-
-h2 diverges logarithmically and h3 like 1/|z - zeta| at the diagonal, so both
-refuse to evaluate there.
+g and g_dz are continuous across the diagonal and return their limits where
+z == zeta exactly; h2 diverges logarithmically and h3 like 1/|z - zeta|
+there, so both refuse to evaluate there.
 
 All four share the subexpressions z - zeta, |z - zeta|^2, 1 - conj(zeta) z,
 its squared modulus and the log of their ratio. ``KernelParts`` builds them
-once for a pair of arguments and evaluates each kernel from them; the four
-functions above are one ``KernelParts`` each, and a caller that needs
-several kernels at the same nodes (the mass bounds in ``verify``) builds
-one ``KernelParts`` for all of them. The two rational terms of g_dz and
-of h3 are folded into one fraction each (see their docstrings), the form
-evaluated.
-
-``MobiusMap`` carries the disk automorphism eta -> (c - eta)/(1 - eta conj(c))
-used to recentre singular integrands, together with its area Jacobian.
+once for a pair of arguments and evaluates each kernel from them, so a
+caller that needs several kernels at the same nodes (the mass bounds in
+``verify``) builds one ``KernelParts`` for all of them. The two rational
+terms of g_dz and of h3 are folded into one fraction each (see those
+methods), the form evaluated.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,11 +48,6 @@ def _as_disk(z, name):
     return arr
 
 
-def _maybe_scalar(out):
-    out = np.asarray(out)
-    return out[()] if out.ndim == 0 else out
-
-
 def _log_ratio(ad2, aw2):
     """log(|1 - conj(zeta) z|^2 / |z - zeta|^2), safe where ad2 == 0."""
     safe = np.where(ad2 > 0.0, ad2, 1.0)
@@ -72,8 +59,8 @@ class KernelParts:
 
     d = z - zeta, ad2 = |d|^2, w = 1 - conj(zeta) z, aw2 = |w|^2,
     log = log(aw2 / ad2) (finite placeholder where ad2 == 0) and
-    s = 1 - |zeta|^2. Each kernel method returns an array of the broadcast
-    shape of z and zeta; ``h2`` and ``h3`` refuse the diagonal.
+    s = 1 - |zeta|^2. Either argument may be an array; each kernel method
+    returns an array of their broadcast shape (0-d for two scalars).
     """
 
     __slots__ = ("z", "zeta", "d", "ad2", "w", "aw2", "log", "s")
@@ -93,98 +80,52 @@ class KernelParts:
             raise SingularityError(f"{name} is singular on the diagonal z == zeta")
 
     def g(self):
+        """G(z, zeta), with the diagonal limit -(1 - |z|^2)^2 where z == zeta.
+
+        The log factor is tamed on the diagonal by the |z - zeta|^2 prefactor.
+        """
         # |z - zeta|^2 log(...) -> 0 on the diagonal; keep 0 * inf out of the product
         log_term = np.where(self.ad2 > 0.0, self.ad2 * self.log, 0.0)
         return log_term - (1.0 - _abs2(self.z)) * self.s
 
     def g_dz(self):
+        """First Wirtinger derivative d_z of G in z.
+
+        d_z = (zb - zetab) log|(1 - zetab z)/(z - zeta)|^2
+              - (zb - zetab)(1 - |zeta|^2)/(1 - zetab z) + zb (1 - |zeta|^2)
+            = (zb - zetab) log|(1 - zetab z)/(z - zeta)|^2
+              + (1 - |z|^2)(1 - |zeta|^2) zetab / (1 - zetab z),
+
+        folded with zb (1 - zetab z) - (zb - zetab) = zetab (1 - |z|^2), the
+        form evaluated. It matches central differences of ``g`` and has
+        diagonal limit conj(z) (1 - |z|^2). G is real, so d_zbar = conj(d_z).
+        """
         dbar = np.conj(self.d)
         log_part = np.where(self.ad2 > 0.0, dbar * self.log, 0.0)
-        # conj(z) s - dbar s / w folds to conj(zeta) (1 - |z|^2) s / w
         return log_part + (1.0 - _abs2(self.z)) * self.s * np.conj(self.zeta) / self.w
 
     def h2(self):
-        self._refuse_diagonal("h2_eval")
+        """Mixed second derivative d^2 G / dz dzbar.
+
+            log|(1 - zetab z)/(z - zeta)|^2
+            - (1 - |zeta|^2)(1 - |z|^2 |zeta|^2) / |1 - z zetab|^2
+
+        Real-valued; diverges logarithmically on the diagonal, where it raises
+        ``SingularityError``.
+        """
+        self._refuse_diagonal("h2")
         return self.log - self.s * (1.0 - _abs2(self.z) * _abs2(self.zeta)) / self.aw2
 
     def h3(self):
-        self._refuse_diagonal("h3_eval")
-        # w + conj(zeta) d = s folds the two poles into one fraction
+        """Third derivative d^3 G / dz dzbar dz.
+
+            -(1 - |zeta|^2) / ((z - zeta)(1 - zetab z))
+            - zetab (1 - |zeta|^2) / (1 - zetab z)^2
+          = -(1 - |zeta|^2)^2 / ((z - zeta)(1 - zetab z)^2),
+
+        folded with (1 - zetab z) + zetab (z - zeta) = 1 - |zeta|^2, the form
+        evaluated. Complex-valued with a simple-pole-type singularity on the
+        diagonal, where it raises ``SingularityError``.
+        """
+        self._refuse_diagonal("h3")
         return -self.s**2 / (self.d * self.w**2)
-
-
-def g_eval(z, zeta):
-    """Evaluate G(z, zeta); either argument may be an array."""
-    return _maybe_scalar(KernelParts(z, zeta).g())
-
-
-def g_dz(z, zeta):
-    """First Wirtinger derivative d_z of G in z.
-
-    d_z = (zb - zetab) log|(1 - zetab z)/(z - zeta)|^2
-          - (zb - zetab)(1 - |zeta|^2)/(1 - zetab z) + zb (1 - |zeta|^2)
-        = (zb - zetab) log|(1 - zetab z)/(z - zeta)|^2
-          + (1 - |z|^2)(1 - |zeta|^2) zetab / (1 - zetab z),
-
-    folded with zb (1 - zetab z) - (zb - zetab) = zetab (1 - |z|^2), the
-    form evaluated. It matches central differences of g_eval and has
-    diagonal limit conj(z) (1 - |z|^2). G is real, so d_zbar = conj(d_z).
-    """
-    return _maybe_scalar(KernelParts(z, zeta).g_dz())
-
-
-def h2_eval(z, zeta):
-    """Mixed second derivative d^2 G / dz dzbar.
-
-        log|(1 - zetab z)/(z - zeta)|^2
-        - (1 - |zeta|^2)(1 - |z|^2 |zeta|^2) / |1 - z zetab|^2
-
-    Real-valued; diverges logarithmically on the diagonal.
-    """
-    return _maybe_scalar(KernelParts(z, zeta).h2())
-
-
-def h3_eval(z, zeta):
-    """Third derivative d^3 G / dz dzbar dz.
-
-        -(1 - |zeta|^2) / ((z - zeta)(1 - zetab z))
-        - zetab (1 - |zeta|^2) / (1 - zetab z)^2
-      = -(1 - |zeta|^2)^2 / ((z - zeta)(1 - zetab z)^2),
-
-    folded with (1 - zetab z) + zetab (z - zeta) = 1 - |zeta|^2, the form
-    evaluated. Complex-valued with a simple-pole-type singularity on the
-    diagonal.
-    """
-    return _maybe_scalar(KernelParts(z, zeta).h3())
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """Disk automorphism eta -> (center - eta) / (1 - eta conj(center)).
-
-    The map is an involution exchanging 0 and the center, so ``apply`` and
-    the point part of ``pullback`` are the same formula. ``pullback`` also
-    returns the area Jacobian (1 - |center|^2)^2 / |1 - eta conj(center)|^4
-    of the substitution zeta = apply(eta) in normalized area integrals.
-    """
-
-    center: complex
-
-    def __post_init__(self):
-        c = complex(self.center)
-        if not (abs(c) < 1.0):
-            raise DomainError("Mobius center must lie in the open unit disk")
-        object.__setattr__(self, "center", c)
-
-    def apply(self, eta):
-        eta = _as_disk(eta, "eta")
-        return _maybe_scalar((self.center - eta) / (1.0 - eta * np.conj(self.center)))
-
-    def pullback(self, eta):
-        """Return (zeta, jacobian) for the substitution zeta = apply(eta)."""
-        eta = _as_disk(eta, "eta")
-        den = 1.0 - eta * np.conj(self.center)
-        zeta = (self.center - eta) / den
-        jac = (1.0 - _abs2(self.center)) ** 2 / _abs2(den) ** 2
-        return _maybe_scalar(zeta), _maybe_scalar(jac)
-

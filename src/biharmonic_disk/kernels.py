@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .green import _abs2, _maybe_scalar
+from .green import _abs2
 
 # Evaluation is refused closer to the unit circle than this.
 BOUNDARY_MARGIN = 1e-12
@@ -55,6 +55,11 @@ def _as_points(z, name: str = "z"):
     return arr
 
 
+def _maybe_scalar(out):
+    out = np.asarray(out)
+    return out[()] if out.ndim == 0 else out
+
+
 def h0_eval(z):
     """Normal-derivative kernel (1/2) (1 - |z|^2)^2 / |1 - z|^2."""
     z = _as_points(z)
@@ -66,41 +71,39 @@ def f0_eval(z):
     z = _as_points(z)
     s = 1.0 - _abs2(z)
     q = _abs2(1.0 - z)
-    return _maybe_scalar(0.5 * s**2 / q + 0.5 * s**3 / q**2)
+    return _maybe_scalar(h0_eval(z) + 0.5 * s**3 / q**2)
 
 
 def h0_dz(z, theta):
-    """Wirtinger z-derivative d_z of theta -> H0(z e^{-i theta}); d_zbar = conj(d_z)."""
-    return _maybe_scalar(_h0_dz_values(_as_points(z), np.asarray(theta, dtype=float)))
+    """Wirtinger z-derivative d_z of theta -> H0(z e^{-i theta}); d_zbar = conj(d_z).
+
+    (1-|z|^2) [ e^{-i th}(1-|z|^2) - 2 zbar (1 - z e^{-i th}) ]
+      / [ 2 (1 - zbar e^{i th}) (1 - z e^{-i th})^2 ],
+
+    and (1 - zbar e^{i th}) = conj(1 - z e^{-i th}).
+    """
+    z = _as_points(z)
+    e = np.exp(-1j * np.asarray(theta, dtype=float))
+    s = 1.0 - _abs2(z)
+    one_m = 1.0 - z * e
+    return _maybe_scalar(s * (e * s - 2.0 * np.conj(z) * one_m) / (2.0 * np.conj(one_m) * one_m**2))
 
 
 def f0_dz(z, theta):
-    """Wirtinger z-derivative d_z of theta -> F0(z e^{-i theta}); d_zbar = conj(d_z)."""
-    return _maybe_scalar(_f0_dz_values(_as_points(z), np.asarray(theta, dtype=float)))
+    """Wirtinger z-derivative d_z of theta -> F0(z e^{-i theta}); d_zbar = conj(d_z).
 
+    H0's derivative plus that of (1/2) (1 - |z|^2)^3 / |1 - z e^{-i th}|^4,
 
-def _h0_dz_values(z, theta):
-    # (1-|z|^2) [ e^{-i th}(1-|z|^2) - 2 zbar (1 - z e^{-i th}) ]
-    #   / [ 2 (1 - zbar e^{i th}) (1 - z e^{-i th})^2 ]
-    # and (1 - zbar e^{i th}) = conj(1 - z e^{-i th}).
-    e = np.exp(-1j * theta)
+    (1-|z|^2)^2 [ 2 e^{-i th}(1-|z|^2) - 3 zbar (1 - z e^{-i th}) ]
+      / [ 2 (1 - zbar e^{i th})^2 (1 - z e^{-i th})^3 ].
+    """
+    z = _as_points(z)
+    e = np.exp(-1j * np.asarray(theta, dtype=float))
     s = 1.0 - _abs2(z)
     one_m = 1.0 - z * e
-    num = s * (e * s - 2.0 * np.conj(z) * one_m)
-    return num / (2.0 * np.conj(one_m) * one_m**2)
-
-
-def _f0_dz_values(z, theta):
-    e = np.exp(-1j * theta)
-    s = 1.0 - _abs2(z)
-    one_m = 1.0 - z * e
-    first = s * (e * s - 2.0 * np.conj(z) * one_m) / (2.0 * np.conj(one_m) * one_m**2)
-    second = (
-        s**2
-        * (2.0 * e * s - 3.0 * np.conj(z) * one_m)
-        / (2.0 * np.conj(one_m) ** 2 * one_m**3)
-    )
-    return first + second
+    second = (s**2 * (2.0 * e * s - 3.0 * np.conj(z) * one_m)
+              / (2.0 * np.conj(one_m) ** 2 * one_m**3))
+    return _maybe_scalar(h0_dz(z, theta) + second)
 
 
 def kernel_moment(beta: float, r: float) -> float:

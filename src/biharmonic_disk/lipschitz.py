@@ -21,7 +21,6 @@ gives an independent lower estimate that must stay below P.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -162,8 +161,7 @@ def _origin_invariants(case: Case) -> ABResult:
 
 
 def classify(l_boundary: float, h_sup: float, g_sup: float,
-             a_value: float, b_value: float,
-             g_sup_estimate: Optional[float] = None) -> LipschitzReport:
+             a_value: float, b_value: float, g_sup_estimate: float) -> LipschitzReport:
     """Assemble the LipschitzReport from the measured constants."""
     p_upper = p_bound(l_boundary, h_sup, g_sup)
     if p_upper == 0.0:
@@ -183,7 +181,7 @@ def classify(l_boundary: float, h_sup: float, g_sup: float,
         q_value=q_value,
         lower_bound=lower,
         verdict=verdict,
-        g_sup_estimate=g_sup if g_sup_estimate is None else g_sup_estimate,
+        g_sup_estimate=g_sup_estimate,
     )
 
 
@@ -222,11 +220,16 @@ def empirical_quotient(field: SolutionField, max_pairs: int = 100_000,
 
     Small grids are scanned exhaustively; larger ones are subsampled with
     at most ``max_pairs`` seeded random pairs, walked ``_PAIR_BLOCK`` at a
-    time. Coincident nodes (the r = 0 ring) are ignored. A non-finite node
-    value raises ``DegenerateDataError``: every grid node is evaluated, so
-    one means the field is broken, and skipping it could make the quotient
-    read low.
+    time. Coincident nodes (the r = 0 ring) are ignored. A negative
+    ``seed`` or ``max_pairs`` below 1 raises ``DomainError`` whatever the
+    grid. A non-finite node value raises ``DegenerateDataError``: every grid
+    node is evaluated, so one means the field is broken, and skipping it
+    could make the quotient read low.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    if max_pairs < 1:
+        raise DomainError(f"max_pairs must be at least 1, got {max_pairs}")
     zs = field.points.ravel()
     vals = field.values.ravel()
     if not np.all(np.isfinite(vals)):

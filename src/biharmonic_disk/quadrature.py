@@ -26,11 +26,13 @@ A ``DiskRule`` carries its resolution. Node sets, built with numpy alone,
 are cached per resolution.
 
 The disk rule walks its grid in blocks of whole radial rows, about
-``_BLOCK_NODES`` (8192) evaluated nodes each; a block is pulled back
-through the Mobius map and validated once. The integrand may return a stack
-of integrands, shape ``(k,) + zeta.shape``, which share that block's nodes
-and Jacobian; the result is then an array of k values. Integrand values
-keep their own dtype: a real integrand is never widened to complex. Working
+``_BLOCK_NODES`` (8192) evaluated nodes each; each block is pulled back
+through the Mobius involution in one pass. The centre is validated once per
+call; the nodes lie strictly inside the disk by construction and are not
+checked. The integrand may return a stack of integrands, shape
+``(k,) + zeta.shape``, which share that block's nodes and Jacobian; the
+result is then an array of k values. Integrand values keep their own
+dtype: a real integrand is never widened to complex. Working
 memory is one block's nodes plus whatever the integrand builds on them:
 64 KiB per real and 128 KiB per complex array, whatever the rule's
 resolution. Summation is angle first (the mean of each row, taken
@@ -66,7 +68,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .green import MobiusMap
+from .green import _abs2
 
 # Nodes per block of radial rows. One complex array over a block is 128 KiB,
 # so an integrand's temporaries stay within a few MiB whatever the rule;
@@ -153,17 +155,31 @@ def disk_integrate_centered(rule: DiskRule, integrand, center: complex,
     the closed half circle of each row on one side of the line (see the
     module docstring).
     """
-    mob = MobiusMap(center)
+    center = complex(center)
+    if not abs(center) < 1.0:
+        raise DomainError("Mobius center must lie in the open unit disk")
     rho, w = rule.centered_radial_nodes
     circle, axis = _angular_nodes(rule.n_angular, mirror)
-    if axis is not None and abs((mob.center * np.conj(axis)).imag) > 4 * _EPS * abs(mob.center):
+    if axis is not None and abs((center * np.conj(axis)).imag) > 4 * _EPS * abs(center):
         raise DomainError("a folded recentred rule needs its center on the mirror line")
 
     def block(rows):
-        zeta, jac = mob.pullback(rho[rows, None] * circle[None, :])
+        zeta, jac = _pullback(center, rho[rows, None] * circle[None, :])
         return _block_values(integrand, zeta) * jac
 
     return _sum_rows(block, 2.0 * rho * w, rule.n_angular, mirror is not None)
+
+
+def _pullback(center, eta):
+    """(zeta, jacobian) for the substitution zeta = (center - eta) / (1 - eta conj(center)).
+
+    The Mobius involution exchanging 0 and ``center``; the area Jacobian of
+    the substitution is (1 - |center|^2)^2 / |1 - eta conj(center)|^4. The
+    caller keeps ``center`` inside the disk; eta is not checked, as the
+    rule's nodes lie strictly inside it by construction.
+    """
+    den = 1.0 - eta * np.conj(center)
+    return (center - eta) / den, (1.0 - _abs2(center)) ** 2 / _abs2(den) ** 2
 
 
 def _angular_nodes(n, mirror):

@@ -55,7 +55,7 @@ b = isqrt(W - 1) + 1 and q = ceil(W / b), each row is
 sum_k (z^b)^k (C_k @ [z^0 .. z^(b-1)]), so a chunk of points needs b + 1
 powers of z instead of W, one matmul per block for the inner sums and q - 1
 multiply-adds in z^b. The integral forms (circle quadrature of the kernels
-in ``kernels``, recentred disk quadrature of ``green.g_eval``) stay in
+in ``kernels``, recentred disk quadrature of ``green.KernelParts.g``) stay in
 ``quadrature``, ``verify`` and the tests as the independent oracle for the
 table.
 
@@ -77,7 +77,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels  # noqa: F401 - re-exported; callers reach it as solver.kernels
 from .errors import DegenerateDataError, DomainError
 from .quadrature import _BLOCK_NODES, _circle_angles
 
@@ -438,7 +437,12 @@ class Solution:
 
     def grid(self, n_r: int, n_theta: int, r_max: float = 1.0,
              with_gradient: bool = False) -> "SolutionField":
-        """Values (and gradients) at r = r_max k / n_r, theta = 2 pi j / n_theta, in one pass."""
+        """Values (and gradients) at r = r_max k / n_r, theta = 2 pi j / n_theta, in one pass.
+
+        The sizes are Python or numpy integers; a float, even 4.0, raises
+        ``DegenerateDataError``.
+        """
+        n_r, n_theta = (_as_int(n, DegenerateDataError, "a grid size") for n in (n_r, n_theta))
         if n_r < 1 or n_theta < 1:
             raise DegenerateDataError("grid sizes must be positive")
         if not (0.0 < r_max <= 1.0):

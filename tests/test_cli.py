@@ -120,6 +120,9 @@ def test_parse_fourier_n_samples():
         ({"schema": 1, "f": {"fourier": [[1, float("nan"), 0.0]]}},
          "f.fourier: Fourier coefficients must be finite"),
         ({"schema": 1, "seed": -1}, "seed must be a non-negative integer"),
+        ({"schema": 1, "f": {"samples": [[0.0, 0.0, 0.0]] * 4}},
+         "f.samples must be [re, im] pairs"),
+        ({"schema": 1, "g": [[0, 0, 1.0, 0.0]]}, "g must be an object"),
     ],
 )
 def test_parse_rejections(doc, fragment):
@@ -251,6 +254,16 @@ def test_solve_unwritable_output_leaves_no_file(tmp_path):
     rc = cli.main(["solve", "--case", case, "--grid", "4,4", "--out", out])
     assert rc == 1
     assert not target_dir.exists()
+
+
+def test_solve_output_naming_a_directory_leaves_no_partial_file(tmp_path):
+    case = write_case(tmp_path, CONSTANT)
+    out = tmp_path / "field.json"
+    out.mkdir()
+    rc = cli.main(["solve", "--case", case, "--grid", "4,4", "--out", str(out)])
+    assert rc == 1
+    assert out.is_dir() and not any(out.iterdir())
+    assert not list(tmp_path.glob(".partial-*"))
 
 
 def test_solve_fingerprint_matches_case(tmp_path):
@@ -385,6 +398,8 @@ def test_kernel_rejects_malformed_point(capsys):
 
 def test_kernel_rejects_circle_point(capsys):
     assert cli.main(["kernel", "--which", "F0", "--z", "1,0"]) == 2
+    assert cli.main(["kernel", "--which", "G", "--z", "1,0", "--zeta", "0,0"]) == 2
+    assert "z must lie in the open unit disk" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_two(capsys):

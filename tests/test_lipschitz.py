@@ -278,7 +278,8 @@ def test_ab_matches_difference_quotient_at_origin():
 
 
 def test_classify_rotation_case():
-    report = classify(l_boundary=1.0, h_sup=0.0, g_sup=0.0, a_value=2.25, b_value=0.0)
+    report = classify(l_boundary=1.0, h_sup=0.0, g_sup=0.0, a_value=2.25, b_value=0.0,
+                      g_sup_estimate=0.0)
     assert report.p_upper == pytest.approx(220.0 / 3.0)
     assert report.q_value == pytest.approx(2.25)
     assert report.lower_bound == pytest.approx(2.25 / (220.0 / 3.0) - 440.0 / 3.0)
@@ -287,14 +288,16 @@ def test_classify_rotation_case():
 
 
 def test_classify_pure_h_case():
-    report = classify(l_boundary=0.0, h_sup=1.0, g_sup=0.0, a_value=0.0, b_value=0.0)
+    report = classify(l_boundary=0.0, h_sup=1.0, g_sup=0.0, a_value=0.0, b_value=0.0,
+                      g_sup_estimate=0.0)
     assert report.p_upper == pytest.approx(4.0)
     assert report.lower_bound == pytest.approx(-8.0)
     assert report.verdict == "lipschitz-only"
 
 
 def test_classify_reports_bi_lipschitz_when_quotient_dominates():
-    report = classify(l_boundary=0.01, h_sup=0.0, g_sup=0.0, a_value=25.0, b_value=0.0)
+    report = classify(l_boundary=0.01, h_sup=0.0, g_sup=0.0, a_value=25.0, b_value=0.0,
+                      g_sup_estimate=0.0)
     # q = 25 > 2 p^2 = 2 (2.2/3)^2
     assert report.verdict == "bi-lipschitz"
     assert report.lower_bound > 0.0
@@ -302,7 +305,8 @@ def test_classify_reports_bi_lipschitz_when_quotient_dominates():
 
 def test_classify_rejects_all_zero_data():
     with pytest.raises(DegenerateDataError):
-        classify(l_boundary=0.0, h_sup=0.0, g_sup=0.0, a_value=0.0, b_value=0.0)
+        classify(l_boundary=0.0, h_sup=0.0, g_sup=0.0, a_value=0.0, b_value=0.0,
+                 g_sup_estimate=0.0)
 
 
 def test_classify_keeps_separate_g_estimate():
@@ -446,6 +450,19 @@ def test_quotient_degenerate_fields():
     )
     with pytest.raises(DegenerateDataError):
         empirical_quotient(coincident)
+
+
+@pytest.mark.parametrize("n_r, n_theta", [
+    (20, 20),  # all 79,800 pairs at the default max_pairs
+    (40, 80),  # seeded draws
+])
+def test_quotient_refuses_negative_seed_and_no_pairs(n_r, n_theta):
+    f = BoundaryData.from_fourier([(1, 1.0), (-2, 0.5j)])
+    field = solver.solve_grid(f, f, SourceTerm.constant(4.0), n_r, n_theta, r_max=0.9)
+    with pytest.raises(DomainError, match="seed"):
+        empirical_quotient(field, seed=-1)
+    with pytest.raises(DomainError, match="max_pairs"):
+        empirical_quotient(field, max_pairs=0)
 
 
 # ---------------------------------------------------------------------------

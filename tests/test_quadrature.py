@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import biharmonic_disk
 from biharmonic_disk import quadrature
 from biharmonic_disk.errors import DomainError
-from biharmonic_disk.green import MobiusMap
 from biharmonic_disk.quadrature import CircleRule, DiskRule, circle_integrate, disk_integrate_centered
 
 
@@ -161,7 +160,7 @@ def _full_grid(rule, integrand, center):
     circle = np.exp(1j * 2.0 * np.pi * np.arange(rule.n_angular) / rule.n_angular)
     rho, w = rule.centered_radial_nodes
     weights = 2.0 * rho * w
-    zeta, jac = MobiusMap(center).pullback(rho[:, None] * circle[None, :])
+    zeta, jac = quadrature._pullback(center, rho[:, None] * circle[None, :])
     vals = np.asarray(integrand(zeta)) * jac
     return complex(np.dot(weights, vals.real.mean(axis=1)),
                    np.dot(weights, vals.imag.mean(axis=1)))

@@ -1059,6 +1059,17 @@ def test_grid_argument_validation():
         solver.solve_grid(zero, zero, SourceTerm.zero(), 4, 4, r_max=0.0)
     with pytest.raises(DomainError):
         solver.solve_grid(zero, zero, SourceTerm.zero(), 4, 4, r_max=1.5)
+    # 2.5 rings or 4.5 angles make no grid: a float size is refused, even 4.0
+    for sizes in [(2.5, 4), (3, 4.5), (3, np.float64(4.0))]:
+        with pytest.raises(DegenerateDataError, match="must be an integer"):
+            solver.solve_grid(zero, zero, SourceTerm.zero(), *sizes)
+
+
+def test_grid_takes_numpy_integer_sizes():
+    f = BoundaryData.from_fourier([(1, 1.0)])
+    field = solver.solve_grid(f, f, SourceTerm.zero(), np.int64(3), np.int32(4))
+    assert (field.n_r, field.n_theta) == (3, 4)
+    assert field.values.shape == (3, 4)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, DomainError])
@@ -1103,9 +1114,9 @@ def test_green_closed_form_matches_quadrature(z):
     def oracle(kernel):
         return disk_integrate_centered(rule, lambda zeta: kernel(zeta) * g(zeta), center=z)
 
-    value = oracle(lambda zeta: green.g_eval(z, zeta))
-    d_z = oracle(lambda zeta: green.g_dz(z, zeta))
-    d_zbar = oracle(lambda zeta: np.conj(green.g_dz(z, zeta)))
+    value = oracle(lambda zeta: green.KernelParts(z, zeta).g())
+    d_z = oracle(lambda zeta: green.KernelParts(z, zeta).g_dz())
+    d_zbar = oracle(lambda zeta: np.conj(green.KernelParts(z, zeta).g_dz()))
     assert abs(solver.green_potential(g, z) - value) <= 1e-10
     gz, gzb = solver.green_gradient(g, [z])  # gradient of -G
     assert abs(gz[0] + d_z) <= 1e-10
