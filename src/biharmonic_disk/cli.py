@@ -317,6 +317,8 @@ def cmd_kernel(args) -> int:
             raise CaseFormatError("kernel G needs --zeta")
         zeta = _parse_complex(args.zeta, "--zeta")
         value = complex(green.KernelParts(z, zeta).g())
+    elif args.zeta is not None:
+        raise CaseFormatError(f"kernel {args.which} takes no --zeta")
     elif args.which == "F0":
         value = complex(kernels.f0_eval(z))
     else:

@@ -391,6 +391,16 @@ def test_kernel_green_requires_zeta(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("which", ["F0", "H0"])
+@pytest.mark.parametrize("zeta", ["garbage", "0.5,0"])
+def test_kernel_refuses_a_stray_zeta(capsys, which, zeta):
+    # only G has a second point: a --zeta for F0 or H0 is refused, malformed or not
+    assert cli.main(["kernel", "--which", which, "--z", "0.5,0", "--zeta", zeta]) == 2
+    captured = capsys.readouterr()
+    assert f"kernel {which} takes no --zeta" in captured.err
+    assert captured.out == ""
+
+
 def test_kernel_rejects_malformed_point(capsys):
     assert cli.main(["kernel", "--which", "F0", "--z", "0.5"]) == 2
     assert cli.main(["kernel", "--which", "F0", "--z", "a,b"]) == 2

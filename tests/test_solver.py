@@ -14,6 +14,7 @@ from biharmonic_disk.quadrature import (
     DEFAULT_RULES,
     CircleRule,
     DiskRule,
+    _circle_angles,
     circle_integrate,
     disk_integrate_centered,
 )
@@ -1074,11 +1075,11 @@ def test_grid_takes_numpy_integer_sizes():
 
 @pytest.mark.parametrize("error", [RuntimeError, DomainError])
 def test_grid_propagates_evaluator_errors(monkeypatch, error):
-    # No per-node fallback: an error of the evaluator leaves solve_grid.
-    def broken(self, zs, gradient):
+    # No per-node fallback: an error of the ring evaluator leaves solve_grid.
+    def broken(self, radii, n_theta, gradient):
         raise error("injected bug")
 
-    monkeypatch.setattr(solver.Solution, "_evaluate", broken)
+    monkeypatch.setattr(solver.Solution, "_rings", broken)
     zero = BoundaryData.zero(8)
     with pytest.raises(error, match="injected bug"):
         solver.solve_grid(zero, zero, SourceTerm.constant(4.0), 4, 4, r_max=0.8)
@@ -1090,6 +1091,82 @@ def test_grid_gradient_matches_closed_form(reference_fields):
     expected = -2.0 * np.conj(z) * (1.0 - np.abs(z) ** 2)
     assert np.max(np.abs(field.d_z - expected)) < 1e-8
     assert np.max(np.abs(field.d_zbar - np.conj(expected))) < 1e-8
+
+
+def test_grid_walks_its_rings_in_blocks():
+    # CI's wide-band data: 1,000 modes each in f and h on 4096 samples, so
+    # the boundary block is ~2048 wide and folds 256 deep onto 8 angles.
+    # The rings' products and inner sums are walked _CHUNK_ENTRIES at a time:
+    # the peak sat 1.3 MiB above the outputs, and walking all 2000 rings at
+    # once took 15 MiB
+    rng = np.random.default_rng(0)
+
+    def datum():
+        modes = rng.choice(np.arange(-2047, 2048), 1000, replace=False)
+        coeffs = rng.normal(size=(1000, 2)) / np.sqrt(1000)
+        return BoundaryData.from_fourier(zip(modes, coeffs @ [1.0, 1j]), 4096)
+
+    solution = solver.Solution(datum(), datum())
+    assert solution._rows[0][2].shape[0] > 2000
+    outputs = 3 * 2000 * 8 * np.dtype(complex).itemsize
+    assert _peak_bytes(lambda: solution.grid(2000, 8, with_gradient=True)) < outputs + 3 * 2**20
+
+
+_RING_DATUM = st.dictionaries(
+    st.integers(min_value=-255, max_value=255),
+    st.complex_numbers(max_magnitude=2.0, allow_infinity=False, allow_nan=False),
+    max_size=6,
+)
+
+
+@given(parts=st.sampled_from(["both", "boundary", "load", "zero"]),
+       f_modes=_RING_DATUM, h_modes=_RING_DATUM, scale=st.floats(1e-3, 1e3),
+       terms=st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16), _COEF), max_size=3),
+       n_r=st.integers(1, 8), n_theta=st.one_of(st.integers(1, 8), st.integers(1, 64)),
+       r_max=st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+def test_ring_route_matches_the_point_route_at_the_polar_nodes(
+        parts, f_modes, h_modes, scale, terms, n_r, n_theta, r_max):
+    # modes up to 255 fold onto every n_theta, deep enough at the fewest
+    # angles for giant steps, and a load reaches exponent 16. The ring route
+    # runs on rings from 0 to r_max, so r_max = 1 is the circle, and the
+    # public grid (the point route at +-r for n_theta <= 2) on its own radii
+    f = h = g = None
+    if parts in ("both", "boundary"):
+        f, h = (BoundaryData.from_fourier([(m, scale * c) for m, c in modes.items()], 512)
+                for modes in (f_modes, h_modes))
+    if parts in ("both", "load"):
+        g = SourceTerm(terms)
+    solution = solver.Solution(f, h, g)
+    radii = np.linspace(0.0, r_max, n_r)
+    field = solution.grid(n_r, n_theta, r_max, with_gradient=True)
+    runs = [(radii, np.array(solution._rings(radii, n_theta, True))),
+            (radii, solution._rings(radii, n_theta, False)),
+            (field.radii, np.array([field.values, field.d_z, field.d_zbar]))]
+    # s[o] weighs each boundary mode and load term by the factor o more
+    # derivatives can gain (as _assert_matches_full_power_table does), so
+    # s[0], s[1] and s[2] bound the values, the gradient and the next order.
+    # The routes are allowed 8 W u s between them, the point route's
+    # allowance against the full power table (they differed by under 2% of
+    # it over 3,000 cases), and the points zs round the exact polar nodes by
+    # at most 2u |z|, which moves an output by at most 2u s[o + 1]: allowed twice
+    s = np.zeros(3)
+    for data, power in ((f, 1), (h, 0)):
+        if data is not None:
+            weight = 1.0 + np.arange(data.a.size)
+            s += [np.sum(weight ** (power + o) * (np.abs(data.a) + np.abs(data.b)))
+                  for o in range(3)]
+    if g is not None:
+        s += (solver.MAX_EXPONENT + 1.0) ** np.arange(3) * g.sup_norm_bound()
+    width = max([d.n // 2 + 1 for d in (f, h) if d is not None] + [solver.MAX_EXPONENT + 1])
+    u = np.finfo(float).eps / 2
+    for nodes, outs in runs:
+        zs = nodes[:, None] * np.exp(1j * _circle_angles(n_theta))[None, :]
+        points = [solution.values(zs), *solution.gradient(zs)]
+        for order, (got, expected) in enumerate(zip(outs, points)):
+            allowed = 8 * width * u * s[min(order, 1)] + 4 * u * s[min(order, 1) + 1]
+            assert np.max(np.abs(got - expected)) <= allowed
+            if parts == "zero":
+                assert np.all(got == 0.0) and np.all(expected == 0.0)
 
 
 # ---------------------------------------------------------------------------
