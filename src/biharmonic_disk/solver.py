@@ -57,8 +57,8 @@ chunk of points needs b + 1 powers of z instead of W, one matmul per block
 for the inner sums and q - 1 multiply-adds in z^b. A polar grid
 (``Solution.grid``) is evaluated ring by ring: on |z| = r each row is a
 trigonometric polynomial in theta, whose modes fold mod n_theta, exactly
-at the grid's angles, into one spectrum per output and ring, and one
-inverse FFT per ring gives the values (``Solution._rings``). The integral
+at the grid's angles, and one inverse FFT per ring turns the folded
+spectra into the values (``Solution._rings``). The integral
 forms (circle quadrature of the kernels in ``kernels``, recentred disk
 quadrature of ``green.KernelParts.g``) stay in ``quadrature``, ``verify``
 and the tests as the independent oracle for the table.
@@ -69,7 +69,8 @@ the value h. Every point entry point refuses a point by one rule:
 ``DomainError`` for a non-finite z or |z| > 1 + ``_CIRCLE_SLACK``.
 ``solve_grid`` evaluates on a polar grid with radii r_max * k / n_r; its
 values belong to the exact polar nodes (r_i, 2 pi j / n_theta), and
-``SolutionField.points`` is their rounding radii * exp(1j * thetas).
+``SolutionField.points`` is their rounding radii * exp(1j * thetas). The
+gradients' radial part takes its factors z and zbar at those points.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -97,9 +98,10 @@ _SUP_GRID = 512
 # |z| = 1 + 2.2e-16, and the table is exact on the circle itself.
 _CIRCLE_SLACK = 4 * np.finfo(float).eps
 
-# Points per evaluation chunk times the entries each point needs (its baby
-# powers of z and the inner sums of every block row the call contracts)
-# stays under this, which bounds them at 512 KiB whatever the number of points.
+# Points (or grid rings) per evaluation chunk times the entries each one
+# needs (its baby powers of z and the inner sums of every block row the call
+# contracts; a ring's spectra too) stays under this, which bounds them at
+# 512 KiB whatever the number of points.
 _CHUNK_ENTRIES = 1 << 15
 
 # Unit round-off u = eps / 2: the boundary block drops the modes whose
@@ -412,9 +414,8 @@ class Solution:
                           + [d.n // 2 + 1 for d in (f, h) if d is not None] + [2])
         self._p = np.array([p for rows in blocks for p in rows[0]], dtype=int)
         self._j = np.array([j for rows in blocks for j in rows[1]], dtype=int)
-        # the giant-step layout of the point route, built by its first call
-        # (a plain attribute, as cached_property takes a lock): grids of three
-        # or more angles never read it
+        # the point route's giant-step layout, built by its first call:
+        # grids never read it
         self._blocks = None
 
     def coefficients(self) -> np.ndarray:
@@ -448,15 +449,11 @@ class Solution:
 
         The values belong to the exact polar nodes (r_k, theta_j):
         ``SolutionField.points`` is their rounding radii * exp(1j * thetas),
-        which moves Phi by at most about 2u (|Phi_z| + |Phi_zbar|). For
-        n_theta >= 3 each ring takes one inverse FFT of its folded modes
-        (``_rings``). One or two angles put the nodes at +-r, which are real
-        and exact, and take the point route (``_evaluate``). Measured on 100
-        rings with gradients, the point route ran 1.7-2.8x faster there than
-        the ring route on tables 1025 to 16385 wide at one angle, 1.1-1.7x at
-        two, and tied on narrower tables; from three angles on the ring
-        route was ahead, but for 1.2x behind at 16385 wide and three angles.
-        The sizes are Python or numpy integers; a float, even 4.0, raises
+        which moves Phi by at most about 2u (|Phi_z| + |Phi_zbar|). The
+        gradients' radial part takes its factors z and zbar at the points.
+        Each ring takes one inverse FFT of its folded modes (``_rings``),
+        whatever n_theta; scattered points take ``_evaluate``. The sizes are
+        Python or numpy integers; a float, even 4.0, raises
         ``DegenerateDataError``.
         """
         n_r, n_theta = (_as_int(n, DegenerateDataError, "a grid size") for n in (n_r, n_theta))
@@ -466,11 +463,7 @@ class Solution:
             raise DomainError("r_max must lie in (0, 1]")
         radii = r_max * np.arange(n_r) / n_r
         thetas = _circle_angles(n_theta).copy()
-        if n_theta > 2:
-            outs = self._rings(radii, n_theta, with_gradient)
-        else:
-            # the nodes +-r are real: the point route takes them exactly
-            outs = self._evaluate(radii[:, None] * np.array([1.0, -1.0])[:n_theta], with_gradient)
+        outs = self._rings(radii, n_theta, with_gradient)
         d_z, d_zbar = outs[1:] if with_gradient else (None, None)
         return SolutionField(radii=radii, thetas=thetas, values=outs[0], d_z=d_z,
                              d_zbar=d_zbar, r_max=r_max)
@@ -484,48 +477,68 @@ class Solution:
         fold k' of the modes k' + l k is r^k' sum_l c[k' + l k] x^l, x = r^k:
         a polynomial of degree L - 1 in x, L = ceil(W / k), which meets the
         powers of x by baby and giant steps as the point route meets those
-        of z (b baby steps, ``_ring_layout``). One matmul of the laid-out
-        table (``_ring_layout``) against the products x^i s^p t^j, i < b,
-        gives the inner sums of every fold of a block of rings, and Horner
-        in x^b the rest. The gradient adds alpha' on +m and beta' on -m, and
-        the radial part sum (d/dt s^p t^j) u times zbar for Phi_z (one mode
-        down, times r) and times z for Phi_zbar (one mode up); d/dt s^p t^j
-        is a sum of the same monomials s^p' t^j'. ``_ring_plan`` adds the
-        folds into each output's spectrum, and one inverse FFT per ring and
-        output gives its values.
+        of z (b baby steps). One matmul of the laid-out table
+        (``_ring_layout``) against the products x^i s^p t^j, i < b, gives
+        the inner sums of every fold of a block of rings, and Horner in x^b
+        the rest. The gradient adds alpha' and beta', and the radial part
+        sum (d/dt s^p t^j) u, whose folds take a second matmul, against the
+        products x^i d/dt s^p t^j. The folds of each kind fill a spectrum
+        and one inverse FFT per ring and kind gives its values. The table
+        holds conj(beta), whose folds are conjugate to beta's (the products
+        are real), so beta's part is the conjugate of its values. The radial
+        part is multiplied by zbar and z at the rounded nodes
+        r * exp(1j * theta), the grid's points. Rings are walked in blocks
+        under ``_CHUNK_ENTRIES``.
         """
         outs = np.zeros((3 if gradient else 1, radii.size, n_theta), dtype=complex)
         if not self._rows:
             return tuple(outs)
+        p, j = self._p, self._j
         with np.errstate(over="ignore", invalid="ignore"):
-            coef, k, b, q, p, j, shapes = _ring_layout(self._rows, n_theta, gradient, radii[-1])
-            expo, bins = _ring_plan(n_theta, k, gradient)
+            coef, k, b, q, shapes = _ring_layout(self._rows, n_theta, gradient, radii[-1])
+            n_forms, n_kinds = (2, 6) if gradient else (1, 2)
             n_pow = max(3, int(j.max()) + 1, k + 1)
-            # per ring: the products x^i s^p t^j, the inner sums, the powers
-            # of s, t, r and x, and each output's spectrum, gathered and summed
-            step = max(1, _CHUNK_ENTRIES // (sum(coef.shape) + 3 * n_pow + b + 2 * bins.size))
+            nodes = np.exp(1j * _circle_angles(n_theta))
+            # per ring: the forms and their products with x^i, the inner
+            # sums, the powers of s, t, r and x, and the spectra and values
+            step = max(1, _CHUNK_ENTRIES // (n_forms * coef.shape[0] + coef.shape[1] + 3 * n_pow
+                                             + b + n_kinds * (k + n_theta)))
             for lo in range(0, radii.size, step):
                 r = radii[lo:lo + step]
                 t = r * r
                 pows = _powers(np.concatenate([1.0 - t, t, r]), n_pow).reshape(n_pow, 3, r.size)
-                products = (pows[p, 0] * pows[j, 1]).T
+                s_p, t_j = pows[p, 0], pows[j, 1]
+                forms = np.empty((n_forms, p.size, r.size))
+                np.multiply(s_p, t_j, out=forms[0])
+                if gradient:
+                    # d/dt (s^p t^j), as the point route forms it
+                    np.subtract(j[:, None] * s_p * pows[np.maximum(j - 1, 0), 1],
+                                p[:, None] * pows[np.maximum(p - 1, 0), 0] * t_j, out=forms[1])
+                products = forms.transpose(0, 2, 1)
                 if b > 1:
                     x_pow = _powers(pows[k, 2], b + 1).T
                     products = np.concatenate(
-                        [(products[:, first:end, None] * x_pow[:, None, :baby]).reshape(r.size, -1)
-                         for baby, first, end in shapes], axis=1)
-                inner = (products @ coef).view(complex).reshape(r.size, q, -1)
-                # the folds, and a zero source for the bins that take none
-                folds = np.zeros((r.size, expo.size + 1), dtype=complex)
-                acc = folds[:, :-1]
-                acc[:] = inner[:, -1]
+                        [(products[:, :, first:end, None] * x_pow[:, None, :baby])
+                         .reshape(n_forms, r.size, -1) for baby, first, end in shapes], axis=-1)
+                inner = (products[0] @ coef).view(complex).reshape(r.size, -1, q, k)
+                if gradient:
+                    # the radial part folds alpha and conj(beta), the first columns
+                    radial = products[1] @ coef[:, :4 * q * k]
+                    inner = np.concatenate(
+                        [inner, radial.view(complex).reshape(r.size, 2, q, k)], axis=1)
+                folds = inner[:, :, -1]
                 for g in range(q - 2, -1, -1):
-                    acc *= x_pow[:, b, None]
-                    acc += inner[:, g]
-                acc *= pows[expo, 2].T
-                spectra = folds[:, bins].sum(axis=1)
-                outs[:, lo:lo + step] = np.fft.ifft(spectra, axis=-1, norm="forward").swapaxes(0, 1)
-        if not np.all(np.isfinite(outs)):
+                    folds = folds * x_pow[:, b, None, None] + inner[:, :, g]
+                # the spectra, padded with zeros from k to n_theta
+                waves = np.fft.ifft(folds * pows[:k, 2].T[:, None], n_theta, norm="forward")
+                np.conjugate(waves[:, 1::2], out=waves[:, 1::2])
+                np.add(waves[:, 0], waves[:, 1], out=outs[0, lo:lo + step])
+                if gradient:
+                    z = r[:, None] * nodes
+                    radial = waves[:, 4] + waves[:, 5]
+                    np.add(waves[:, 2], np.conj(z) * radial, out=outs[1, lo:lo + step])
+                    np.add(waves[:, 3], z * radial, out=outs[2, lo:lo + step])
+        if not np.isfinite(outs).all():
             raise _overflow(gradient)
         return tuple(outs)
 
@@ -537,12 +550,12 @@ class Solution:
         p, j = self._p, self._j
         if self._blocks is None:
             self._blocks = [_giant_steps(a, b) for _, _, a, b in self._rows]
-        baby = max((b for _, b, _ in self._blocks), default=1)
-        inner = sum(coef.shape[0] for coef, _, _ in self._blocks)
+            self._baby = max((b for _, b, _ in self._blocks), default=1)
+            self._inner = sum(coef.shape[0] for coef, _, _ in self._blocks)
         kinds = 4 if gradient else 2
         outs = np.zeros((3 if gradient else 1, zs.size), dtype=complex)
         # per point: the baby powers z^0 .. z^baby and the call's inner sums
-        step = max(1, _CHUNK_ENTRIES // (baby + 1 + kinds * inner // 4))
+        step = max(1, _CHUNK_ENTRIES // (self._baby + 1 + kinds * self._inner // 4))
         # an overflow (rows, or sums of rows, past the double range) reaches
         # the outputs as inf or nan, which the check below refuses
         with np.errstate(over="ignore", invalid="ignore"):
@@ -550,7 +563,7 @@ class Solution:
                 z = zs[lo:lo + step]
                 t = z.real**2 + z.imag**2
                 s_pow, t_pow = _powers(1.0 - t, 3), _powers(t, j.max() + 1)
-                z_pow = _powers(z, baby + 1)
+                z_pow = _powers(z, self._baby + 1)
                 x = np.concatenate([_contract(coef, b, q, kinds, z_pow)
                                     for coef, b, q in self._blocks], axis=1)
                 u = x[0] + np.conj(x[1])
@@ -574,114 +587,47 @@ def _overflow(gradient: bool) -> DegenerateDataError:
 
 
 def _ring_layout(blocks, n_theta: int, gradient: bool, r_out: float):
-    """(coef, k, b, q, p, j, shapes): the table laid out for ``Solution._rings``.
+    """(coef, k, b, q, shapes): the table laid out for ``Solution._rings``.
 
     k = min(n_theta, W) over the widest block, whose folds take L =
     ceil(W / k) powers of x = r^k: b baby steps and q = ceil(L / b) giant
-    steps. The sources are the folds k' < k of the kinds [alpha, beta] and,
-    with gradient, [alpha', beta'] and the radial [alpha, beta]
-    (``_ring_plan``): S = 2 k or 6 k of them. A ring holds about b products
-    per monomial and q S inner sums, so b = min(L, isqrt(S L) + 1) balances
-    the two. A block whose folds take L_b powers has min(b, L_b) baby
-    steps: its rows (m, i) of coef hold, in columns (giant step g, source),
-    the coefficient of mode k' + (g b + i) k that the monomial
-    s^p[m] t^j[m] weighs, as pairs of floats (a real matmul then serves the
-    complex coefficients). The radial kinds weigh a row by d/dt s^p t^j, a
-    sum of monomials (``_monomials``). shapes lists each block's (baby
-    steps, first monomial, end monomial). A row whose absolute sum on the
-    outer ring r_out overflows is refused, as the point route refuses it at
-    the node where its terms meet in phase.
+    steps. The sources are the folds k' < k of the kinds [alpha, conj(beta)]
+    and, with gradient, [alpha', conj(beta')] and the radial
+    [alpha, conj(beta)]: S = 2 k or 6 k of them. A ring holds about b
+    products per row and q S inner sums, so b = min(L, isqrt(S L) + 1)
+    balances the two. A block whose folds take L_b powers has min(b, L_b)
+    baby steps: its rows (row, i) of coef hold, in columns (kind, giant step
+    g, k'), the coefficient of mode k' + (g b + i) k, as pairs of floats (a
+    real matmul then serves the complex coefficients). shapes lists each
+    block's (baby steps, first row, end row). A row whose absolute sum on
+    the outer ring r_out overflows is refused, as the point route refuses
+    it at the node where its terms meet in phase.
     """
     widths = [alpha.shape[0] for _, _, alpha, _ in blocks]
     k = min(n_theta, max(widths))
-    n_kinds = 6 if gradient else 2
     depth = -(-max(widths) // k)
-    b = min(depth, math.isqrt(n_kinds * k * depth) + 1)
+    b = min(depth, math.isqrt((6 if gradient else 2) * k * depth) + 1)
     q = -(-depth // b)
-    p, j, spans = _monomials(tuple((tuple(ps), tuple(js)) for ps, js, _, _ in blocks))
     kinds = 4 if gradient else 2
     r_pow = r_out ** np.arange(q * b * k)
-    parts, shapes = [], []
-    for (_, _, alpha, beta), (first, end, radial) in zip(blocks, spans):
+    shapes, first, lo = [], 0, 0
+    babies = [min(b, -(-width // k)) for width in widths]
+    coef = np.empty((sum(a.shape[1] * baby for (_, _, a, _), baby in zip(blocks, babies)),
+                     kinds * q * k), dtype=complex)
+    for (_, _, alpha, beta), baby in zip(blocks, babies):
         width, n_rows = alpha.shape
-        baby = min(b, -(-width // k))
-        giant = -(-width // (baby * k))
-        c = np.zeros((kinds, n_rows, giant * baby * k), dtype=complex)
-        c[0, :, :width], c[1, :, :width] = alpha.T, beta.T
+        c = np.zeros((kinds, n_rows, q * baby * k), dtype=complex)
+        c[0, :, :width] = alpha.T
+        np.conjugate(beta.T, out=c[1, :, :width])
         if gradient:
-            c[2:, :, :width - 1] = np.arange(1, width) * c[:2, :, 1:width]
-        if not np.all(np.isfinite(np.abs(c) @ r_pow[:c.shape[-1]])):
+            c[2:, :, :width - 1] = _deriv(c[:2, :, :width])
+        if not math.isfinite((np.abs(c) @ r_pow[:c.shape[-1]]).max()):
             raise _overflow(gradient)
-        out = np.zeros((end - first, baby, q, n_kinds, k), dtype=complex)
-        out[:n_rows, :, :giant, :kinds] = (
-            c.reshape(kinds, n_rows, giant, baby, k).transpose(1, 3, 2, 0, 4))
-        if gradient:
-            out[:, :, :giant, 4:6] = (
-                (radial @ c[:2]).reshape(2, -1, giant, baby, k).transpose(1, 3, 2, 0, 4))
-        parts.append(out.reshape((end - first) * baby, -1))
-        shapes.append((baby, first, end))
-    return np.concatenate(parts).view(float), k, b, q, p, j, shapes
-
-
-@lru_cache(maxsize=32)
-def _monomials(rows: tuple):
-    """(p, j, spans): the monomials s^p t^j the blocks' rows and their d/dt weigh.
-
-    rows holds each block's (p, j) of its rows. A block's own monomials
-    come first, in row order; spans[b] = (first, end, radial) places the
-    block's monomials in p and j, and radial[m, row] is the coefficient of
-    its monomial m in d/dt s^p t^j = j s^p t^(j-1) - p s^(p-1) t^j.
-    """
-    terms, spans = [], []
-    for rows_p, rows_j in rows:
-        own = list(zip(rows_p, rows_j))
-        radial = [((p, j - 1), row, j) for row, (p, j) in enumerate(own) if j]
-        radial += [((p - 1, j), row, -p) for row, (p, j) in enumerate(own) if p]
-        index = {term: m for m, term in enumerate(own)}
-        for term, _, _ in radial:
-            index.setdefault(term, len(index))
-        mix = np.zeros((len(index), len(own)), dtype=complex)
-        for term, row, scale in radial:
-            mix[index[term], row] += scale
-        spans.append((len(terms), len(terms) + len(index), _frozen(mix)))
-        terms += index
-    p, j = np.array(terms).T
-    return _frozen(p), _frozen(j), tuple(spans)
-
-
-@lru_cache(maxsize=32)
-def _ring_plan(n_theta: int, k: int, gradient: bool):
-    """(expo, bins): the power of r each source of ``_ring_layout`` carries, and where it goes.
-
-    Source kind * k + k' is the fold k' of a kind; its power is r^k', or
-    r^(k' + 1) for the radial kinds, which zbar and z multiply by r. bins
-    has shape (slots, outputs, n_theta): the source each spectrum bin takes
-    per slot, or the zero source after the last where none. Mode +k' falls
-    in bin k' and -k' in -k' mod n_theta; zbar moves a mode one down and z
-    one up.
-    """
-    zero = (6 if gradient else 2) * k
-    at = np.arange(n_theta)
-
-    def source(kind, fold):
-        fold = fold % n_theta
-        return np.where(fold < k, kind * k + fold, zero)
-
-    folds = np.arange(k)
-    if gradient:
-        expo = np.concatenate([np.tile(folds, 4), np.tile(folds + 1, 2)])
-        bins = [[source(0, at), source(2, at), source(3, -at)],
-                [source(1, -at), source(4, at + 1), source(4, at - 1)],
-                [np.full(n_theta, zero), source(5, -at - 1), source(5, 1 - at)]]
-    else:
-        expo = np.tile(folds, 2)
-        bins = [[source(0, at)], [source(1, -at)]]
-    return _frozen(expo), _frozen(np.array(bins))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+        coef[lo:lo + n_rows * baby].reshape(n_rows, baby, kinds, q, k)[...] = (
+            c.reshape(kinds, n_rows, q, baby, k).transpose(1, 3, 0, 2, 4))
+        shapes.append((baby, first, first + n_rows))
+        first, lo = first + n_rows, lo + n_rows * baby
+    return coef.view(float), k, b, q, shapes
 
 
 def _giant_steps(alpha: np.ndarray, beta: np.ndarray):
@@ -862,7 +808,8 @@ class SolutionField:
     """Solution values (and optionally gradients) on a polar grid.
 
     values[i, j] is Phi at the exact polar node (radii[i], thetas[j]), and
-    so are d_z and d_zbar. ``points`` is the nodes' rounding
+    so are d_z and d_zbar, whose radial part takes its factors z and zbar
+    at ``points``. ``points`` is the nodes' rounding
     radii * exp(1j * thetas), within a few ulps of each node. ``failures``
     is always empty: every node evaluates. It is kept because the benchmark
     harness under ``perfbench/`` reads it.

@@ -1096,9 +1096,9 @@ def test_grid_gradient_matches_closed_form(reference_fields):
 def test_grid_walks_its_rings_in_blocks():
     # CI's wide-band data: 1,000 modes each in f and h on 4096 samples, so
     # the boundary block is ~2048 wide and folds 256 deep onto 8 angles.
-    # The rings' products and inner sums are walked _CHUNK_ENTRIES at a time:
-    # the peak sat 1.3 MiB above the outputs, and walking all 2000 rings at
-    # once took 15 MiB
+    # The rings' products, inner sums and spectra are walked _CHUNK_ENTRIES
+    # at a time: the peak sat 1.1 MiB above the outputs, and walking all 2000
+    # rings at once took 20 MiB
     rng = np.random.default_rng(0)
 
     def datum():
@@ -1129,7 +1129,7 @@ def test_ring_route_matches_the_point_route_at_the_polar_nodes(
     # modes up to 255 fold onto every n_theta, deep enough at the fewest
     # angles for giant steps, and a load reaches exponent 16. The ring route
     # runs on rings from 0 to r_max, so r_max = 1 is the circle, and the
-    # public grid (the point route at +-r for n_theta <= 2) on its own radii
+    # public grid on its own radii
     f = h = g = None
     if parts in ("both", "boundary"):
         f, h = (BoundaryData.from_fourier([(m, scale * c) for m, c in modes.items()], 512)
@@ -1146,9 +1146,15 @@ def test_ring_route_matches_the_point_route_at_the_polar_nodes(
     # derivatives can gain (as _assert_matches_full_power_table does), so
     # s[0], s[1] and s[2] bound the values, the gradient and the next order.
     # The routes are allowed 8 W u s between them, the point route's
-    # allowance against the full power table (they differed by under 2% of
-    # it over 3,000 cases), and the points zs round the exact polar nodes by
-    # at most 2u |z|, which moves an output by at most 2u s[o + 1]: allowed twice
+    # allowance against the full power table (they differed by under 0.5%
+    # of it over 2,000 random cases), and the points zs round the exact
+    # polar nodes by at most 2u |z|, which moves an output by at most
+    # 2u s[o + 1]: allowed twice (the radial part of the ring route's
+    # gradient takes z and zbar at zs).
+    # Below the normal range rounding is absolute, by up to half the smallest
+    # subnormal eta per operation, and the gradient multiplies a rounded
+    # term by up to W: 8 W^2 eta (subnormal data of either route differed by
+    # up to 3,752 eta, 0.4% of it, where the relative terms alone failed)
     s = np.zeros(3)
     for data, power in ((f, 1), (h, 0)):
         if data is not None:
@@ -1158,12 +1164,13 @@ def test_ring_route_matches_the_point_route_at_the_polar_nodes(
     if g is not None:
         s += (solver.MAX_EXPONENT + 1.0) ** np.arange(3) * g.sup_norm_bound()
     width = max([d.n // 2 + 1 for d in (f, h) if d is not None] + [solver.MAX_EXPONENT + 1])
-    u = np.finfo(float).eps / 2
+    u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
     for nodes, outs in runs:
         zs = nodes[:, None] * np.exp(1j * _circle_angles(n_theta))[None, :]
         points = [solution.values(zs), *solution.gradient(zs)]
         for order, (got, expected) in enumerate(zip(outs, points)):
-            allowed = 8 * width * u * s[min(order, 1)] + 4 * u * s[min(order, 1) + 1]
+            allowed = (8 * width * (u * s[min(order, 1)] + width * eta)
+                       + 4 * u * s[min(order, 1) + 1])
             assert np.max(np.abs(got - expected)) <= allowed
             if parts == "zero":
                 assert np.all(got == 0.0) and np.all(expected == 0.0)
