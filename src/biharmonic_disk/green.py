@@ -20,9 +20,9 @@ there, so both refuse to evaluate there.
 
 All four share the subexpressions z - zeta, |z - zeta|^2, 1 - conj(zeta) z,
 its squared modulus and the log of their ratio. ``KernelParts`` builds them
-once for a pair of arguments and evaluates each kernel from them, so a
-caller that needs several kernels at the same nodes (the mass bounds in
-``verify``) builds one ``KernelParts`` for all of them. The two rational
+once for a pair of arguments and evaluates each kernel from them; the
+oracle in ``verify`` builds one per block of its recentred pass and reads
+the four |K| masses, the log masses, j1 and j2 off it. The two rational
 terms of g_dz and of h3 are folded into one fraction each (see those
 methods), the form evaluated.
 """

@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import green, kernels
-from .green import _abs2
 from .errors import DomainError
 from .quadrature import (
     DEFAULT_RULES,
@@ -156,50 +155,60 @@ def _zkey(z: complex) -> str:
     return f"{z.real:.4g}{z.imag:+.4g}j"
 
 
-def _log_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
-    """The recentred integrands at z, one stack for both suites.
+def _oracle_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
+    """The nine recentred integrands at z, built from one ``KernelParts``.
 
-    Rows: the log-kernel mass, its |z - zeta|^2-weighted form and the swapped
-    form (identities), then j1 = |z - zeta| log-ratio and
-    j2 = (1 - |zeta|^2) |z - zeta| / |1 - conj(zeta) z| (bounds).
+    Rows: the |K| of ``_ABS_MASS_BOUNDS``, the log-kernel mass, its
+    |z - zeta|^2-weighted form and the swapped form (identities), then
+    j1 = |z - zeta| log-ratio and j2 = (1 - |zeta|^2) |z - zeta| / |1 - conj(zeta) z|.
     """
-    d2 = _abs2(zeta - z)
-    w2 = _abs2(1.0 - np.conj(zeta) * z)
-    log = np.log(w2 / d2)
+    parts = green.KernelParts(z, zeta)
+    out = np.empty((9,) + zeta.shape)
+    for row, (_, kernel, _) in zip(out, _ABS_MASS_BOUNDS):
+        np.abs(kernel(parts), out=row)
+    out[4] = parts.log
+    np.multiply(parts.ad2, parts.log, out=out[5])
     # the weight integrated in G's first argument at fixed second one z; its
     # own formula, so that the check is not the unswapped row under a new name
-    swapped = np.abs(zeta - z) ** 2 * np.log(np.abs((1.0 - np.conj(z) * zeta) / (z - zeta)) ** 2)
-    dist = np.sqrt(d2)
-    return np.stack([log, d2 * log, swapped, dist * log, (1.0 - _abs2(zeta)) * dist / np.sqrt(w2)])
+    out[6] = np.abs(zeta - z) ** 2 * np.log(np.abs((1.0 - np.conj(z) * zeta) / (z - zeta)) ** 2)
+    dist = np.sqrt(parts.ad2)
+    np.multiply(dist, parts.log, out=out[7])
+    np.divide(parts.s * dist, np.sqrt(parts.aw2), out=out[8])
+    return out
+
+
+def _recentred_masses(z: complex) -> tuple[list[tuple[str, complex, float]], np.ndarray]:
+    """(check name, mass, limit) at z per row of ``_ABS_MASS_BOUNDS``, and the other five masses.
+
+    One pass of the disk rule recentred at z, folded across the line through 0 and z.
+    """
+    values = disk_integrate_centered(
+        DEFAULT_RULES.disk, lambda zeta: _oracle_integrands(z, zeta), center=z, mirror=z)
+    masses = [(name, mass, limit(z)) for (name, _, limit), mass in zip(_ABS_MASS_BOUNDS, values)]
+    return masses, values[len(_ABS_MASS_BOUNDS):]
 
 
 def _abs_masses(z: complex) -> list[tuple[str, complex, float]]:
-    """(check name, mass, limit) at z for each row of ``_ABS_MASS_BOUNDS``.
+    """The |K| rows of ``_recentred_masses(z)``, the oracle's one pass at z."""
+    return _recentred_masses(z)[0]
 
-    All four masses come from one pass of the rule recentred at z, where
-    the kernels' singularities sit. The pass builds the kernels'
-    shared parts once per block and folds its rows across the line through
-    0 and z (``mirror=z``).
-    """
-    def integrand(zeta):
-        parts = green.KernelParts(z, zeta)
-        return np.stack([np.abs(kernel(parts)) for _, kernel, _ in _ABS_MASS_BOUNDS])
 
-    masses = disk_integrate_centered(DEFAULT_RULES.disk, integrand, center=z, mirror=z)
-    return [(name, mass, limit(z))
-            for (name, _, limit), mass in zip(_ABS_MASS_BOUNDS, masses)]
+def _circle_moment(r: float, p: int) -> complex:
+    """Mean of |1 - r e^{-i theta}|^(-p) on the oracle's circle rule."""
+    return circle_integrate(
+        DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-p))
 
 
 def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
     """Every identity check, then every bound check, as ``identities`` reports them.
 
-    Per sample point z two passes of the disk rule recentred at z run: one
-    integrates the three log-kernel masses of ``identity_suite`` and j1, j2
-    of ``bound_suite`` together, the other the four |K| masses. Every
-    integrand of both passes is a function of |zeta|, |zeta - z| and
+    Per sample point z one pass of the disk rule recentred at z integrates
+    the four |K| masses and j1, j2 of ``bound_suite`` and the three log-kernel
+    masses of ``identity_suite`` together, all from one ``KernelParts`` per
+    block. Each of its integrands is a function of |zeta|, |zeta - z| and
     |1 - conj(zeta) z|, so it is symmetric across the line through 0 and z,
-    and both passes fold their rows onto half circles (``mirror=z``); so
-    does the radial area integral behind j3 (centred at 0, ``mirror=0``).
+    and the pass folds its rows onto half circles (``mirror=z``); so does
+    the radial area integral behind j3 (centred at 0, ``mirror=0``).
     Every sample point lies on a grid angle of the disk rule, which the fold
     requires. ``trace_kernel`` substitutes the trace kernel in the mean
     check (used by the negative-control tests to prove the check can fail).
@@ -217,26 +226,19 @@ def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
             series = kernels.kernel_moment_series(beta, r)
             identities.append(CheckResult.equality(
                 f"moment-series[beta={beta},r={r:g}]", series, closed, 1e-12))
-            quad = circle_integrate(
-                DEFAULT_RULES.circle,
-                lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-2 * beta),
-            )
             identities.append(CheckResult.equality(
-                f"moment-rule[beta={beta},r={r:g}]", quad, closed, 1e-10))
+                f"moment-rule[beta={beta},r={r:g}]", _circle_moment(r, 2 * beta), closed, 1e-10))
     for r in SAMPLE_RADII:
         series = kernels.kernel_moment(3, r)
-        quad = circle_integrate(
-            DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-6))
         identities.append(CheckResult.equality(
-            f"moment-rule[beta=3,r={r:g}]", quad, series, 1e-10))
+            f"moment-rule[beta=3,r={r:g}]", _circle_moment(r, 6), series, 1e-10))
 
     area = disk_integrate_centered(
         DEFAULT_RULES.disk, lambda zeta: 1.0 - np.abs(zeta) ** 2, center=0j, mirror=0j).real
     bounds: list[CheckResult] = []
     for z in SAMPLE_POINTS:
         name = _zkey(z)
-        rep, ival, jval, j1, j2 = disk_integrate_centered(
-            DEFAULT_RULES.disk, lambda zeta: _log_integrands(z, zeta), center=z, mirror=z)
+        abs_masses, (rep, ival, jval, j1, j2) = _recentred_masses(z)
         expected = (1.0 - abs(z) ** 4) / 4.0
         identities += [
             CheckResult.equality(
@@ -247,7 +249,7 @@ def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
                 f"weighted-log-mass-swapped[zeta={name}]", jval, expected, 1e-8),
         ]
         masses = [CheckResult.bound(f"{label}[z={name}]", mass, limit, _BOUND_TOL)
-                  for label, mass, limit in _abs_masses(z)]
+                  for label, mass, limit in abs_masses]
         # the Green and gradient masses come before j1..j3, the H2 and H3 ones after
         bounds += masses[:2] + [
             CheckResult.bound(f"j1[z={name}]", j1, 0.5, _BOUND_TOL),
@@ -256,11 +258,9 @@ def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
         ] + masses[2:]
 
     for r in SAMPLE_RADII:
-        cube = circle_integrate(
-            DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-3))
         limit = np.sqrt(1.0 + r**2) / (1.0 - r**2) ** 2
         bounds.append(CheckResult.bound(
-            f"angular-cube-moment[r={r:g}]", cube, limit, _BOUND_TOL))
+            f"angular-cube-moment[r={r:g}]", _circle_moment(r, 3), limit, _BOUND_TOL))
     return identities + bounds
 
 

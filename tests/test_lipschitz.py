@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from biharmonic_disk import lipschitz, solver
@@ -237,6 +237,8 @@ _GREEN_TERM = st.tuples(
 
 
 @given(st.lists(_GREEN_TERM, min_size=1, max_size=6))
+@example(raw=[(1, 1, 2.225073858507203e-309)])
+@example(raw=[(1, -1, 2.2250738585e-313)])
 def test_origin_green_terms_match_the_quadrature_oracle(raw):
     # exponents up to 16 with a - b in -2..2: the terms a - b = +-1 survive,
     # the others must integrate to 0 on both routes
@@ -244,7 +246,20 @@ def test_origin_green_terms_match_the_quadrature_oracle(raw):
     exact = lipschitz._origin_green_terms(g)
     oracle = _origin_green_by_quadrature(g)
     scale = sum(abs(c) for _, _, c in g.terms)
-    assert np.max(np.abs(np.array(exact) - oracle)) <= 1e-14 * scale
+    # Below the normal range rounding is absolute: a product or quotient is
+    # off by at most eta / 2 (eta the smallest subnormal), a sum not at all.
+    # Per node the quadrature takes two complex products per term of g (at
+    # most 2 eta each), one real-by-complex product by the weight
+    # w = log|zeta|^2 + 1 - |zeta|^2 (eta) and one by conj(zeta) or zeta
+    # (2 eta), so a node is off by at most (4 T |w| + 3) eta for T terms. The
+    # rule's weights sum to 1 and integrate |w| to 1/2: (2 T + 3) eta. The
+    # row means divide once (eta), the radial dot product takes one product
+    # per row (eta each), the exact route one quotient per term (eta) and the
+    # gap's modulus rounds once more (eta): (rows + 3 T + 5) eta in all
+    rows = DEFAULT_RULES.disk.centered_radial_nodes[0].size
+    eta = np.finfo(float).smallest_subnormal
+    allowed = 1e-14 * scale + (rows + 3 * len(g.terms) + 5) * eta
+    assert np.max(np.abs(np.array(exact) - oracle)) <= allowed
 
 
 @pytest.mark.parametrize("k", range(1, 17))

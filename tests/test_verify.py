@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biharmonic_disk import green, lipschitz, quadrature, solver, verify
+from biharmonic_disk import lipschitz, quadrature, solver, verify
 from biharmonic_disk.errors import DomainError
 from biharmonic_disk.solver import BoundaryData, SourceTerm
 from biharmonic_disk.verify import CheckResult, manufactured_case
@@ -180,15 +180,25 @@ def _mirror_image(z, zeta):
 def test_folded_integrands_are_mirror_symmetric(z):
     # the oracle folds every disk integral at z across the line through 0 and
     # z; that is exact only if each integrand takes equal values at mirror nodes
-    def integrands(zeta):
-        parts = green.KernelParts(z, zeta)
-        masses = [np.abs(kernel(parts)) for _, kernel, _ in verify._ABS_MASS_BOUNDS]
-        return np.concatenate([masses, verify._log_integrands(z, zeta)])
-
     zeta = _disk_nodes(4000, seed=11)
-    here, there = integrands(zeta), integrands(_mirror_image(z, zeta))
+    here = verify._oracle_integrands(z, zeta)
+    there = verify._oracle_integrands(z, _mirror_image(z, zeta))
     assert here.shape == (9, 4000)
     np.testing.assert_allclose(there, here, rtol=1e-12, atol=1e-14)
+
+
+def test_oracle_makes_one_recentred_pass_per_sample_point(monkeypatch):
+    # 6 calls: the j3 area, then one pass per sample point; a second pass
+    # over the same nodes would show here
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["center"])
+        return quadrature.disk_integrate_centered(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "disk_integrate_centered", counted)
+    verify.oracle_suite()
+    assert calls == [0j, *verify.SAMPLE_POINTS]
 
 
 @pytest.mark.parametrize("suite", [verify.identity_suite, verify.bound_suite, verify.oracle_suite])
