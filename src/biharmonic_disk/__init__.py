@@ -1,4 +1,10 @@
-"""Kernel-based solver for the inhomogeneous biharmonic Dirichlet problem on the unit disk."""
+"""Kernel-based solver for the inhomogeneous biharmonic Dirichlet problem on the unit disk.
+
+The error types and the solver are imported with the package. The names of
+``kernels``, ``green``, ``quadrature``, ``lipschitz`` and ``verify`` are
+served on first use (PEP 562), so a process imports those modules only when
+it reads one of their names.
+"""
 
 __version__ = "0.1.0"
 
@@ -7,16 +13,6 @@ from .errors import (
     DegenerateDataError,
     DomainError,
     SingularityError,
-)
-from .kernels import f0_dz, f0_eval, h0_dz, h0_eval, kernel_moment, kernel_moment_series
-from .green import KernelParts
-from .quadrature import (
-    DEFAULT_RULES,
-    CircleRule,
-    DiskRule,
-    RuleSet,
-    circle_integrate,
-    disk_integrate_centered,
 )
 from .solver import (
     BoundaryData,
@@ -35,27 +31,39 @@ from .solver import (
     solve_point,
     solve_points,
 )
-from .lipschitz import (
-    ABResult,
-    LipschitzReport,
-    analyze_case,
-    classify,
-    compute_ab,
-    empirical_quotient,
-    estimate_boundary_lipschitz,
-    p_bound,
-)
-from .verify import (
-    CheckResult,
-    ManufacturedCase,
-    bound_suite,
-    boundary_trace_check,
-    fd_bilaplacian_residual,
-    gradient_crosscheck,
-    identity_suite,
-    manufactured_case,
-    oracle_suite,
-    uniqueness_checks,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names served on first use, each with the module that defines it.
+_LAZY = {
+    **dict.fromkeys(("f0_dz", "f0_eval", "h0_dz", "h0_eval", "kernel_moment",
+                     "kernel_moment_series"), "kernels"),
+    "KernelParts": "green",
+    **dict.fromkeys(("DEFAULT_RULES", "CircleRule", "DiskRule", "RuleSet",
+                     "circle_integrate", "disk_integrate_centered"), "quadrature"),
+    **dict.fromkeys(("ABResult", "LipschitzReport", "analyze_case", "classify", "compute_ab",
+                     "empirical_quotient", "estimate_boundary_lipschitz", "p_bound"),
+                    "lipschitz"),
+    **dict.fromkeys(("CheckResult", "ManufacturedCase", "bound_suite", "boundary_trace_check",
+                     "fd_bilaplacian_residual", "gradient_crosscheck", "identity_suite",
+                     "manufactured_case", "oracle_suite", "uniqueness_checks"), "verify"),
+}
+_SUBMODULES = frozenset(_LAZY.values())
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")}
+    | set(_LAZY) | _SUBMODULES)
+
+
+def __getattr__(name):
+    import importlib
+
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

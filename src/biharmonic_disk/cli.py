@@ -18,12 +18,15 @@ Modes, exponents, ``n_samples`` and ``seed`` must be JSON integers: 1.5,
 A datum holds at most ``_MAX_SAMPLES`` = 32768 samples, by ``n_samples``
 or by its ``samples`` list; more is refused before anything is allocated. The chord estimate of
 ``lipschitz`` is O(N^2) and the verify checks grow with the table: on
-32768 samples of white noise for f and h, ``verify`` took 2.3 s and
-``lipschitz`` 4.6 s at a peak RSS of 54 MB, and on 65536 samples 9.1 s and
-20.0 s (2-core Xeon, one BLAS thread).
+32768 samples of white noise for f and h, a fresh ``verify`` took 1.3 s and
+``lipschitz`` 3.2 s at a peak RSS of 50 and 52 MB, and on 65536 samples
+(built in Python, past the cap) 4.5 s and 13.0 s (2-core Xeon, one BLAS
+thread). CI runs the 32768-sample case.
 ``solve``, ``verify`` and ``lipschitz`` run closed forms only, the
 integral route for A and B included; only the ``identities`` checks use
-quadrature, at the fixed oracle rules ``quadrature.DEFAULT_RULES``.
+quadrature, at the fixed oracle rules ``quadrature.DEFAULT_RULES``. Each
+command imports the modules it runs when it runs (``solve`` none beyond
+``solver``), so a fresh process pays for no other.
 Unknown keys anywhere are rejected. Output files are written atomically
 (temp file then rename) with sorted keys and shortest round-trip floats,
 so identical inputs produce byte-identical files, with one or two BLAS
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, green, kernels, lipschitz, verify
+from . import __version__
 from .errors import CaseFormatError, DegenerateDataError, DomainError, SingularityError
 from .solver import BoundaryData, Case, SourceTerm, case_fingerprint
 
@@ -238,6 +241,8 @@ def _report_doc(checks) -> dict:
 
 
 def cmd_identities(args) -> int:
+    from . import verify
+
     checks = verify.oracle_suite()
     ok = _print_checks(checks)
     if args.json:
@@ -276,6 +281,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     case = parse_case(args.case)
     checks = [verify.fd_bilaplacian_residual(case, _FD_SPACING)]
     checks += verify.uniqueness_checks(case)
@@ -288,6 +295,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lipschitz(args) -> int:
+    from . import lipschitz
+
     case = parse_case(args.case)
     report, ab = lipschitz.analyze_case(case)
     n_r, n_theta, r_max = _QUOTIENT_GRID
@@ -316,13 +325,15 @@ def cmd_kernel(args) -> int:
         if args.zeta is None:
             raise CaseFormatError("kernel G needs --zeta")
         zeta = _parse_complex(args.zeta, "--zeta")
-        value = complex(green.KernelParts(z, zeta).g())
+        from .green import KernelParts
+
+        value = complex(KernelParts(z, zeta).g())
     elif args.zeta is not None:
         raise CaseFormatError(f"kernel {args.which} takes no --zeta")
-    elif args.which == "F0":
-        value = complex(kernels.f0_eval(z))
     else:
-        value = complex(kernels.h0_eval(z))
+        from . import kernels
+
+        value = complex((kernels.f0_eval if args.which == "F0" else kernels.h0_eval)(z))
     print(json.dumps(
         {"which": args.which, "z": [z.real, z.imag], "value": [value.real, value.imag]},
         sort_keys=True,

@@ -26,8 +26,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDataError, DomainError
-from .quadrature import _circle_angles
-from .solver import BoundaryData, Case, SolutionField, SourceTerm
+from .solver import (
+    BoundaryData,
+    Case,
+    SolutionField,
+    SourceTerm,
+    _as_int,
+    _circle_angles,
+    _Workspace,
+)
 
 # Coefficients of the gradient bound P.
 _COEFF_L = 220.0 / 3.0
@@ -101,12 +108,16 @@ def estimate_boundary_lipschitz(f: BoundaryData) -> float:
     f_shift = sliding_window_view(np.concatenate([f.samples, f.samples]), n)
     p_shift = sliding_window_view(np.concatenate([pts, pts]), n)
     step = max(1, _PAIR_BLOCK // n)
+    # the differences (complex), then their moduli in f and on the circle
+    space = _Workspace(4)
     best = 0.0
     for k in range(1, n // 2 + 1, step):
         stop = min(k + step, n // 2 + 1)
-        num = np.abs(f.samples - f_shift[k:stop])
-        den = np.abs(pts - p_shift[k:stop])
-        best = max(best, float(np.max(num / den)))
+        shape = (stop - k, n)
+        diff = space.take("diff", shape, complex)
+        num = np.abs(np.subtract(f.samples, f_shift[k:stop], out=diff), out=space.take("num", shape))
+        den = np.abs(np.subtract(pts, p_shift[k:stop], out=diff), out=space.take("den", shape))
+        best = max(best, float(np.max(np.divide(num, den, out=num))))
     return best
 
 
@@ -220,12 +231,15 @@ def empirical_quotient(field: SolutionField, max_pairs: int = 100_000,
 
     Small grids are scanned exhaustively; larger ones are subsampled with
     at most ``max_pairs`` seeded random pairs, walked ``_PAIR_BLOCK`` at a
-    time. Coincident nodes (the r = 0 ring) are ignored. A negative
-    ``seed`` or ``max_pairs`` below 1 raises ``DomainError`` whatever the
-    grid. A non-finite node value raises ``DegenerateDataError``: every grid
-    node is evaluated, so one means the field is broken, and skipping it
-    could make the quotient read low.
+    time. Coincident nodes (the r = 0 ring) are ignored. A ``seed`` or
+    ``max_pairs`` that is not a Python or numpy integer (1.5 and 2.0 alike),
+    a negative ``seed`` or ``max_pairs`` below 1 raises ``DomainError``
+    whatever the grid. A non-finite node value raises
+    ``DegenerateDataError``: every grid node is evaluated, so one means the
+    field is broken, and skipping it could make the quotient read low.
     """
+    seed = _as_int(seed, DomainError, "seed")
+    max_pairs = _as_int(max_pairs, DomainError, "max_pairs")
     if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
     if max_pairs < 1:
@@ -243,13 +257,23 @@ def empirical_quotient(field: SolutionField, max_pairs: int = 100_000,
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=max_pairs)
         j = rng.integers(0, n, size=max_pairs)
+    # two gathers (complex), the gaps and the quotients, and the mask
+    space = _Workspace(7)
     best = -np.inf
     for lo in range(0, i.size, _PAIR_BLOCK):
         bi, bj = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
-        gap = np.abs(zs[bi] - zs[bj])
-        keep = gap > _PAIR_EPS
+        shape = bi.shape
+        a, b = space.take("a", shape, complex), space.take("b", shape, complex)
+        # the indices lie in range: "wrap" takes them unbuffered, into a and b
+        diff = np.subtract(zs.take(bi, out=a, mode="wrap"), zs.take(bj, out=b, mode="wrap"), out=a)
+        gap = np.abs(diff, out=space.take("gap", shape))
+        keep = np.greater(gap, _PAIR_EPS, out=space.take("keep", shape, bool))
         if np.any(keep):
-            best = max(best, float(np.max(np.abs(vals[bi[keep]] - vals[bj[keep]]) / gap[keep])))
+            diff = np.subtract(vals.take(bi, out=a, mode="wrap"), vals.take(bj, out=b, mode="wrap"),
+                               out=a)
+            quotient = np.abs(diff, out=space.take("quotient", shape))
+            np.divide(quotient, gap, out=quotient, where=keep)
+            best = max(best, float(np.max(quotient, where=keep, initial=-np.inf)))
     if best < 0.0:
         raise DegenerateDataError("all sampled node pairs coincide")
     return best

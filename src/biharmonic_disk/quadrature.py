@@ -35,7 +35,15 @@ result is then an array of k values. Integrand values keep their own
 dtype: a real integrand is never widened to complex. Working
 memory is one block's nodes plus whatever the integrand builds on them:
 64 KiB per real and 128 KiB per complex array, whatever the rule's
-resolution. Summation is angle first (the mean of each row, taken
+resolution. The rule's own block arrays (the nodes, the pullback's
+denominator and the Jacobian under the keys ``zeta``, ``den`` and ``jac``,
+and the weighted values) come from one ``solver._Workspace`` per call,
+refilled block after block. An integrand may carry that workspace as its
+``workspace`` attribute (``verify`` does): the rule then takes its arrays
+from it and the integrand its own, so the call allocates once, and the
+rule scales the values such an integrand returns by the Jacobian in place.
+The integrand's zeta is a view of the workspace, which the next block
+overwrites. Summation is angle first (the mean of each row, taken
 separately for the real and the imaginary part and kept for every row) and
 then one dot of the row means against the radial weights per integrand and
 part, the order a single pass over the whole grid uses. Block size does not
@@ -69,11 +77,7 @@ import numpy as np
 
 from .errors import DomainError
 from .green import _abs2
-
-# Nodes per block of radial rows. One complex array over a block is 128 KiB,
-# so an integrand's temporaries stay within a few MiB whatever the rule;
-# smaller blocks cost more per-block overhead than they save in cache.
-_BLOCK_NODES = 1 << 13
+from .solver import _BLOCK_NODES, _circle_angles, _Workspace
 
 # Split points and Gauss-Legendre order of the recentred rule's radial panels.
 _GEO_START = 1e-12
@@ -81,6 +85,10 @@ _GEO_SPLIT = 0.5
 _PANEL_ORDER = 8
 
 _EPS = np.finfo(float).eps
+
+# Real arrays of a block the disk rule itself takes from its workspace: the
+# nodes and the pullback's denominator (complex) and the Jacobian.
+_RULE_PLANES = 5
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,8 @@ def disk_integrate_centered(rule: DiskRule, integrand, center: complex,
     returns either a matching array, real or complex (the result is a
     complex), or a stack of them, shape ``(k,) + zeta.shape`` (the result is
     an array of k complexes, one per integrand). The Jacobian of the
-    substitution is applied internally.
+    substitution is applied internally. An integrand with a ``workspace``
+    attribute shares it with the rule (module docstring).
 
     ``mirror`` promises that the integrand takes equal values at zeta and at
     its reflection across the line through 0 and ``mirror`` (the real axis
@@ -162,24 +171,48 @@ def disk_integrate_centered(rule: DiskRule, integrand, center: complex,
     circle, axis = _angular_nodes(rule.n_angular, mirror)
     if axis is not None and abs((center * np.conj(axis)).imag) > 4 * _EPS * abs(center):
         raise DomainError("a folded recentred rule needs its center on the mirror line")
+    step = max(1, _BLOCK_NODES // circle.size)
+    # room for the rule's arrays and weighted values of one complex or two
+    # real rows, unless the integrand carries the call's workspace
+    shared = getattr(integrand, "workspace", None)
+    space = _Workspace(_RULE_PLANES + 2) if shared is None else shared
 
-    def block(rows):
-        zeta, jac = _pullback(center, rho[rows, None] * circle[None, :])
-        return _block_values(integrand, zeta) * jac
+    def block(lo, hi):
+        shape = (hi - lo, circle.size)
+        zeta = np.multiply(rho[lo:hi, None], circle, out=space.take("zeta", shape, complex))
+        zeta, jac = _pullback(center, zeta, (zeta, space.take("den", shape, complex),
+                                             space.take("jac", shape)))
+        vals = _block_values(integrand, zeta)
+        out = space.take("weighted", vals.shape, np.result_type(vals, jac)) if shared is None else vals
+        return np.multiply(vals, jac, out=out)
 
-    return _sum_rows(block, 2.0 * rho * w, rule.n_angular, mirror is not None)
+    return _sum_rows(block, step, 2.0 * rho * w, rule.n_angular, mirror is not None)
 
 
-def _pullback(center, eta):
+def _pullback(center, eta, out=None):
     """(zeta, jacobian) for the substitution zeta = (center - eta) / (1 - eta conj(center)).
 
     The Mobius involution exchanging 0 and ``center``; the area Jacobian of
     the substitution is (1 - |center|^2)^2 / |1 - eta conj(center)|^4. The
     caller keeps ``center`` inside the disk; eta is not checked, as the
-    rule's nodes lie strictly inside it by construction.
+    rule's nodes lie strictly inside it by construction. ``out`` is
+    (zeta, denominator, jacobian), arrays of eta's shape, complex, complex
+    and real, written in place; zeta may be eta itself.
     """
-    den = 1.0 - eta * np.conj(center)
-    return (center - eta) / den, (1.0 - _abs2(center)) ** 2 / _abs2(den) ** 2
+    eta = np.asarray(eta, dtype=complex)
+    if out is None:
+        out = (np.empty_like(eta), np.empty_like(eta), np.empty(eta.shape))
+    zeta, den, jac = out
+    np.multiply(eta, np.conj(center), out=den)
+    np.subtract(1.0, den, out=den)
+    np.subtract(center, eta, out=zeta)
+    np.divide(zeta, den, out=zeta)
+    # |den|^4 as (re^2 + im^2)^2; den is spent, so its imaginary part takes im^2
+    np.square(den.real, out=jac)
+    jac += np.square(den.imag, out=den.imag)
+    np.square(jac, out=jac)
+    np.divide((1.0 - _abs2(center)) ** 2, jac, out=jac)
+    return zeta, jac
 
 
 def _angular_nodes(n, mirror):
@@ -236,18 +269,17 @@ def _row_means(vals, n, folded):
     return np.stack([re, im])
 
 
-def _sum_rows(block, weights, n_angular, folded):
+def _sum_rows(block, step, weights, n_angular, folded):
     """Sum of each row's angular mean times its radial weight.
 
-    ``block(rows)`` returns the values on a slice of rows. The row means of
-    the real and imaginary parts are kept and dotted with the weights once
-    per integrand and part at the end, the order of a single pass over the
-    whole grid.
+    ``block(lo, hi)`` returns the values on rows lo..hi - 1, ``step`` rows
+    at a time. The row means of the real and imaginary parts are kept and
+    dotted with the weights once per integrand and part at the end, the
+    order of a single pass over the whole grid.
     """
-    step = max(1, _BLOCK_NODES // (n_angular // 2 + 1 if folded else n_angular))
     re, im = np.concatenate(
-        [_row_means(block(slice(i, i + step)), n_angular, folded)
-         for i in range(0, weights.size, step)],
+        [_row_means(block(lo, min(lo + step, weights.size)), n_angular, folded)
+         for lo in range(0, weights.size, step)],
         axis=-1)
     if re.ndim == 1:
         return complex(np.dot(weights, re), np.dot(weights, im))
@@ -263,13 +295,6 @@ class RuleSet:
 
 
 DEFAULT_RULES = RuleSet()
-
-
-@lru_cache(maxsize=64)
-def _circle_angles(n: int) -> np.ndarray:
-    out = 2.0 * np.pi * np.arange(n) / n
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=32)

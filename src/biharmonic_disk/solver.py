@@ -61,7 +61,9 @@ at the grid's angles, and one inverse FFT per ring turns the folded
 spectra into the values (``Solution._rings``). The integral
 forms (circle quadrature of the kernels in ``kernels``, recentred disk
 quadrature of ``green.KernelParts.g``) stay in ``quadrature``, ``verify``
-and the tests as the independent oracle for the table.
+and the tests as the independent oracle for the table. The solver imports
+no oracle module: it owns the helpers the oracle shares with it
+(``_circle_angles``, ``_BLOCK_NODES`` and the walkers' ``_Workspace``).
 
 The table is exact on the closed disk, up to the dropped tail: on the
 circle s = 0, so Phi takes the value f there and -(z Phi_z + zbar Phi_zbar)
@@ -75,20 +77,25 @@ gradients' radial part takes its factors z and zbar at those points.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .quadrature import _BLOCK_NODES, _circle_angles
 
 # Exponent cap for SourceTerm monomials.
 MAX_EXPONENT = 16
+
+# Nodes per block of rows of the grids walked in blocks: the oracle's disk
+# rule (``quadrature``) and the grid of SourceTerm.sup_norm_estimate. One
+# complex array over a block is 128 KiB, so an integrand's temporaries stay
+# within a few MiB whatever the rule; smaller blocks cost more per-block
+# overhead than they save in cache.
+_BLOCK_NODES = 1 << 13
 
 # Radii and angles of the polar grid behind SourceTerm.sup_norm_estimate,
 # which walks it in blocks of rows as the disk quadrature does.
@@ -108,7 +115,59 @@ _CHUNK_ENTRIES = 1 << 15
 # tail is below u times the 1-norm of the samples (``_boundary_rows``).
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
-_polyval = np.polynomial.polynomial.polyval
+
+@lru_cache(maxsize=64)
+def _circle_angles(n: int) -> np.ndarray:
+    """The n angles 2 pi k / n, read-only and cached."""
+    out = 2.0 * np.pi * np.arange(n) / n
+    out.setflags(write=False)
+    return out
+
+
+class _Workspace:
+    """The working arrays of one walker call, carved from one allocation.
+
+    A walker fills the same arrays block after block with ``out=``.
+    ``take(key, shape, dtype)`` hands out the array of a key: its first
+    request carves it from the slab, a later request of the same shape, or
+    of fewer entries along an axis (a walker's shorter last block), gets it
+    or a view of its leading part. The first request sizes the slab: room for
+    ``planes`` real arrays of its entries (a complex array takes two);
+    arrays past that room are allocated apart. Why one allocation: glibc
+    maps every request at or above its mmap threshold and returns the top
+    of the heap to the system once it passes its trim threshold. Both start
+    at 128 KiB; freeing a mapped block raises the first to that block's
+    size and the second to twice it. Block arrays allocated apart, each of
+    a few hundred KiB, sum past twice the largest of them, so the heap is
+    trimmed after every block or call and the next one faults its pages in
+    anew. A slab that holds them all is the largest block its call frees:
+    the call's blocks, and the next call's, then reuse the same pages.
+    """
+
+    def __init__(self, planes: int = 0):
+        self._planes = planes
+        self._slab = None
+        self._used = 0
+        self._arrays: dict = {}
+
+    def take(self, key: str, shape: tuple, dtype=float) -> np.ndarray:
+        arr = self._arrays.get(key)
+        if arr is None:
+            arr = self._arrays[key] = self._carve(shape, np.dtype(dtype))
+        return arr if arr.shape == shape else arr[tuple(slice(n) for n in shape)]
+
+    def _carve(self, shape, dtype) -> np.ndarray:
+        size = math.prod(shape)
+        if self._slab is None:
+            # 8 spare doubles a plane cover the rounding to whole lines below
+            self._slab = np.empty(self._planes * (size + 8))
+        doubles = -(-size * dtype.itemsize // 8)
+        if self._used + doubles > self._slab.size:
+            return np.empty(shape, dtype)
+        arr = self._slab[self._used:self._used + doubles].view(dtype)[:size].reshape(shape)
+        # whole 64-byte lines: every array starts aligned for its dtype
+        self._used += -(-doubles // 8) * 8
+        return arr
 
 
 class BoundaryData:
@@ -171,7 +230,7 @@ class BoundaryData:
 
     @classmethod
     def constant(cls, value: complex, n_samples: int = 512) -> "BoundaryData":
-        return cls(np.full(n_samples, complex(value)))
+        return cls(np.full(_sample_count(n_samples), complex(value)))
 
     @classmethod
     def zero(cls, n_samples: int = 512) -> "BoundaryData":
@@ -190,8 +249,11 @@ class BoundaryData:
         N = 16..32768: the table keeps the modes 0..max |m|. A mode with
         2 |m| >= N, a mode that is not an integer (1.5 and 2.0 alike), a
         non-finite coefficient, or samples that overflow double precision
-        raise ``DegenerateDataError``.
+        raise ``DegenerateDataError``, and so does an ``n_samples`` that is
+        not an even integer of at least 4, before anything is allocated
+        (as in ``constant``, ``zero`` and ``from_function``).
         """
+        n_samples = _sample_count(n_samples)
         spectrum = np.zeros(n_samples, dtype=complex)
         for mode, coeff in modes:
             mode = _as_int(mode, DegenerateDataError, "a Fourier mode")
@@ -211,11 +273,12 @@ class BoundaryData:
 
     @classmethod
     def from_function(cls, fn, n_samples: int = 512) -> "BoundaryData":
-        return cls(np.asarray(fn(_circle_angles(n_samples)), dtype=complex))
+        return cls(np.asarray(fn(_circle_angles(_sample_count(n_samples))), dtype=complex))
 
     def eval_at(self, theta) -> np.ndarray:
+        polyval = np.polynomial.polynomial.polyval
         w = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=float)))
-        return _polyval(w, self.a) + _polyval(np.conj(w), self.b)
+        return polyval(w, self.a) + polyval(np.conj(w), self.b)
 
     def modes(self, n: int) -> np.ndarray:
         """The spectrum as n > N coefficients in FFT order: a at modes 0..N/2, b at -1..-N/2."""
@@ -250,6 +313,15 @@ def _as_int(value, error, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def _sample_count(n_samples) -> int:
+    """A sample count as an int: an even integer of at least 4, else ``DegenerateDataError``."""
+    n = _as_int(n_samples, DegenerateDataError, "n_samples")
+    if n < 4 or n % 2:
+        raise DegenerateDataError(
+            f"boundary data needs an even number of samples, at least 4, got {n}")
+    return n
 
 
 class SourceTerm:
@@ -295,11 +367,17 @@ class SourceTerm:
         return not self.terms
 
     def evaluate(self, zeta) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=complex)
-        out = np.zeros(zeta.shape, dtype=complex)
-        zb = np.conj(zeta)
+        return self._evaluate(np.asarray(zeta, dtype=complex), _Workspace())
+
+    def _evaluate(self, zeta: np.ndarray, space: "_Workspace") -> np.ndarray:
+        """g at zeta, summed term by term as c zeta^a zbar^b in arrays taken from ``space``."""
+        out = space.take("g", zeta.shape, complex)
+        out[...] = 0.0
+        zb = np.conjugate(zeta, out=space.take("zb", zeta.shape, complex))
+        term, power = space.take("term", zeta.shape, complex), space.take("power", zeta.shape, complex)
         for a, b, c in self.terms:
-            out += c * zeta**a * zb**b
+            np.multiply(c, _power(zeta, a, term), out=term)
+            out += np.multiply(term, _power(zb, b, power), out=term)
         return out
 
     __call__ = evaluate
@@ -323,10 +401,15 @@ class SourceTerm:
         r = np.linspace(0.0, 1.0, _SUP_GRID)
         circle = np.exp(1j * _circle_angles(_SUP_GRID))
         step = _BLOCK_NODES // _SUP_GRID
-        return max(
-            float(np.max(np.abs(self.evaluate(r[i:i + step, None] * circle[None, :]))))
-            for i in range(0, _SUP_GRID, step)
-        )
+        # the nodes, g, zbar and a term's two factors (complex), and |g|
+        space = _Workspace(11)
+        best = 0.0
+        for i in range(0, _SUP_GRID, step):
+            shape = (min(step, _SUP_GRID - i), _SUP_GRID)
+            zeta = np.multiply(r[i:i + step, None], circle, out=space.take("zeta", shape, complex))
+            values = np.abs(self._evaluate(zeta, space), out=space.take("abs", shape))
+            best = max(best, float(np.max(values)))
+        return best
 
     def __add__(self, other: "SourceTerm") -> "SourceTerm":
         return SourceTerm(tuple(self.terms) + tuple(other.terms))
@@ -352,6 +435,8 @@ def case_fingerprint(f: BoundaryData, h: BoundaryData, g: SourceTerm) -> str:
     Hashes the little-endian bytes of f's and h's samples and of g's terms
     as rows (a, b, Re c, Im c), each part framed by its byte length.
     """
+    import hashlib
+
     terms = [(a, b, c.real, c.imag) for a, b, c in g.terms]
     digest = hashlib.sha256()
     for part in (np.asarray(f.samples, dtype="<c16"), np.asarray(h.samples, dtype="<c16"),
@@ -683,6 +768,11 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
         np.multiply(out[:step], out[done - 1] * x, out=out[done:done + step])
         done += step
     return out
+
+
+def _power(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """x ** k into out, by the route ``x ** k`` takes: numpy squares for k = 2."""
+    return np.square(x, out=out) if k == 2 else np.power(x, k, out=out)
 
 
 def _deriv(c: np.ndarray) -> np.ndarray:

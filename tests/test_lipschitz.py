@@ -478,6 +478,12 @@ def test_quotient_refuses_negative_seed_and_no_pairs(n_r, n_theta):
         empirical_quotient(field, seed=-1)
     with pytest.raises(DomainError, match="max_pairs"):
         empirical_quotient(field, max_pairs=0)
+    # a float is refused with a typed error, not numpy's TypeError, even 2.0
+    for kwargs in ({"seed": 1.5}, {"seed": 2.0}, {"max_pairs": 2.0}, {"max_pairs": 1e5}):
+        with pytest.raises(DomainError, match=f"{next(iter(kwargs))} must be an integer"):
+            empirical_quotient(field, **kwargs)
+    assert empirical_quotient(field, max_pairs=np.int64(1000), seed=np.uint8(7)) == \
+        empirical_quotient(field, max_pairs=1000, seed=7)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,127 @@
+"""The package's import boundary and the oracle's allocation pattern, each in a fresh process."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import biharmonic_disk
+from biharmonic_disk import quadrature, solver, verify
+
+SRC = str(Path(biharmonic_disk.__file__).resolve().parent.parent)
+
+# modules a fresh process must not pay for unless a command runs them
+_ORACLE = ["biharmonic_disk.verify", "biharmonic_disk.lipschitz", "biharmonic_disk.quadrature",
+           "biharmonic_disk.green", "biharmonic_disk.kernels"]
+_HEAVY = _ORACLE + ["hashlib", "numpy.polynomial"]
+
+# biharmonic_disk.__all__ at the time the names became lazy; the set must not change
+_PUBLIC = {
+    "ABResult", "BoundaryData", "Case", "CaseFormatError", "CheckResult", "CircleRule",
+    "DEFAULT_RULES", "DegenerateDataError", "DiskRule", "DomainError", "KernelParts",
+    "LipschitzReport", "ManufacturedCase", "RuleSet", "SingularityError", "Solution",
+    "SolutionField", "SourceTerm", "analyze_case", "bound_suite", "boundary_gradient",
+    "boundary_trace_check", "case_fingerprint", "circle_integrate", "classify", "compute_ab",
+    "disk_integrate_centered", "empirical_quotient", "errors", "estimate_boundary_lipschitz",
+    "f0_dz", "f0_eval", "f0_transform", "fd_bilaplacian_residual", "gradient_crosscheck",
+    "gradient_point", "green", "green_gradient", "green_potential", "h0_dz", "h0_eval",
+    "h0_transform", "identity_suite", "kernel_moment", "kernel_moment_series", "kernels",
+    "lipschitz", "manufactured_case", "oracle_suite", "p_bound", "quadrature", "solve_grid",
+    "solve_point", "solve_points", "solver", "uniqueness_checks", "verify",
+}
+
+
+def _fresh(code: str):
+    """Run code in a new interpreter on this checkout's package; its last stdout line, as JSON.
+
+    The allocator tunables of glibc are left out of the child's environment,
+    so that it runs with the defaults a user's process has.
+    """
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _loaded(modules):
+    return f"[m for m in {modules!r} if m in sys.modules]"
+
+
+def test_importing_the_package_and_cli_loads_no_oracle_module():
+    loaded = _fresh(f"import json, sys\nimport biharmonic_disk, biharmonic_disk.cli\n"
+                    f"print(json.dumps({_loaded(_HEAVY)}))")
+    assert loaded == []
+
+
+def test_kernel_command_loads_kernels_only():
+    loaded = _fresh(
+        "import io, json, sys, contextlib\nimport biharmonic_disk.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['kernel', '--which', 'F0', '--z', '0.1,0.2'])\n"
+        f"print(json.dumps([rc, {_loaded(_HEAVY)}]))")
+    assert loaded[0] == 0
+    assert "biharmonic_disk.kernels" in loaded[1]
+    assert not {"biharmonic_disk.verify", "biharmonic_disk.quadrature",
+                "biharmonic_disk.lipschitz"} & set(loaded[1])
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    # in a fresh process, so that every lazy name is served by __getattr__
+    code = """
+import importlib, json, sys, types
+import biharmonic_disk as bd
+bad = []
+for name in bd.__all__:
+    obj = getattr(bd, name)
+    if isinstance(obj, types.ModuleType):
+        owner = obj.__name__ == f"biharmonic_disk.{name}" and obj
+    else:
+        module = bd._LAZY.get(name) or obj.__module__.rsplit(".", 1)[-1]
+        owner = getattr(importlib.import_module(f"biharmonic_disk.{module}"), name)
+    if owner is not obj or name not in dir(bd):
+        bad.append(name)
+print(json.dumps([sorted(bd.__all__), bad]))
+"""
+    names, bad = _fresh(code)
+    assert set(names) == _PUBLIC
+    assert bad == []
+
+
+def test_star_import_and_unknown_names():
+    names = _fresh("import json\nfrom biharmonic_disk import *\n"
+                   "print(json.dumps(sorted(k for k in dir() if not k.startswith('_'))))")
+    assert set(names) >= _PUBLIC
+    with pytest.raises(AttributeError, match="no_such_name"):
+        biharmonic_disk.no_such_name
+
+
+def test_second_oracle_suite_call_faults_at_most_its_workspaces_in():
+    # Each of the suite's passes takes its block arrays from one workspace
+    # (solver._Workspace). Were every workspace mapped anew, the call would
+    # fault at most its pages in: that bounds the second call. Blocks whose
+    # arrays are allocated apart fault far more (12,000 per call at 8,127
+    # nodes a block, against this bound of about 1,900).
+    faults = _fresh(
+        "import json, resource\nimport biharmonic_disk, biharmonic_disk.cli\n"
+        "from biharmonic_disk import verify\n"
+        "verify.oracle_suite()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "verify.oracle_suite()\n"
+        "print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))")
+    rule = quadrature.DEFAULT_RULES.disk
+    cols = rule.n_angular // 2 + 1  # every pass folds its rows
+    block = min(solver._BLOCK_NODES // cols, rule.centered_radial_nodes[0].size) * cols
+    page = os.sysconf("SC_PAGE_SIZE")
+
+    def pages(planes):
+        return math.ceil(planes * (block + 8) * 8 / page)
+
+    bound = (len(verify.SAMPLE_POINTS) * pages(verify._ORACLE_PLANES)
+             + pages(quadrature._RULE_PLANES + 2))
+    assert faults <= bound

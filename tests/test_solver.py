@@ -116,6 +116,23 @@ def test_boundary_data_rejects_bad_samples(samples):
         BoundaryData(samples)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: BoundaryData.from_fourier([(1, 1.0)], n),
+    lambda n: BoundaryData.constant(1.0, n),
+    lambda n: BoundaryData.zero(n),
+    lambda n: BoundaryData.from_function(np.cos, n),
+])
+@pytest.mark.parametrize("n_samples, message", [
+    (512.0, "must be an integer"), (16.0, "must be an integer"), (8.5, "must be an integer"),
+    ("8", "must be an integer"), (-8, "at least 4"), (2, "at least 4"), (0, "at least 4"),
+    (7, "even number"),
+])
+def test_sample_counts_are_refused_before_allocating(build, n_samples, message):
+    # a typed error, not numpy's TypeError or ValueError from the allocation
+    with pytest.raises(DegenerateDataError, match=message):
+        build(n_samples)
+
+
 def test_unresolvable_mode_is_rejected():
     with pytest.raises(DegenerateDataError):
         BoundaryData.from_fourier([(256, 1.0)], n_samples=512)
@@ -131,9 +148,10 @@ def test_non_integer_mode_is_rejected(mode):
 
 
 def test_numpy_integer_modes_and_exponents_are_accepted():
-    f = BoundaryData.from_fourier([(np.int64(1), 1.0), (np.int32(-2), 0.5)], 8)
+    f = BoundaryData.from_fourier([(np.int64(1), 1.0), (np.int32(-2), 0.5)], np.int64(8))
     ref = BoundaryData.from_fourier([(1, 1.0), (-2, 0.5)], 8)
     np.testing.assert_array_equal(f.samples, ref.samples)
+    assert BoundaryData.zero(np.int32(8)).n == 8
     assert SourceTerm([(np.int64(2), np.uint8(1), 1.0)]).terms == ((2, 1, 1 + 0j),)
 
 
