@@ -13,14 +13,16 @@ sampling seed:
 
 Fourier coefficients are [mode, re, im] triples, monomial loads are
 [a, b, re, im] quadruples, and every omitted field defaults to zero data.
+``fourier``, ``terms`` and ``samples`` must be JSON arrays of such arrays
+(not 5, null, {} or "") and re and im JSON numbers (not "1" or true).
 Modes, exponents, ``n_samples`` and ``seed`` must be JSON integers: 1.5,
 1.0, "1" and true are refused, not truncated, and so is a negative seed.
 A datum holds at most ``_MAX_SAMPLES`` = 32768 samples, by ``n_samples``
 or by its ``samples`` list; more is refused before anything is allocated. The chord estimate of
 ``lipschitz`` is O(N^2) and the verify checks grow with the table: on
 32768 samples of white noise for f and h, a fresh ``verify`` took 1.3 s and
-``lipschitz`` 3.2 s at a peak RSS of 50 and 52 MB, and on 65536 samples
-(built in Python, past the cap) 4.5 s and 13.0 s (2-core Xeon, one BLAS
+``lipschitz`` 1.4 s at a peak RSS of 50 and 51 MB, and on 65536 samples
+(built in Python, past the cap) 4.5 s and 6.8 s (2-core Xeon, one BLAS
 thread). CI runs the 32768-sample case.
 ``solve``, ``verify`` and ``lipschitz`` run closed forms only, the
 integral route for A and B included; only the ``identities`` checks use
@@ -94,6 +96,21 @@ def _require_keys(doc: dict, allowed: set, where: str):
         )
 
 
+def _rows(doc: dict, key: str, lead: int, where: str, shape: str) -> tuple[list, list]:
+    """(rows, values) of doc[key] (default none): arrays of ``lead`` entries the caller
+    checks, then JSON numbers re and im in the double range; values[i] = re + i im."""
+    rows = doc.get(key, [])
+    try:
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and len(row) == lead + 2 and all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in row[lead:])
+                for row in rows):
+            raise TypeError
+        return rows, [complex(float(row[-2]), float(row[-1])) for row in rows]
+    except (TypeError, OverflowError):
+        raise CaseFormatError(f"{where}.{key} must be {shape} of numbers") from None
+
+
 def _parse_boundary(doc, where: str) -> BoundaryData:
     if doc is None:
         return BoundaryData.zero()
@@ -109,28 +126,18 @@ def _parse_boundary(doc, where: str) -> BoundaryData:
     if "samples" in doc:
         if "n_samples" in doc:
             raise CaseFormatError(f"{where}.n_samples conflicts with samples")
-        rows = doc["samples"]
-        try:
-            values = [complex(float(re), float(im)) for re, im in rows]
-        except (TypeError, ValueError) as exc:
-            raise CaseFormatError(f"{where}.samples must be [re, im] pairs") from exc
+        _, values = _rows(doc, "samples", 0, where, "[re, im] pairs")
         if len(values) > _MAX_SAMPLES:
             raise CaseFormatError(f"{where}.samples holds more than {_MAX_SAMPLES} samples")
         try:
             return BoundaryData(values)
         except DegenerateDataError as exc:
             raise CaseFormatError(f"{where}.samples: {exc}") from exc
-    modes = []
-    for row in doc.get("fourier", ()):
-        try:
-            m, re, im = row
-            value = complex(float(re), float(im))
-        except (TypeError, ValueError) as exc:
-            raise CaseFormatError(
-                f"{where}.fourier must be [mode, re, im] triples") from exc
+    rows, values = _rows(doc, "fourier", 1, where, "[mode, re, im] triples")
+    modes = [(row[0], value) for row, value in zip(rows, values)]
+    for m, _ in modes:
         if not _is_int(m):
             raise CaseFormatError(f"{where}.fourier modes must be integers, got {m!r}")
-        modes.append((m, value))
     try:
         return BoundaryData.from_fourier(modes, n_samples)
     except DegenerateDataError as exc:
@@ -143,20 +150,14 @@ def _parse_source(doc, where: str) -> SourceTerm:
     if not isinstance(doc, dict):
         raise CaseFormatError(f"{where} must be an object")
     _require_keys(doc, {"terms"}, where)
-    terms = []
-    for row in doc.get("terms", ()):
-        try:
-            a, b, re, im = row
-            value = complex(float(re), float(im))
-        except (TypeError, ValueError) as exc:
-            raise CaseFormatError(
-                f"{where}.terms must be [a, b, re, im] quadruples") from exc
+    rows, values = _rows(doc, "terms", 2, where, "[a, b, re, im] quadruples")
+    terms = [(row[0], row[1], value) for row, value in zip(rows, values)]
+    for a, b, _ in terms:
         if not (_is_int(a) and _is_int(b)):
             raise CaseFormatError(
                 f"{where}.terms exponents must be integers, got {a!r}, {b!r}")
         if a < 0 or b < 0:
             raise CaseFormatError(f"negative exponent in {where}.terms")
-        terms.append((a, b, value))
     try:
         return SourceTerm(terms)
     except DomainError as exc:

@@ -32,7 +32,6 @@ from .solver import (
     SolutionField,
     SourceTerm,
     _as_int,
-    _circle_angles,
     _Workspace,
 )
 
@@ -98,26 +97,28 @@ def estimate_boundary_lipschitz(f: BoundaryData) -> float:
     """Largest chord difference quotient |f_j - f_k| / |e^{i th_j} - e^{i th_k}|.
 
     A lower estimate of the Lipschitz constant of f on the circle,
-    converging from below as the sample count grows. Every pair (j, k) is
-    one node and the node k = 1..n/2 places further on, so the pairs are
-    walked by offset, at most ``_PAIR_BLOCK`` of them at a time.
+    converging from below as the sample count grows. Every pair is a node j
+    and the node j + k, k = 1..n/2, whose chord is 2 sin(pi k / n), taken
+    directly rather than from the rounded nodes. The offsets are walked at
+    most ``_PAIR_BLOCK`` pairs at a time, and each offset's largest sample
+    gap max_j |f_j - f_{j+k}| is divided by its chord. Rounded division is
+    monotone, so this is the largest quotient over all pairs, bit for bit.
     """
     n = f.n
-    pts = np.exp(1j * _circle_angles(n))
-    # row k of each view is the array shifted by k: entry j is node j + k mod n
-    f_shift = sliding_window_view(np.concatenate([f.samples, f.samples]), n)
-    p_shift = sliding_window_view(np.concatenate([pts, pts]), n)
+    # row k of the view is the samples shifted by k: entry j is sample j + k mod n
+    shifted = sliding_window_view(np.concatenate([f.samples, f.samples]), n)
     step = max(1, _PAIR_BLOCK // n)
-    # the differences (complex), then their moduli in f and on the circle
+    # the differences (complex) and their moduli, in a slab with room for a
+    # fourth plane: freed, its 1 MiB lifts glibc's mmap threshold above the
+    # 800 kB index arrays empirical_quotient draws next (solver._Workspace)
     space = _Workspace(4)
     best = 0.0
     for k in range(1, n // 2 + 1, step):
         stop = min(k + step, n // 2 + 1)
         shape = (stop - k, n)
-        diff = space.take("diff", shape, complex)
-        num = np.abs(np.subtract(f.samples, f_shift[k:stop], out=diff), out=space.take("num", shape))
-        den = np.abs(np.subtract(pts, p_shift[k:stop], out=diff), out=space.take("den", shape))
-        best = max(best, float(np.max(np.divide(num, den, out=num))))
+        diff = np.subtract(f.samples, shifted[k:stop], out=space.take("diff", shape, complex))
+        gaps = np.max(np.abs(diff, out=space.take("gap", shape)), axis=1)
+        best = max(best, float(np.max(gaps / (2.0 * np.sin(np.pi * np.arange(k, stop) / n)))))
     return best
 
 
@@ -232,9 +233,9 @@ def empirical_quotient(field: SolutionField, max_pairs: int = 100_000,
     Small grids are scanned exhaustively; larger ones are subsampled with
     at most ``max_pairs`` seeded random pairs, walked ``_PAIR_BLOCK`` at a
     time. Coincident nodes (the r = 0 ring) are ignored. A ``seed`` or
-    ``max_pairs`` that is not a Python or numpy integer (1.5 and 2.0 alike),
-    a negative ``seed`` or ``max_pairs`` below 1 raises ``DomainError``
-    whatever the grid. A non-finite node value raises
+    ``max_pairs`` that is not a Python or numpy integer (1.5, 2.0 and True
+    alike), a negative ``seed`` or ``max_pairs`` below 1 raises
+    ``DomainError`` whatever the grid. A non-finite node value raises
     ``DegenerateDataError``: every grid node is evaluated, so one means the
     field is broken, and skipping it could make the quotient read low.
     """

@@ -77,7 +77,7 @@ import numpy as np
 
 from .errors import DomainError
 from .green import _abs2
-from .solver import _BLOCK_NODES, _circle_angles, _Workspace
+from .solver import _circle_angles, _Workspace
 
 # Split points and Gauss-Legendre order of the recentred rule's radial panels.
 _GEO_START = 1e-12
@@ -85,6 +85,10 @@ _GEO_SPLIT = 0.5
 _PANEL_ORDER = 8
 
 _EPS = np.finfo(float).eps
+
+# Nodes per block of radial rows the disk rule walks: one complex array over
+# a block is 128 KiB, so an integrand's temporaries stay within a few MiB.
+_BLOCK_NODES = 1 << 13
 
 # Real arrays of a block the disk rule itself takes from its workspace: the
 # nodes and the pullback's denominator (complex) and the Jacobian.

@@ -63,7 +63,7 @@ forms (circle quadrature of the kernels in ``kernels``, recentred disk
 quadrature of ``green.KernelParts.g``) stay in ``quadrature``, ``verify``
 and the tests as the independent oracle for the table. The solver imports
 no oracle module: it owns the helpers the oracle shares with it
-(``_circle_angles``, ``_BLOCK_NODES`` and the walkers' ``_Workspace``).
+(``_circle_angles`` and the walkers' ``_Workspace``).
 
 The table is exact on the closed disk, up to the dropped tail: on the
 circle s = 0, so Phi takes the value f there and -(z Phi_z + zbar Phi_zbar)
@@ -90,16 +90,9 @@ from .errors import DegenerateDataError, DomainError
 # Exponent cap for SourceTerm monomials.
 MAX_EXPONENT = 16
 
-# Nodes per block of rows of the grids walked in blocks: the oracle's disk
-# rule (``quadrature``) and the grid of SourceTerm.sup_norm_estimate. One
-# complex array over a block is 128 KiB, so an integrand's temporaries stay
-# within a few MiB whatever the rule; smaller blocks cost more per-block
-# overhead than they save in cache.
-_BLOCK_NODES = 1 << 13
-
-# Radii and angles of the polar grid behind SourceTerm.sup_norm_estimate,
-# which walks it in blocks of rows as the disk quadrature does.
-_SUP_GRID = 512
+# Radii and angles of SourceTerm.sup_norm_estimate's polar grid, and the
+# rings it walks at a time, whose values and moduli take 192 KiB.
+_SUP_GRID, _SUP_RINGS = 512, 16
 
 # Points are refused only for |z| > 1 + this: exp(1j * theta) can round to
 # |z| = 1 + 2.2e-16, and the table is exact on the circle itself.
@@ -247,11 +240,11 @@ class BoundaryData:
         most, whose tail past max |m| measured a tenth of the floor of the
         cut to the data's bandwidth (``Solution``) or less on seeded data at
         N = 16..32768: the table keeps the modes 0..max |m|. A mode with
-        2 |m| >= N, a mode that is not an integer (1.5 and 2.0 alike), a
-        non-finite coefficient, or samples that overflow double precision
+        2 |m| >= N, a mode that is not an integer (1.5, 2.0 and True alike),
+        a non-finite coefficient, or samples that overflow double precision
         raise ``DegenerateDataError``, and so does an ``n_samples`` that is
-        not an even integer of at least 4, before anything is allocated
-        (as in ``constant``, ``zero`` and ``from_function``).
+        not an even integer of at least 4 (or is a bool), before anything is
+        allocated (as in ``constant``, ``zero`` and ``from_function``).
         """
         n_samples = _sample_count(n_samples)
         spectrum = np.zeros(n_samples, dtype=complex)
@@ -308,11 +301,13 @@ class BoundaryData:
 
 
 def _as_int(value, error, what: str) -> int:
-    """``value`` as an int if it is a Python or numpy integer, else ``error``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as an int if it is a Python or numpy integer but not a bool, else ``error``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _sample_count(n_samples) -> int:
@@ -328,8 +323,9 @@ class SourceTerm:
     """A load given as a finite sum sum_k c_k z^(a_k) conj(z)^(b_k).
 
     Exponents are integers in [0, 16] (Python or numpy integers; a float,
-    even 2.0, raises ``DomainError``) and coefficients finite. Terms with
-    equal exponents are merged and zero coefficients dropped at construction.
+    even 2.0, or a bool raises ``DomainError``) and coefficients finite.
+    Terms with equal exponents are merged and zero coefficients dropped at
+    construction.
     """
 
     __slots__ = ("terms",)
@@ -367,17 +363,11 @@ class SourceTerm:
         return not self.terms
 
     def evaluate(self, zeta) -> np.ndarray:
-        return self._evaluate(np.asarray(zeta, dtype=complex), _Workspace())
-
-    def _evaluate(self, zeta: np.ndarray, space: "_Workspace") -> np.ndarray:
-        """g at zeta, summed term by term as c zeta^a zbar^b in arrays taken from ``space``."""
-        out = space.take("g", zeta.shape, complex)
-        out[...] = 0.0
-        zb = np.conjugate(zeta, out=space.take("zb", zeta.shape, complex))
-        term, power = space.take("term", zeta.shape, complex), space.take("power", zeta.shape, complex)
+        zeta = np.asarray(zeta, dtype=complex)
+        out = np.zeros(zeta.shape, dtype=complex)
+        zb = np.conj(zeta)
         for a, b, c in self.terms:
-            np.multiply(c, _power(zeta, a, term), out=term)
-            out += np.multiply(term, _power(zb, b, power), out=term)
+            out += c * zeta**a * zb**b
         return out
 
     __call__ = evaluate
@@ -395,21 +385,27 @@ class SourceTerm:
         return float(sum(abs(c) for _, _, c in self.terms))
 
     def sup_norm_estimate(self) -> float:
-        """Maximum of |g| on a 512 x 512 polar grid of the closed disk (a lower estimate)."""
+        """Maximum of |g| on a 512 x 512 polar grid of the closed disk (a lower estimate).
+
+        Radii linspace(0, 1, 512), angles 2 pi j / 512. On the ring r,
+        g = sum_m S_m(r) e^{i m theta} over the load's distinct modes (at most
+        33), S_m(r) = sum_{a - b = m} c r^(a + b): a block of rings takes its
+        spectra as one matmul of the powers of r against the coefficients,
+        and its values as one more against the waves e^{i m theta_j}, read
+        off the node of angle 2 pi (m j mod 512) / 512.
+        """
         if self.is_zero:
             return 0.0
+        modes = sorted({a - b for a, b, _ in self.terms})
+        degrees = np.arange(max(a + b for a, b, _ in self.terms) + 1)
+        coef = np.zeros((degrees.size, len(modes)), dtype=complex)
+        for a, b, c in self.terms:
+            coef[a + b, modes.index(a - b)] = c
+        nodes = np.exp(1j * _circle_angles(_SUP_GRID))
+        waves = nodes.take(np.multiply.outer(modes, np.arange(_SUP_GRID)), mode="wrap")
         r = np.linspace(0.0, 1.0, _SUP_GRID)
-        circle = np.exp(1j * _circle_angles(_SUP_GRID))
-        step = _BLOCK_NODES // _SUP_GRID
-        # the nodes, g, zbar and a term's two factors (complex), and |g|
-        space = _Workspace(11)
-        best = 0.0
-        for i in range(0, _SUP_GRID, step):
-            shape = (min(step, _SUP_GRID - i), _SUP_GRID)
-            zeta = np.multiply(r[i:i + step, None], circle, out=space.take("zeta", shape, complex))
-            values = np.abs(self._evaluate(zeta, space), out=space.take("abs", shape))
-            best = max(best, float(np.max(values)))
-        return best
+        return max(float(np.max(np.abs(r[i:i + _SUP_RINGS, None] ** degrees @ coef @ waves)))
+                   for i in range(0, _SUP_GRID, _SUP_RINGS))
 
     def __add__(self, other: "SourceTerm") -> "SourceTerm":
         return SourceTerm(tuple(self.terms) + tuple(other.terms))
@@ -538,7 +534,7 @@ class Solution:
         gradients' radial part takes its factors z and zbar at the points.
         Each ring takes one inverse FFT of its folded modes (``_rings``),
         whatever n_theta; scattered points take ``_evaluate``. The sizes are
-        Python or numpy integers; a float, even 4.0, raises
+        Python or numpy integers; a float, even 4.0, or a bool raises
         ``DegenerateDataError``.
         """
         n_r, n_theta = (_as_int(n, DegenerateDataError, "a grid size") for n in (n_r, n_theta))
@@ -768,11 +764,6 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
         np.multiply(out[:step], out[done - 1] * x, out=out[done:done + step])
         done += step
     return out
-
-
-def _power(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """x ** k into out, by the route ``x ** k`` takes: numpy squares for k = 2."""
-    return np.square(x, out=out) if k == 2 else np.power(x, k, out=out)
 
 
 def _deriv(c: np.ndarray) -> np.ndarray:

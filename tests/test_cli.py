@@ -79,6 +79,10 @@ def test_parse_fourier_n_samples():
     assert case.f.n == 32
 
 
+# values of fourier, samples or terms that are not arrays of rows
+_NOT_ARRAYS = [5, None, {}, ""]
+
+
 @pytest.mark.parametrize(
     "doc,fragment",
     [
@@ -123,12 +127,36 @@ def test_parse_fourier_n_samples():
         ({"schema": 1, "f": {"samples": [[0.0, 0.0, 0.0]] * 4}},
          "f.samples must be [re, im] pairs"),
         ({"schema": 1, "g": [[0, 0, 1.0, 0.0]]}, "g must be an object"),
+        # arrays that are not arrays, and coefficients that are not numbers
+        *(({"schema": 1, "f": {"fourier": bad}}, "f.fourier must be") for bad in _NOT_ARRAYS),
+        *(({"schema": 1, "h": {"samples": bad}}, "h.samples must be [re, im] pairs")
+          for bad in _NOT_ARRAYS),
+        *(({"schema": 1, "g": {"terms": bad}}, "g.terms must be") for bad in _NOT_ARRAYS),
+        ({"schema": 1, "f": {"fourier": [[1, "1", 0]]}}, "f.fourier must be"),
+        ({"schema": 1, "f": {"fourier": [[1, 1.0, True]]}}, "f.fourier must be"),
+        ({"schema": 1, "f": {"fourier": [[1, 10**400, 0]]}}, "f.fourier must be"),
+        ({"schema": 1, "h": {"samples": [["1", 0.0]] * 4}}, "h.samples must be [re, im] pairs"),
+        ({"schema": 1, "h": {"samples": [[0.0, False]] * 4}}, "h.samples must be [re, im] pairs"),
+        ({"schema": 1, "h": {"samples": ["12"] * 4}}, "h.samples must be [re, im] pairs"),
+        ({"schema": 1, "g": {"terms": [[0, 0, "1", 0]]}}, "g.terms must be"),
+        ({"schema": 1, "g": {"terms": [[0, 0, 1.0, True]]}}, "g.terms must be"),
     ],
 )
 def test_parse_rejections(doc, fragment):
     with pytest.raises(CaseFormatError) as exc_info:
         cli.parse_case_dict(doc)
     assert fragment in str(exc_info.value)
+
+
+@pytest.mark.parametrize("key, datum", [("f", "fourier"), ("h", "samples"), ("g", "terms")])
+@pytest.mark.parametrize("bad", _NOT_ARRAYS)
+def test_case_arrays_that_are_not_arrays_exit_2(tmp_path, capsys, key, datum, bad):
+    # refused as malformed input, not a traceback or zero data
+    rc = cli.main(["lipschitz", "--case", write_case(tmp_path, {key: {datum: bad}})])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {key}.{datum} must be")
+    assert captured.out == ""
 
 
 def test_parse_case_reports_json_line(tmp_path):

@@ -87,12 +87,12 @@ def test_lipschitz_estimate_is_homogeneous(scale):
 
 
 def _all_pairs_lipschitz(f):
-    # every chord pair at once: the O(N^2) reference for the offset walk
-    th = 2.0 * np.pi * np.arange(f.n) / f.n
-    pts = np.exp(1j * th)
-    iu = np.triu_indices(f.n, k=1)
-    num = np.abs(f.samples[iu[0]] - f.samples[iu[1]])
-    den = np.abs(pts[iu[0]] - pts[iu[1]])
+    # every chord pair at once: the O(N^2) reference for the offset walk. The
+    # chord of nodes d places apart is 2 sin(pi min(d, N - d) / N), the
+    # circle's own chord, not a difference of rounded nodes
+    i, j = np.triu_indices(f.n, k=1)
+    num = np.abs(f.samples[i] - f.samples[j])
+    den = 2.0 * np.sin(np.pi * np.minimum(j - i, f.n - (j - i)) / f.n)
     return float(np.max(num / den))
 
 
@@ -101,6 +101,15 @@ def test_lipschitz_estimate_equals_all_pairs_maximum(n):
     rng = np.random.default_rng(n)
     f = BoundaryData(rng.normal(size=n) + 1j * rng.normal(size=n))
     assert estimate_boundary_lipschitz(f) == _all_pairs_lipschitz(f)
+
+
+def test_lipschitz_of_a_unit_spike_is_its_shortest_chords_reciprocal():
+    # every gap is 1 and the shortest chord is 2 sin(pi / N); a chord taken
+    # from the rounded nodes cancels and reads it 9e-14 off at N = 4,096
+    n = 4096
+    samples = np.zeros(n)
+    samples[n // 3] = 1.0
+    assert estimate_boundary_lipschitz(BoundaryData(samples)) == 1.0 / (2.0 * np.sin(np.pi / n))
 
 
 def test_lipschitz_estimate_memory_is_bounded():
@@ -478,8 +487,10 @@ def test_quotient_refuses_negative_seed_and_no_pairs(n_r, n_theta):
         empirical_quotient(field, seed=-1)
     with pytest.raises(DomainError, match="max_pairs"):
         empirical_quotient(field, max_pairs=0)
-    # a float is refused with a typed error, not numpy's TypeError, even 2.0
-    for kwargs in ({"seed": 1.5}, {"seed": 2.0}, {"max_pairs": 2.0}, {"max_pairs": 1e5}):
+    # a float is refused with a typed error, not numpy's TypeError, even 2.0,
+    # and a bool is not read as 1
+    for kwargs in ({"seed": 1.5}, {"seed": 2.0}, {"max_pairs": 2.0}, {"max_pairs": 1e5},
+                   {"seed": True}, {"max_pairs": True}):
         with pytest.raises(DomainError, match=f"{next(iter(kwargs))} must be an integer"):
             empirical_quotient(field, **kwargs)
     assert empirical_quotient(field, max_pairs=np.int64(1000), seed=np.uint8(7)) == \

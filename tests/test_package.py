@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import biharmonic_disk
-from biharmonic_disk import quadrature, solver, verify
+from biharmonic_disk import quadrature, verify
 
 SRC = str(Path(biharmonic_disk.__file__).resolve().parent.parent)
 
@@ -116,7 +116,7 @@ def test_second_oracle_suite_call_faults_at_most_its_workspaces_in():
         "print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))")
     rule = quadrature.DEFAULT_RULES.disk
     cols = rule.n_angular // 2 + 1  # every pass folds its rows
-    block = min(solver._BLOCK_NODES // cols, rule.centered_radial_nodes[0].size) * cols
+    block = min(quadrature._BLOCK_NODES // cols, rule.centered_radial_nodes[0].size) * cols
     page = os.sysconf("SC_PAGE_SIZE")
 
     def pages(planes):

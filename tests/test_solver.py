@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biharmonic_disk import green, kernels, solver, verify
@@ -125,7 +125,7 @@ def test_boundary_data_rejects_bad_samples(samples):
 @pytest.mark.parametrize("n_samples, message", [
     (512.0, "must be an integer"), (16.0, "must be an integer"), (8.5, "must be an integer"),
     ("8", "must be an integer"), (-8, "at least 4"), (2, "at least 4"), (0, "at least 4"),
-    (7, "even number"),
+    (7, "even number"), (True, "must be an integer"), (np.True_, "must be an integer"),
 ])
 def test_sample_counts_are_refused_before_allocating(build, n_samples, message):
     # a typed error, not numpy's TypeError or ValueError from the allocation
@@ -140,9 +140,10 @@ def test_unresolvable_mode_is_rejected():
         BoundaryData.from_fourier([(-8, 1.0)], n_samples=16)
 
 
-@pytest.mark.parametrize("mode", [1.5, 2.0])
+@pytest.mark.parametrize("mode", [1.5, 2.0, True])
 def test_non_integer_mode_is_rejected(mode):
-    # a float mode is refused, not truncated onto a neighbouring mode
+    # a float mode is refused, not truncated onto a neighbouring mode, and a
+    # bool is not read as mode 1
     with pytest.raises(DegenerateDataError, match="must be an integer"):
         BoundaryData.from_fourier([(mode, 1.0)], 8)
 
@@ -279,12 +280,71 @@ def test_sup_norm_bound_and_estimate():
     assert SourceTerm.zero().sup_norm_estimate() == 0.0
 
 
-def test_sup_norm_estimate_walks_its_grid_in_row_blocks():
-    g = SourceTerm([(3, 1, 1.0 - 2j), (0, 4, 0.5), (2, 2, -1.0)])
+# the load holding every exponent pair up to MAX_EXPONENT: 289 terms, 33 modes
+_EVERY_TERM = SourceTerm([(a, b, 1.0 - 0.5j) for a in range(solver.MAX_EXPONENT + 1)
+                          for b in range(solver.MAX_EXPONENT + 1)])
+
+
+def _dense_sup(g):
+    """max |g.evaluate| at the rounded nodes of the estimate's 512 x 512 polar grid."""
     r = np.linspace(0.0, 1.0, 512)
     zeta = r[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(512) / 512)[None, :]
-    assert g.sup_norm_estimate() == float(np.max(np.abs(g.evaluate(zeta))))
-    assert _peak_bytes(SourceTerm.constant(4.0).sup_norm_estimate) < 2 * 2**20
+    return float(np.max(np.abs(g.evaluate(zeta))))
+
+
+def _sup_allowance(g):
+    """What rounding can put between sup_norm_estimate and _dense_sup, as gamma_n sum |c|.
+
+    Both are maxima over the grid's nodes, so they differ by at most the
+    largest gap between the two routes' values at one node, plus the 1 ulp
+    (2u, u = eps / 2) of each modulus. Each route lies within a count of u
+    sum |c| of g at the exact node (r_i, theta_j), |zeta| <= 1; with T terms,
+    M distinct modes and degree d = max(a + b):
+
+    * the estimate: r^k by numpy's pow, within 4 ulp (8u); the spectra, an
+      inner product of at most T terms per mode; each wave within
+      (4 pi + 2) u of e^{i m theta_j} (its angle 2 pi k / N carries 2u
+      relative, exp 1 ulp a part); the values' parts are real inner products
+      of length 2M, within gamma_2M whatever the order, so sqrt(2) 2M in
+      modulus: n_E = T + 8 + 4 pi + 2 + 2 sqrt(2) M;
+    * the dense route: the rounded node is r e^{i theta_j} (1 + eta),
+      |eta| <= (4 pi + 3) u, which a term of degree a + b carries a + b
+      times; zeta^a by a chain of at most a - 1 complex products, and two
+      more by c and zbar^b, each within sqrt(5) u; T - 1 sums:
+      n_D = d (4 pi + 3 + sqrt(5)) + 2 sqrt(5) + T - 1.
+    """
+    n_terms, degree = len(g.terms), max(a + b for a, b, _ in g.terms)
+    n_modes = len({a - b for a, b, _ in g.terms})
+    n_e = n_terms + 8 + 4 * math.pi + 2 + 2 * math.sqrt(2) * n_modes
+    n_d = degree * (4 * math.pi + 3 + math.sqrt(5)) + 2 * math.sqrt(5) + n_terms - 1
+    n = n_e + n_d + 4
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u) * g.sup_norm_bound()
+
+
+def test_sup_norm_estimate_matches_the_dense_grid_in_bounded_memory():
+    g = SourceTerm([(3, 1, 1.0 - 2j), (0, 4, 0.5), (2, 2, -1.0)])
+    assert abs(g.sup_norm_estimate() - _dense_sup(g)) <= _sup_allowance(g)
+    # every term is c at z = 1, a node of the grid
+    estimate = _EVERY_TERM.sup_norm_estimate()
+    assert abs(estimate - 289 * abs(1.0 - 0.5j)) <= _sup_allowance(_EVERY_TERM)
+    for g in (SourceTerm.constant(4.0), _EVERY_TERM):
+        assert _peak_bytes(g.sup_norm_estimate) < 2 * 2**20
+
+
+@settings(max_examples=20)
+@given(st.lists(st.tuples(st.integers(0, solver.MAX_EXPONENT), st.integers(0, solver.MAX_EXPONENT),
+                          st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)),
+                min_size=1, max_size=20))
+def test_sup_norm_estimate_lies_within_rounding_of_the_dense_grid(terms):
+    # moduli of 1e-3 .. 1e3 keep every partial product clear of underflow and
+    # overflow, where a relative allowance would not hold
+    g = SourceTerm(terms)
+    if g.is_zero:
+        return
+    estimate, allowance = g.sup_norm_estimate(), _sup_allowance(g)
+    assert estimate <= g.sup_norm_bound() + allowance
+    assert abs(estimate - _dense_sup(g)) <= allowance
 
 
 def test_source_term_exponent_validation():
@@ -292,8 +352,10 @@ def test_source_term_exponent_validation():
         SourceTerm([(-1, 0, 1.0)])
     with pytest.raises(DomainError):
         SourceTerm([(0, solver.MAX_EXPONENT + 1, 1.0)])
-    # a float exponent is refused, not truncated to a lower degree
-    for term in [(1.5, 0, 1.0), (0, 1.5, 1.0), (2.0, 0, 1.0), (0, 2.0, 1.0)]:
+    # a float exponent is refused, not truncated to a lower degree, and a bool
+    # is not read as 1
+    for term in [(1.5, 0, 1.0), (0, 1.5, 1.0), (2.0, 0, 1.0), (0, 2.0, 1.0), (True, 0, 1.0),
+                 (0, True, 1.0)]:
         with pytest.raises(DomainError, match="must be an integer"):
             SourceTerm([term])
 
@@ -1078,8 +1140,9 @@ def test_grid_argument_validation():
         solver.solve_grid(zero, zero, SourceTerm.zero(), 4, 4, r_max=0.0)
     with pytest.raises(DomainError):
         solver.solve_grid(zero, zero, SourceTerm.zero(), 4, 4, r_max=1.5)
-    # 2.5 rings or 4.5 angles make no grid: a float size is refused, even 4.0
-    for sizes in [(2.5, 4), (3, 4.5), (3, np.float64(4.0))]:
+    # 2.5 rings or 4.5 angles make no grid: a float size is refused, even
+    # 4.0, and so is a bool
+    for sizes in [(2.5, 4), (3, 4.5), (3, np.float64(4.0)), (True, 4), (3, True)]:
         with pytest.raises(DegenerateDataError, match="must be an integer"):
             solver.solve_grid(zero, zero, SourceTerm.zero(), *sizes)
 
