@@ -29,20 +29,14 @@ methods), the form evaluated.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .solver import _Workspace
 
 
-def _abs2(w, out=None):
+def _abs2(w):
     w = np.asarray(w)
-    if out is None:
-        return w.real**2 + w.imag**2
-    np.square(w.real, out=out)
-    return np.add(out, np.square(w.imag), out=out)
+    return w.real**2 + w.imag**2
 
 
 def _as_disk(z, name):
@@ -54,10 +48,10 @@ def _as_disk(z, name):
     return arr
 
 
-def _log_ratio(ad2, aw2, out=None):
+def _log_ratio(ad2, aw2):
     """log(|1 - conj(zeta) z|^2 / |z - zeta|^2), safe where ad2 == 0."""
     safe = np.where(ad2 > 0.0, ad2, 1.0)
-    return np.subtract(np.log(aw2, out=out), np.log(safe, out=safe), out=out)
+    return np.log(aw2) - np.log(safe)
 
 
 class KernelParts:
@@ -67,43 +61,19 @@ class KernelParts:
     log = log(aw2 / ad2) (finite placeholder where ad2 == 0) and
     s = 1 - |zeta|^2. Either argument may be an array; each kernel method
     returns an array of their broadcast shape (0-d for two scalars).
-    ``_reusing`` builds the same parts in a walker's working arrays.
     """
 
     __slots__ = ("z", "zeta", "d", "ad2", "w", "aw2", "log", "s")
 
     def __init__(self, z, zeta):
-        self._fill(z, zeta, None)
-
-    @classmethod
-    def _reusing(cls, space: _Workspace, z, zeta) -> "KernelParts":
-        """``KernelParts(z, zeta)`` with its fields in arrays taken from ``space``.
-
-        A walker that builds one per block holds ``space`` for the call, so
-        the fields are allocated once per call; each build overwrites the
-        fields of the one before.
-        """
-        parts = cls.__new__(cls)
-        parts._fill(z, zeta, space)
-        return parts
-
-    def _fill(self, z, zeta, space: Optional[_Workspace]):
         self.z = _as_disk(z, "z")
         self.zeta = _as_disk(zeta, "zeta")
-        shape = np.broadcast(self.z, self.zeta).shape
-
-        def out(key, dtype=float):
-            # without a workspace each ufunc allocates its result
-            return None if space is None else space.take(key, shape, dtype)
-
-        self.d = np.subtract(self.z, self.zeta, out=out("d", complex))
-        self.ad2 = _abs2(self.d, out=out("ad2"))
-        w = out("w", complex)
-        self.w = np.subtract(1.0, np.multiply(np.conjugate(self.zeta, out=w), self.z, out=w), out=w)
-        self.aw2 = _abs2(self.w, out=out("aw2"))
-        self.log = _log_ratio(self.ad2, self.aw2, out=out("log"))
-        s = out("s")
-        self.s = np.subtract(1.0, _abs2(self.zeta, out=s), out=s)
+        self.d = self.z - self.zeta
+        self.ad2 = _abs2(self.d)
+        self.w = 1.0 - np.conjugate(self.zeta) * self.z
+        self.aw2 = _abs2(self.w)
+        self.log = _log_ratio(self.ad2, self.aw2)
+        self.s = 1.0 - _abs2(self.zeta)
 
     def _refuse_diagonal(self, name):
         if np.any(self.ad2 == 0.0):

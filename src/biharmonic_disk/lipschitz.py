@@ -26,14 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDataError, DomainError
-from .solver import (
-    BoundaryData,
-    Case,
-    SolutionField,
-    SourceTerm,
-    _as_int,
-    _Workspace,
-)
+from .solver import BoundaryData, Case, SolutionField, SourceTerm, _as_int
 
 # Coefficients of the gradient bound P.
 _COEFF_L = 220.0 / 3.0
@@ -108,16 +101,15 @@ def estimate_boundary_lipschitz(f: BoundaryData) -> float:
     # row k of the view is the samples shifted by k: entry j is sample j + k mod n
     shifted = sliding_window_view(np.concatenate([f.samples, f.samples]), n)
     step = max(1, _PAIR_BLOCK // n)
-    # the differences (complex) and their moduli, in a slab with room for a
-    # fourth plane: freed, its 1 MiB lifts glibc's mmap threshold above the
-    # 800 kB index arrays empirical_quotient draws next (solver._Workspace)
-    space = _Workspace(4)
+    # the differences and their moduli, allocated once and refilled per block
+    rows = min(step, n // 2)
+    buffers = np.empty((rows, n), complex), np.empty((rows, n))
     best = 0.0
     for k in range(1, n // 2 + 1, step):
         stop = min(k + step, n // 2 + 1)
-        shape = (stop - k, n)
-        diff = np.subtract(f.samples, shifted[k:stop], out=space.take("diff", shape, complex))
-        gaps = np.max(np.abs(diff, out=space.take("gap", shape)), axis=1)
+        diff, gap = (buf[:stop - k] for buf in buffers)
+        np.subtract(f.samples, shifted[k:stop], out=diff)
+        gaps = np.max(np.abs(diff, out=gap), axis=1)
         best = max(best, float(np.max(gaps / (2.0 * np.sin(np.pi * np.arange(k, stop) / n)))))
     return best
 
@@ -258,21 +250,22 @@ def empirical_quotient(field: SolutionField, max_pairs: int = 100_000,
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=max_pairs)
         j = rng.integers(0, n, size=max_pairs)
-    # two gathers (complex), the gaps and the quotients, and the mask
-    space = _Workspace(7)
+    # two gathers (complex), the gaps, the mask and the quotients, allocated
+    # once and refilled per block
+    size = min(i.size, _PAIR_BLOCK)
+    buffers = [np.empty(size, dtype) for dtype in (complex, complex, float, bool, float)]
     best = -np.inf
     for lo in range(0, i.size, _PAIR_BLOCK):
         bi, bj = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
-        shape = bi.shape
-        a, b = space.take("a", shape, complex), space.take("b", shape, complex)
+        a, b, gap, keep, quotient = (buf[:bi.size] for buf in buffers)
         # the indices lie in range: "wrap" takes them unbuffered, into a and b
         diff = np.subtract(zs.take(bi, out=a, mode="wrap"), zs.take(bj, out=b, mode="wrap"), out=a)
-        gap = np.abs(diff, out=space.take("gap", shape))
-        keep = np.greater(gap, _PAIR_EPS, out=space.take("keep", shape, bool))
+        np.abs(diff, out=gap)
+        np.greater(gap, _PAIR_EPS, out=keep)
         if np.any(keep):
             diff = np.subtract(vals.take(bi, out=a, mode="wrap"), vals.take(bj, out=b, mode="wrap"),
                                out=a)
-            quotient = np.abs(diff, out=space.take("quotient", shape))
+            np.abs(diff, out=quotient)
             np.divide(quotient, gap, out=quotient, where=keep)
             best = max(best, float(np.max(quotient, where=keep, initial=-np.inf)))
     if best < 0.0:

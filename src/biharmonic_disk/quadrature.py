@@ -35,18 +35,13 @@ result is then an array of k values. Integrand values keep their own
 dtype: a real integrand is never widened to complex. Working
 memory is one block's nodes plus whatever the integrand builds on them:
 64 KiB per real and 128 KiB per complex array, whatever the rule's
-resolution. The rule's own block arrays (the nodes, the pullback's
-denominator and the Jacobian under the keys ``zeta``, ``den`` and ``jac``,
-and the weighted values) come from one ``solver._Workspace`` per call,
-refilled block after block. An integrand may carry that workspace as its
-``workspace`` attribute (``verify`` does): the rule then takes its arrays
-from it and the integrand its own, so the call allocates once, and the
-rule scales the values such an integrand returns by the Jacobian in place.
-The integrand's zeta is a view of the workspace, which the next block
-overwrites. Summation is angle first (the mean of each row, taken
-separately for the real and the imaginary part and kept for every row) and
-then one dot of the row means against the radial weights per integrand and
-part, the order a single pass over the whole grid uses. Block size does not
+resolution. Each block's arrays are plain numpy allocations, which below
+4 MiB reuse the heap pages of the blocks before them (the lift of glibc's
+thresholds at ``solver``'s import). Summation is angle first (the mean of
+each row, taken separately for the real and the imaginary part and kept
+for every row) and then one dot of the row means against the radial
+weights per integrand and part, the order a single pass over the whole
+grid uses. Block size does not
 change the result, a stacked integrand gets exactly what separate calls
 get, a real integrand gets exactly what its complex cast gets, and repeated
 calls are bitwise reproducible.
@@ -70,6 +65,7 @@ too; a folded result differs from the unfolded one by round-off only.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,7 +73,7 @@ import numpy as np
 
 from .errors import DomainError
 from .green import _abs2
-from .solver import _circle_angles, _Workspace
+from .solver import _as_int, _circle_angles
 
 # Split points and Gauss-Legendre order of the recentred rule's radial panels.
 _GEO_START = 1e-12
@@ -90,10 +86,6 @@ _EPS = np.finfo(float).eps
 # a block is 128 KiB, so an integrand's temporaries stay within a few MiB.
 _BLOCK_NODES = 1 << 13
 
-# Real arrays of a block the disk rule itself takes from its workspace: the
-# nodes and the pullback's denominator (complex) and the Jacobian.
-_RULE_PLANES = 5
-
 
 @dataclass(frozen=True)
 class CircleRule:
@@ -102,7 +94,7 @@ class CircleRule:
     n_nodes: int = 512
 
     def __post_init__(self):
-        if self.n_nodes < 1:
+        if _as_int(self.n_nodes, DomainError, "n_nodes") < 1:
             raise DomainError("CircleRule needs at least one node")
 
     @property
@@ -136,6 +128,8 @@ class DiskRule:
     outer_panels: int = 10
 
     def __post_init__(self):
+        for name in ("n_angular", "geo_panels", "outer_panels"):
+            _as_int(getattr(self, name), DomainError, name)
         if self.n_angular < 1:
             raise DomainError("DiskRule needs a positive angular node count")
         if self.geo_panels < 1 or self.outer_panels < 1:
@@ -158,8 +152,7 @@ def disk_integrate_centered(rule: DiskRule, integrand, center: complex,
     returns either a matching array, real or complex (the result is a
     complex), or a stack of them, shape ``(k,) + zeta.shape`` (the result is
     an array of k complexes, one per integrand). The Jacobian of the
-    substitution is applied internally. An integrand with a ``workspace``
-    attribute shares it with the rule (module docstring).
+    substitution is applied internally.
 
     ``mirror`` promises that the integrand takes equal values at zeta and at
     its reflection across the line through 0 and ``mirror`` (the real axis
@@ -176,47 +169,28 @@ def disk_integrate_centered(rule: DiskRule, integrand, center: complex,
     if axis is not None and abs((center * np.conj(axis)).imag) > 4 * _EPS * abs(center):
         raise DomainError("a folded recentred rule needs its center on the mirror line")
     step = max(1, _BLOCK_NODES // circle.size)
-    # room for the rule's arrays and weighted values of one complex or two
-    # real rows, unless the integrand carries the call's workspace
-    shared = getattr(integrand, "workspace", None)
-    space = _Workspace(_RULE_PLANES + 2) if shared is None else shared
 
     def block(lo, hi):
-        shape = (hi - lo, circle.size)
-        zeta = np.multiply(rho[lo:hi, None], circle, out=space.take("zeta", shape, complex))
-        zeta, jac = _pullback(center, zeta, (zeta, space.take("den", shape, complex),
-                                             space.take("jac", shape)))
-        vals = _block_values(integrand, zeta)
-        out = space.take("weighted", vals.shape, np.result_type(vals, jac)) if shared is None else vals
-        return np.multiply(vals, jac, out=out)
+        zeta, jac = _pullback(center, rho[lo:hi, None] * circle)
+        return _block_values(integrand, zeta) * jac
 
     return _sum_rows(block, step, 2.0 * rho * w, rule.n_angular, mirror is not None)
 
 
-def _pullback(center, eta, out=None):
+def _pullback(center, eta):
     """(zeta, jacobian) for the substitution zeta = (center - eta) / (1 - eta conj(center)).
 
     The Mobius involution exchanging 0 and ``center``; the area Jacobian of
     the substitution is (1 - |center|^2)^2 / |1 - eta conj(center)|^4. The
     caller keeps ``center`` inside the disk; eta is not checked, as the
-    rule's nodes lie strictly inside it by construction. ``out`` is
-    (zeta, denominator, jacobian), arrays of eta's shape, complex, complex
-    and real, written in place; zeta may be eta itself.
+    rule's nodes lie strictly inside it by construction.
     """
     eta = np.asarray(eta, dtype=complex)
-    if out is None:
-        out = (np.empty_like(eta), np.empty_like(eta), np.empty(eta.shape))
-    zeta, den, jac = out
-    np.multiply(eta, np.conj(center), out=den)
-    np.subtract(1.0, den, out=den)
-    np.subtract(center, eta, out=zeta)
-    np.divide(zeta, den, out=zeta)
-    # |den|^4 as (re^2 + im^2)^2; den is spent, so its imaginary part takes im^2
-    np.square(den.real, out=jac)
-    jac += np.square(den.imag, out=den.imag)
-    np.square(jac, out=jac)
-    np.divide((1.0 - _abs2(center)) ** 2, jac, out=jac)
-    return zeta, jac
+    den = 1.0 - eta * np.conj(center)
+    zeta = (center - eta) / den
+    # |den|^4 as (re^2 + im^2)^2
+    jac = den.real**2 + den.imag**2
+    return zeta, (1.0 - _abs2(center)) ** 2 / jac**2
 
 
 def _angular_nodes(n, mirror):
@@ -234,12 +208,15 @@ def _angular_nodes(n, mirror):
         return circle, None
     if n % 2:
         raise DomainError("a folded rule needs an even angular node count")
-    turns = n * np.angle(complex(mirror)) / np.pi
+    mirror = complex(mirror)
+    if not cmath.isfinite(mirror):
+        raise DomainError(f"the mirror must be finite, got {mirror}")
+    turns = n * np.angle(mirror) / np.pi
     k = round(turns)
     if k % 2 or abs(turns - k) > 4 * n * _EPS:
         raise DomainError(
             f"the {n}-angle grid is not closed under the reflection across the line "
-            f"through 0 and {complex(mirror)}")
+            f"through 0 and {mirror}")
     start = k // 2
     return circle[(start + np.arange(n // 2 + 1)) % n], circle[start % n]
 

@@ -62,8 +62,9 @@ spectra into the values (``Solution._rings``). The integral
 forms (circle quadrature of the kernels in ``kernels``, recentred disk
 quadrature of ``green.KernelParts.g``) stay in ``quadrature``, ``verify``
 and the tests as the independent oracle for the table. The solver imports
-no oracle module: it owns the helpers the oracle shares with it
-(``_circle_angles`` and the walkers' ``_Workspace``).
+no oracle module: it owns the helper the oracle shares with it
+(``_circle_angles``), and, at import, lifts glibc's heap thresholds once
+for the walkers' block arrays (the comment at the lift).
 
 The table is exact on the closed disk, up to the dropped tail: on the
 circle s = 0, so Phi takes the value f there and -(z Phi_z + zbar Phi_zbar)
@@ -117,50 +118,23 @@ def _circle_angles(n: int) -> np.ndarray:
     return out
 
 
-class _Workspace:
-    """The working arrays of one walker call, carved from one allocation.
-
-    A walker fills the same arrays block after block with ``out=``.
-    ``take(key, shape, dtype)`` hands out the array of a key: its first
-    request carves it from the slab, a later request of the same shape, or
-    of fewer entries along an axis (a walker's shorter last block), gets it
-    or a view of its leading part. The first request sizes the slab: room for
-    ``planes`` real arrays of its entries (a complex array takes two);
-    arrays past that room are allocated apart. Why one allocation: glibc
-    maps every request at or above its mmap threshold and returns the top
-    of the heap to the system once it passes its trim threshold. Both start
-    at 128 KiB; freeing a mapped block raises the first to that block's
-    size and the second to twice it. Block arrays allocated apart, each of
-    a few hundred KiB, sum past twice the largest of them, so the heap is
-    trimmed after every block or call and the next one faults its pages in
-    anew. A slab that holds them all is the largest block its call frees:
-    the call's blocks, and the next call's, then reuse the same pages.
-    """
-
-    def __init__(self, planes: int = 0):
-        self._planes = planes
-        self._slab = None
-        self._used = 0
-        self._arrays: dict = {}
-
-    def take(self, key: str, shape: tuple, dtype=float) -> np.ndarray:
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = self._arrays[key] = self._carve(shape, np.dtype(dtype))
-        return arr if arr.shape == shape else arr[tuple(slice(n) for n in shape)]
-
-    def _carve(self, shape, dtype) -> np.ndarray:
-        size = math.prod(shape)
-        if self._slab is None:
-            # 8 spare doubles a plane cover the rounding to whole lines below
-            self._slab = np.empty(self._planes * (size + 8))
-        doubles = -(-size * dtype.itemsize // 8)
-        if self._used + doubles > self._slab.size:
-            return np.empty(shape, dtype)
-        arr = self._slab[self._used:self._used + doubles].view(dtype)[:size].reshape(shape)
-        # whole 64-byte lines: every array starts aligned for its dtype
-        self._used += -(-doubles // 8) * 8
-        return arr
+# The block walkers (the oracle's disk rule, the chord walk and the quotient
+# pairs) allocate arrays of a few hundred KiB with plain numpy. glibc maps
+# every request at or above its mmap threshold and returns the top of the
+# heap to the system once more than its trim threshold is free. Both start
+# at 128 KiB, so such arrays would be mapped, or trimmed and regrown, block
+# after block or call after call, each time faulting their pages in anew.
+# Freeing a mapped block raises the mmap threshold to that block's size (up
+# to 32 MiB) and the trim threshold to twice it. So one 4 MiB array,
+# allocated and dropped here, lifts both once per process: arrays below
+# 4 MiB then come from the heap, which is trimmed only once more than 8 MiB
+# of it is free. Smaller lifts were measured as too small in fresh
+# processes (glibc 2.36, 2-core Xeon): at 1 MiB each later `lipschitz` call
+# on mixed.json faulted 555 pages (0 at 4 MiB); at 2 MiB the second call on
+# the 32,768-sample case faulted 5,082 (2,157 at 4 MiB). The package never
+# sets MALLOC_* or calls mallopt; a glibc malloc tunable in the environment
+# turns these dynamic thresholds, and so this lift, off.
+np.empty(4 << 20, np.uint8)
 
 
 class BoundaryData:

@@ -24,14 +24,8 @@ import numpy as np
 
 from . import green, kernels
 from .errors import DomainError
-from .quadrature import _RULE_PLANES, DEFAULT_RULES, circle_integrate, disk_integrate_centered
-from .solver import (
-    BoundaryData,
-    Case,
-    SourceTerm,
-    _circle_angles,
-    _Workspace,
-)
+from .quadrature import DEFAULT_RULES, circle_integrate, disk_integrate_centered
+from .solver import BoundaryData, Case, SourceTerm, _circle_angles
 
 # Interior points where pointwise identities and bounds are spot-checked.
 SAMPLE_POINTS = (0j, 0.25 + 0j, 0.5 * np.exp(1j * np.pi / 4), 0.75 + 0j, 0.9 + 0j)
@@ -49,11 +43,6 @@ _GRAD_STEP = 1e-5
 
 # Tolerance of every inequality in the bound suite.
 _BOUND_TOL = 1e-6
-
-# Real arrays of a block in the workspace of one recentred pass: the disk
-# rule's own, the KernelParts fields (d and w complex; ad2, aw2, log, s) and
-# the nine rows of ``_oracle_integrands``.
-_ORACLE_PLANES = _RULE_PLANES + 8 + 9
 
 # Mass bounds int |K(z, .)| dA <= limit(z) of the Green kernel and its
 # derivatives, as (check name, kernel, limit); scripts/bound_margins.py
@@ -161,20 +150,15 @@ def _zkey(z: complex) -> str:
     return f"{z.real:.4g}{z.imag:+.4g}j"
 
 
-def _oracle_integrands(z: complex, zeta: np.ndarray,
-                       space: Optional[_Workspace] = None) -> np.ndarray:
+def _oracle_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
     """The nine recentred integrands at z, built from one ``KernelParts``.
 
     Rows: the |K| of ``_ABS_MASS_BOUNDS``, the log-kernel mass, its
     |z - zeta|^2-weighted form and the swapped form (identities), then
     j1 = |z - zeta| log-ratio and j2 = (1 - |zeta|^2) |z - zeta| / |1 - conj(zeta) z|.
-    The parts and the rows are taken from ``space``, held for one pass of
-    the disk rule, so they are allocated once per pass; the result is then
-    a view of its arrays, which the next block overwrites.
     """
-    space = _Workspace() if space is None else space
-    parts = green.KernelParts._reusing(space, z, zeta)
-    out = space.take("rows", (9,) + zeta.shape)
+    parts = green.KernelParts(z, zeta)
+    out = np.empty((9,) + zeta.shape)
     for row, (_, kernel, _) in zip(out, _ABS_MASS_BOUNDS):
         np.abs(kernel(parts), out=row)
     out[4] = parts.log
@@ -192,16 +176,10 @@ def _recentred_masses(z: complex) -> tuple[list[tuple[str, complex, float]], np.
     """(check name, mass, limit) at z per row of ``_ABS_MASS_BOUNDS``, and the other five masses.
 
     One pass of the disk rule recentred at z, folded across the line through
-    0 and z. The integrand carries the pass's workspace, so the rule's block
-    arrays and its own come from one allocation (``solver._Workspace``).
+    0 and z.
     """
-    space = _Workspace(_ORACLE_PLANES)
-
-    def integrand(zeta):
-        return _oracle_integrands(z, zeta, space)
-
-    integrand.workspace = space
-    values = disk_integrate_centered(DEFAULT_RULES.disk, integrand, center=z, mirror=z)
+    values = disk_integrate_centered(DEFAULT_RULES.disk, lambda zeta: _oracle_integrands(z, zeta),
+                                     center=z, mirror=z)
     masses = [(name, mass, limit(z)) for (name, _, limit), mass in zip(_ABS_MASS_BOUNDS, values)]
     return masses, values[len(_ABS_MASS_BOUNDS):]
 
@@ -324,6 +302,8 @@ def fd_bilaplacian_residual(case: Case, grid_spacing: float, extent: float = 0.8
     h = float(grid_spacing)
     if not (0.0 < h <= _FD_MAX_SPACING):
         raise DomainError(f"grid spacing must lie in (0, {_FD_MAX_SPACING}]")
+    if not np.isfinite(extent):
+        raise DomainError(f"extent must be finite, got {extent}")
     if extent > _FD_DISK:
         raise DomainError(f"stencil support must stay inside |z| <= {_FD_DISK}")
     m = int(np.floor(extent / h))

@@ -1,16 +1,16 @@
-"""The package's import boundary and the oracle's allocation pattern, each in a fresh process."""
+"""The package's import boundary and its walkers' allocation pattern, each in a fresh process."""
 
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import biharmonic_disk
-from biharmonic_disk import quadrature, verify
+from biharmonic_disk import lipschitz, quadrature, verify
 
 SRC = str(Path(biharmonic_disk.__file__).resolve().parent.parent)
 
@@ -35,14 +35,16 @@ _PUBLIC = {
 }
 
 
-def _fresh(code: str):
+def _fresh(code: str, tunables=None):
     """Run code in a new interpreter on this checkout's package; its last stdout line, as JSON.
 
     The allocator tunables of glibc are left out of the child's environment,
-    so that it runs with the defaults a user's process has.
+    so that it runs with the defaults a user's process has, unless given in
+    ``tunables``.
     """
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env.update(tunables or {})
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
@@ -101,27 +103,53 @@ def test_star_import_and_unknown_names():
         biharmonic_disk.no_such_name
 
 
-def test_second_oracle_suite_call_faults_at_most_its_workspaces_in():
-    # Each of the suite's passes takes its block arrays from one workspace
-    # (solver._Workspace). Were every workspace mapped anew, the call would
-    # fault at most its pages in: that bounds the second call. Blocks whose
-    # arrays are allocated apart fault far more (12,000 per call at 8,127
-    # nodes a block, against this bound of about 1,900).
-    faults = _fresh(
-        "import json, resource\nimport biharmonic_disk, biharmonic_disk.cli\n"
-        "from biharmonic_disk import verify\n"
-        "verify.oracle_suite()\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "verify.oracle_suite()\n"
-        "print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))")
+def _faults_per_call(setup: str, call: str, calls: int, tunables=None) -> list:
+    """Minor page faults of each of ``calls`` runs of ``call`` in a fresh process."""
+    return _fresh(
+        "import io, json, resource, contextlib\nimport biharmonic_disk.cli as cli\n"
+        f"{setup}\nfaults = []\n"
+        f"for _ in range({calls}):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"    {call}\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(json.dumps(faults))", tunables)
+
+
+# A glibc malloc tunable in the environment turns its dynamic thresholds off,
+# and with them the lift at solver's import: the mmap threshold stays at
+# 128 KiB, and the heap is trimmed only past 64 MiB free.
+_TRIM_OFF = {"MALLOC_TRIM_THRESHOLD_": str(64 << 20)}
+
+
+@pytest.mark.parametrize("tunables", [None, _TRIM_OFF], ids=["default", "trim-threshold"])
+def test_later_oracle_suite_calls_fault_less_than_one_blocks_rows(tunables):
+    # The suite's passes allocate their block arrays with plain numpy. A
+    # later call reuses the heap pages the first one faulted in: by the lift
+    # at solver's import, and under the trim setting because the heap is
+    # then trimmed only past 64 MiB free. Were one block's arrays mapped
+    # anew, a later call would fault at least the integrand's rows of one
+    # block in: that is the bound. Without the lift a later call faults
+    # 12,900 pages; per-pass slabs mapped anew per call fault 1,750.
+    faults = _faults_per_call("from biharmonic_disk import verify", "verify.oracle_suite()", 3,
+                              tunables)
     rule = quadrature.DEFAULT_RULES.disk
     cols = rule.n_angular // 2 + 1  # every pass folds its rows
     block = min(quadrature._BLOCK_NODES // cols, rule.centered_radial_nodes[0].size) * cols
-    page = os.sysconf("SC_PAGE_SIZE")
+    rows = len(verify._oracle_integrands(0j, np.full((1, 1), 0.5 + 0j)))
+    bound = rows * block * 8 // os.sysconf("SC_PAGE_SIZE")
+    assert max(faults[1:]) < bound, faults
 
-    def pages(planes):
-        return math.ceil(planes * (block + 8) * 8 / page)
 
-    bound = (len(verify.SAMPLE_POINTS) * pages(verify._ORACLE_PLANES)
-             + pages(quadrature._RULE_PLANES + 2))
-    assert faults <= bound
+def test_later_lipschitz_calls_fault_less_than_one_pair_block():
+    # The chord walk and the quotient pairs allocate their buffers once per
+    # call, and the quotient draws 800 kB index arrays; by the lift at
+    # solver's import all come from the heap. A later call on the same case
+    # then reuses the first call's pages: fewer faults than the complex
+    # differences of one block of pairs take if mapped anew. Index arrays
+    # mapped anew in the second call fault about 400 pages.
+    case = Path(__file__).resolve().parent.parent / "scripts" / "cases" / "mixed.json"
+    faults = _faults_per_call(
+        "", "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert cli.main(['lipschitz', '--case', {str(case)!r}]) == 0", 3)
+    bound = lipschitz._PAIR_BLOCK * 16 // os.sysconf("SC_PAGE_SIZE")
+    assert max(faults[1:]) < bound, faults

@@ -40,9 +40,11 @@ def test_circle_trig_polynomial_exact():
     assert val == pytest.approx(2.5, abs=1e-14)
 
 
-def test_circle_rule_validation():
+@pytest.mark.parametrize("n_nodes", [0, 2.5, True])
+def test_circle_rule_validation(n_nodes):
+    # a node count that is not an integer would integrate e^{i theta} to 0.167-0.121i
     with pytest.raises(DomainError):
-        CircleRule(0)
+        CircleRule(n_nodes)
 
 
 def test_circle_integrand_shape_check():
@@ -105,15 +107,29 @@ def test_centered_handles_inverse_square_root_singularity():
     assert val == pytest.approx(4.0 / 3.0, rel=1e-10)
 
 
-def test_rule_validation():
+@pytest.mark.parametrize("resolution", [
+    {"n_angular": 0}, {"n_angular": 2.5}, {"n_angular": True}, {"geo_panels": 0},
+    {"geo_panels": 2.5}, {"outer_panels": 0}, {"outer_panels": 3.0},
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_rule_validation(resolution):
     with pytest.raises(DomainError):
-        DiskRule(n_angular=0)
+        DiskRule(**resolution)
+
+
+@pytest.mark.parametrize("center", [1.0, complex("nan"), complex("inf")])
+def test_rule_center_validation(center):
     with pytest.raises(DomainError):
-        disk_integrate_centered(DiskRule(), lambda z: np.ones_like(z), center=1.0)
-    with pytest.raises(DomainError):
-        DiskRule(geo_panels=0)
-    with pytest.raises(DomainError):
-        DiskRule(outer_panels=0)
+        disk_integrate_centered(DiskRule(), lambda z: np.ones_like(z), center=center)
+
+
+def test_rules_take_numpy_integers():
+    def one(z):
+        return np.ones_like(z, dtype=float)
+
+    rule = DiskRule(n_angular=np.int64(32), geo_panels=np.int32(40))
+    reference = disk_integrate_centered(DiskRule(n_angular=32), one, 0j)
+    assert disk_integrate_centered(rule, one, 0j) == reference
+    assert CircleRule(np.int64(8)).thetas.size == 8
 
 
 def test_centered_radial_nodes_integrate_unit_interval():
@@ -256,7 +272,10 @@ def test_folded_rule_matches_full_grid(center, at_origin):
     lambda f: disk_integrate_centered(DiskRule(), f, 0j, mirror=np.exp(0.1j)),
     # a Mobius map centred off the mirror line does not commute with the reflection
     lambda f: disk_integrate_centered(DiskRule(), f, 0.3j, mirror=0.5),
-], ids=["odd-count", "between-angles", "off-grid", "center-off-axis"])
+    # a mirror that is not finite names no line
+    lambda f: disk_integrate_centered(DiskRule(), f, 0j, mirror=complex("nan")),
+    lambda f: disk_integrate_centered(DiskRule(), f, 0j, mirror=complex("inf")),
+], ids=["odd-count", "between-angles", "off-grid", "center-off-axis", "nan-mirror", "inf-mirror"])
 def test_folded_rule_refusals(call):
     with pytest.raises(DomainError):
         call(lambda z: np.ones(z.shape))

@@ -286,6 +286,11 @@ def test_fd_residual_argument_validation(reference_cases):
         verify.fd_bilaplacian_residual(case, 0.02, extent=0.95)
     with pytest.raises(DomainError):
         verify.fd_bilaplacian_residual(case, 0.05, extent=0.05)
+    for extent in (np.nan, -np.inf):
+        with pytest.raises(DomainError):
+            verify.fd_bilaplacian_residual(case, 0.02, extent=extent)
+    with pytest.raises(DomainError):
+        verify.fd_bilaplacian_residual(case, np.nan)
 
 
 # ---------------------------------------------------------------------------
