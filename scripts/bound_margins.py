@@ -39,7 +39,7 @@ def sweep(radii) -> float:
     worst_grad = np.inf
     for r in radii:
         margins = {name: limit - mass.real
-                   for name, mass, limit in verify._abs_masses(complex(r))}
+                   for name, mass, limit in verify._recentred_masses(complex(r))[0]}
         worst_grad = min(worst_grad, margins["green-grad-abs-mass"])
         print(f"{r:5.2f}  " + "".join(f"{margins[name]:18.6f}" for name in LABELS))
     print(f"\nsmallest gradient-mass margin: {worst_grad:.6f} (must stay positive)")

@@ -229,7 +229,9 @@ def empirical_quotient(field: SolutionField, max_pairs: int = 100_000,
     alike), a negative ``seed`` or ``max_pairs`` below 1 raises
     ``DomainError`` whatever the grid. A non-finite node value raises
     ``DegenerateDataError``: every grid node is evaluated, so one means the
-    field is broken, and skipping it could make the quotient read low.
+    field is broken, and skipping it could make the quotient read low. No
+    command sets ``max_pairs``; it is kept because the benchmark harness
+    under ``perfbench/`` reads it to count the pairs.
     """
     seed = _as_int(seed, DomainError, "seed")
     max_pairs = _as_int(max_pairs, DomainError, "max_pairs")

@@ -58,7 +58,9 @@ for the inner sums and q - 1 multiply-adds in z^b. A polar grid
 (``Solution.grid``) is evaluated ring by ring: on |z| = r each row is a
 trigonometric polynomial in theta, whose modes fold mod n_theta, exactly
 at the grid's angles, and one inverse FFT per ring turns the folded
-spectra into the values (``Solution._rings``). The integral
+spectra into the values (``Solution._rings``). Both routes lay the
+table out per call from ``_kinds`` and form the weights s^p t^j and
+d/dt (s^p t^j) with ``_weights``. The integral
 forms (circle quadrature of the kernels in ``kernels``, recentred disk
 quadrature of ``green.KernelParts.g``) stay in ``quadrature``, ``verify``
 and the tests as the independent oracle for the table. The solver imports
@@ -355,8 +357,20 @@ class SourceTerm:
         )
 
     def sup_norm_bound(self) -> float:
-        """Certified upper bound sum |c_k| for the sup over the closed disk."""
-        return float(sum(abs(c) for _, _, c in self.terms))
+        """Certified upper bound sum |c_k| for the sup over the closed disk, rounded up.
+
+        abs(c) is hypot(Re c, Im c), within one ulp (glibc's documented
+        bound): 2u relative for a normal result (u = eps / 2), 2^-1074 for a
+        subnormal one. So |c_k| <= (a_k + 2^-1074) / (1 - 2u) for the
+        computed a_k, and math.fsum rounds X = sum (a_k + 2^-1074) once (a
+        subnormal X exactly): the sum S >= (1 - u) X >= (1 - 3u) sum |c_k|.
+        Then (1 + 4u) S >= (1 + u - 12 u^2) sum |c_k| >= sum |c_k|, and
+        nextafter steps past the rounding of that product.
+        """
+        if self.is_zero:
+            return 0.0
+        total = math.fsum([abs(c) for _, _, c in self.terms] + [len(self.terms) * math.ulp(0.0)])
+        return math.nextafter(total * (1.0 + 4 * _UNIT_ROUNDOFF), math.inf)
 
     def sup_norm_estimate(self) -> float:
         """Maximum of |g| on a 512 x 512 polar grid of the closed disk (a lower estimate).
@@ -469,9 +483,6 @@ class Solution:
                           + [d.n // 2 + 1 for d in (f, h) if d is not None] + [2])
         self._p = np.array([p for rows in blocks for p in rows[0]], dtype=int)
         self._j = np.array([j for rows in blocks for j in rows[1]], dtype=int)
-        # the point route's giant-step layout, built by its first call:
-        # grids never read it
-        self._blocks = None
 
     def coefficients(self) -> np.ndarray:
         """The table expanded as Phi = sum of c[d, l] w_d t^l, w_d = z^d or zbar^|d| (d < 0).
@@ -562,13 +573,7 @@ class Solution:
                 r = radii[lo:lo + step]
                 t = r * r
                 pows = _powers(np.concatenate([1.0 - t, t, r]), n_pow).reshape(n_pow, 3, r.size)
-                s_p, t_j = pows[p, 0], pows[j, 1]
-                forms = np.empty((n_forms, p.size, r.size))
-                np.multiply(s_p, t_j, out=forms[0])
-                if gradient:
-                    # d/dt (s^p t^j), as the point route forms it
-                    np.subtract(j[:, None] * s_p * pows[np.maximum(j - 1, 0), 1],
-                                p[:, None] * pows[np.maximum(p - 1, 0), 0] * t_j, out=forms[1])
+                forms = _weights(pows[:, 0], pows[:, 1], p, j, gradient)
                 products = forms.transpose(0, 2, 1)
                 if b > 1:
                     x_pow = _powers(pows[k, 2], b + 1).T
@@ -603,34 +608,30 @@ class Solution:
         shape, zs = zs.shape, zs.ravel()
         _check_points(zs)
         p, j = self._p, self._j
-        if self._blocks is None:
-            self._blocks = [_giant_steps(a, b) for _, _, a, b in self._rows]
-            self._baby = max((b for _, b, _ in self._blocks), default=1)
-            self._inner = sum(coef.shape[0] for coef, _, _ in self._blocks)
         kinds = 4 if gradient else 2
         outs = np.zeros((3 if gradient else 1, zs.size), dtype=complex)
-        # per point: the baby powers z^0 .. z^baby and the call's inner sums
-        step = max(1, _CHUNK_ENTRIES // (self._baby + 1 + kinds * self._inner // 4))
         # an overflow (rows, or sums of rows, past the double range) reaches
         # the outputs as inf or nan, which the check below refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, zs.size if self._blocks else 0, step):
+            blocks = [_giant_steps(a, b, kinds) for _, _, a, b in self._rows]
+            baby = max((b for _, b, _ in blocks), default=1)
+            # per point: the baby powers z^0 .. z^baby and the call's inner sums
+            inner = sum(coef.shape[0] for coef, _, _ in blocks)
+            step = max(1, _CHUNK_ENTRIES // (baby + 1 + inner))
+            for lo in range(0, zs.size if blocks else 0, step):
                 z = zs[lo:lo + step]
                 t = z.real**2 + z.imag**2
-                s_pow, t_pow = _powers(1.0 - t, 3), _powers(t, j.max() + 1)
-                z_pow = _powers(z, self._baby + 1)
+                z_pow = _powers(z, baby + 1)
                 x = np.concatenate([_contract(coef, b, q, kinds, z_pow)
-                                    for coef, b, q in self._blocks], axis=1)
+                                    for coef, b, q in blocks], axis=1)
                 u = x[0] + np.conj(x[1])
-                weight = s_pow[p] * t_pow[j]
-                outs[0, lo:lo + step] = np.sum(weight * u, axis=0)
+                forms = _weights(_powers(1.0 - t, 3), _powers(t, j.max() + 1), p, j, gradient)
+                outs[0, lo:lo + step] = np.sum(forms[0] * u, axis=0)
                 if gradient:
-                    # d/dt (s^p t^j); d/dz multiplies it by zbar and d/dzbar by z
-                    d_weight = (j[:, None] * s_pow[p] * t_pow[np.maximum(j - 1, 0)]
-                                - p[:, None] * s_pow[np.maximum(p - 1, 0)] * t_pow[j])
-                    radial = np.sum(d_weight * u, axis=0)
-                    outs[1, lo:lo + step] = np.conj(z) * radial + np.sum(weight * x[2], axis=0)
-                    outs[2, lo:lo + step] = z * radial + np.sum(weight * np.conj(x[3]), axis=0)
+                    # d/dz multiplies d/dt (s^p t^j) by zbar and d/dzbar by z
+                    radial = np.sum(forms[1] * u, axis=0)
+                    outs[1, lo:lo + step] = np.conj(z) * radial + np.sum(forms[0] * x[2], axis=0)
+                    outs[2, lo:lo + step] = z * radial + np.sum(forms[0] * np.conj(x[3]), axis=0)
         if not np.all(np.isfinite(outs)):
             raise _overflow(gradient)
         return tuple(out.reshape(shape) for out in outs)
@@ -670,12 +671,8 @@ def _ring_layout(blocks, n_theta: int, gradient: bool, r_out: float):
     coef = np.empty((sum(a.shape[1] * baby for (_, _, a, _), baby in zip(blocks, babies)),
                      kinds * q * k), dtype=complex)
     for (_, _, alpha, beta), baby in zip(blocks, babies):
-        width, n_rows = alpha.shape
-        c = np.zeros((kinds, n_rows, q * baby * k), dtype=complex)
-        c[0, :, :width] = alpha.T
-        np.conjugate(beta.T, out=c[1, :, :width])
-        if gradient:
-            c[2:, :, :width - 1] = _deriv(c[:2, :, :width])
+        n_rows = alpha.shape[1]
+        c = _kinds(alpha, beta, kinds, q * baby * k)
         if not math.isfinite((np.abs(c) @ r_pow[:c.shape[-1]]).max()):
             raise _overflow(gradient)
         coef[lo:lo + n_rows * baby].reshape(n_rows, baby, kinds, q, k)[...] = (
@@ -685,43 +682,62 @@ def _ring_layout(blocks, n_theta: int, gradient: bool, r_out: float):
     return coef.view(float), k, b, q, shapes
 
 
-def _giant_steps(alpha: np.ndarray, beta: np.ndarray):
-    """(matrix, b, q): a block's rows of width W laid out for baby and giant steps.
+def _kinds(alpha: np.ndarray, beta: np.ndarray, kinds: int, padded: int) -> np.ndarray:
+    """A block's first kinds of [alpha, conj(beta), alpha', conj(beta')] as (kinds, rows, padded).
 
-    The four kinds [alpha; conj(beta); alpha'; conj(beta')], each a
-    (rows) x W table (conj(zbar^m) = z^m, so one contraction against powers
-    of z gives all four), are written straight into the padded matrix.
-    b = isqrt(W - 1) + 1 and q = ceil(W / b). Row i of the kinds, zero-padded
-    to q b, becomes rows i q .. i q + q - 1 of the (4 rows q) x b matrix:
-    row i q + k holds the coefficients C_k of z^(k b) .. z^(k b + b - 1).
-    Rows keep their kind order, so a prefix of the matrix serves the first
-    kinds. Derivative rows that overflow are kept; ``Solution._evaluate``
-    refuses the outputs they reach.
+    Column m holds the coefficient of z^m (conj(zbar^m) = z^m), zero past
+    the block's width W. Both routes lay the table out from it. Derivative
+    rows that overflow are kept; each route refuses what they reach.
     """
     width, n_rows = alpha.shape
-    b = math.isqrt(width - 1) + 1
-    q = -(-width // b)
-    out = np.zeros((4, n_rows, q * b), dtype=complex)
+    out = np.zeros((kinds, n_rows, padded), dtype=complex)
     out[0, :, :width] = alpha.T
     np.conjugate(beta.T, out=out[1, :, :width])
-    with np.errstate(over="ignore", invalid="ignore"):
+    if kinds == 4:
         out[2:, :, :width - 1] = _deriv(out[:2, :, :width])
-    return out.reshape(4 * n_rows * q, b), b, q
+    return out
+
+
+def _giant_steps(alpha: np.ndarray, beta: np.ndarray, kinds: int):
+    """(matrix, b, q): a block's first kinds (``_kinds``) laid out for baby and giant steps.
+
+    With b = isqrt(W - 1) + 1 and q = ceil(W / b), row i q + k of the matrix
+    holds the coefficients C_k of z^(k b) .. z^(k b + b - 1) in row i of the kinds.
+    """
+    width = alpha.shape[0]
+    b = math.isqrt(width - 1) + 1
+    q = -(-width // b)
+    return _kinds(alpha, beta, kinds, q * b).reshape(-1, b), b, q
 
 
 def _contract(coef: np.ndarray, b: int, q: int, kinds: int, z_pow: np.ndarray) -> np.ndarray:
-    """The first kinds of a block's rows at the points of z_pow, shape (kinds, rows, n).
+    """A block's kinds at the points of z_pow, shape (kinds, rows, n).
 
     sum_k (z^b)^k (C_k @ [z^0 .. z^(b-1)]): one matmul for the inner sums,
     then Horner in the giant step z^b = z_pow[b] (q - 1 multiply-adds).
     """
     n = z_pow.shape[1]
-    inner = (coef[:kinds * coef.shape[0] // 4] @ z_pow[:b]).reshape(-1, q, n)
+    inner = (coef @ z_pow[:b]).reshape(-1, q, n)
     acc = inner[:, -1].copy()
     for k in range(q - 2, -1, -1):
         acc *= z_pow[b]
         acc += inner[:, k]
     return acc.reshape(kinds, -1, n)
+
+
+def _weights(s_pow: np.ndarray, t_pow: np.ndarray, p: np.ndarray, j: np.ndarray,
+             gradient: bool) -> np.ndarray:
+    """s^p t^j per row (p, j), and with gradient d/dt (s^p t^j) = j s^p t^(j-1) - p s^(p-1) t^j.
+
+    s_pow and t_pow hold the powers of s and of t as rows, one column per point or ring.
+    """
+    s_p, t_j = s_pow[p], t_pow[j]
+    out = np.empty((2 if gradient else 1,) + s_p.shape)
+    np.multiply(s_p, t_j, out=out[0])
+    if gradient:
+        np.subtract(j[:, None] * s_p * t_pow[np.maximum(j - 1, 0)],
+                    p[:, None] * s_pow[np.maximum(p - 1, 0)] * t_j, out=out[1])
+    return out
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:

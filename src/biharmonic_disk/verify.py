@@ -12,7 +12,9 @@ the field, by its values and normal derivative on the circle, and by
 difference quotients of its gradients.
 
 Checks are pure functions of immutable inputs; failures are recorded in the
-results, never raised.
+results, never raised. The oracle's modules (``green``, ``kernels`` and
+``quadrature``) are imported by the oracle functions that run them, so
+``verify`` on a case loads none of them.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import green, kernels
 from .errors import DomainError
-from .quadrature import DEFAULT_RULES, circle_integrate, disk_integrate_centered
 from .solver import BoundaryData, Case, SourceTerm, _circle_angles
 
 # Interior points where pointwise identities and bounds are spot-checked.
@@ -38,20 +38,24 @@ SAMPLE_RADII = (0.0, 0.25, 0.5, 0.75, 0.9)
 _FD_MAX_SPACING = 0.05
 _FD_DISK = 0.85
 
-# Central-difference step of the gradient crosscheck.
+# Central-difference step and allowance per unit of max(1, S) of the gradient crosscheck.
 _GRAD_STEP = 1e-5
+_GRAD_TOL = 1e-6
 
 # Tolerance of every inequality in the bound suite.
 _BOUND_TOL = 1e-6
 
+# The most circle nodes boundary_trace_check also runs through the point route.
+_POINT_NODES = 64
+
 # Mass bounds int |K(z, .)| dA <= limit(z) of the Green kernel and its
-# derivatives, as (check name, kernel, limit); scripts/bound_margins.py
-# sweeps the same rows over radii.
+# derivatives, as (check name, ``green.KernelParts`` method, limit);
+# scripts/bound_margins.py sweeps the same rows over radii.
 _ABS_MASS_BOUNDS = (
-    ("green-abs-mass", green.KernelParts.g, lambda z: 0.75),
-    ("green-grad-abs-mass", green.KernelParts.g_dz, lambda z: 23.0 / 6.0),
-    ("h2-abs-mass", green.KernelParts.h2, lambda z: 5.0 * (2.0 - abs(z) ** 2)),
-    ("h3-abs-mass", green.KernelParts.h3, lambda z: 7.0 / 3.0),
+    ("green-abs-mass", "g", lambda z: 0.75),
+    ("green-grad-abs-mass", "g_dz", lambda z: 23.0 / 6.0),
+    ("h2-abs-mass", "h2", lambda z: 5.0 * (2.0 - abs(z) ** 2)),
+    ("h3-abs-mass", "h3", lambda z: 7.0 / 3.0),
 )
 
 
@@ -122,12 +126,14 @@ class ManufacturedCase(Case):
     phi_star: SourceTerm
 
 
-def manufactured_case(phi_star: SourceTerm, n_samples: int = 512) -> ManufacturedCase:
+def manufactured_case(phi_star: SourceTerm) -> ManufacturedCase:
     """Data triple (f, h, g) whose unique solution is the given monomial sum.
 
     Termwise: z^a conj(z)^b restricts to e^{i(a-b)theta} on the circle, its
     inward normal derivative there is -(a+b) e^{i(a-b)theta}, and its
-    bilaplacian is a b (a-1)(b-1) z^(a-2) conj(z)^(b-2).
+    bilaplacian is a b (a-1)(b-1) z^(a-2) conj(z)^(b-2). f and h take
+    ``BoundaryData.from_fourier``'s 512 samples, which resolve every mode
+    |a - b| <= 16 of a load's exponents.
     """
     f_modes: dict[int, complex] = {}
     h_modes: dict[int, complex] = {}
@@ -136,8 +142,8 @@ def manufactured_case(phi_star: SourceTerm, n_samples: int = 512) -> Manufacture
         f_modes[mode] = f_modes.get(mode, 0j) + c
         h_modes[mode] = h_modes.get(mode, 0j) - (a + b) * c
     return ManufacturedCase(
-        f=BoundaryData.from_fourier(f_modes.items(), n_samples),
-        h=BoundaryData.from_fourier(h_modes.items(), n_samples),
+        f=BoundaryData.from_fourier(f_modes.items()),
+        h=BoundaryData.from_fourier(h_modes.items()),
         g=phi_star.bilaplacian(),
         phi_star=phi_star,
     )
@@ -157,10 +163,12 @@ def _oracle_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
     |z - zeta|^2-weighted form and the swapped form (identities), then
     j1 = |z - zeta| log-ratio and j2 = (1 - |zeta|^2) |z - zeta| / |1 - conj(zeta) z|.
     """
-    parts = green.KernelParts(z, zeta)
+    from .green import KernelParts
+
+    parts = KernelParts(z, zeta)
     out = np.empty((9,) + zeta.shape)
     for row, (_, kernel, _) in zip(out, _ABS_MASS_BOUNDS):
-        np.abs(kernel(parts), out=row)
+        np.abs(getattr(parts, kernel)(), out=row)
     out[4] = parts.log
     np.multiply(parts.ad2, parts.log, out=out[5])
     # the weight integrated in G's first argument at fixed second one z; its
@@ -178,19 +186,18 @@ def _recentred_masses(z: complex) -> tuple[list[tuple[str, complex, float]], np.
     One pass of the disk rule recentred at z, folded across the line through
     0 and z.
     """
+    from .quadrature import DEFAULT_RULES, disk_integrate_centered
+
     values = disk_integrate_centered(DEFAULT_RULES.disk, lambda zeta: _oracle_integrands(z, zeta),
                                      center=z, mirror=z)
     masses = [(name, mass, limit(z)) for (name, _, limit), mass in zip(_ABS_MASS_BOUNDS, values)]
     return masses, values[len(_ABS_MASS_BOUNDS):]
 
 
-def _abs_masses(z: complex) -> list[tuple[str, complex, float]]:
-    """The |K| rows of ``_recentred_masses(z)``, the oracle's one pass at z."""
-    return _recentred_masses(z)[0]
-
-
 def _circle_moment(r: float, p: int) -> complex:
     """Mean of |1 - r e^{-i theta}|^(-p) on the oracle's circle rule."""
+    from .quadrature import DEFAULT_RULES, circle_integrate
+
     return circle_integrate(
         DEFAULT_RULES.circle, lambda th: np.abs(1.0 - r * np.exp(-1j * th)) ** (-p))
 
@@ -209,6 +216,9 @@ def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
     requires. ``trace_kernel`` substitutes the trace kernel in the mean
     check (used by the negative-control tests to prove the check can fail).
     """
+    from . import kernels
+    from .quadrature import DEFAULT_RULES, circle_integrate, disk_integrate_centered
+
     tk = kernels.f0_eval if trace_kernel is None else trace_kernel
     identities: list[CheckResult] = []
     for z in SAMPLE_POINTS:
@@ -339,13 +349,15 @@ def fd_bilaplacian_residual(case: Case, grid_spacing: float, extent: float = 0.8
 def _data_scale(case: Case) -> float:
     """max(1, S), S = sum (1 + |m|)|f_m| + sum |h_m| + sum |g_k|: the size of the data.
 
-    S = T_f(0) + M_f(0) + T_h(0) + sum |g_k|, from the records of f and h.
+    S = T_f(0) + M_f(0) + T_h(0) + sum |g_k|, from the records of f and h;
+    the load's part is its round-to-nearest sum, a size rather than the
+    certified ``SourceTerm.sup_norm_bound``.
     One S serves every check: per-check scales fail, because the s^1 row
     cancels across levels.
     """
     f, h = case.f, case.h
     return max(1.0, float(f.tail[0]) + float(f.moment[0]) + float(h.tail[0])
-               + case.g.sup_norm_bound())
+               + sum(abs(c) for _, _, c in case.g.terms))
 
 
 def _exact_checks(case: Case, gaps) -> list[CheckResult]:
@@ -393,27 +405,39 @@ def uniqueness_checks(case: Case) -> list[CheckResult]:
 
 
 def boundary_trace_check(case: Case) -> list[CheckResult]:
-    """Phi = f and -(z Phi_z + zbar Phi_zbar) = h on the circle, through the evaluator.
+    """Phi = f and -(z Phi_z + zbar Phi_zbar) = h on the circle, through both evaluators.
 
     At each datum's own sample nodes, against its samples, so the checks
     also cover the split of the spectrum; ``uniqueness_checks`` never run
-    the evaluator.
+    the evaluator. Every node is evaluated on the ring route
+    (``Solution._rings`` at r = 1, one inverse FFT per kind, O(N log N)),
+    and every ceil(N / 64)-th node, at most 64 (``_POINT_NODES``), on the
+    point route too; each check takes the largest gap of both. Data of one
+    sample count share one call of each route, which gives the values and
+    the gradients together.
     """
-    f_nodes, h_nodes = (np.exp(1j * _circle_angles(d.n)) for d in (case.f, case.h))
-    d_z, d_zbar = case.solution.gradient(h_nodes)
-    normal = -(h_nodes * d_z + np.conj(h_nodes) * d_zbar)
+    solution, gaps = case.solution, ([], [])
+    for n in sorted({case.f.n, case.h.n}):
+        nodes = np.exp(1j * _circle_angles(n))
+        sub = slice(None, None, -(-n // _POINT_NODES))
+        routes = ((solution._rings(np.ones(1), n, True), nodes, slice(None)),
+                  (solution._evaluate(nodes[sub], True), nodes[sub], sub))
+        for (phi, d_z, d_zbar), z, at in routes:
+            if case.f.n == n:
+                gaps[0].append(np.ravel(phi) - case.f.samples[at])
+            if case.h.n == n:  # the inward normal derivative -(z Phi_z + zbar Phi_zbar)
+                gaps[1].append(np.ravel(-(z * d_z + np.conj(z) * d_zbar)) - case.h.samples[at])
     return _exact_checks(case, (
-        ("trace-exact[r=1]", case.solution.values(f_nodes) - case.f.samples,
-         case.solution.trace_tail),
-        ("normal-trace-exact[r=1]", normal - case.h.samples, case.solution.normal_tail)))
+        ("trace-exact[r=1]", np.concatenate(gaps[0]), solution.trace_tail),
+        ("normal-trace-exact[r=1]", np.concatenate(gaps[1]), solution.normal_tail)))
 
 
-def gradient_crosscheck(case: Case, points: Sequence[complex],
-                        tolerance: float = 1e-6) -> list[CheckResult]:
+def gradient_crosscheck(case: Case, points: Sequence[complex]) -> list[CheckResult]:
     """Table gradients vs central differences of the field, all points in one pass.
 
-    Each point is allowed ``tolerance`` max(1, S) (S as in ``_data_scale``):
-    the round-off of a difference quotient grows like eps |Phi| / step.
+    Each point is allowed 1e-6 max(1, S) (``_GRAD_TOL``, S as in
+    ``_data_scale``): the round-off of a difference quotient grows like
+    eps |Phi| / step.
     """
     zs = np.asarray(points, dtype=complex).ravel()
     if np.any(np.abs(zs) > 0.9):
@@ -422,7 +446,7 @@ def gradient_crosscheck(case: Case, points: Sequence[complex],
     ve = case.solution.values(zs[:, None] + _GRAD_STEP * np.array([1.0, -1.0, 1j, -1j]))
     ux, uy = ((ve[:, ::2] - ve[:, 1::2]) / (2.0 * _GRAD_STEP)).T
     gaps = np.maximum(np.abs(d_z - (ux - 1j * uy) / 2.0), np.abs(d_zbar - (ux + 1j * uy) / 2.0))
-    allowance = tolerance * _data_scale(case)
+    allowance = _GRAD_TOL * _data_scale(case)
     return [CheckResult.equality(f"gradient-crosscheck[z={_zkey(z)}]", gap, 0.0, allowance)
             for z, gap in zip(zs, gaps)]
 

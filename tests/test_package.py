@@ -73,6 +73,20 @@ def test_kernel_command_loads_kernels_only():
                 "biharmonic_disk.lipschitz"} & set(loaded[1])
 
 
+def test_verify_command_loads_no_oracle_module():
+    # the oracle's modules are imported by the oracle functions alone
+    case = Path(__file__).resolve().parent.parent / "scripts" / "cases" / "mixed.json"
+    loaded = _fresh(
+        "import io, json, sys, contextlib\nimport biharmonic_disk.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.main(['verify', '--case', {str(case)!r}])\n"
+        f"print(json.dumps([rc, {_loaded(_HEAVY)}]))")
+    assert loaded[0] == 0
+    assert "biharmonic_disk.verify" in loaded[1]
+    assert not {"biharmonic_disk.green", "biharmonic_disk.kernels",
+                "biharmonic_disk.quadrature"} & set(loaded[1])
+
+
 def test_every_public_name_is_its_defining_modules_object():
     # in a fresh process, so that every lazy name is served by __getattr__
     code = """

@@ -145,7 +145,7 @@ def test_abs_masses_at_origin_match_closed_forms():
     # Each |K| is at most 1/|zeta| near 0, so the rule's radial panels,
     # which start at _GEO_START, skip at most 2 _GEO_START of its mass
     # (|H3| = (1 - r^2)^2 / r skips just that)
-    masses = {name: mass for name, mass, _ in verify._abs_masses(0j)}
+    masses = {name: mass for name, mass, _ in verify._recentred_masses(0j)[0]}
     expected = {"green-abs-mass": 1 / 4, "green-grad-abs-mass": 8 / 45,
                 "h2-abs-mass": 1 / 2, "h3-abs-mass": 16 / 15}
     assert masses.keys() == expected.keys()
@@ -191,12 +191,13 @@ def test_oracle_makes_one_recentred_pass_per_sample_point(monkeypatch):
     # 6 calls: the j3 area, then one pass per sample point; a second pass
     # over the same nodes would show here
     calls = []
+    integrate = quadrature.disk_integrate_centered
 
     def counted(*args, **kwargs):
         calls.append(kwargs["center"])
-        return quadrature.disk_integrate_centered(*args, **kwargs)
+        return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "disk_integrate_centered", counted)
+    monkeypatch.setattr(quadrature, "disk_integrate_centered", counted)
     verify.oracle_suite()
     assert calls == [0j, *verify.SAMPLE_POINTS]
 
@@ -354,6 +355,28 @@ def test_exact_tolerance_scales_with_the_data():
                  "bilaplacian": 0.0}
         for name, c in checks.items():
             assert c.tolerance == pytest.approx(tolerance + tails[name.split("-")[0]], rel=1e-14)
+
+
+# sample counts of f and h, and the nodes each count sends through the point
+# route (every ceil(N / 64)-th), one call per count, in increasing count
+@pytest.mark.parametrize("n_f, n_h, points", [
+    (4, 4, [4]), (130, 64, [64, 44]), (512, 32768, [64, 64])])
+def test_circle_checks_run_at_most_64_nodes_through_the_point_route(monkeypatch, n_f, n_h,
+                                                                    points):
+    # every node goes through the ring route, and a fixed subsample of at
+    # most 64 through the point route, which is O(N W)
+    rng = np.random.default_rng(n_h)
+    case = solver.Case(*(BoundaryData(rng.normal(size=n) + 1j * rng.normal(size=n))
+                         for n in (n_f, n_h)), SourceTerm([(2, 1, 1.0)]))
+    sizes, evaluate = [], solver.Solution._evaluate
+
+    def counted(self, zs, gradient):
+        sizes.append(np.size(zs))
+        return evaluate(self, zs, gradient)
+
+    monkeypatch.setattr(solver.Solution, "_evaluate", counted)
+    assert _failed({c.name: c for c in verify.boundary_trace_check(case)}) == set()
+    assert sizes == points
 
 
 def test_exact_circle_checks_hold_on_a_high_degree_case():
@@ -522,9 +545,7 @@ def test_checks_take_the_spectrum_from_the_data(monkeypatch):
 
 
 def test_gradient_crosscheck_bump(reference_cases):
-    checks = verify.gradient_crosscheck(
-        reference_cases["bump"], [0.3 + 0.2j, -0.4 + 0j, 0.5j], tolerance=1e-7
-    )
+    checks = verify.gradient_crosscheck(reference_cases["bump"], [0.3 + 0.2j, -0.4 + 0j, 0.5j])
     assert len(checks) == 3
     for c in checks:
         assert c.passed
