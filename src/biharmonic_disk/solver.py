@@ -47,26 +47,28 @@ own ``Solution``, assembled on first use and then reused. The two blocks:
   s^p stays factored out of each row, so nothing cancels as r -> 0 or r -> 1.
 
 Values and Wirtinger gradients are evaluated from the table, never the
-field: d/dz (s^p t^j) = zbar (j s^p t^(j-1) - p s^(p-1) t^j) (z for
-d/dzbar), plus alpha' and beta'. Powers of z, s and t come from repeated
-products. Scattered points (``Solution.values``, ``.gradient``) meet the
-powers of z of a block of width W by baby and giant steps (Paterson and
-Stockmeyer, SIAM J. Comput. 2, 1973): with b = isqrt(W - 1) + 1 and
-q = ceil(W / b), each row is sum_k (z^b)^k (C_k @ [z^0 .. z^(b-1)]), so a
-chunk of points needs b + 1 powers of z instead of W, one matmul per block
-for the inner sums and q - 1 multiply-adds in z^b. A polar grid
-(``Solution.grid``) is evaluated ring by ring: on |z| = r each row is a
-trigonometric polynomial in theta, whose modes fold mod n_theta, exactly
-at the grid's angles, and one inverse FFT per ring turns the folded
-spectra into the values (``Solution._rings``). Both routes lay the
-table out per call from ``_kinds`` and form the weights s^p t^j and
-d/dt (s^p t^j) with ``_weights``. The integral
-forms (circle quadrature of the kernels in ``kernels``, recentred disk
-quadrature of ``green.KernelParts.g``) stay in ``quadrature``, ``verify``
-and the tests as the independent oracle for the table. The solver imports
-no oracle module: it owns the helper the oracle shares with it
-(``_circle_angles``), and, at import, lifts glibc's heap thresholds once
-for the walkers' block arrays (the comment at the lift).
+field: d/dz (s^p t^j) = zbar d/dt (s^p t^j) (z for d/dzbar), plus alpha'
+and beta'. Each block weighs its rows by its own rule (``_row_weights``):
+[1, s] with d/dt [0, -1] for the boundary rows, s^2 t^j with d/dt
+j s^2 t^(j-1) - 2 s t^j for the load rows. Powers of z and t come from
+repeated products. Scattered points (``Solution.values``, ``.gradient``)
+meet the powers of z of a block of width W by baby and giant steps
+(Paterson and Stockmeyer, SIAM J. Comput. 2, 1973): with
+b = isqrt(W - 1) + 1 and q = ceil(W / b), each row is
+sum_k (z^b)^k (C_k @ [z^0 .. z^(b-1)]), so a chunk of points needs b + 1
+powers of z instead of W, one matmul per block for the inner sums, and
+one product with the q giant steps (z^b)^k and one sum over them. A polar
+grid (``Solution.grid``) is evaluated ring by ring: on |z| = r each row
+is a trigonometric polynomial in theta, whose modes fold mod n_theta,
+exactly at the grid's angles, and one inverse FFT per ring turns the
+folded spectra into the values (``Solution._rings``). Both routes lay the
+table out per call from ``_kinds``. The integral forms (circle quadrature
+of the kernels in ``kernels``, recentred disk quadrature of
+``green.KernelParts.g``) stay in ``quadrature``, ``verify`` and the tests
+as the independent oracle for the table. The solver imports no oracle
+module: it owns the helper the oracle shares with it (``_circle_angles``),
+and, at import, lifts glibc's heap thresholds once for the walkers' block
+arrays (the comment at the lift).
 
 The table is exact on the closed disk, up to the dropped tail: on the
 circle s = 0, so Phi takes the value f there and -(z Phi_z + zbar Phi_zbar)
@@ -439,10 +441,11 @@ class Solution:
 
     Any of f, h, g may be None. Boundary rows (cut to the data's bandwidth
     w <= N/2 + 1, ``_boundary_rows``) and load rows (width at most
-    MAX_EXPONENT + 1) are separate blocks, so load rows are not padded to
-    the band. A call whose values or gradients overflow double precision
-    raises ``DegenerateDataError``; the derivative rows carry one more
-    factor of the mode, so gradients overflow first.
+    MAX_EXPONENT + 1) are separate blocks (load, alpha, beta), so load rows
+    are not padded to the band; ``load`` picks the block's weight rule
+    (``_row_weights``). A call whose values or gradients overflow double
+    precision raises ``DegenerateDataError``; the derivative rows carry one
+    more factor of the mode, so gradients overflow first.
 
     ``value_tail`` and ``gradient_tail`` bound, on the closed disk, what the
     cut drops from Phi and from |Phi_z| + |Phi_zbar|. With T_f = T_f(w),
@@ -473,32 +476,32 @@ class Solution:
     def __init__(self, f: Optional[BoundaryData] = None,
                  h: Optional[BoundaryData] = None, g: Optional[SourceTerm] = None):
         boundary = _boundary_rows(f, h)
-        width = 0 if boundary is None else boundary[2].shape[0]
+        width = 0 if boundary is None else boundary[1].shape[0]
         (t_f, m_f), (t_h, _) = _dropped(f, width), _dropped(h, width)
         self.value_tail, self.gradient_tail = t_f + t_h / 2, 1.5 * m_f + t_h
         self.trace_tail, self.normal_tail = t_f, t_h
         self._rows = blocks = [b for b in (boundary, _load_rows(g)) if b is not None]
         # the modes coefficients() covers: those of the table, of f and h, and +-1
-        self._width = max([a.shape[0] for _, _, a, _ in blocks]
+        self._width = max([a.shape[0] for _, a, _ in blocks]
                           + [d.n // 2 + 1 for d in (f, h) if d is not None] + [2])
-        self._p = np.array([p for rows in blocks for p in rows[0]], dtype=int)
-        self._j = np.array([j for rows in blocks for j in rows[1]], dtype=int)
 
     def coefficients(self) -> np.ndarray:
         """The table expanded as Phi = sum of c[d, l] w_d t^l, w_d = z^d or zbar^|d| (d < 0).
 
         Rows run in FFT order (``c[d, l]`` takes either sign of d) over the modes of
         the table, of f and h, and +-1; row s^p t^j adds C(p, k) (-1)^k to level j + k.
+        The boundary block holds rows (0, 0) and (1, 0), the load block rows (2, j).
         """
-        depth = int(np.max(self._p + self._j, initial=0)) + 1
-        c = np.zeros((2 * self._width - 1, depth), dtype=complex)
-        for ps, js, alpha, beta in self._rows:
-            d = np.arange(alpha.shape[0])
-            for row, (p, j) in enumerate(zip(ps, js)):
-                for k in range(p + 1):
-                    weight = math.comb(p, k) * (-1) ** k
-                    c[d, j + k] += weight * alpha[:, row]
-                    c[-d, j + k] += weight * beta[:, row]
+        rows = [((2, j) if load else (j, 0), alpha[:, j], beta[:, j])
+                for load, alpha, beta in self._rows for j in range(alpha.shape[1])]
+        c = np.zeros((2 * self._width - 1, max([p + j for (p, j), _, _ in rows], default=0) + 1),
+                     dtype=complex)
+        for (p, j), alpha, beta in rows:
+            d = np.arange(alpha.size)
+            for k in range(p + 1):
+                weight = math.comb(p, k) * (-1) ** k
+                c[d, j + k] += weight * alpha
+                c[-d, j + k] += weight * beta
         return c
 
     def values(self, zs) -> np.ndarray:
@@ -544,13 +547,14 @@ class Solution:
         a polynomial of degree L - 1 in x, L = ceil(W / k), which meets the
         powers of x by baby and giant steps as the point route meets those
         of z (b baby steps). One matmul of the laid-out table
-        (``_ring_layout``) against the products x^i s^p t^j, i < b, gives
-        the inner sums of every fold of a block of rings, and Horner in x^b
-        the rest. The gradient adds alpha' and beta', and the radial part
+        (``_ring_layout``) gives the inner sums of every fold of a block of
+        rings; its left operand holds each block's row weights
+        (``_row_weights``) times x^i, i < b, and Horner in x^b gives the
+        rest. The gradient adds alpha' and beta', and the radial part
         sum (d/dt s^p t^j) u, whose folds take a second matmul, against the
-        products x^i d/dt s^p t^j. The folds of each kind fill a spectrum
+        row weights' d/dt times x^i. The folds of each kind fill a spectrum
         and one inverse FFT per ring and kind gives its values. The table
-        holds conj(beta), whose folds are conjugate to beta's (the products
+        holds conj(beta), whose folds are conjugate to beta's (the weights
         are real), so beta's part is the conjugate of its values. The radial
         part is multiplied by zbar and z at the rounded nodes
         r * exp(1j * theta), the grid's points. Rings are walked in blocks
@@ -559,27 +563,24 @@ class Solution:
         outs = np.zeros((3 if gradient else 1, radii.size, n_theta), dtype=complex)
         if not self._rows:
             return tuple(outs)
-        p, j = self._p, self._j
         with np.errstate(over="ignore", invalid="ignore"):
-            coef, k, b, q, shapes = _ring_layout(self._rows, n_theta, gradient, radii[-1])
+            coef, k, b, q, babies = _ring_layout(self._rows, n_theta, gradient, radii[-1])
             n_forms, n_kinds = (2, 6) if gradient else (1, 2)
-            n_pow = max(3, int(j.max()) + 1, k + 1)
             nodes = np.exp(1j * _circle_angles(n_theta))
-            # per ring: the forms and their products with x^i, the inner
-            # sums, the powers of s, t, r and x, and the spectra and values
-            step = max(1, _CHUNK_ENTRIES // (n_forms * coef.shape[0] + coef.shape[1] + 3 * n_pow
-                                             + b + n_kinds * (k + n_theta)))
+            # per ring: the weights' products with x^i, the inner sums, the
+            # powers of r and x, and the spectra and values
+            step = max(1, _CHUNK_ENTRIES // (n_forms * coef.shape[0] + coef.shape[1] + k + b + 2
+                                             + n_kinds * (k + n_theta)))
             for lo in range(0, radii.size, step):
                 r = radii[lo:lo + step]
-                t = r * r
-                pows = _powers(np.concatenate([1.0 - t, t, r]), n_pow).reshape(n_pow, 3, r.size)
-                forms = _weights(pows[:, 0], pows[:, 1], p, j, gradient)
-                products = forms.transpose(0, 2, 1)
+                r_pow = _powers(r, k + 1)
+                products = [_row_weights(load, r * r, alpha.shape[1], gradient).transpose(0, 2, 1)
+                            for load, alpha, _ in self._rows]
                 if b > 1:
-                    x_pow = _powers(pows[k, 2], b + 1).T
-                    products = np.concatenate(
-                        [(products[:, :, first:end, None] * x_pow[:, None, :baby])
-                         .reshape(n_forms, r.size, -1) for baby, first, end in shapes], axis=-1)
+                    x_pow = _powers(r_pow[k], b + 1).T
+                    products = [(w[..., None] * x_pow[:, None, :baby]).reshape(n_forms, r.size, -1)
+                                for w, baby in zip(products, babies)]
+                products = np.concatenate(products, axis=-1)
                 inner = (products[0] @ coef).view(complex).reshape(r.size, -1, q, k)
                 if gradient:
                     # the radial part folds alpha and conj(beta), the first columns
@@ -590,7 +591,7 @@ class Solution:
                 for g in range(q - 2, -1, -1):
                     folds = folds * x_pow[:, b, None, None] + inner[:, :, g]
                 # the spectra, padded with zeros from k to n_theta
-                waves = np.fft.ifft(folds * pows[:k, 2].T[:, None], n_theta, norm="forward")
+                waves = np.fft.ifft(folds * r_pow[:k].T[:, None], n_theta, norm="forward")
                 np.conjugate(waves[:, 1::2], out=waves[:, 1::2])
                 np.add(waves[:, 0], waves[:, 1], out=outs[0, lo:lo + step])
                 if gradient:
@@ -603,35 +604,39 @@ class Solution:
         return tuple(outs)
 
     def _evaluate(self, zs, gradient: bool):
-        """(Phi,), or (Phi, Phi_z, Phi_zbar) with gradient, at each point of zs."""
+        """(Phi,), or (Phi, Phi_z, Phi_zbar) with gradient, at each point of zs.
+
+        Each block's kinds (``_contract``) are weighed together by one product
+        with its row weights (``_row_weights``) and one sum over its rows.
+        """
         zs = np.asarray(zs, dtype=complex)
         shape, zs = zs.shape, zs.ravel()
         _check_points(zs)
-        p, j = self._p, self._j
         kinds = 4 if gradient else 2
         outs = np.zeros((3 if gradient else 1, zs.size), dtype=complex)
         # an overflow (rows, or sums of rows, past the double range) reaches
         # the outputs as inf or nan, which the check below refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = [_giant_steps(a, b, kinds) for _, _, a, b in self._rows]
-            baby = max((b for _, b, _ in blocks), default=1)
+            blocks = [(load, *_giant_steps(a, b, kinds)) for load, a, b in self._rows]
+            baby = max((b for _, _, b, _ in blocks), default=1)
             # per point: the baby powers z^0 .. z^baby and the call's inner sums
-            inner = sum(coef.shape[0] for coef, _, _ in blocks)
+            inner = sum(coef.shape[0] for _, coef, _, _ in blocks)
             step = max(1, _CHUNK_ENTRIES // (baby + 1 + inner))
             for lo in range(0, zs.size if blocks else 0, step):
                 z = zs[lo:lo + step]
                 t = z.real**2 + z.imag**2
                 z_pow = _powers(z, baby + 1)
-                x = np.concatenate([_contract(coef, b, q, kinds, z_pow)
-                                    for coef, b, q in blocks], axis=1)
-                u = x[0] + np.conj(x[1])
-                forms = _weights(_powers(1.0 - t, 3), _powers(t, j.max() + 1), p, j, gradient)
-                outs[0, lo:lo + step] = np.sum(forms[0] * u, axis=0)
-                if gradient:
-                    # d/dz multiplies d/dt (s^p t^j) by zbar and d/dzbar by z
-                    radial = np.sum(forms[1] * u, axis=0)
-                    outs[1, lo:lo + step] = np.conj(z) * radial + np.sum(forms[0] * x[2], axis=0)
-                    outs[2, lo:lo + step] = z * radial + np.sum(forms[0] * np.conj(x[3]), axis=0)
+                acc = outs[:, lo:lo + step]
+                for load, coef, b, q in blocks:
+                    x = _contract(coef, b, q, kinds, z_pow)
+                    weights = _row_weights(load, t, x.shape[1], gradient)
+                    v = (weights[0] * x).sum(axis=1)
+                    acc[0] += v[0] + np.conj(v[1])
+                    if gradient:
+                        # d/dz multiplies d/dt (s^p t^j) by zbar and d/dzbar by z
+                        radial = (weights[1] * (x[0] + np.conj(x[1]))).sum(axis=0)
+                        acc[1] += np.conj(z) * radial + v[2]
+                        acc[2] += z * radial + np.conj(v[3])
         if not np.all(np.isfinite(outs)):
             raise _overflow(gradient)
         return tuple(out.reshape(shape) for out in outs)
@@ -643,7 +648,7 @@ def _overflow(gradient: bool) -> DegenerateDataError:
 
 
 def _ring_layout(blocks, n_theta: int, gradient: bool, r_out: float):
-    """(coef, k, b, q, shapes): the table laid out for ``Solution._rings``.
+    """(coef, k, b, q, babies): the table laid out for ``Solution._rings``.
 
     k = min(n_theta, W) over the widest block, whose folds take L =
     ceil(W / k) powers of x = r^k: b baby steps and q = ceil(L / b) giant
@@ -654,32 +659,31 @@ def _ring_layout(blocks, n_theta: int, gradient: bool, r_out: float):
     balances the two. A block whose folds take L_b powers has min(b, L_b)
     baby steps: its rows (row, i) of coef hold, in columns (kind, giant step
     g, k'), the coefficient of mode k' + (g b + i) k, as pairs of floats (a
-    real matmul then serves the complex coefficients). shapes lists each
-    block's (baby steps, first row, end row). A row whose absolute sum on
-    the outer ring r_out overflows is refused, as the point route refuses
-    it at the node where its terms meet in phase.
+    real matmul then serves the complex coefficients). babies lists each
+    block's baby steps. A row whose absolute sum on the outer ring r_out
+    overflows is refused, as the point route refuses it at the node where
+    its terms meet in phase.
     """
-    widths = [alpha.shape[0] for _, _, alpha, _ in blocks]
+    widths = [alpha.shape[0] for _, alpha, _ in blocks]
     k = min(n_theta, max(widths))
     depth = -(-max(widths) // k)
     b = min(depth, math.isqrt((6 if gradient else 2) * k * depth) + 1)
     q = -(-depth // b)
     kinds = 4 if gradient else 2
     r_pow = r_out ** np.arange(q * b * k)
-    shapes, first, lo = [], 0, 0
+    lo = 0
     babies = [min(b, -(-width // k)) for width in widths]
-    coef = np.empty((sum(a.shape[1] * baby for (_, _, a, _), baby in zip(blocks, babies)),
+    coef = np.empty((sum(a.shape[1] * baby for (_, a, _), baby in zip(blocks, babies)),
                      kinds * q * k), dtype=complex)
-    for (_, _, alpha, beta), baby in zip(blocks, babies):
+    for (_, alpha, beta), baby in zip(blocks, babies):
         n_rows = alpha.shape[1]
         c = _kinds(alpha, beta, kinds, q * baby * k)
         if not math.isfinite((np.abs(c) @ r_pow[:c.shape[-1]]).max()):
             raise _overflow(gradient)
         coef[lo:lo + n_rows * baby].reshape(n_rows, baby, kinds, q, k)[...] = (
             c.reshape(kinds, n_rows, q, baby, k).transpose(1, 3, 0, 2, 4))
-        shapes.append((baby, first, first + n_rows))
-        first, lo = first + n_rows, lo + n_rows * baby
-    return coef.view(float), k, b, q, shapes
+        lo += n_rows * baby
+    return coef.view(float), k, b, q, babies
 
 
 def _kinds(alpha: np.ndarray, beta: np.ndarray, kinds: int, padded: int) -> np.ndarray:
@@ -714,29 +718,34 @@ def _contract(coef: np.ndarray, b: int, q: int, kinds: int, z_pow: np.ndarray) -
     """A block's kinds at the points of z_pow, shape (kinds, rows, n).
 
     sum_k (z^b)^k (C_k @ [z^0 .. z^(b-1)]): one matmul for the inner sums,
-    then Horner in the giant step z^b = z_pow[b] (q - 1 multiply-adds).
+    then one product with the giant steps (z^b)^k, k < q (none for q = 1),
+    and one sum over k.
     """
     n = z_pow.shape[1]
     inner = (coef @ z_pow[:b]).reshape(-1, q, n)
-    acc = inner[:, -1].copy()
-    for k in range(q - 2, -1, -1):
-        acc *= z_pow[b]
-        acc += inner[:, k]
-    return acc.reshape(kinds, -1, n)
+    if q > 1:
+        inner *= _powers(z_pow[b], q)
+    return inner.sum(axis=1).reshape(kinds, -1, n)
 
 
-def _weights(s_pow: np.ndarray, t_pow: np.ndarray, p: np.ndarray, j: np.ndarray,
-             gradient: bool) -> np.ndarray:
-    """s^p t^j per row (p, j), and with gradient d/dt (s^p t^j) = j s^p t^(j-1) - p s^(p-1) t^j.
+def _row_weights(load: bool, t: np.ndarray, n_rows: int, gradient: bool) -> np.ndarray:
+    """A block's row weights at t = |z|^2, s = 1 - t: shape (1, or 2 with gradient, n_rows, t.size).
 
-    s_pow and t_pow hold the powers of s and of t as rows, one column per point or ring.
+    The boundary block's rows (0, 0) and (1, 0) weigh [1, s], with d/dt
+    [0, -1]; the load block's rows (2, j) weigh s^2 t^j, with d/dt
+    j s^2 t^(j-1) - 2 s t^j. Both routes weigh by this rule alone.
     """
-    s_p, t_j = s_pow[p], t_pow[j]
-    out = np.empty((2 if gradient else 1,) + s_p.shape)
-    np.multiply(s_p, t_j, out=out[0])
+    s = 1.0 - t
+    out = np.empty((2 if gradient else 1, n_rows, t.size))
+    if not load:
+        out[0, 0], out[0, 1] = 1.0, s
+        out[1:, 0], out[1:, 1] = 0.0, -1.0  # d/dt, with gradient
+        return out
+    t_pow = _powers(t, n_rows)
+    out[0] = s * s * t_pow
     if gradient:
-        np.subtract(j[:, None] * s_p * t_pow[np.maximum(j - 1, 0)],
-                    p[:, None] * s_pow[np.maximum(p - 1, 0)] * t_j, out=out[1])
+        out[1] = -2.0 * s * t_pow
+        out[1, 1:] += np.arange(1, n_rows)[:, None] * out[0, :-1]
     return out
 
 
@@ -763,15 +772,16 @@ def _deriv(c: np.ndarray) -> np.ndarray:
 
 def _check_points(zs: np.ndarray) -> None:
     """The one refusal rule of every point entry point (module docstring)."""
-    if not np.all(np.isfinite(zs)):
-        raise DomainError("z must be finite")
-    r = np.abs(zs)
-    if np.any(r > 1.0 + _CIRCLE_SLACK):
-        raise DomainError(f"radius {float(r.max())} lies outside the closed unit disk")
+    # one pass: the largest modulus (0 for no points) is nan or inf for a non-finite z
+    r = float(np.max(np.abs(zs), initial=0.0))
+    if not r <= 1.0 + _CIRCLE_SLACK:
+        if not np.all(np.isfinite(zs)):
+            raise DomainError("z must be finite")
+        raise DomainError(f"radius {r} lies outside the closed unit disk")
 
 
 def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
-    """(p, j, alpha, beta) of rows (0, 0) and (1, 0), or None for zero data.
+    """(False, alpha, beta) of rows (0, 0) and (1, 0), or None for zero data.
 
     The block is cut to the data's bandwidth: its width w is the smallest
     with T_f(w) + T_h(w) <= f.floor + h.floor (the records of
@@ -798,7 +808,7 @@ def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
             rows[0, p, :d.a.size], rows[1, p, :d.b.size] = d.a[:width], d.b[:width]
     with np.errstate(over="ignore", invalid="ignore"):
         rows[:, 1] = 0.5 * (np.arange(width) * rows[:, 0] + rows[:, 1])
-    return [0, 1], [0, 0], rows[0].T, rows[1].T
+    return False, rows[0].T, rows[1].T
 
 
 def _dropped(d: Optional[BoundaryData], width: int) -> tuple[float, float]:
@@ -809,7 +819,7 @@ def _dropped(d: Optional[BoundaryData], width: int) -> tuple[float, float]:
 
 
 def _load_rows(g: Optional[SourceTerm]):
-    """(p, j, alpha, beta) of rows (2, j): c z^a zbar^b adds scale (k-1-j) w^|a-b| to row j."""
+    """(True, alpha, beta) of rows (2, j): c z^a zbar^b adds scale (k-1-j) w^|a-b| to row j."""
     if g is None or g.is_zero:
         return None
     n_rows = max(min(a, b) for a, b, _ in g.terms) + 1
@@ -819,7 +829,7 @@ def _load_rows(g: Optional[SourceTerm]):
         k = min(a, b) + 2
         scale = c / ((a + 1) * (a + 2) * (b + 1) * (b + 2))
         (alpha if a >= b else beta)[abs(a - b), :k - 1] += scale * np.arange(k - 1, 0, -1.0)
-    return [2] * n_rows, range(n_rows), alpha, beta
+    return True, alpha, beta
 
 
 def f0_transform(f: BoundaryData, z: complex) -> complex:

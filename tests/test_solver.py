@@ -536,12 +536,36 @@ _CIRCLE_DATA = (BoundaryData.from_fourier([(0, 0.25), (1, 1.0), (-3, 0.5j)]),
 @pytest.mark.parametrize("entry", sorted(_POINT_ENTRY_POINTS))
 def test_point_entry_points_share_one_refusal_rule(entry, z, refused):
     zero = (BoundaryData.zero(), BoundaryData.zero(), SourceTerm.zero())
+    message = "outside the closed unit disk" if np.isfinite(z) else "z must be finite"
     for f, h, g in (_CIRCLE_DATA, zero):  # the rule does not depend on the data
         if refused:
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=message):
                 _POINT_ENTRY_POINTS[entry](f, h, g, z)
         else:
             _POINT_ENTRY_POINTS[entry](f, h, g, z)
+
+
+_ARRAY_ENTRY_POINTS = {
+    "Solution.values": lambda f, h, g, zs: solver.Solution(f, h, g).values(zs),
+    "Solution.gradient": lambda f, h, g, zs: solver.Solution(f, h, g).gradient(zs),
+    "solve_points": solver.solve_points,
+    "boundary_gradient": lambda f, h, g, zs: solver.boundary_gradient(f, h, zs),
+    "green_gradient": lambda f, h, g, zs: solver.green_gradient(g, zs),
+}
+
+
+@pytest.mark.parametrize("zs, shape", [
+    (np.array([]), (0,)), (np.zeros((0, 3)), (0, 3)), (0.5j, ()),
+], ids=["empty", "empty-2d", "scalar"])
+@pytest.mark.parametrize("entry", sorted(_ARRAY_ENTRY_POINTS))
+def test_array_entry_points_keep_empty_and_scalar_shapes(entry, zs, shape):
+    # no points pass the refusal rule, and every output takes the input's shape
+    zero = (BoundaryData.zero(), BoundaryData.zero(), SourceTerm.zero())
+    for f, h, g in (_CIRCLE_DATA, zero):
+        out = _ARRAY_ENTRY_POINTS[entry](f, h, g, zs)
+        for part in out if isinstance(out, tuple) else (out,):
+            assert isinstance(part, np.ndarray) and part.dtype == complex
+            assert part.shape == shape
 
 
 def _on_circle(entry, out, z):
@@ -676,27 +700,57 @@ def test_table_coefficients_hold_the_origin_gradient(data):
 # baby-step giant-step contraction
 
 
+def _levels(load, n_rows):
+    """The rows (p, j) of a block: (0, 0) and (1, 0) for the boundary, (2, j) for the load."""
+    return [(2, j) for j in range(n_rows)] if load else [(0, 0), (1, 0)]
+
+
+def _generic_weights(levels, t):
+    """The generic rule: s^p t^j and d/dt (s^p t^j) = j s^p t^(j-1) - p s^(p-1) t^j per row (p, j).
+
+    Also the absolute sum of the two d/dt terms, which scales its round-off.
+    """
+    s = 1.0 - t
+    p, j = (np.array(level)[:, None] for level in zip(*levels))
+    d_plus = j * s**p * t ** np.maximum(j - 1, 0)
+    d_minus = p * s ** np.maximum(p - 1, 0) * t**j
+    return s**p * t**j, d_plus - d_minus, d_plus + d_minus
+
+
 def _full_power_table(f, h, g, zs):
     """(Phi, Phi_z, Phi_zbar): every table row contracted with all W powers of z."""
     t = zs.real**2 + zs.imag**2
-    s = 1.0 - t
     out = np.zeros((3, zs.size), dtype=complex)
     for rows in (solver._boundary_rows(f, h), solver._load_rows(g)):
         if rows is None:
             continue
-        ps, js, alpha, beta = rows
+        load, alpha, beta = rows
         m = np.arange(alpha.shape[0])[:, None]
         z_pow = np.cumprod(np.vstack([np.ones(zs.size), np.tile(zs, (m.size - 1, 1))]), axis=0)
         dz_pow = m * np.vstack([np.zeros(zs.size), z_pow[:-1]])  # d/dz z^m = m z^(m-1)
         u = alpha.T @ z_pow + beta.T @ np.conj(z_pow)
         du, dbu = alpha.T @ dz_pow, beta.T @ np.conj(dz_pow)
-        for row, (p, j) in enumerate(zip(ps, js)):
-            weight = s**p * t**j
-            d_weight = j * s**p * t**max(j - 1, 0) - p * s**max(p - 1, 0) * t**j
-            out[0] += weight * u[row]
-            out[1] += np.conj(zs) * d_weight * u[row] + weight * du[row]
-            out[2] += zs * d_weight * u[row] + weight * dbu[row]
+        weight, d_weight, _ = _generic_weights(_levels(load, alpha.shape[1]), t)
+        out[0] += np.sum(weight * u, axis=0)
+        out[1] += np.sum(np.conj(zs) * d_weight * u + weight * du, axis=0)
+        out[2] += np.sum(zs * d_weight * u + weight * dbu, axis=0)
     return out
+
+
+@pytest.mark.parametrize("load, n_rows", [(False, 2)] + [(True, n) for n in (1, 2, 3, 9, 16, 17)])
+def test_block_weights_match_the_generic_rule(load, n_rows):
+    # the load block holds up to MAX_EXPONENT + 1 = 17 rows; t = 0 and t = 1
+    # (s = 1 and s = 0) are exact under both rules, seeded t within round-off
+    t = np.concatenate([[0.0, 1.0], np.random.default_rng(n_rows).uniform(size=64)])
+    weight, d_weight, d_scale = _generic_weights(_levels(load, n_rows), t)
+    values = solver._row_weights(load, t, n_rows, gradient=False)
+    both = solver._row_weights(load, t, n_rows, gradient=True)
+    assert values.shape == (1, n_rows, t.size) and both.shape == (2, n_rows, t.size)
+    np.testing.assert_array_equal(values[0], both[0])
+    np.testing.assert_array_equal(both[:, :, :2], [weight[:, :2], d_weight[:, :2]])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(both[0] - weight) <= 4 * n_rows * eps * weight)
+    assert np.all(np.abs(both[1] - d_weight) <= 4 * n_rows * eps * d_scale)
 
 
 def _assert_matches_full_power_table(f, h, g, zs):
@@ -754,8 +808,8 @@ def test_giant_steps_at_square_widths(n_f, terms, width, b, q):
     f = None if n_f is None else _noise(rng, n_f)
     g = SourceTerm(terms)
     rows = solver._boundary_rows(f, f) if f is not None else solver._load_rows(g)
-    assert rows[2].shape[0] == width
-    assert solver._giant_steps(*rows[2:], 4)[1:] == (b, q)
+    assert rows[1].shape[0] == width
+    assert solver._giant_steps(*rows[1:], 4)[1:] == (b, q)
     _assert_matches_full_power_table(f, f, g, _disk_and_circle(rng))
 
 
@@ -784,10 +838,10 @@ def test_giant_step_layout_matches_the_stacked_kinds(top):
     g = SourceTerm((a, b, complex(*rng.normal(size=2)))
                    for a, b in rng.integers(0, solver.MAX_EXPONENT + 1, (4, 2)))
     for rows in (solver._boundary_rows(f, h), solver._load_rows(g)):
-        expected, b_ref, q_ref = _stacked_layout(*rows[2:])
+        expected, b_ref, q_ref = _stacked_layout(*rows[1:])
         # the values take the first two kinds, a prefix of the four
         for kinds in (2, 4):
-            matrix, b, q = solver._giant_steps(*rows[2:], kinds)
+            matrix, b, q = solver._giant_steps(*rows[1:], kinds)
             assert (b, q) == (b_ref, q_ref)
             np.testing.assert_array_equal(matrix, expected[:kinds * expected.shape[0] // 4])
 
@@ -813,7 +867,7 @@ def test_overflowing_gradients_are_refused(modes):
 
 
 def _block_width(f, h):
-    return solver._boundary_rows(f, h)[2].shape[0]
+    return solver._boundary_rows(f, h)[1].shape[0]
 
 
 def _sub_floor_data(rng, n, band, n_tail, scale):
@@ -989,7 +1043,7 @@ def _assert_records_and_cut(f, h):
         assert not (d.tail.flags.writeable or d.moment.flags.writeable)
     for pair in ((f, h), (f, None), (None, h)):
         rows = solver._boundary_rows(*pair)
-        assert (0 if rows is None else rows[2].shape[0]) == _joint_rule_width(*pair)
+        assert (0 if rows is None else rows[1].shape[0]) == _joint_rule_width(*pair)
 
 
 def _random_datum(rng, n, kind):
@@ -1208,7 +1262,7 @@ def test_grid_walks_its_rings_in_blocks():
         return BoundaryData.from_fourier(zip(modes, coeffs @ [1.0, 1j]), 4096)
 
     solution = solver.Solution(datum(), datum())
-    assert solution._rows[0][2].shape[0] > 2000
+    assert solution._rows[0][1].shape[0] > 2000
     outputs = 3 * 2000 * 8 * np.dtype(complex).itemsize
     assert _peak_bytes(lambda: solution.grid(2000, 8, with_gradient=True)) < outputs + 3 * 2**20
 

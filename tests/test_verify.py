@@ -441,8 +441,8 @@ def _patch_rows(monkeypatch, name, scale_rows):
         rows = original(*args)
         if rows is None:
             return None
-        p, j, alpha, beta = rows
-        return p, j, scale_rows(alpha), scale_rows(beta)
+        load, alpha, beta = rows
+        return load, scale_rows(alpha), scale_rows(beta)
 
     monkeypatch.setattr(solver, name, patched)
 
