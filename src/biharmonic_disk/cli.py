@@ -19,13 +19,14 @@ Modes, exponents, ``n_samples`` and ``seed`` must be JSON integers: 1.5,
 1.0, "1" and true are refused, not truncated, and so is a negative seed
 (modes and exponents by ``BoundaryData.from_fourier`` and ``SourceTerm``,
 whose errors name the datum, such as ``f.fourier:`` or ``g.terms:``).
-A datum holds at most ``_MAX_SAMPLES`` = 32768 samples, by ``n_samples``
-or by its ``samples`` list; more is refused before anything is allocated. The chord estimate of
-``lipschitz`` is O(N^2) and the verify checks grow with the table: on
-32768 samples of white noise for f and h, a fresh ``verify`` took 0.5-0.7 s
-and ``lipschitz`` 3.0 s at a peak RSS of 54 and 51 MB (2-core Xeon, one
-BLAS thread; ``verify`` took 2.5 s while its circle checks ran the point
-route at every node). CI runs the 32768-sample case.
+A datum holds an even number of samples, at least 4 (``BoundaryData``'s
+rule) and at most ``_MAX_SAMPLES`` = 32768, by ``n_samples`` or by its
+``samples`` list; more is refused before anything is allocated. The chord
+estimate of ``lipschitz`` is O(N^2) and the verify checks grow with the
+table: on 32768 samples of white noise for f and h, a fresh ``verify``
+took 0.5-0.7 s and ``lipschitz`` 3.0 s at a peak RSS of 54 and 51 MB
+(2-core Xeon, one BLAS thread; ``verify`` took 2.5 s while its circle
+checks ran the point route at every node). CI runs the 32768-sample case.
 ``solve``, ``verify`` and ``lipschitz`` run closed forms only, the
 integral route for A and B included; only the ``identities`` checks use
 quadrature, at the fixed oracle rules ``quadrature.DEFAULT_RULES``. Each
@@ -61,7 +62,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CaseFormatError, DegenerateDataError, DomainError, SingularityError
-from .solver import BoundaryData, Case, SourceTerm, case_fingerprint
+from .solver import BoundaryData, Case, SourceTerm, _as_int, _sample_count, case_fingerprint
 
 _SCHEMA = 1
 
@@ -83,11 +84,6 @@ class CaseFile(Case):
     """A parsed case: the data triple and a sampling seed."""
 
     seed: int
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: bool is an int subclass in Python, so refuse it explicitly."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_keys(doc: dict, allowed: set, where: str):
@@ -121,10 +117,13 @@ def _parse_boundary(doc, where: str) -> BoundaryData:
     _require_keys(doc, {"fourier", "samples", "n_samples"}, where)
     if "fourier" in doc and "samples" in doc:
         raise CaseFormatError(f"{where} cannot give both fourier and samples")
-    n_samples = doc.get("n_samples", 512)
-    if not _is_int(n_samples) or not 4 <= n_samples <= _MAX_SAMPLES or n_samples % 2:
-        raise CaseFormatError(
-            f"{where}.n_samples must be an even integer in [4, {_MAX_SAMPLES}]")
+    n_samples = _as_int(doc.get("n_samples", 512), CaseFormatError, f"{where}.n_samples")
+    if n_samples > _MAX_SAMPLES:
+        raise CaseFormatError(f"{where}.n_samples must be at most {_MAX_SAMPLES}, got {n_samples}")
+    try:
+        _sample_count(n_samples)
+    except DegenerateDataError as exc:
+        raise CaseFormatError(f"{where}: {exc}") from exc
     if "samples" in doc:
         if "n_samples" in doc:
             raise CaseFormatError(f"{where}.n_samples conflicts with samples")
@@ -163,9 +162,7 @@ def parse_case_dict(doc: dict) -> CaseFile:
     _require_keys(doc, {"schema", "f", "h", "g", "seed"}, "case")
     if doc.get("schema", _SCHEMA) != _SCHEMA:
         raise CaseFormatError(f"unsupported schema {doc.get('schema')!r}")
-    seed = doc.get("seed", 42)
-    if not _is_int(seed):
-        raise CaseFormatError("seed must be an integer")
+    seed = _as_int(doc.get("seed", 42), CaseFormatError, "seed")
     if seed < 0:
         raise CaseFormatError("seed must be a non-negative integer")
     return CaseFile(
@@ -290,9 +287,7 @@ def cmd_lipschitz(args) -> int:
 
     case = parse_case(args.case)
     report, ab = lipschitz.analyze_case(case)
-    n_r, n_theta, r_max = _QUOTIENT_GRID
-    quotient = lipschitz.empirical_quotient(case.solution.grid(n_r, n_theta, r_max),
-                                            seed=case.seed)
+    quotient = lipschitz.empirical_quotient(case.solution.grid(*_QUOTIENT_GRID), seed=case.seed)
     print(f"L (boundary Lipschitz estimate) = {report.l_boundary:.12g}")
     print(f"sup|h|                          = {report.h_sup:.12g}")
     print(f"sup|g| (certified bound)        = {report.g_sup:.12g}")
@@ -303,7 +298,6 @@ def cmd_lipschitz(args) -> int:
     print(f"Q = A - B                       = {report.q_value:.12g}")
     print(f"A (integral form)               = {ab.a_integral:.12g}")
     print(f"B (integral form)               = {ab.b_integral:.12g}")
-    print(f"upper bound                     = {report.p_upper:.12g}")
     print(f"lower bound                     = {report.lower_bound:.12g}")
     print(f"empirical quotient              = {quotient:.12g}")
     print(f"verdict: {report.verdict}")

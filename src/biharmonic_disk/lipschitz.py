@@ -35,8 +35,11 @@ _COEFF_G = 23.0 / 3.0
 
 _PAIR_EPS = 1e-12
 
-# Pairs held at once by estimate_boundary_lipschitz and empirical_quotient.
-_PAIR_BLOCK = 1 << 15
+# Pairs per block of the chord walk and the quotient pairs, in plain numpy
+# (the memory policy at the lift in ``solver``): at most three complex
+# arrays of this length, 768 KiB, live at once; twice as many read 1 MB
+# more peak RSS on the certify workload.
+_PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -93,23 +96,19 @@ def estimate_boundary_lipschitz(f: BoundaryData) -> float:
     converging from below as the sample count grows. Every pair is a node j
     and the node j + k, k = 1..n/2, whose chord is 2 sin(pi k / n), taken
     directly rather than from the rounded nodes. The offsets are walked at
-    most ``_PAIR_BLOCK`` pairs at a time, and each offset's largest sample
-    gap max_j |f_j - f_{j+k}| is divided by its chord. Rounded division is
-    monotone, so this is the largest quotient over all pairs, bit for bit.
+    most ``_PAIR_BLOCK`` pairs (or one offset, for larger n) at a time, and
+    each offset's largest sample gap max_j |f_j - f_{j+k}| is divided by its
+    chord. Rounded division is monotone, so this is the largest quotient
+    over all pairs, bit for bit.
     """
     n = f.n
     # row k of the view is the samples shifted by k: entry j is sample j + k mod n
     shifted = sliding_window_view(np.concatenate([f.samples, f.samples]), n)
     step = max(1, _PAIR_BLOCK // n)
-    # the differences and their moduli, allocated once and refilled per block
-    rows = min(step, n // 2)
-    buffers = np.empty((rows, n), complex), np.empty((rows, n))
     best = 0.0
     for k in range(1, n // 2 + 1, step):
         stop = min(k + step, n // 2 + 1)
-        diff, gap = (buf[:stop - k] for buf in buffers)
-        np.subtract(f.samples, shifted[k:stop], out=diff)
-        gaps = np.max(np.abs(diff, out=gap), axis=1)
+        gaps = np.max(np.abs(f.samples - shifted[k:stop]), axis=1)
         best = max(best, float(np.max(gaps / (2.0 * np.sin(np.pi * np.arange(k, stop) / n)))))
     return best
 
@@ -252,24 +251,14 @@ def empirical_quotient(field: SolutionField, max_pairs: int = 100_000,
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=max_pairs)
         j = rng.integers(0, n, size=max_pairs)
-    # two gathers (complex), the gaps, the mask and the quotients, allocated
-    # once and refilled per block
-    size = min(i.size, _PAIR_BLOCK)
-    buffers = [np.empty(size, dtype) for dtype in (complex, complex, float, bool, float)]
     best = -np.inf
     for lo in range(0, i.size, _PAIR_BLOCK):
         bi, bj = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
-        a, b, gap, keep, quotient = (buf[:bi.size] for buf in buffers)
-        # the indices lie in range: "wrap" takes them unbuffered, into a and b
-        diff = np.subtract(zs.take(bi, out=a, mode="wrap"), zs.take(bj, out=b, mode="wrap"), out=a)
-        np.abs(diff, out=gap)
-        np.greater(gap, _PAIR_EPS, out=keep)
-        if np.any(keep):
-            diff = np.subtract(vals.take(bi, out=a, mode="wrap"), vals.take(bj, out=b, mode="wrap"),
-                               out=a)
-            np.abs(diff, out=quotient)
-            np.divide(quotient, gap, out=quotient, where=keep)
-            best = max(best, float(np.max(quotient, where=keep, initial=-np.inf)))
+        gap = np.abs(zs[bi] - zs[bj])
+        keep = gap > _PAIR_EPS
+        quotient = np.abs(vals[bi] - vals[bj])
+        np.divide(quotient, gap, out=quotient, where=keep)
+        best = max(best, float(np.max(quotient, where=keep, initial=-np.inf)))
     if best < 0.0:
         raise DegenerateDataError("all sampled node pairs coincide")
     return best

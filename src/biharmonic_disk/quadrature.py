@@ -32,18 +32,16 @@ call; the nodes lie strictly inside the disk by construction and are not
 checked. The integrand may return a stack of integrands, shape
 ``(k,) + zeta.shape``, which share that block's nodes and Jacobian; the
 result is then an array of k values. Integrand values keep their own
-dtype: a real integrand is never widened to complex. Working
-memory is one block's nodes plus whatever the integrand builds on them:
-64 KiB per real and 128 KiB per complex array, whatever the rule's
-resolution. Each block's arrays are plain numpy allocations, which below
-4 MiB reuse the heap pages of the blocks before them (the lift of glibc's
-thresholds at ``solver``'s import). Summation is angle first (the mean of
-each row, taken separately for the real and the imaginary part and kept
-for every row) and then one dot of the row means against the radial
-weights per integrand and part, the order a single pass over the whole
-grid uses. Block size does not
-change the result, a stacked integrand gets exactly what separate calls
-get, a real integrand gets exactly what its complex cast gets, and repeated
+dtype: a real integrand is never widened to complex. Working memory, in
+plain numpy arrays (the memory policy stated at the lift in ``solver``),
+is one block's nodes plus whatever the integrand builds on them: 64 KiB
+per real and 128 KiB per complex array, whatever the rule's resolution.
+Summation is angle first (the mean of each row, taken separately for the
+real and the imaginary part and kept for every row) and then one dot of
+the row means against the radial weights per integrand and part, the
+order a single pass over the whole grid uses. Block size does not change
+the result, a stacked integrand gets exactly what separate calls get, a
+real integrand gets exactly what its complex cast gets, and repeated
 calls are bitwise reproducible.
 
 The disk rule takes ``mirror``, a promise that the integrand takes equal

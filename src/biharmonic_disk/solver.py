@@ -67,8 +67,8 @@ of the kernels in ``kernels``, recentred disk quadrature of
 ``green.KernelParts.g``) stay in ``quadrature``, ``verify`` and the tests
 as the independent oracle for the table. The solver imports no oracle
 module: it owns the helper the oracle shares with it (``_circle_angles``),
-and, at import, lifts glibc's heap thresholds once for the walkers' block
-arrays (the comment at the lift).
+and, at import, lifts glibc's heap thresholds once: the memory policy of
+every block walker, stated at the lift.
 
 The table is exact on the closed disk, up to the dropped tail: on the
 circle s = 0, so Phi takes the value f there and -(z Phi_z + zbar Phi_zbar)
@@ -122,22 +122,21 @@ def _circle_angles(n: int) -> np.ndarray:
     return out
 
 
-# The block walkers (the oracle's disk rule, the chord walk and the quotient
-# pairs) allocate arrays of a few hundred KiB with plain numpy. glibc maps
-# every request at or above its mmap threshold and returns the top of the
-# heap to the system once more than its trim threshold is free. Both start
-# at 128 KiB, so such arrays would be mapped, or trimmed and regrown, block
-# after block or call after call, each time faulting their pages in anew.
-# Freeing a mapped block raises the mmap threshold to that block's size (up
-# to 32 MiB) and the trim threshold to twice it. So one 4 MiB array,
-# allocated and dropped here, lifts both once per process: arrays below
-# 4 MiB then come from the heap, which is trimmed only once more than 8 MiB
-# of it is free. Smaller lifts were measured as too small in fresh
-# processes (glibc 2.36, 2-core Xeon): at 1 MiB each later `lipschitz` call
-# on mixed.json faulted 555 pages (0 at 4 MiB); at 2 MiB the second call on
-# the 32,768-sample case faulted 5,082 (2,157 at 4 MiB). The package never
-# sets MALLOC_* or calls mallopt; a glibc malloc tunable in the environment
-# turns these dynamic thresholds, and so this lift, off.
+# The memory policy of every block walker (the oracle's disk rule, the
+# chord walk and the quotient pairs): each block allocates its arrays, a
+# few hundred KiB, afresh with plain numpy. glibc maps every request at or
+# above its mmap threshold and trims the heap's top once more than its trim
+# threshold is free. Both start at 128 KiB, so such arrays would fault their
+# pages in anew block after block. Freeing a mapped block raises the mmap
+# threshold to its size (up to 32 MiB) and the trim threshold to twice it,
+# so one 4 MiB array, allocated and dropped here, lifts both once per
+# process. Smaller lifts fell short in fresh processes (glibc 2.36, 2-core
+# Xeon): later `lipschitz` calls on mixed.json faulted 555 pages at 1 MiB,
+# and a second one on 32,768 samples 5,082 at 2 MiB (0 and 2,157 at 4 MiB).
+# The package never sets MALLOC_* or calls mallopt. A glibc malloc tunable
+# in the environment turns the dynamic thresholds, and so this lift, off: a
+# block array above 128 KiB then comes from the heap only if the heap has
+# room, which depends on the process's history.
 np.empty(4 << 20, np.uint8)
 
 

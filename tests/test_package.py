@@ -137,15 +137,23 @@ _TRIM_OFF = {"MALLOC_TRIM_THRESHOLD_": str(64 << 20)}
 
 @pytest.mark.parametrize("tunables", [None, _TRIM_OFF], ids=["default", "trim-threshold"])
 def test_later_oracle_suite_calls_fault_less_than_one_blocks_rows(tunables):
-    # The suite's passes allocate their block arrays with plain numpy. A
-    # later call reuses the heap pages the first one faulted in: by the lift
-    # at solver's import, and under the trim setting because the heap is
-    # then trimmed only past 64 MiB free. Were one block's arrays mapped
-    # anew, a later call would fault at least the integrand's rows of one
-    # block in: that is the bound. Without the lift a later call faults
-    # 12,900 pages; per-pass slabs mapped anew per call fault 1,750.
+    # The suite's passes allocate their block arrays with plain numpy (the
+    # memory policy at the lift in solver). By the lift, a later call reuses
+    # the heap pages the first one faulted in: were one block's arrays
+    # mapped anew, a later call would fault at least the integrand's rows of
+    # one block in, and that is the bound. Without the lift a later call
+    # faults 12,900 pages. Under the tunable the lift is off, and the
+    # 576 KiB integrand block, above the 128 KiB mmap threshold, comes from
+    # the heap only if the heap already has room, which depends on the
+    # process's history: later calls faulted 1,430 pages each when the
+    # package's bytecode was cached, and 0-1 when the fresh process compiled
+    # it. What holds whatever the history is that a later call faults no
+    # more than the first, which also faults the suite's caches in.
     faults = _faults_per_call("from biharmonic_disk import verify", "verify.oracle_suite()", 3,
                               tunables)
+    if tunables:
+        assert max(faults[1:]) <= faults[0], faults
+        return
     rule = quadrature.DEFAULT_RULES.disk
     cols = rule.n_angular // 2 + 1  # every pass folds its rows
     block = min(quadrature._BLOCK_NODES // cols, rule.centered_radial_nodes[0].size) * cols
@@ -155,12 +163,12 @@ def test_later_oracle_suite_calls_fault_less_than_one_blocks_rows(tunables):
 
 
 def test_later_lipschitz_calls_fault_less_than_one_pair_block():
-    # The chord walk and the quotient pairs allocate their buffers once per
-    # call, and the quotient draws 800 kB index arrays; by the lift at
-    # solver's import all come from the heap. A later call on the same case
-    # then reuses the first call's pages: fewer faults than the complex
-    # differences of one block of pairs take if mapped anew. Index arrays
-    # mapped anew in the second call fault about 400 pages.
+    # The chord walk and the quotient pairs allocate each block's arrays
+    # with plain numpy, and the quotient draws 800 kB index arrays; by the
+    # lift at solver's import all come from the heap. A later call on the
+    # same case then reuses the first call's pages: fewer faults than the
+    # complex differences of one block of pairs take if mapped anew. Index
+    # arrays mapped anew in the second call fault about 400 pages.
     case = Path(__file__).resolve().parent.parent / "scripts" / "cases" / "mixed.json"
     faults = _faults_per_call(
         "", "with contextlib.redirect_stdout(io.StringIO()):\n"
