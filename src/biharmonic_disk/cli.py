@@ -35,7 +35,8 @@ command imports the modules it runs when it runs (``solve`` none beyond
 Unknown keys anywhere are rejected. Output files are written atomically
 (temp file then rename) with sorted keys and shortest round-trip floats,
 so identical inputs produce byte-identical files, with one or two BLAS
-threads alike.
+threads alike, except ``verify --json`` on tables wider than 16,384 modes
+(at the sample cap), whose complex matmul OpenBLAS rounds by thread split.
 
 Commands: identities, solve, verify, lipschitz, kernel. Every check runs
 at its fixed tolerance, and the ``verify`` residual at spacing 0.02. Exit

@@ -60,11 +60,11 @@ powers of z instead of W, one matmul per block for the inner sums, and
 one product with the q giant steps (z^b)^k and one sum over them. A polar
 grid (``Solution.grid``) is evaluated ring by ring: on |z| = r each row
 is a trigonometric polynomial in theta, whose modes fold mod n_theta,
-exactly at the grid's angles, and one inverse FFT per ring turns the
-folded spectra into the values (``Solution._rings``). Both routes lay the
-table out per call from ``_kinds``. The integral forms (circle quadrature
-of the kernels in ``kernels``, recentred disk quadrature of
-``green.KernelParts.g``) stay in ``quadrature``, ``verify`` and the tests
+exactly at the grid's angles; one matmul of both blocks folds them, and
+one inverse FFT turns the folds into the values (``Solution._rings``).
+Both routes lay the table out per call by ``_kinds``. The integral forms
+(circle quadrature of the kernels in ``kernels``, recentred disk quadrature
+of ``green.KernelParts.g``) stay in ``quadrature``, ``verify`` and the tests
 as the independent oracle for the table. The solver imports no oracle
 module: it owns the helper the oracle shares with it (``_circle_angles``),
 and, at import, lifts glibc's heap thresholds once: the memory policy of
@@ -155,18 +155,18 @@ class BoundaryData:
     sums overflow only if the spectrum does): ``a`` and ``b`` are the
     coefficients of the interpolant's harmonic extension
     u = sum_m a_m z^m + sum_m b_m zbar^m. a holds the modes 0..N/2, b the
-    modes 0, -1..-N/2 (b_0 = 0). The Nyquist coefficient is halved into
-    both, so the interpolant carries it as a cosine. Construction also
-    records the sums the cut, its tails and verify's scale read: ``floor`` =
+    modes 0, -1..-N/2 (b_0 = 0), the rows of ``spectrum``. The Nyquist
+    coefficient is halved into both, as a cosine. Construction also records
+    the sums the cut, its tails and verify's scale read: ``floor`` =
     u ||samples||_1 (u = eps / 2 scales the samples before |.|), and for
     w = 0..N/2 ``tail[w]`` = T(w) = sum_{m >= w} (|a_m| + |b_m|) and
     ``moment[w]`` = M(w) = sum_{m >= w} m (|a_m| + |b_m|), inf past the
-    double range. ``samples``, ``a``, ``b``, ``tail`` and ``moment`` are
+    double range. ``samples``, ``spectrum``, ``tail`` and ``moment`` are
     read-only arrays. Samples whose spectrum overflows double precision
     raise ``DegenerateDataError``.
     """
 
-    __slots__ = ("samples", "a", "b", "floor", "tail", "moment")
+    __slots__ = ("samples", "spectrum", "a", "b", "floor", "tail", "moment")
 
     def __init__(self, samples):
         arr = np.asarray(samples, dtype=complex).copy()
@@ -182,16 +182,17 @@ class BoundaryData:
             raise DegenerateDataError(
                 "the spectrum of the boundary samples overflows double precision")
         half = arr.size // 2
-        nyquist = 0.5 * coef[half]
-        a = np.concatenate((coef[:half], [nyquist]))
-        b = np.concatenate(([0.0], coef[:half:-1], [nyquist]))
-        mass = np.abs(a) + np.abs(b)
+        spectrum = np.empty((2, half + 1), dtype=complex)
+        spectrum[0, :half], spectrum[1, 1:half] = coef[:half], coef[:half:-1]
+        spectrum[:, half], spectrum[1, 0] = 0.5 * coef[half], 0.0
+        mass = np.abs(spectrum[0]) + np.abs(spectrum[1])
         with np.errstate(over="ignore"):
             tail = np.cumsum(mass[::-1])[::-1]
             moment = np.cumsum((np.arange(half + 1) * mass)[::-1])[::-1]
-        for part in (arr, a, b, tail, moment):
+        for part in (arr, spectrum, tail, moment):
             part.setflags(write=False)
-        self.samples, self.a, self.b, self.tail, self.moment = arr, a, b, tail, moment
+        self.samples, self.spectrum, self.tail, self.moment = arr, spectrum, tail, moment
+        self.a, self.b = spectrum
         self.floor = float(np.abs(_UNIT_ROUNDOFF * arr).sum())
 
     @property
@@ -440,11 +441,11 @@ class Solution:
 
     Any of f, h, g may be None. Boundary rows (cut to the data's bandwidth
     w <= N/2 + 1, ``_boundary_rows``) and load rows (width at most
-    MAX_EXPONENT + 1) are separate blocks (load, alpha, beta), so load rows
-    are not padded to the band; ``load`` picks the block's weight rule
-    (``_row_weights``). A call whose values or gradients overflow double
-    precision raises ``DegenerateDataError``; the derivative rows carry one
-    more factor of the mode, so gradients overflow first.
+    MAX_EXPONENT + 1, ``_load_rows``) are separate blocks (load, alpha,
+    beta), so load rows are not padded to the band; ``load`` picks the
+    block's weight rule (``_row_weights``). A call whose values or gradients
+    overflow double precision raises ``DegenerateDataError``; the derivative
+    rows carry one more factor of the mode, so gradients overflow first.
 
     ``value_tail`` and ``gradient_tail`` bound, on the closed disk, what the
     cut drops from Phi and from |Phi_z| + |Phi_zbar|. With T_f = T_f(w),
@@ -474,15 +475,18 @@ class Solution:
 
     def __init__(self, f: Optional[BoundaryData] = None,
                  h: Optional[BoundaryData] = None, g: Optional[SourceTerm] = None):
-        boundary = _boundary_rows(f, h)
+        boundary, load = _boundary_rows(f, h), _load_rows(g)
         width = 0 if boundary is None else boundary[1].shape[0]
-        (t_f, m_f), (t_h, _) = _dropped(f, width), _dropped(h, width)
+        # T(width) and M(width) of each datum's records, 0 past its modes
+        (t_f, m_f), (t_h, _) = ((0.0, 0.0) if d is None or width >= d.tail.size else
+                                (float(d.tail[width]), float(d.moment[width])) for d in (f, h))
         self.value_tail, self.gradient_tail = t_f + t_h / 2, 1.5 * m_f + t_h
         self.trace_tail, self.normal_tail = t_f, t_h
-        self._rows = blocks = [b for b in (boundary, _load_rows(g)) if b is not None]
+        self._rows = [b for b in (boundary, load) if b is not None]
+        self._n_load = 0 if load is None else load[1].shape[1]
         # the modes coefficients() covers: those of the table, of f and h, and +-1
-        self._width = max([a.shape[0] for _, a, _ in blocks]
-                          + [d.n // 2 + 1 for d in (f, h) if d is not None] + [2])
+        self._width = max(width, 0 if load is None else load[1].shape[0],
+                          *(d.tail.size for d in (f, h) if d is not None), 2)
 
     def coefficients(self) -> np.ndarray:
         """The table expanded as Phi = sum of c[d, l] w_d t^l, w_d = z^d or zbar^|d| (d < 0).
@@ -524,7 +528,8 @@ class Solution:
         Python or numpy integers; a float, even 4.0, or a bool raises
         ``DegenerateDataError``.
         """
-        n_r, n_theta = (_as_int(n, DegenerateDataError, "a grid size") for n in (n_r, n_theta))
+        n_r = _as_int(n_r, DegenerateDataError, "a grid size")
+        n_theta = _as_int(n_theta, DegenerateDataError, "a grid size")
         if n_r < 1 or n_theta < 1:
             raise DegenerateDataError("grid sizes must be positive")
         if not (0.0 < r_max <= 1.0):
@@ -542,63 +547,61 @@ class Solution:
         On the ring r a row s^p t^j (alpha(z) + beta(zbar)) puts alpha_m r^m
         s^p t^j on mode +m and beta_m r^m s^p t^j on mode -m. Modes fold mod
         n_theta, exactly at the grid's angles. With k = min(n_theta, W) the
-        fold k' of the modes k' + l k is r^k' sum_l c[k' + l k] x^l, x = r^k:
-        a polynomial of degree L - 1 in x, L = ceil(W / k), which meets the
-        powers of x by baby and giant steps as the point route meets those
-        of z (b baby steps). One matmul of the laid-out table
-        (``_ring_layout``) gives the inner sums of every fold of a block of
-        rings; its left operand holds each block's row weights
-        (``_row_weights``) times x^i, i < b, and Horner in x^b gives the
-        rest. The gradient adds alpha' and beta', and the radial part
-        sum (d/dt s^p t^j) u, whose folds take a second matmul, against the
-        row weights' d/dt times x^i. The folds of each kind fill a spectrum
-        and one inverse FFT per ring and kind gives its values. The table
-        holds conj(beta), whose folds are conjugate to beta's (the weights
-        are real), so beta's part is the conjugate of its values. The radial
-        part is multiplied by zbar and z at the rounded nodes
-        r * exp(1j * theta), the grid's points. Rings are walked in blocks
-        under ``_CHUNK_ENTRIES``.
+        fold k' of the modes k' + J k is r^k' sum_J c[k' + J k] x^J, x = r^k,
+        J < ceil(W / k). As J = i q + g, g < q, it is sum_g x^g sum_i
+        c[k' + (i q + g) k] y^i, y = x^q: one real matmul of the weights times
+        y^i (``_row_weights``) with the laid-out table (``_ring_layout``) sums
+        both blocks' rows into every fold's inner sums, and Horner in x sums
+        the q columns. It also takes alpha' and beta' with gradient, and a
+        second matmul the radial part sum (d/dt s^p t^j) u. The folds times
+        r^k' are the spectra, and one inverse FFT per ring and kind gives the
+        values. The table holds conj(beta), whose folds are conjugate to
+        beta's (the weights are real), so beta's part is the conjugate of its
+        values. The radial part is multiplied by zbar and z at the rounded
+        nodes r * exp(1j * theta), the grid's points. Rings are walked in
+        blocks under ``_CHUNK_ENTRIES``.
         """
-        outs = np.zeros((3 if gradient else 1, radii.size, n_theta), dtype=complex)
+        n_out = 3 if gradient else 1
+        outs = np.zeros((n_out, radii.size, n_theta), dtype=complex)
         if not self._rows:
             return tuple(outs)
+        first = 2 * self._rows[0][0]  # the boundary block's 2 rows, if any, lead the weights
         with np.errstate(over="ignore", invalid="ignore"):
             coef, k, b, q, babies = _ring_layout(self._rows, n_theta, gradient, radii[-1])
-            n_forms, n_kinds = (2, 6) if gradient else (1, 2)
-            nodes = np.exp(1j * _circle_angles(n_theta))
-            # per ring: the weights' products with x^i, the inner sums, the
-            # powers of r and x, and the spectra and values
-            step = max(1, _CHUNK_ENTRIES // (n_forms * coef.shape[0] + coef.shape[1] + k + b + 2
-                                             + n_kinds * (k + n_theta)))
+            nodes = np.exp(1j * _circle_angles(n_theta)) if gradient else None
+            # per ring: products, inner sums, folds, values with z and the radial part, powers
+            step = max(1, _CHUNK_ENTRIES // (2 * coef.shape[2] + 3 * n_theta + k + q + b
+                                             + 2 * n_out * (q * k + 2 * k + n_theta)))
             for lo in range(0, radii.size, step):
                 r = radii[lo:lo + step]
-                r_pow = _powers(r, k + 1)
-                products = [_row_weights(load, r * r, alpha.shape[1], gradient).transpose(0, 2, 1)
-                            for load, alpha, _ in self._rows]
-                if b > 1:
-                    x_pow = _powers(r_pow[k], b + 1).T
-                    products = [(w[..., None] * x_pow[:, None, :baby]).reshape(n_forms, r.size, -1)
-                                for w, baby in zip(products, babies)]
-                products = np.concatenate(products, axis=-1)
-                inner = (products[0] @ coef).view(complex).reshape(r.size, -1, q, k)
+                products = _row_weights(r * r, self._n_load, gradient)[:, first:].transpose(0, 2, 1)
+                # complex, as the products with the folds and nodes cast it
+                r_pow = _powers(r.astype(complex), k + 1)
+                if b > 1:  # each block's weights (the boundary's 2 lead) times y^i
+                    y_pow = _powers(_powers(r_pow[k].real, q + 1)[q], b).T
+                    parts = np.split(products, [2] * (len(babies) - 1), axis=-1)
+                    products = np.concatenate([(w[..., None] * y_pow[:, None, :baby]).reshape(
+                        len(w), r.size, -1) for w, baby in zip(parts, babies)], axis=-1)
+                # weights times [alpha, conj(beta)] and [alpha', conj(beta')], d/dt times the first
+                inner = np.empty((n_out, 2, r.size, coef.shape[-1]))
+                np.matmul(products[0], coef, out=inner[:len(coef)])
                 if gradient:
-                    # the radial part folds alpha and conj(beta), the first columns
-                    radial = products[1] @ coef[:, :4 * q * k]
-                    inner = np.concatenate(
-                        [inner, radial.view(complex).reshape(r.size, 2, q, k)], axis=1)
+                    np.matmul(products[1], coef[0], out=inner[2])
+                inner = inner.view(complex).reshape(2 * n_out, r.size, q, k)
                 folds = inner[:, :, -1]
                 for g in range(q - 2, -1, -1):
-                    folds = folds * x_pow[:, b, None, None] + inner[:, :, g]
-                # the spectra, padded with zeros from k to n_theta
-                waves = np.fft.ifft(folds * r_pow[:k].T[:, None], n_theta, norm="forward")
-                np.conjugate(waves[:, 1::2], out=waves[:, 1::2])
-                np.add(waves[:, 0], waves[:, 1], out=outs[0, lo:lo + step])
+                    folds = folds * r_pow[k, :, None] + inner[:, :, g]
+                waves = np.fft.ifft(folds * r_pow[:k].T, n_theta, norm="forward")
+                np.conjugate(waves[1::2], out=waves[1::2])
+                np.add(waves[0], waves[1], out=outs[0, lo:lo + step])
                 if gradient:
-                    z = r[:, None] * nodes
-                    radial = waves[:, 4] + waves[:, 5]
-                    np.add(waves[:, 2], np.conj(z) * radial, out=outs[1, lo:lo + step])
-                    np.add(waves[:, 3], z * radial, out=outs[2, lo:lo + step])
-        if not np.isfinite(outs).all():
+                    radial = np.add(waves[4], waves[5])
+                    z = np.empty((2, r.size, n_theta), dtype=complex)
+                    np.multiply(r_pow[1, :, None], nodes, out=z[1])
+                    np.conjugate(z[1], out=z[0])
+                    np.multiply(z, radial, out=z)
+                    np.add(waves[2:4], z, out=outs[1:, lo:lo + step])
+        if not np.isfinite(outs.view(float)).all():
             raise _overflow(gradient)
         return tuple(outs)
 
@@ -606,7 +609,7 @@ class Solution:
         """(Phi,), or (Phi, Phi_z, Phi_zbar) with gradient, at each point of zs.
 
         Each block's kinds (``_contract``) are weighed together by one product
-        with its row weights (``_row_weights``) and one sum over its rows.
+        with its rows of the weights (``_row_weights``) and one sum over its rows.
         """
         zs = np.asarray(zs, dtype=complex)
         shape, zs = zs.shape, zs.ravel()
@@ -616,24 +619,24 @@ class Solution:
         # an overflow (rows, or sums of rows, past the double range) reaches
         # the outputs as inf or nan, which the check below refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = [(load, *_giant_steps(a, b, kinds)) for load, a, b in self._rows]
+            blocks = [(2 * load, *_giant_steps(a, b, kinds)) for load, a, b in self._rows]
             baby = max((b for _, _, b, _ in blocks), default=1)
             # per point: the baby powers z^0 .. z^baby and the call's inner sums
             inner = sum(coef.shape[0] for _, coef, _, _ in blocks)
             step = max(1, _CHUNK_ENTRIES // (baby + 1 + inner))
             for lo in range(0, zs.size if blocks else 0, step):
                 z = zs[lo:lo + step]
-                t = z.real**2 + z.imag**2
                 z_pow = _powers(z, baby + 1)
+                weights = _row_weights(z.real**2 + z.imag**2, self._n_load, gradient)
                 acc = outs[:, lo:lo + step]
-                for load, coef, b, q in blocks:
+                for row, coef, b, q in blocks:
                     x = _contract(coef, b, q, kinds, z_pow)
-                    weights = _row_weights(load, t, x.shape[1], gradient)
-                    v = (weights[0] * x).sum(axis=1)
+                    w = weights[:, row:row + x.shape[1]]
+                    v = (w[0] * x).sum(axis=1)
                     acc[0] += v[0] + np.conj(v[1])
                     if gradient:
                         # d/dz multiplies d/dt (s^p t^j) by zbar and d/dzbar by z
-                        radial = (weights[1] * (x[0] + np.conj(x[1]))).sum(axis=0)
+                        radial = (w[1] * (x[0] + np.conj(x[1]))).sum(axis=0)
                         acc[1] += np.conj(z) * radial + v[2]
                         acc[2] += z * radial + np.conj(v[3])
         if not np.all(np.isfinite(outs)):
@@ -650,16 +653,16 @@ def _ring_layout(blocks, n_theta: int, gradient: bool, r_out: float):
     """(coef, k, b, q, babies): the table laid out for ``Solution._rings``.
 
     k = min(n_theta, W) over the widest block, whose folds take L =
-    ceil(W / k) powers of x = r^k: b baby steps and q = ceil(L / b) giant
-    steps. The sources are the folds k' < k of the kinds [alpha, conj(beta)]
-    and, with gradient, [alpha', conj(beta')] and the radial
-    [alpha, conj(beta)]: S = 2 k or 6 k of them. A ring holds about b
-    products per row and q S inner sums, so b = min(L, isqrt(S L) + 1)
-    balances the two. A block whose folds take L_b powers has min(b, L_b)
-    baby steps: its rows (row, i) of coef hold, in columns (kind, giant step
-    g, k'), the coefficient of mode k' + (g b + i) k, as pairs of floats (a
-    real matmul then serves the complex coefficients). babies lists each
-    block's baby steps. A row whose absolute sum on the outer ring r_out
+    ceil(W / k) powers x^J of x = r^k, J = i q + g: b powers y^i of y = x^q
+    in the left operand and q powers x^g in the columns. The sources are
+    the folds k' < k of the kinds [alpha, conj(beta)] and, with gradient,
+    [alpha', conj(beta')] and the radial [alpha, conj(beta)]: S = 2 k or
+    6 k of them. A ring holds about b products per row and q S inner sums,
+    so b = min(L, isqrt(S L) + 1) balances the two. A block of width W_b
+    takes babies = ceil(W_b / (q k)) powers of y. coef[p, c] holds kind
+    2 p + c (``_kinds``) as pairs of floats, for a real matmul: row (row,
+    i), column (g, k') the coefficient of mode k' + (i q + g) k, so a row's
+    modes lie in order. A row whose absolute sum on the outer ring r_out
     overflows is refused, as the point route refuses it at the node where
     its terms meet in phase.
     """
@@ -668,37 +671,36 @@ def _ring_layout(blocks, n_theta: int, gradient: bool, r_out: float):
     depth = -(-max(widths) // k)
     b = min(depth, math.isqrt((6 if gradient else 2) * k * depth) + 1)
     q = -(-depth // b)
+    babies = [-(-width // (q * k)) for width in widths]
     kinds = 4 if gradient else 2
-    r_pow = r_out ** np.arange(q * b * k)
+    rows = sum(alpha.shape[1] * baby for (_, alpha, _), baby in zip(blocks, babies))
+    coef = np.zeros((kinds // 2, 2, rows, q * k), dtype=complex)
+    r_pow = r_out ** np.arange(b * q * k)
     lo = 0
-    babies = [min(b, -(-width // k)) for width in widths]
-    coef = np.empty((sum(a.shape[1] * baby for (_, a, _), baby in zip(blocks, babies)),
-                     kinds * q * k), dtype=complex)
     for (_, alpha, beta), baby in zip(blocks, babies):
         n_rows = alpha.shape[1]
-        c = _kinds(alpha, beta, kinds, q * baby * k)
-        if not math.isfinite((np.abs(c) @ r_pow[:c.shape[-1]]).max()):
+        block = coef[:, :, lo:lo + n_rows * baby].reshape(kinds, n_rows, -1)
+        _kinds(alpha, beta, block)
+        magnitude = np.abs(block).reshape(-1, block.shape[2])
+        if not math.isfinite(np.dot(magnitude, r_pow[:magnitude.shape[1]]).max()):
             raise _overflow(gradient)
-        coef[lo:lo + n_rows * baby].reshape(n_rows, baby, kinds, q, k)[...] = (
-            c.reshape(kinds, n_rows, q, baby, k).transpose(1, 3, 0, 2, 4))
         lo += n_rows * baby
     return coef.view(float), k, b, q, babies
 
 
-def _kinds(alpha: np.ndarray, beta: np.ndarray, kinds: int, padded: int) -> np.ndarray:
-    """A block's first kinds of [alpha, conj(beta), alpha', conj(beta')] as (kinds, rows, padded).
+def _kinds(alpha: np.ndarray, beta: np.ndarray, out: np.ndarray) -> None:
+    """Write a block's first kinds of [alpha, conj(beta), alpha', conj(beta')] into zeros out.
 
-    Column m holds the coefficient of z^m (conj(zbar^m) = z^m), zero past
-    the block's width W. Both routes lay the table out from it. Derivative
+    out has shape (kinds, rows, n >= W): column m takes the coefficient of
+    z^m (conj(zbar^m) = z^m) and stays zero past the block's width W. Both
+    routes lay the table out by it, each into its own strides. Derivative
     rows that overflow are kept; each route refuses what they reach.
     """
-    width, n_rows = alpha.shape
-    out = np.zeros((kinds, n_rows, padded), dtype=complex)
+    width = alpha.shape[0]
     out[0, :, :width] = alpha.T
     np.conjugate(beta.T, out=out[1, :, :width])
-    if kinds == 4:
+    if len(out) == 4:
         out[2:, :, :width - 1] = _deriv(out[:2, :, :width])
-    return out
 
 
 def _giant_steps(alpha: np.ndarray, beta: np.ndarray, kinds: int):
@@ -707,10 +709,12 @@ def _giant_steps(alpha: np.ndarray, beta: np.ndarray, kinds: int):
     With b = isqrt(W - 1) + 1 and q = ceil(W / b), row i q + k of the matrix
     holds the coefficients C_k of z^(k b) .. z^(k b + b - 1) in row i of the kinds.
     """
-    width = alpha.shape[0]
+    width, n_rows = alpha.shape
     b = math.isqrt(width - 1) + 1
     q = -(-width // b)
-    return _kinds(alpha, beta, kinds, q * b).reshape(-1, b), b, q
+    out = np.zeros((kinds, n_rows, q * b), dtype=complex)
+    _kinds(alpha, beta, out)
+    return out.reshape(-1, b), b, q
 
 
 def _contract(coef: np.ndarray, b: int, q: int, kinds: int, z_pow: np.ndarray) -> np.ndarray:
@@ -727,24 +731,23 @@ def _contract(coef: np.ndarray, b: int, q: int, kinds: int, z_pow: np.ndarray) -
     return inner.sum(axis=1).reshape(kinds, -1, n)
 
 
-def _row_weights(load: bool, t: np.ndarray, n_rows: int, gradient: bool) -> np.ndarray:
-    """A block's row weights at t = |z|^2, s = 1 - t: shape (1, or 2 with gradient, n_rows, t.size).
+def _row_weights(t: np.ndarray, n_load: int, gradient: bool) -> np.ndarray:
+    """Every row's weight at t = |z|^2, s = 1 - t: (1, or 2 with gradient, 2 + n_load, t.size).
 
-    The boundary block's rows (0, 0) and (1, 0) weigh [1, s], with d/dt
-    [0, -1]; the load block's rows (2, j) weigh s^2 t^j, with d/dt
-    j s^2 t^(j-1) - 2 s t^j. Both routes weigh by this rule alone.
+    Rows 0 and 1, the boundary block's (0, 0) and (1, 0), weigh [1, s] with
+    d/dt [0, -1]; row 2 + j, the load block's (2, j), weighs s^2 t^j with
+    d/dt j s^2 t^(j-1) - 2 s t^j. Both routes weigh by this rule alone.
     """
-    s = 1.0 - t
-    out = np.empty((2 if gradient else 1, n_rows, t.size))
-    if not load:
-        out[0, 0], out[0, 1] = 1.0, s
-        out[1:, 0], out[1:, 1] = 0.0, -1.0  # d/dt, with gradient
-        return out
-    t_pow = _powers(t, n_rows)
-    out[0] = s * s * t_pow
-    if gradient:
-        out[1] = -2.0 * s * t_pow
-        out[1, 1:] += np.arange(1, n_rows)[:, None] * out[0, :-1]
+    out = np.empty((2 if gradient else 1, 2 + n_load, t.size))
+    out[0, 0] = 1.0
+    s = np.subtract(1.0, t, out=out[0, 1])
+    out[1:, 0], out[1:, 1] = 0.0, -1.0  # d/dt, with gradient
+    if n_load:
+        t_pow = _powers(t, n_load)
+        np.multiply(s * s, t_pow, out=out[0, 2:])
+        if gradient:
+            np.multiply(-2.0 * s, t_pow, out=out[1, 2:])
+            out[1, 3:] += np.arange(1.0, n_load)[:, None] * out[0, 2:-1]
     return out
 
 
@@ -755,8 +758,9 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
     them: log2(n) vector products, ~3x faster than np.vander's accumulate.
     """
     out = np.empty((n, x.size), dtype=x.dtype)
-    out[0] = 1.0
-    done = 1
+    out[:1] = 1.0
+    out[1:2] = x
+    done = 2
     while done < n:
         step = min(done, n - done)
         np.multiply(out[:step], out[done - 1] * x, out=out[done:done + step])
@@ -791,30 +795,24 @@ def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
     nonzero data: T(0) >= max_k |f_k| + max_k |h_k|, which exceeds the floor
     for any N < 1/u, unless the whole spectrum underflows to 0.
     """
-    given = [d for d in (f, h) if d is not None]
-    tails = np.zeros(max((d.tail.size for d in given), default=0))
-    with np.errstate(over="ignore"):
-        for d in given:
-            tails[:d.tail.size] += d.tail
-    width = int(np.count_nonzero(tails > sum(d.floor for d in given)))
-    if width == 0:
-        return None
-    # rows[k, p] is row (p, 0) of alpha (k = 0) or beta (k = 1): f's
-    # spectrum in row 0 and h's in row 1, which then becomes (m f + h) / 2
-    rows = np.zeros((2, 2, width), dtype=complex)
-    for d, p in ((f, 0), (h, 1)):
-        if d is not None:
-            rows[0, p, :d.a.size], rows[1, p, :d.b.size] = d.a[:width], d.b[:width]
+    tails, floor = np.zeros(max(0 if d is None else d.tail.size for d in (f, h))), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        rows[:, 1] = 0.5 * (np.arange(width) * rows[:, 0] + rows[:, 1])
-    return False, rows[0].T, rows[1].T
-
-
-def _dropped(d: Optional[BoundaryData], width: int) -> tuple[float, float]:
-    """(T(width), M(width)) of a datum's records; 0 for no datum or past its modes."""
-    if d is None or width >= d.tail.size:
-        return 0.0, 0.0
-    return float(d.tail[width]), float(d.moment[width])
+        for d in (f, h):
+            if d is not None:
+                tails[:d.tail.size] += d.tail
+                floor += d.floor
+        width = int(np.count_nonzero(tails > floor))
+        if width == 0:
+            return None
+        # rows[p] is row (p, 0) as [alpha, beta]: f's spectrum in row 0 and
+        # h's in row 1, which then becomes (m f + h) / 2
+        rows = np.zeros((2, 2, width), dtype=complex)
+        for p, d in enumerate((f, h)):
+            if d is not None:
+                rows[p, :, :d.tail.size] = d.spectrum[:, :width]
+        rows[1] += np.arange(width) * rows[0]
+        rows[1] *= 0.5
+    return False, rows[:, 0].T, rows[:, 1].T
 
 
 def _load_rows(g: Optional[SourceTerm]):
@@ -823,12 +821,13 @@ def _load_rows(g: Optional[SourceTerm]):
         return None
     n_rows = max(min(a, b) for a, b, _ in g.terms) + 1
     width = max(abs(a - b) for a, b, _ in g.terms) + 1
-    alpha, beta = np.zeros((2, width, n_rows), dtype=complex)
+    rows = [0j] * (2 * n_rows * width)  # alpha's rows, then beta's: Python rounds as numpy
     for a, b, c in g.terms:
-        k = min(a, b) + 2
-        scale = c / ((a + 1) * (a + 2) * (b + 1) * (b + 2))
-        (alpha if a >= b else beta)[abs(a - b), :k - 1] += scale * np.arange(k - 1, 0, -1.0)
-    return True, alpha, beta
+        k, scale = min(a, b) + 2, c / ((a + 1) * (a + 2) * (b + 1) * (b + 2))
+        for j in range(k - 1):
+            rows[(a < b) * n_rows * width + j * width + abs(a - b)] += scale * (k - 1 - j)
+    alpha, beta = np.array(rows).reshape(2, n_rows, width)
+    return True, alpha.T, beta.T
 
 
 def f0_transform(f: BoundaryData, z: complex) -> complex:
