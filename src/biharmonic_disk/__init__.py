@@ -1,9 +1,9 @@
 """Kernel-based solver for the inhomogeneous biharmonic Dirichlet problem on the unit disk.
 
 The error types and the solver are imported with the package. The names of
-``kernels``, ``green``, ``quadrature``, ``lipschitz`` and ``verify`` are
-served on first use (PEP 562), so a process imports those modules only when
-it reads one of their names.
+``kernels``, ``quadrature``, ``lipschitz`` and ``verify`` are served on
+first use (PEP 562), so a process imports those modules only when it reads
+one of their names.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +23,6 @@ from .solver import (
     boundary_gradient,
     case_fingerprint,
     f0_transform,
-    gradient_point,
     green_gradient,
     green_potential,
     h0_transform,
@@ -34,9 +33,8 @@ from .solver import (
 
 # The names served on first use, each with the module that defines it.
 _LAZY = {
-    **dict.fromkeys(("f0_dz", "f0_eval", "h0_dz", "h0_eval", "kernel_moment",
+    **dict.fromkeys(("KernelParts", "f0_dz", "f0_eval", "h0_dz", "h0_eval", "kernel_moment",
                      "kernel_moment_series"), "kernels"),
-    "KernelParts": "green",
     **dict.fromkeys(("DEFAULT_RULES", "CircleRule", "DiskRule", "RuleSet",
                      "circle_integrate", "disk_integrate_centered"), "quadrature"),
     **dict.fromkeys(("ABResult", "LipschitzReport", "analyze_case", "classify", "compute_ab",

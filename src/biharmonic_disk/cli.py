@@ -294,9 +294,9 @@ def cmd_lipschitz(args) -> int:
     print(f"sup|g| (certified bound)        = {report.g_sup:.12g}")
     print(f"sup|g| (grid estimate)          = {report.g_sup_estimate:.12g}")
     print(f"P (gradient bound)              = {report.p_upper:.12g}")
-    print(f"A = |Phi_z(0)|^2                = {report.a_value:.12g}")
-    print(f"B = |Phi_zbar(0)|^2             = {report.b_value:.12g}")
-    print(f"Q = A - B                       = {report.q_value:.12g}")
+    print(f"A = |Phi_z(0)|^2                = {ab.a_value:.12g}")
+    print(f"B = |Phi_zbar(0)|^2             = {ab.b_value:.12g}")
+    print(f"Q = A - B                       = {ab.q_value:.12g}")
     print(f"A (integral form)               = {ab.a_integral:.12g}")
     print(f"B (integral form)               = {ab.b_integral:.12g}")
     print(f"lower bound                     = {report.lower_bound:.12g}")
@@ -311,7 +311,7 @@ def cmd_kernel(args) -> int:
         if args.zeta is None:
             raise CaseFormatError("kernel G needs --zeta")
         zeta = _parse_complex(args.zeta, "--zeta")
-        from .green import KernelParts
+        from .kernels import KernelParts
 
         value = complex(KernelParts(z, zeta).g())
     elif args.zeta is not None:

@@ -71,19 +71,16 @@ class LipschitzReport:
     g_sup is the certified term-sum bound used inside p_upper; g_sup_estimate
     is the dense-grid maximum (a lower estimate of the true sup). p_upper is
     not certified: l_boundary and h_sup, which it is built from, are lower
-    estimates (the largest chord quotient and a dense-grid maximum). The
-    verdict is "bi-lipschitz" exactly when q_value > 2 p_upper^2, in which
-    case lower_bound = q_value/p_upper - 2 p_upper is positive; it is
-    reported as-is (usually negative) otherwise.
+    estimates (the largest chord quotient and a dense-grid maximum). With
+    Q = A - B of the case's ``ABResult``, the verdict is "bi-lipschitz"
+    exactly when Q > 2 p_upper^2, in which case lower_bound = Q/p_upper -
+    2 p_upper is positive; it is reported as-is (usually negative) otherwise.
     """
 
     l_boundary: float
     h_sup: float
     g_sup: float
     p_upper: float
-    a_value: float
-    b_value: float
-    q_value: float
     lower_bound: float
     verdict: str
     g_sup_estimate: float
@@ -165,7 +162,7 @@ def _origin_invariants(case: Case) -> ABResult:
 
 def classify(l_boundary: float, h_sup: float, g_sup: float,
              a_value: float, b_value: float, g_sup_estimate: float) -> LipschitzReport:
-    """Assemble the LipschitzReport from the measured constants."""
+    """Assemble the LipschitzReport from the measured constants; A and B set the verdict."""
     p_upper = p_bound(l_boundary, h_sup, g_sup)
     if p_upper == 0.0:
         raise DegenerateDataError(
@@ -179,9 +176,6 @@ def classify(l_boundary: float, h_sup: float, g_sup: float,
         h_sup=h_sup,
         g_sup=g_sup,
         p_upper=p_upper,
-        a_value=a_value,
-        b_value=b_value,
-        q_value=q_value,
         lower_bound=lower,
         verdict=verdict,
         g_sup_estimate=g_sup_estimate,
@@ -208,7 +202,7 @@ def analyze_case(case: Case) -> tuple[LipschitzReport, ABResult]:
             )
     except OverflowError as exc:  # a Python float power past the double range
         raise DegenerateDataError("a reported constant overflows double precision") from exc
-    for result in (report, ab):
+    for result in (ab, report):
         for field in fields(result):
             value = getattr(result, field.name)
             if not isinstance(value, str) and not np.isfinite(value):

@@ -44,33 +44,32 @@ the result, a stacked integrand gets exactly what separate calls get, a
 real integrand gets exactly what its complex cast gets, and repeated
 calls are bitwise reproducible.
 
-The disk rule takes ``mirror``, a promise that the integrand takes equal
-values at zeta and at its reflection across the line through 0 and
-``mirror`` (the real axis when ``mirror == 0``). That line must pass
-through a grid angle, n_angular arg(mirror) / pi an even integer, and
-n_angular must be even, so that the reflection maps the grid onto itself
-and fixes the two axis nodes of each row; otherwise ``DomainError``. Each
-row is then evaluated only on the n_angular / 2 + 1 angles of the closed
-half circle between the two axis directions, with the weights
+The disk rule takes ``fold``, a promise that the integrand takes equal
+values at zeta and at its reflection across the fold line, the line
+through 0 and the centre (the real axis when the centre is 0). That line
+must pass through a grid angle, n_angular arg(center) / pi an even integer,
+and n_angular must be even, so that the reflection maps the grid onto
+itself and fixes the two axis nodes of each row; otherwise ``DomainError``.
+Each row is then evaluated only on the n_angular / 2 + 1 angles of the
+closed half circle between the two axis directions, with the weights
 (1, 2, ..., 2, 1) / n_angular: the row mean is
 (2 * sum of the inner columns + (first + last)) / n_angular. A folded block
-holds twice the rows of an unfolded one. The centre must lie on the mirror
-line too: a Mobius map centred there commutes with the reflection, so the
-pulled-back integrand times the Jacobian is symmetric in the same way and
-is folded on the same half grid. The promises above hold for folded rows
-too; a folded result differs from the unfolded one by round-off only.
+holds twice the rows of an unfolded one. The Mobius map centred on the
+line commutes with the reflection, so the pulled-back integrand times the
+Jacobian is symmetric in the same way and is folded on the same half grid.
+The promises above hold for folded rows too; a folded result differs from
+the unfolded one by round-off only.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .green import _abs2
+from .kernels import _abs2
 from .solver import _as_int, _circle_angles
 
 # Split points and Gauss-Legendre order of the recentred rule's radial panels.
@@ -118,7 +117,7 @@ class DiskRule:
 
     The radial grid is set by the panel counts (the split points and panel
     order are the constants ``_GEO_START``, ``_GEO_SPLIT``,
-    ``_PANEL_ORDER``); a folded rule (``mirror``) needs n_angular even.
+    ``_PANEL_ORDER``); a folded rule (``fold``) needs n_angular even.
     """
 
     n_angular: int = 256
@@ -139,8 +138,7 @@ class DiskRule:
         return _panel_radial(self.geo_panels, self.outer_panels)
 
 
-def disk_integrate_centered(rule: DiskRule, integrand, center: complex,
-                            mirror: complex | None = None):
+def disk_integrate_centered(rule: DiskRule, integrand, center: complex, fold: bool = False):
     """Integrate ``integrand(zeta)`` over the disk against dA = dx dy / pi.
 
     The grid is pulled back through the Mobius map centred at ``center``,
@@ -152,27 +150,24 @@ def disk_integrate_centered(rule: DiskRule, integrand, center: complex,
     an array of k complexes, one per integrand). The Jacobian of the
     substitution is applied internally.
 
-    ``mirror`` promises that the integrand takes equal values at zeta and at
-    its reflection across the line through 0 and ``mirror`` (the real axis
-    when ``mirror == 0``); ``center`` must lie on that line, so that the
-    Mobius map commutes with the reflection. The rule then evaluates only
-    the closed half circle of each row on one side of the line (see the
-    module docstring).
+    ``fold`` promises that the integrand takes equal values at zeta and at
+    its reflection across the line through 0 and ``center`` (the real axis
+    when ``center`` is 0), with which the Mobius map commutes. The rule then
+    evaluates only the closed half circle of each row on one side of the
+    line (see the module docstring).
     """
     center = complex(center)
     if not abs(center) < 1.0:
         raise DomainError("Mobius center must lie in the open unit disk")
     rho, w = rule.centered_radial_nodes
-    circle, axis = _angular_nodes(rule.n_angular, mirror)
-    if axis is not None and abs((center * np.conj(axis)).imag) > 4 * _EPS * abs(center):
-        raise DomainError("a folded recentred rule needs its center on the mirror line")
+    circle = _angular_nodes(rule.n_angular, center, fold)
     step = max(1, _BLOCK_NODES // circle.size)
 
     def block(lo, hi):
         zeta, jac = _pullback(center, rho[lo:hi, None] * circle)
         return _block_values(integrand, zeta) * jac
 
-    return _sum_rows(block, step, 2.0 * rho * w, rule.n_angular, mirror is not None)
+    return _sum_rows(block, step, 2.0 * rho * w, rule.n_angular, fold)
 
 
 def _pullback(center, eta):
@@ -191,32 +186,29 @@ def _pullback(center, eta):
     return zeta, (1.0 - _abs2(center)) ** 2 / jac**2
 
 
-def _angular_nodes(n, mirror):
-    """Unit-circle nodes of one row, and the mirror line's direction.
+def _angular_nodes(n, center, fold):
+    """Unit-circle nodes of one row.
 
-    Without a mirror these are the n nodes e^{2 pi i k / n} (direction None).
-    With one, the line through 0 and ``mirror`` must pass through a node, so
-    that the grid is closed under the reflection across it and that node and
-    its opposite are fixed by it: n arg(mirror) / pi must be an even integer
-    (to round-off) and n even. The nodes are then the n/2 + 1 of the closed
-    half circle from that node, counterclockwise, to its opposite.
+    Unfolded these are the n nodes e^{2 pi i k / n}. Folded, the line
+    through 0 and ``center`` (the real axis for a centre at 0) must pass
+    through a node, so that the grid is closed under the reflection across
+    it and that node and its opposite are fixed by it: n arg(center) / pi
+    must be an even integer (to round-off) and n even. The nodes are then
+    the n/2 + 1 of the closed half circle from that node, counterclockwise,
+    to its opposite.
     """
     circle = np.exp(1j * _circle_angles(n))
-    if mirror is None:
-        return circle, None
+    if not fold:
+        return circle
     if n % 2:
         raise DomainError("a folded rule needs an even angular node count")
-    mirror = complex(mirror)
-    if not cmath.isfinite(mirror):
-        raise DomainError(f"the mirror must be finite, got {mirror}")
-    turns = n * np.angle(mirror) / np.pi
+    turns = n * np.angle(center) / np.pi
     k = round(turns)
     if k % 2 or abs(turns - k) > 4 * n * _EPS:
         raise DomainError(
             f"the {n}-angle grid is not closed under the reflection across the line "
-            f"through 0 and {mirror}")
-    start = k // 2
-    return circle[(start + np.arange(n // 2 + 1)) % n], circle[start % n]
+            f"through 0 and {center}")
+    return circle[(k // 2 + np.arange(n // 2 + 1)) % n]
 
 
 def _block_values(integrand, zeta):

@@ -64,7 +64,7 @@ exactly at the grid's angles; one matmul of both blocks folds them, and
 one inverse FFT turns the folds into the values (``Solution._rings``).
 Both routes lay the table out per call by ``_kinds``. The integral forms
 (circle quadrature of the kernels in ``kernels``, recentred disk quadrature
-of ``green.KernelParts.g``) stay in ``quadrature``, ``verify`` and the tests
+of ``kernels.KernelParts.g``) stay in ``quadrature``, ``verify`` and the tests
 as the independent oracle for the table. The solver imports no oracle
 module: it owns the helper the oracle shares with it (``_circle_angles``),
 and, at import, lifts glibc's heap thresholds once: the memory policy of
@@ -147,9 +147,10 @@ class BoundaryData:
     and builds the samples by one inverse FFT (O(N log N) whatever the
     number of modes), so the spectrum recorded here differs from the given
     coefficients only by the round-off of one FFT round trip: about
-    u ||c||_1 per mode at most. ``eval_at`` evaluates the band-limited
-    trigonometric interpolant (real-symmetric Nyquist convention), so
-    resampling to a finer uniform grid is lossless.
+    u ||c||_1 per mode at most. The samples stand for their band-limited
+    trigonometric interpolant (real-symmetric Nyquist convention):
+    ``sup_norm`` reads it at max(2048, N) uniform angles by zero-padding the
+    spectrum (``modes``), which resamples it losslessly.
 
     The spectrum is computed once, by one FFT of the samples / N (so its
     sums overflow only if the spectrum does): ``a`` and ``b`` are the
@@ -246,11 +247,6 @@ class BoundaryData:
     def from_function(cls, fn, n_samples: int = 512) -> "BoundaryData":
         return cls(np.asarray(fn(_circle_angles(_sample_count(n_samples))), dtype=complex))
 
-    def eval_at(self, theta) -> np.ndarray:
-        polyval = np.polynomial.polynomial.polyval
-        w = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=float)))
-        return polyval(w, self.a) + polyval(np.conj(w), self.b)
-
     def modes(self, n: int) -> np.ndarray:
         """The spectrum as n > N coefficients in FFT order: a at modes 0..N/2, b at -1..-N/2."""
         out = np.zeros(n, dtype=complex)
@@ -258,24 +254,15 @@ class BoundaryData:
         out[n - self.b.size + 1 :] = self.b[:0:-1]
         return out
 
-    def resample(self, n_nodes: int) -> np.ndarray:
-        """Samples of the interpolant at n_nodes >= N uniform angles.
-
-        Zero-pads the spectrum (O(n log n)). Fewer nodes than samples would
-        alias the upper modes onto lower ones, so that raises
-        ``DegenerateDataError``.
-        """
-        if n_nodes == self.n:
-            return self.samples
-        if n_nodes < self.n:
-            raise DegenerateDataError(
-                f"cannot resample {self.n} samples to {n_nodes} nodes without aliasing"
-            )
-        return np.fft.ifft(self.modes(n_nodes)) * n_nodes
-
     def sup_norm(self) -> float:
-        dense = max(2048, self.n)
-        return float(np.max(np.abs(self.resample(dense))))
+        """Largest modulus of the interpolant at max(2048, N) uniform angles.
+
+        Below 2048 samples the spectrum is zero-padded to 2048 modes and
+        transformed back (O(n log n)); from 2048 on the samples are read.
+        """
+        n = max(2048, self.n)
+        dense = self.samples if n == self.n else np.fft.ifft(self.modes(n)) * n
+        return float(np.max(np.abs(dense)))
 
 
 def _as_int(value, error, what: str) -> int:
@@ -396,9 +383,6 @@ class SourceTerm:
         r = np.linspace(0.0, 1.0, _SUP_GRID)
         return max(float(np.max(np.abs(r[i:i + _SUP_RINGS, None] ** degrees @ coef @ waves)))
                    for i in range(0, _SUP_GRID, _SUP_RINGS))
-
-    def __add__(self, other: "SourceTerm") -> "SourceTerm":
-        return SourceTerm(tuple(self.terms) + tuple(other.terms))
 
 
 @dataclass(frozen=True)
@@ -857,15 +841,6 @@ def solve_points(f: BoundaryData, h: BoundaryData, g: SourceTerm, zs) -> np.ndar
     hold a ``Solution`` (or ``Case.solution``) and call its ``values``.
     """
     return Solution(f, h, g).values(zs)
-
-
-def gradient_point(f: BoundaryData, h: BoundaryData, g: SourceTerm,
-                   z: complex) -> tuple[complex, complex]:
-    """Wirtinger gradient (Phi_z, Phi_zbar) at z.
-
-    The same tuple ``Solution.gradient`` returns, with complex scalars.
-    """
-    return tuple(map(complex, Solution(f, h, g).gradient(z)))
 
 
 def boundary_gradient(f: Optional[BoundaryData], h: Optional[BoundaryData], zs):

@@ -12,9 +12,10 @@ the field, by its values and normal derivative on the circle, and by
 difference quotients of its gradients.
 
 Checks are pure functions of immutable inputs; failures are recorded in the
-results, never raised. The oracle's modules (``green``, ``kernels`` and
-``quadrature``) are imported by the oracle functions that run them, so
-``verify`` on a case loads none of them.
+results, never raised, but a check whose allowance or residual overflows
+double precision cannot be judged and raises ``DegenerateDataError``. The
+oracle's modules (``kernels`` and ``quadrature``) are imported by the
+oracle functions that run them, so ``verify`` on a case loads neither.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DegenerateDataError, DomainError
 from .solver import BoundaryData, Case, SourceTerm, _circle_angles
 
 # Interior points where pointwise identities and bounds are spot-checked.
@@ -49,7 +50,7 @@ _BOUND_TOL = 1e-6
 _POINT_NODES = 64
 
 # Mass bounds int |K(z, .)| dA <= limit(z) of the Green kernel and its
-# derivatives, as (check name, ``green.KernelParts`` method, limit);
+# derivatives, as (check name, ``kernels.KernelParts`` method, limit);
 # scripts/bound_margins.py sweeps the same rows over radii.
 _ABS_MASS_BOUNDS = (
     ("green-abs-mass", "g", lambda z: 0.75),
@@ -163,7 +164,7 @@ def _oracle_integrands(z: complex, zeta: np.ndarray) -> np.ndarray:
     |z - zeta|^2-weighted form and the swapped form (identities), then
     j1 = |z - zeta| log-ratio and j2 = (1 - |zeta|^2) |z - zeta| / |1 - conj(zeta) z|.
     """
-    from .green import KernelParts
+    from .kernels import KernelParts
 
     parts = KernelParts(z, zeta)
     out = np.empty((9,) + zeta.shape)
@@ -189,7 +190,7 @@ def _recentred_masses(z: complex) -> tuple[list[tuple[str, complex, float]], np.
     from .quadrature import DEFAULT_RULES, disk_integrate_centered
 
     values = disk_integrate_centered(DEFAULT_RULES.disk, lambda zeta: _oracle_integrands(z, zeta),
-                                     center=z, mirror=z)
+                                     center=z, fold=True)
     masses = [(name, mass, limit(z)) for (name, _, limit), mass in zip(_ABS_MASS_BOUNDS, values)]
     return masses, values[len(_ABS_MASS_BOUNDS):]
 
@@ -210,8 +211,8 @@ def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
     masses of ``identity_suite`` together, all from one ``KernelParts`` per
     block. Each of its integrands is a function of |zeta|, |zeta - z| and
     |1 - conj(zeta) z|, so it is symmetric across the line through 0 and z,
-    and the pass folds its rows onto half circles (``mirror=z``); so does
-    the radial area integral behind j3 (centred at 0, ``mirror=0``).
+    and the pass folds its rows onto half circles (``fold=True``); so does
+    the radial area integral behind j3 (centred at 0, across the real axis).
     Every sample point lies on a grid angle of the disk rule, which the fold
     requires. ``trace_kernel`` substitutes the trace kernel in the mean
     check (used by the negative-control tests to prove the check can fail).
@@ -240,7 +241,7 @@ def oracle_suite(trace_kernel: Optional[Callable] = None) -> list[CheckResult]:
             f"moment-rule[beta=3,r={r:g}]", _circle_moment(r, 6), series, 1e-10))
 
     area = disk_integrate_centered(
-        DEFAULT_RULES.disk, lambda zeta: 1.0 - np.abs(zeta) ** 2, center=0j, mirror=0j).real
+        DEFAULT_RULES.disk, lambda zeta: 1.0 - np.abs(zeta) ** 2, center=0j, fold=True).real
     bounds: list[CheckResult] = []
     for z in SAMPLE_POINTS:
         name = _zkey(z)
@@ -307,7 +308,10 @@ def fd_bilaplacian_residual(case: Case, grid_spacing: float, extent: float = 0.8
     obeys |d2 v / h^2 - v_xx| <= (h^2/12) sup |v_xxxx| and
     |d2 v / h^2| <= sup |v_xx| (nonnegative Peano kernels, so complex v too),
     which leaves 8 sixth derivatives over 16 on the stencil's hull, each at
-    most (a+b)_6 r^(a+b-6) on z^a zbar^b (Vandermonde's identity).
+    most (a+b)_6 r^(a+b-6) on z^a zbar^b (Vandermonde's identity). Only
+    centres whose whole stencil lies in |z| <= extent count; a residual at
+    one of them, T or S that overflows double precision raises
+    ``DegenerateDataError``.
     """
     h = float(grid_spacing)
     if not (0.0 < h <= _FD_MAX_SPACING):
@@ -330,19 +334,23 @@ def fd_bilaplacian_residual(case: Case, grid_spacing: float, extent: float = 0.8
         return (u[1:-1, 2:] + u[1:-1, :-2] + u[2:, 1:-1] + u[:-2, 1:-1]
                 - 4.0 * u[1:-1, 1:-1]) / h**2
 
-    bilap = lap(lap(values)) / 16.0
-    centers = zg[2:-2, 2:-2]
-    resid = np.abs(bilap - case.g.evaluate(centers))
-    ok = np.isfinite(resid)
+    # the centres whose whole stencil lies inside: the disk is convex, so
+    # those whose four tips, two spacings out, do
+    ok = inside[2:-2, 4:] & inside[2:-2, :-4] & inside[4:, 2:-2] & inside[:-4, 2:-2]
     if not np.any(ok):
         raise DomainError("stencil exits the allowed disk: no interior centers")
     c = case.solution.coefficients()
     row = np.arange(c.shape[0])
     n = np.minimum(row, c.shape[0] - row)[:, None] + 2.0 * np.arange(c.shape[1])
-    # weight first: at most 1.1e7 for R <= _FD_DISK, so only c near the double range overflows
     weight = np.prod([np.maximum(n - k, 0.0) for k in range(6)], axis=0) * extent ** (n - 6.0)
-    truncation = h**2 / 24.0 * float(np.sum(np.abs(c) * weight))
-    return CheckResult.equality(f"fd-bilaplacian-residual[h={h:g}]", float(np.max(resid[ok])),
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(lap(lap(values)) / 16.0 - case.g.evaluate(zg[2:-2, 2:-2]))[ok]
+        # term by term, so that only a term past the double range overflows
+        truncation = float(np.sum(np.abs(c) * (h**2 / 24.0 * weight)))
+    if not (np.isfinite(truncation) and np.all(np.isfinite(resid))):
+        raise DegenerateDataError(
+            "the FD bilaplacian residual or its truncation bound overflows double precision")
+    return CheckResult.equality(f"fd-bilaplacian-residual[h={h:g}]", float(np.max(resid)),
                                 0.0, tolerance * _data_scale(case) + truncation)
 
 
@@ -353,11 +361,19 @@ def _data_scale(case: Case) -> float:
     the load's part is its round-to-nearest sum, a size rather than the
     certified ``SourceTerm.sup_norm_bound``.
     One S serves every check: per-check scales fail, because the s^1 row
-    cancels across levels.
+    cancels across levels. An S past the double range raises
+    ``DegenerateDataError``.
     """
     f, h = case.f, case.h
-    return max(1.0, float(f.tail[0]) + float(f.moment[0]) + float(h.tail[0])
-               + sum(abs(c) for _, _, c in case.g.terms))
+    try:
+        load = sum(abs(c) for _, _, c in case.g.terms)
+    except OverflowError:  # a |g_k| past the double range
+        load = np.inf
+    scale = max(1.0, float(f.tail[0]) + float(f.moment[0]) + float(h.tail[0]) + load)
+    if not np.isfinite(scale):
+        raise DegenerateDataError("the size of the data overflows double precision, "
+                                  "and with it every check's allowance")
+    return scale
 
 
 def _exact_checks(case: Case, gaps) -> list[CheckResult]:

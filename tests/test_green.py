@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from biharmonic_disk import green
+from biharmonic_disk import kernels
 from biharmonic_disk.errors import DomainError, SingularityError
 from biharmonic_disk.quadrature import DiskRule, _pullback, disk_integrate_centered
 
@@ -13,19 +13,19 @@ disk_points = st.complex_numbers(max_magnitude=0.9, allow_infinity=False, allow_
 
 
 def g(z, zeta):
-    return green.KernelParts(z, zeta).g()
+    return kernels.KernelParts(z, zeta).g()
 
 
 def g_dz(z, zeta):
-    return green.KernelParts(z, zeta).g_dz()
+    return kernels.KernelParts(z, zeta).g_dz()
 
 
 def h2(z, zeta):
-    return green.KernelParts(z, zeta).h2()
+    return kernels.KernelParts(z, zeta).h2()
 
 
 def h3(z, zeta):
-    return green.KernelParts(z, zeta).h3()
+    return kernels.KernelParts(z, zeta).h3()
 
 
 def test_value_at_origin_pair():
@@ -152,7 +152,7 @@ def test_folded_kernels_match_unfolded_formulas(kind):
     # subexpressions. Near the circle the unfolded terms cancel to O(s^2),
     # so the tolerance is relative to the sum of their magnitudes.
     z, zeta = _kernel_pairs(kind)
-    parts = green.KernelParts(z, zeta)
+    parts = kernels.KernelParts(z, zeta)
     d, w, s, log = parts.d, parts.w, parts.s, parts.log
     h3_terms = (-s / (d * w), -np.conj(zeta) * s / w**2)
     g_dz_terms = (np.conj(d) * log, -np.conj(d) * s / w, np.conj(z) * s)

@@ -306,7 +306,6 @@ def test_classify_rotation_case():
     report = classify(l_boundary=1.0, h_sup=0.0, g_sup=0.0, a_value=2.25, b_value=0.0,
                       g_sup_estimate=0.0)
     assert report.p_upper == pytest.approx(220.0 / 3.0)
-    assert report.q_value == pytest.approx(2.25)
     assert report.lower_bound == pytest.approx(2.25 / (220.0 / 3.0) - 440.0 / 3.0)
     assert report.verdict == "lipschitz-only"
     assert report.g_sup_estimate == 0.0
@@ -346,8 +345,9 @@ def test_analyze_case_end_to_end():
     f = BoundaryData.from_fourier([(1, 1.0)])
     report, ab = lipschitz.analyze_case(solver.Case(f, BoundaryData.zero(), SourceTerm.zero()))
     assert report.l_boundary == pytest.approx(1.0, abs=1e-10)
-    assert report.a_value == pytest.approx(ab.a_value)
-    assert report.q_value == pytest.approx(2.25, abs=1e-10)
+    assert ab.q_value == pytest.approx(2.25, abs=1e-10)
+    # the verdict reads Q off the case's ABResult
+    assert report.lower_bound == ab.q_value / report.p_upper - 2.0 * report.p_upper
     assert report.verdict == "lipschitz-only"
 
 
@@ -540,7 +540,7 @@ def test_field_gradient_norm_bounded_by_p(reference_cases, reference_fields):
 def test_q_value_consistent_with_gradient_stats(reference_cases):
     case = reference_cases["quartic"]
     ab = compute_ab(case.f, case.h, case.g)
-    d_z, d_zbar = solver.gradient_point(case.f, case.h, case.g, 0j)
+    d_z, d_zbar = case.solution.gradient(0j)
     p, q = abs(d_z), abs(d_zbar)
     assert ab.q_value == pytest.approx(p * p - q * q, abs=1e-12)
     assert ab.a_value <= (p + q) ** 2 + 1e-12

@@ -199,17 +199,18 @@ def test_blocked_centered_rule_matches_full_grid(center):
     _assert_within_one_ulp(got, _full_grid(rule, _log_moment(center), center))
 
 
-# (center, mirror) of each rule case; a rule centred at 0 folds on any line through 0
-_RULE_CASES = [pytest.param(c, None, id=str(c)) for c in (0j, 0.5j, 0.9 + 0j)] + [
-    pytest.param(0j, 0.5j, id="0j-mirror"),
-    pytest.param(0.5j, 0.5j, id="0.5j-mirror"),
+# (center, fold) of each rule case; a folded rule folds across the line
+# through 0 and its centre, the real axis for a centre at 0
+_RULE_CASES = [pytest.param(c, False, id=str(c)) for c in (0j, 0.5j, 0.9 + 0j)] + [
+    pytest.param(0j, True, id="0j-mirror"),
+    pytest.param(0.5j, True, id="0.5j-mirror"),
 ]
 
 
-@pytest.mark.parametrize("center, mirror", _RULE_CASES)
-def test_stacked_integrand_equals_separate_calls(center, mirror):
+@pytest.mark.parametrize("center, fold", _RULE_CASES)
+def test_stacked_integrand_equals_separate_calls(center, fold):
     def run(integrand):
-        return disk_integrate_centered(DiskRule(), integrand, center, mirror=mirror)
+        return disk_integrate_centered(DiskRule(), integrand, center, fold=fold)
 
     parts = [lambda z: np.ones(z.shape), lambda z: np.abs(z - 0.1), _log_moment(0.5j)]
     stacked = run(lambda z: np.stack([part(z) for part in parts]))
@@ -217,12 +218,12 @@ def test_stacked_integrand_equals_separate_calls(center, mirror):
     assert list(stacked) == [run(part) for part in parts]
 
 
-@pytest.mark.parametrize("center, mirror", _RULE_CASES)
-def test_real_integrand_equals_its_complex_cast(center, mirror):
+@pytest.mark.parametrize("center, fold", _RULE_CASES)
+def test_real_integrand_equals_its_complex_cast(center, fold):
     # a real integrand is integrated in its own dtype, with the same sums
     # its complex cast gets for the real part
     def run(integrand):
-        return disk_integrate_centered(DiskRule(), integrand, center, mirror=mirror)
+        return disk_integrate_centered(DiskRule(), integrand, center, fold=fold)
 
     def real(z):
         return np.stack([np.abs(z - 0.1), np.log(np.abs(z - 0.5j) ** 2), 1.0 - np.abs(z) ** 2])
@@ -245,8 +246,15 @@ def _mirror_symmetric(c):
     return lambda zeta: (1.0 + 0.5j + np.abs(zeta) ** 2) * np.log(np.abs(zeta - c) ** 2)
 
 
-@pytest.mark.parametrize("at_origin", [True, False], ids=["origin", "centered"])
-@pytest.mark.parametrize("center", [0j, 0.25 + 0j, 0.5 * np.exp(1j * np.pi / 4), 0.9 + 0j])
+# (singular point, whether the rule is centred at 0 rather than there); a
+# rule at 0 folds across the real axis, so only real points go there
+_FOLD_CASES = (
+    [pytest.param(c, False, id=f"{c}-centered")
+     for c in (0j, 0.25 + 0j, 0.5 * np.exp(1j * np.pi / 4), 0.9 + 0j)]
+    + [pytest.param(c, True, id=f"{c}-origin") for c in (0j, 0.25 + 0j, 0.9 + 0j)])
+
+
+@pytest.mark.parametrize("center, at_origin", _FOLD_CASES)
 def test_folded_rule_matches_full_grid(center, at_origin):
     # the rule centred at the integrand's singular point, or at 0, folded
     # across the line through 0 and that point
@@ -258,7 +266,7 @@ def test_folded_rule_matches_full_grid(center, at_origin):
         columns.add(zeta.shape[-1])
         return _mirror_symmetric(center)(zeta)
 
-    got = disk_integrate_centered(rule, integrand, rule_center, mirror=center)
+    got = disk_integrate_centered(rule, integrand, rule_center, fold=True)
     ref = _full_grid(rule, _mirror_symmetric(center), rule_center)
     assert columns == {rule.n_angular // 2 + 1}  # a closed half circle per row
     assert abs(got - ref) <= 1e-14 * abs(ref)
@@ -266,16 +274,11 @@ def test_folded_rule_matches_full_grid(center, at_origin):
 
 @pytest.mark.parametrize("call", [
     # an odd angular count has no node opposite the axis node
-    lambda f: disk_integrate_centered(DiskRule(n_angular=255), f, 0j, mirror=0j),
-    # the mirror line passes between two grid angles, or through none
-    lambda f: disk_integrate_centered(DiskRule(), f, 0j, mirror=np.exp(1j * np.pi / 256)),
-    lambda f: disk_integrate_centered(DiskRule(), f, 0j, mirror=np.exp(0.1j)),
-    # a Mobius map centred off the mirror line does not commute with the reflection
-    lambda f: disk_integrate_centered(DiskRule(), f, 0.3j, mirror=0.5),
-    # a mirror that is not finite names no line
-    lambda f: disk_integrate_centered(DiskRule(), f, 0j, mirror=complex("nan")),
-    lambda f: disk_integrate_centered(DiskRule(), f, 0j, mirror=complex("inf")),
-], ids=["odd-count", "between-angles", "off-grid", "center-off-axis", "nan-mirror", "inf-mirror"])
+    lambda f: disk_integrate_centered(DiskRule(n_angular=255), f, 0j, fold=True),
+    # the fold line passes between two grid angles, or through none
+    lambda f: disk_integrate_centered(DiskRule(), f, 0.5 * np.exp(1j * np.pi / 256), fold=True),
+    lambda f: disk_integrate_centered(DiskRule(), f, 0.5 * np.exp(0.1j), fold=True),
+], ids=["odd-count", "between-angles", "off-grid"])
 def test_folded_rule_refusals(call):
     with pytest.raises(DomainError):
         call(lambda z: np.ones(z.shape))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biharmonic_disk import lipschitz, quadrature, solver, verify
-from biharmonic_disk.errors import DomainError
+from biharmonic_disk import cli, lipschitz, quadrature, solver, verify
+from biharmonic_disk.errors import DegenerateDataError, DomainError
 from biharmonic_disk.solver import BoundaryData, SourceTerm
 from biharmonic_disk.verify import CheckResult, manufactured_case
 
@@ -292,6 +292,40 @@ def test_fd_residual_argument_validation(reference_cases):
             verify.fd_bilaplacian_residual(case, 0.02, extent=extent)
     with pytest.raises(DomainError):
         verify.fd_bilaplacian_residual(case, np.nan)
+
+
+# the checks of the verify command, at its settings
+_VERIFY_CHECKS = {
+    "fd-residual": lambda case: [verify.fd_bilaplacian_residual(case, cli._FD_SPACING)],
+    "uniqueness": verify.uniqueness_checks,
+    "boundary-trace": verify.boundary_trace_check,
+    "gradient-crosscheck": lambda case: verify.gradient_crosscheck(case, cli._CROSSCHECK_POINTS),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_VERIFY_CHECKS))
+@pytest.mark.parametrize("f_modes, h_modes, terms, refused", [
+    # sum |g_k| overflows, and so would every allowance scaled by it
+    ([], [], [(2, 2, 1e308), (3, 3, 1e308)], True),
+    # |c| (n)_6 R^(n-6) overflows, though the FD truncation bound itself is finite
+    ([(10, 1e304)], [], [], False),
+    # the FD residual overflows inside the disk, and so does sum |f_m| + sum |h_m|
+    ([(0, 1e308)], [(0, 1e308)], [], True),
+    # a finite coefficient whose modulus lies past the double range
+    ([], [], [(0, 0, 1.5e308 + 1.5e308j)], True),
+], ids=["load-1e308", "mode-10-1e304", "constants-1e308", "load-modulus-past-range"])
+def test_checks_near_the_double_range_are_finite_or_refused(check, f_modes, h_modes, terms,
+                                                            refused):
+    # no check passes on an infinite allowance, and no overflow warns
+    case = solver.Case(BoundaryData.from_fourier(f_modes), BoundaryData.from_fourier(h_modes),
+                       SourceTerm(terms))
+    if refused:
+        with pytest.raises(DegenerateDataError, match="overflows double precision"):
+            _VERIFY_CHECKS[check](case)
+        return
+    checks = _VERIFY_CHECKS[check](case)
+    assert all(np.isfinite(c.tolerance) for c in checks)
+    assert all(c.passed for c in checks)
 
 
 # ---------------------------------------------------------------------------
