@@ -25,8 +25,13 @@ rule) and at most ``_MAX_SAMPLES`` = 32768, by ``n_samples`` or by its
 estimate of ``lipschitz`` is O(N^2) and the verify checks grow with the
 table: on 32768 samples of white noise for f and h, a fresh ``verify``
 took 0.5-0.7 s and ``lipschitz`` 3.0 s at a peak RSS of 54 and 51 MB
-(2-core Xeon, one BLAS thread; ``verify`` took 2.5 s while its circle
-checks ran the point route at every node). CI runs the 32768-sample case.
+(2-core Xeon, one BLAS thread). CI runs the 32768-sample case.
+A ``solve`` grid holds at most ``_MAX_GRID_NODES`` = 2^20 nodes, n_r n_theta;
+more is refused before anything is allocated. ``solve`` builds every row
+of its output as a Python list, then one JSON string: with ``--gradient``
+on ``mixed.json`` a 1000x1000 grid peaked at 728 MB, so the cap bounds a
+solve near 760 MB. It admits that grid and every grid CI and the benchmark
+run, the largest 2 x 32768; a blockwise writer may lift it.
 ``solve``, ``verify`` and ``lipschitz`` run closed forms only, the
 integral route for A and B included; only the ``identities`` checks use
 quadrature, at the fixed oracle rules ``quadrature.DEFAULT_RULES``. Each
@@ -78,6 +83,9 @@ _QUOTIENT_GRID = (40, 80, 0.95)
 
 # most samples a datum of a case file may hold (module docstring)
 _MAX_SAMPLES = 1 << 15
+
+# most nodes a solve grid may hold (module docstring)
+_MAX_GRID_NODES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -183,6 +191,8 @@ def parse_case(path: str) -> CaseFile:
         raise CaseFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise CaseFormatError(f"{path}: not UTF-8 text (byte {exc.start})")
+    except RecursionError:
+        raise CaseFormatError(f"{path}: JSON nested too deeply")
     return parse_case_dict(doc)
 
 
@@ -240,11 +250,14 @@ def cmd_identities(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    case = parse_case(args.case)
     try:
         n_r, n_theta = (int(part) for part in args.grid.split(","))
     except ValueError:
         raise CaseFormatError("--grid expects NR,NT with integer sizes")
+    if min(n_r, n_theta) > 0 and n_r * n_theta > _MAX_GRID_NODES:
+        raise CaseFormatError(
+            f"--grid {n_r},{n_theta} holds {n_r * n_theta} nodes, more than {_MAX_GRID_NODES}")
+    case = parse_case(args.case)
     field = case.solution.grid(n_r, n_theta, r_max=args.r_max, with_gradient=args.gradient)
     columns = ["r", "theta", "re", "im"]
     if args.gradient:

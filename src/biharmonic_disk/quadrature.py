@@ -69,7 +69,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .kernels import _abs2
 from .solver import _as_int, _circle_angles
 
 # Split points and Gauss-Legendre order of the recentred rule's radial panels.
@@ -159,15 +158,29 @@ def disk_integrate_centered(rule: DiskRule, integrand, center: complex, fold: bo
     center = complex(center)
     if not abs(center) < 1.0:
         raise DomainError("Mobius center must lie in the open unit disk")
+    n = rule.n_angular
     rho, w = rule.centered_radial_nodes
-    circle = _angular_nodes(rule.n_angular, center, fold)
+    circle = _angular_nodes(n, center, fold)
     step = max(1, _BLOCK_NODES // circle.size)
-
-    def block(lo, hi):
-        zeta, jac = _pullback(center, rho[lo:hi, None] * circle)
-        return _block_values(integrand, zeta) * jac
-
-    return _sum_rows(block, step, 2.0 * rho * w, rule.n_angular, fold)
+    means = []
+    for lo in range(0, rho.size, step):
+        zeta, jac = _pullback(center, rho[lo:lo + step, None] * circle)
+        # a real integrand stays real: its values are never widened to complex
+        vals = np.asarray(integrand(zeta))
+        vals = vals if np.iscomplexobj(vals) else vals.astype(float, copy=False)
+        if vals.ndim not in (2, 3) or vals.shape[-2:] != zeta.shape:
+            raise DomainError("disk integrand must return one value per node")
+        vals = vals * jac
+        re = _row_mean(vals.real, n, fold)
+        im = _row_mean(vals.imag, n, fold) if np.iscomplexobj(vals) else np.zeros_like(re)
+        means.append(np.stack([re, im]))
+        del zeta, jac, vals  # working memory is one block (module docstring)
+    # one dot per integrand and part, the order of a single pass over the grid
+    re, im = np.concatenate(means, axis=-1)
+    weights = 2.0 * rho * w
+    if re.ndim == 1:
+        return complex(np.dot(weights, re), np.dot(weights, im))
+    return np.array([complex(np.dot(weights, a), np.dot(weights, b)) for a, b in zip(re, im)])
 
 
 def _pullback(center, eta):
@@ -181,9 +194,10 @@ def _pullback(center, eta):
     eta = np.asarray(eta, dtype=complex)
     den = 1.0 - eta * np.conj(center)
     zeta = (center - eta) / den
-    # |den|^4 as (re^2 + im^2)^2
+    # |den|^4 as (re^2 + im^2)^2; |center|^2 by products, as a float's ** 2 is C pow
     jac = den.real**2 + den.imag**2
-    return zeta, (1.0 - _abs2(center)) ** 2 / jac**2
+    mass = 1.0 - (center.real * center.real + center.imag * center.imag)
+    return zeta, mass**2 / jac**2
 
 
 def _angular_nodes(n, center, fold):
@@ -211,16 +225,6 @@ def _angular_nodes(n, center, fold):
     return circle[(k // 2 + np.arange(n // 2 + 1)) % n]
 
 
-def _block_values(integrand, zeta):
-    # a real integrand stays real: its values are never widened to complex
-    vals = np.asarray(integrand(zeta))
-    if not np.iscomplexobj(vals):
-        vals = vals.astype(float, copy=False)
-    if vals.ndim not in (2, 3) or vals.shape[-2:] != zeta.shape:
-        raise DomainError("disk integrand must return one value per node")
-    return vals
-
-
 def _row_mean(part, n, folded):
     """Angular mean of each row of a real array.
 
@@ -231,30 +235,6 @@ def _row_mean(part, n, folded):
     if not folded:
         return part.mean(axis=-1)
     return (2.0 * part[..., 1:-1].sum(axis=-1) + (part[..., 0] + part[..., -1])) / n
-
-
-def _row_means(vals, n, folded):
-    """Angular means of the real and of the imaginary parts, stacked."""
-    re = _row_mean(vals.real, n, folded)
-    im = _row_mean(vals.imag, n, folded) if np.iscomplexobj(vals) else np.zeros_like(re)
-    return np.stack([re, im])
-
-
-def _sum_rows(block, step, weights, n_angular, folded):
-    """Sum of each row's angular mean times its radial weight.
-
-    ``block(lo, hi)`` returns the values on rows lo..hi - 1, ``step`` rows
-    at a time. The row means of the real and imaginary parts are kept and
-    dotted with the weights once per integrand and part at the end, the
-    order of a single pass over the whole grid.
-    """
-    re, im = np.concatenate(
-        [_row_means(block(lo, min(lo + step, weights.size)), n_angular, folded)
-         for lo in range(0, weights.size, step)],
-        axis=-1)
-    if re.ndim == 1:
-        return complex(np.dot(weights, re), np.dot(weights, im))
-    return np.array([complex(np.dot(weights, a), np.dot(weights, b)) for a, b in zip(re, im)])
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,17 @@ def test_huge_sample_counts_are_refused_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_deeply_nested_case_files_exit_2(tmp_path, capsys):
+    # json.load recurses once per level: refused as malformed input
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    rc = cli.main(["verify", "--case", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+    assert captured.out == ""
+
+
 def test_the_sample_cap_admits_32768_samples():
     case = cli.parse_case_dict({"f": {"n_samples": 2**15}, "h": {"samples": [[1.0, 0.0]] * 2**15}})
     assert case.f.n == case.h.n == 2**15
@@ -269,6 +280,30 @@ def test_solve_bad_grid_argument(tmp_path):
     rc = cli.main(["solve", "--case", case, "--grid", "8x8",
                    "--out", str(tmp_path / "o.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("grid", ["1000000,1000000", "1025,1024"])
+def test_solve_refuses_grids_above_the_cap_before_allocating(tmp_path, capsys, grid):
+    # 10^12 nodes would take 14.6 TiB; the cap is 2^20 nodes
+    tracemalloc.start()
+    try:
+        rc = cli.main(["solve", "--case", str(DEMO_CASES[0]), "--grid", grid,
+                       "--out", str(tmp_path / "o.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: --grid {grid} holds ")
+    assert peak < 1 << 20
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_the_grid_cap_admits_2_to_the_20_nodes(tmp_path, capsys):
+    # past the cap, a missing case file is what refuses the solve
+    missing = str(tmp_path / "missing.json")
+    rc = cli.main(["solve", "--case", missing, "--grid", "1024,1024", "--out", missing])
+    assert rc == 1
+    assert "missing.json" in capsys.readouterr().err
 
 
 def test_solve_near_boundary_grid_is_exact(tmp_path):
@@ -632,7 +667,7 @@ def test_only_identities_reaches_quadrature(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature reached")
 
-    monkeypatch.setattr(quadrature, "_sum_rows", refuse)
+    monkeypatch.setattr(quadrature, "_pullback", refuse)
     monkeypatch.setattr(quadrature.CircleRule, "thetas", property(refuse))
     assert len(DEMO_CASES) == 3
     out = str(tmp_path / "field.json")

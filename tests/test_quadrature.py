@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,44 @@ def test_real_integrand_equals_its_complex_cast(center, fold):
     assert all(v.imag == 0.0 for v in got)
     single = run(lambda z: real(z)[1])
     assert single == run(lambda z: real(z)[1] + 0j) == got[1]
+
+
+@pytest.mark.parametrize("center, fold", _RULE_CASES)
+def test_block_size_does_not_change_the_result(center, fold, monkeypatch):
+    # bit for bit, from one row per block to the whole grid in one block
+    def stacked(z):
+        return np.stack([np.abs(z - 0.1), _log_moment(0.5j)(z), np.ones(z.shape)])
+
+    def real(z):
+        return np.log(np.abs(z - 0.5j) ** 2)
+
+    def run():
+        return [np.asarray(disk_integrate_centered(DiskRule(), f, center, fold=fold)).tobytes()
+                for f in (stacked, real)]
+
+    default = run()
+    for nodes in (1, 129, 257, 1 << 20):
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", nodes)
+        assert run() == default, nodes
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_working_memory_is_one_block(fold):
+    # the integrand's temporaries and its four-row stack, the stack times the
+    # Jacobian and the pullback's arrays peak at 10.75 complex block arrays;
+    # a block's weighted stack kept alive into the next block's integrand
+    # call takes 12.7
+    def integrand(z):
+        return np.stack([z, z * z, z + 1, z - 1])
+
+    disk_integrate_centered(DiskRule(), integrand, 0.5j, fold=fold)
+    tracemalloc.start()
+    try:
+        disk_integrate_centered(DiskRule(), integrand, 0.5j, fold=fold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * quadrature._BLOCK_NODES * 16, peak
 
 
 # ---------------------------------------------------------------------------
