@@ -32,16 +32,32 @@ of its output as a Python list, then one JSON string: with ``--gradient``
 on ``mixed.json`` a 1000x1000 grid peaked at 728 MB, so the cap bounds a
 solve near 760 MB. It admits that grid and every grid CI and the benchmark
 run, the largest 2 x 32768; a blockwise writer may lift it.
+A case file holds at most ``_MAX_CASE_BYTES`` = 9 MiB. ``parse_case``
+reads at most one byte more, from a file or a pipe alike, and refuses a
+longer file before decoding it. The cap admits every case that gives each
+mode and each exponent pair once, written at ``indent=4`` or tighter. The
+largest such case holds f and h as 32,767 [mode, re, im] triples each
+(|m| < 16,384) with 24-character floats (the longest ``repr``) and all
+289 load terms: 8.47 MiB at ``indent=4``, 6.21 MiB at ``indent=2`` and
+3.82 MiB compact (as 32,768 sample pairs each, 7.04 MiB at ``indent=4``).
+It parses at a 59 MB peak RSS in a fresh process. Decoding takes memory
+by the file's bytes, before the caps above can read its content: the
+worst JSON per byte, a run of ``[]`` or ``[0,0]`` entries, took 26.6 MB of
+RSS per MiB, so a file at the cap peaks near 270 MB (28.6 MB after
+import) before the sample cap or the shape check refuses it (2-core Xeon,
+Python 3.11).
 ``solve``, ``verify`` and ``lipschitz`` run closed forms only, the
 integral route for A and B included; only the ``identities`` checks use
 quadrature, at the fixed oracle rules ``quadrature.DEFAULT_RULES``. Each
 command imports the modules it runs when it runs (``solve`` none beyond
 ``solver``), so a fresh process pays for no other.
-Unknown keys anywhere are rejected. Output files are written atomically
-(temp file then rename) with sorted keys and shortest round-trip floats,
-so identical inputs produce byte-identical files, with one or two BLAS
-threads alike, except ``verify --json`` on tables wider than 16,384 modes
-(at the sample cap), whose complex matmul OpenBLAS rounds by thread split.
+Unknown keys anywhere are rejected, and so is a key repeated within one
+object, which ``json`` would otherwise resolve silently to its last value.
+Output files are written atomically (temp file then rename) with sorted
+keys and shortest round-trip floats, so identical inputs produce
+byte-identical files, with one or two BLAS threads alike, except
+``verify --json`` on tables wider than 16,384 modes (at the sample cap),
+whose complex matmul OpenBLAS rounds by thread split.
 
 Commands: identities, solve, verify, lipschitz, kernel. Every check runs
 at its fixed tolerance, and the ``verify`` residual at spacing 0.02. Exit
@@ -86,6 +102,9 @@ _MAX_SAMPLES = 1 << 15
 
 # most nodes a solve grid may hold (module docstring)
 _MAX_GRID_NODES = 1 << 20
+
+# most bytes a case file may hold (module docstring)
+_MAX_CASE_BYTES = 9 << 20
 
 
 @dataclass(frozen=True)
@@ -182,17 +201,41 @@ def parse_case_dict(doc: dict) -> CaseFile:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, or ``CaseFormatError`` if a key repeats."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise CaseFormatError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _case_bytes(path: str) -> bytearray:
+    """A case file's bytes, or ``CaseFormatError`` past ``_MAX_CASE_BYTES`` (module docstring)."""
+    raw = bytearray()
+    with open(path, "rb") as fh:
+        # in blocks: one read of the cap would allocate all of it up front
+        while part := fh.read(min(1 << 16, _MAX_CASE_BYTES + 1 - len(raw))):
+            raw += part
+    if len(raw) > _MAX_CASE_BYTES:
+        raise CaseFormatError(f"a case file holds at most {_MAX_CASE_BYTES} bytes")
+    return raw
+
+
 def parse_case(path: str) -> CaseFile:
     """Load and validate a case file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        # unnamed: the bytes are freed once decoded, and the text once parsed
+        doc = json.loads(_case_bytes(path).decode("utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CaseFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise CaseFormatError(f"{path}: not UTF-8 text (byte {exc.start})")
     except RecursionError:
         raise CaseFormatError(f"{path}: JSON nested too deeply")
+    except ValueError as exc:  # the byte cap, a repeated key, or an integer past Python's digit cap
+        raise CaseFormatError(f"{path}: {exc}") from None
     return parse_case_dict(doc)
 
 

@@ -425,9 +425,9 @@ class Solution:
 
     Any of f, h, g may be None. Boundary rows (cut to the data's bandwidth
     w <= N/2 + 1, ``_boundary_rows``) and load rows (width at most
-    MAX_EXPONENT + 1, ``_load_rows``) are separate blocks (load, alpha,
-    beta), so load rows are not padded to the band; ``load`` picks the
-    block's weight rule (``_row_weights``). A call whose values or gradients
+    MAX_EXPONENT + 1, ``_load_rows``) are separate blocks (first, alpha,
+    beta), so load rows are not padded to the band; the block's weights
+    start at row ``first`` of ``_row_weights``. A call whose values or gradients
     overflow double precision raises ``DegenerateDataError``; the derivative
     rows carry one more factor of the mode, so gradients overflow first.
 
@@ -479,8 +479,8 @@ class Solution:
         the table, of f and h, and +-1; row s^p t^j adds C(p, k) (-1)^k to level j + k.
         The boundary block holds rows (0, 0) and (1, 0), the load block rows (2, j).
         """
-        rows = [((2, j) if load else (j, 0), alpha[:, j], beta[:, j])
-                for load, alpha, beta in self._rows for j in range(alpha.shape[1])]
+        rows = [((2, j) if first else (j, 0), alpha[:, j], beta[:, j])
+                for first, alpha, beta in self._rows for j in range(alpha.shape[1])]
         c = np.zeros((2 * self._width - 1, max([p + j for (p, j), _, _ in rows], default=0) + 1),
                      dtype=complex)
         for (p, j), alpha, beta in rows:
@@ -549,7 +549,7 @@ class Solution:
         outs = np.zeros((n_out, radii.size, n_theta), dtype=complex)
         if not self._rows:
             return tuple(outs)
-        first = 2 * self._rows[0][0]  # the boundary block's 2 rows, if any, lead the weights
+        first = self._rows[0][0]
         with np.errstate(over="ignore", invalid="ignore"):
             coef, k, b, q, babies = _ring_layout(self._rows, n_theta, gradient, radii[-1])
             nodes = np.exp(1j * _circle_angles(n_theta)) if gradient else None
@@ -561,9 +561,9 @@ class Solution:
                 products = _row_weights(r * r, self._n_load, gradient)[:, first:].transpose(0, 2, 1)
                 # complex, as the products with the folds and nodes cast it
                 r_pow = _powers(r.astype(complex), k + 1)
-                if b > 1:  # each block's weights (the boundary's 2 lead) times y^i
+                if b > 1:  # each block's weights times y^i
                     y_pow = _powers(_powers(r_pow[k].real, q + 1)[q], b).T
-                    parts = np.split(products, [2] * (len(babies) - 1), axis=-1)
+                    parts = np.split(products, [row - first for row, *_ in self._rows[1:]], axis=-1)
                     products = np.concatenate([(w[..., None] * y_pow[:, None, :baby]).reshape(
                         len(w), r.size, -1) for w, baby in zip(parts, babies)], axis=-1)
                 # weights times [alpha, conj(beta)] and [alpha', conj(beta')], d/dt times the first
@@ -603,7 +603,7 @@ class Solution:
         # an overflow (rows, or sums of rows, past the double range) reaches
         # the outputs as inf or nan, which the check below refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = [(2 * load, *_giant_steps(a, b, kinds)) for load, a, b in self._rows]
+            blocks = [(first, *_giant_steps(a, b, kinds)) for first, a, b in self._rows]
             baby = max((b for _, _, b, _ in blocks), default=1)
             # per point: the baby powers z^0 .. z^baby and the call's inner sums
             inner = sum(coef.shape[0] for _, coef, _, _ in blocks)
@@ -768,7 +768,7 @@ def _check_points(zs: np.ndarray) -> None:
 
 
 def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
-    """(False, alpha, beta) of rows (0, 0) and (1, 0), or None for zero data.
+    """(0, alpha, beta) of rows (0, 0) and (1, 0), or None for zero data.
 
     The block is cut to the data's bandwidth: its width w is the smallest
     with T_f(w) + T_h(w) <= f.floor + h.floor (the records of
@@ -796,11 +796,11 @@ def _boundary_rows(f: Optional[BoundaryData], h: Optional[BoundaryData]):
                 rows[p, :, :d.tail.size] = d.spectrum[:, :width]
         rows[1] += np.arange(width) * rows[0]
         rows[1] *= 0.5
-    return False, rows[:, 0].T, rows[:, 1].T
+    return 0, rows[:, 0].T, rows[:, 1].T
 
 
 def _load_rows(g: Optional[SourceTerm]):
-    """(True, alpha, beta) of rows (2, j): c z^a zbar^b adds scale (k-1-j) w^|a-b| to row j."""
+    """(2, alpha, beta) of rows (2, j): c z^a zbar^b adds scale (k-1-j) w^|a-b| to row j."""
     if g is None or g.is_zero:
         return None
     n_rows = max(min(a, b) for a, b, _ in g.terms) + 1
@@ -811,7 +811,7 @@ def _load_rows(g: Optional[SourceTerm]):
         for j in range(k - 1):
             rows[(a < b) * n_rows * width + j * width + abs(a - b)] += scale * (k - 1 - j)
     alpha, beta = np.array(rows).reshape(2, n_rows, width)
-    return True, alpha.T, beta.T
+    return 2, alpha.T, beta.T
 
 
 def f0_transform(f: BoundaryData, z: complex) -> complex:

@@ -219,6 +219,68 @@ def test_the_sample_cap_admits_32768_samples():
     assert case.f.n == case.h.n == 2**15
 
 
+def _one_error_line(capsys, fragment):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert fragment in captured.err
+
+
+def test_a_case_file_past_the_byte_cap_is_refused_before_decoding(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "long.json"
+    doc = json.dumps(ROTATION)
+    path.write_text(doc + " " * (cli._MAX_CASE_BYTES + 1 - len(doc)))
+
+    def decode(*args, **kwargs):
+        raise AssertionError("the decoder ran")
+
+    monkeypatch.setattr(cli.json, "loads", decode)
+    assert cli.main(["verify", "--case", str(path)]) == 2
+    _one_error_line(capsys, f"holds at most {cli._MAX_CASE_BYTES} bytes")
+
+
+def test_the_byte_cap_admits_a_file_at_the_cap(tmp_path):
+    path = tmp_path / "padded.json"
+    doc = json.dumps(ROTATION)
+    path.write_text(doc + " " * (cli._MAX_CASE_BYTES - len(doc)))
+    assert cli.parse_case(str(path)).f.n == 512
+
+
+def test_the_byte_cap_admits_the_largest_case_at_indent_4(tmp_path):
+    # each mode of f and h once, at the sample cap, with the longest float
+    # repr, and every load term: the largest case the other caps admit
+    x = -2.2250738585072014e-308
+    datum = {"n_samples": 2**15, "fourier": [[m, x, x] for m in range(1 - 2**14, 2**14)]}
+    terms = [[a, b, x, x] for a in range(17) for b in range(17)]
+    path = tmp_path / "largest.json"
+    path.write_text(json.dumps({"schema": 1, "f": datum, "h": datum, "g": {"terms": terms},
+                                "seed": 2**63}, indent=4))
+    assert cli._MAX_CASE_BYTES - (1 << 20) < path.stat().st_size <= cli._MAX_CASE_BYTES
+    case = cli.parse_case(str(path))
+    assert case.f.n == case.h.n == 2**15 and len(case.g.terms) == 289
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"f": {"fourier": [[1, 1.0, 0.0]]}, "f": {"fourier": [[2, 5.0, 0.0]]}}', "'f'"),
+    ('{"f": {"fourier": [[1, 1.0, 0.0]], "fourier": [[2, 5.0, 0.0]]}}', "'fourier'"),
+])
+@pytest.mark.parametrize("command", ["verify", "lipschitz"])
+def test_a_repeated_key_exits_2(tmp_path, capsys, text, key, command):
+    # json would keep the last value silently: lipschitz solved the second f
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert cli.main([command, "--case", str(path)]) == 2
+    _one_error_line(capsys, f"{path}: repeated key {key}")
+
+
+def test_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # Python refuses to convert an integer of more than 4,300 digits
+    path = tmp_path / "seed.json"
+    path.write_text('{"seed": ' + "1" * 5000 + "}")
+    assert cli.main(["lipschitz", "--case", str(path)]) == 2
+    _one_error_line(capsys, str(path))
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -637,6 +699,17 @@ def test_verify_passes_mixed_scaled_by_powers_of_ten(tmp_path, capsys, k):
 def test_verify_passes_a_mode_below_the_cut(tmp_path, capsys, doc):
     # the h mode's gap, 3.5e-12, exceeds 1e-12 plus the value tail (1.75e-12):
     # the normal checks need the gradient tail
+    assert cli.main(["verify", "--case", write_case(tmp_path, doc)]) == 0
+    assert "9/9 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("datum, n, mode", [
+    ("h", 4096, 2041), ("h", 32768, 16000), ("f", 32768, 16000), ("f", 32768, 16383)])
+def test_verify_passes_a_unit_mode_near_the_band_edge(tmp_path, capsys, datum, n, mode):
+    # the point route takes rounded nodes: 1 - |z|^2 moves an f mode's normal
+    # derivative by (m^2 / 2) |1 - |z|^2|, and the rounded angle an h mode's by
+    # about m u; the normal trace's allowance carries both
+    doc = {datum: {"n_samples": n, "fourier": [[mode, 1.0, 0.0]]}}
     assert cli.main(["verify", "--case", write_case(tmp_path, doc)]) == 0
     assert "9/9 checks passed" in capsys.readouterr().out
 

@@ -214,7 +214,7 @@ def _old_boundary_rows(f, h):
             rows[0, p, :d.a.size], rows[1, p, :d.b.size] = d.a[:width], d.b[:width]
     with np.errstate(over="ignore", invalid="ignore"):
         rows[:, 1] = 0.5 * (np.arange(width) * rows[:, 0] + rows[:, 1])
-    return False, rows[0].T, rows[1].T
+    return 0, rows[0].T, rows[1].T
 
 
 def _old_load_rows(g):
@@ -227,7 +227,7 @@ def _old_load_rows(g):
         k = min(a, b) + 2
         scale = c / ((a + 1) * (a + 2) * (b + 1) * (b + 2))
         (alpha if a >= b else beta)[abs(a - b), :k - 1] += scale * np.arange(k - 1, 0, -1.0)
-    return True, alpha, beta
+    return 2, alpha, beta
 
 
 def _old_kinds(alpha, beta, kinds, padded):

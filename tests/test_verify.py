@@ -1,5 +1,6 @@
 """The check suites: identities, bounds, residuals, traces, crosschecks."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -44,6 +45,28 @@ def test_as_dict_formats_complex_values():
     cplx = CheckResult.equality("c", 1.0 + 2.0j, 0.0, 1e9).as_dict()
     assert cplx["computed"] == [1.0, 2.0]
     assert set(real) == {"name", "kind", "computed", "expected", "tolerance", "margin", "passed"}
+
+
+def test_check_results_hold_what_was_measured_and_derive_the_verdict():
+    c = CheckResult.bound("m", 0.4, 0.5, 0.0)
+    assert [f.name for f in dataclasses.fields(c)] == [
+        "name", "computed", "expected", "tolerance", "kind"]
+    assert type(c.passed) is bool and type(c.margin) is float
+
+
+def test_check_result_edge_cases():
+    nan, inf = float("nan"), float("inf")
+    assert not CheckResult.equality("x", nan, 0.0, 1.0).passed
+    assert not CheckResult.bound("x", nan, 0.5, 1.0).passed
+    finite = CheckResult.equality("x", 1e300, 0.0, inf)
+    assert finite.passed and finite.margin == inf
+    # |inf - 0| <= inf: the gap is compared, not the margin inf - inf = nan
+    infinite = CheckResult.equality("x", inf, 0.0, inf)
+    assert infinite.passed and math.isnan(infinite.margin)
+    edge = CheckResult.bound("x", 0.75, 0.5, 0.25)
+    assert edge.passed and edge.margin == 0.0
+    with pytest.raises(TypeError):
+        CheckResult.bound("x", 0.1, 0.5 + 1j, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +509,17 @@ def test_exact_normal_trace_catches_a_relative_error_of_1e_6(monkeypatch):
     # circle) but moves the normal derivative on the circle by ~1e-6.
     _patch_rows(monkeypatch, "_boundary_rows", lambda c: c * np.array([1.0, 1.0 + 1e-6]))
     case = manufactured_case(SourceTerm([(0, 0, 1.0), (2, 2, -1.0)]))  # h = 4
+    assert _failed(_exact_checks(case)) == {"normal-modes-exact", "normal-trace-exact[r=1]"}
+
+
+@pytest.mark.parametrize("datum, n, mode", [("h", 4096, 2041), ("f", 32768, 16000)])
+def test_high_mode_allowances_still_catch_a_relative_error_of_1e_6(monkeypatch, datum, n, mode):
+    # the normal trace's allowance grows with the modes (m^2 / 2 per unit
+    # of f's, 1e-12 m of h's), yet stays far below a 1e-6 error in the s^1 row
+    _patch_rows(monkeypatch, "_boundary_rows", lambda c: c * np.array([1.0, 1.0 + 1e-6]))
+    data = {datum: BoundaryData.from_fourier([(mode, 1.0)], n)}
+    case = solver.Case(data.get("f", BoundaryData.zero(n)), data.get("h", BoundaryData.zero(n)),
+                       SourceTerm.zero())
     assert _failed(_exact_checks(case)) == {"normal-modes-exact", "normal-trace-exact[r=1]"}
 
 
