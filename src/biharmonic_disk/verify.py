@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .solver import BoundaryData, Case, SourceTerm, _circle_angles
+from .solver import _UNIT_ROUNDOFF, BoundaryData, Case, SourceTerm, _circle_angles
 
 # Interior points where pointwise identities and bounds are spot-checked.
 SAMPLE_POINTS = (0j, 0.25 + 0j, 0.5 * np.exp(1j * np.pi / 4), 0.75 + 0j, 0.9 + 0j)
@@ -367,21 +367,48 @@ def _data_scale(case: Case) -> float:
 
 
 def _exact_checks(case: Case, gaps) -> list[CheckResult]:
-    """Per (name, gap array, tail), its largest |entry| against 1e-12 max(1, S) + tail.
+    """Per (name, gap array, quantity), its largest |entry| against 1e-12 max(1, S) plus one term.
 
-    tail is what the table's cut to the data's bandwidth may move the gap
-    by on the circle: ``Solution.trace_tail`` = T_f(w) for the traces and
-    ``normal_tail`` = T_h(w) for the normal derivatives. Proof, per dropped
-    mode m: at r = 1 (s = 0) f's multiplier r^m (1 + m s/2) is 1 and its
-    radial derivative m r^(m-1) (1 + m s/2) - m r^(m+1) is 0; h's
+    quantity is "trace", "normal" or "bilaplacian"; the term is the trace
+    tail, the normal tail plus N, or nothing. The tails are what the table's
+    cut to the data's bandwidth may move the gap by on the circle:
+    ``Solution.trace_tail`` = T_f(w) and ``normal_tail`` = T_h(w). Proof, per
+    dropped mode m: at r = 1 (s = 0) f's multiplier r^m (1 + m s/2) is 1 and
+    its radial derivative m r^(m-1) (1 + m s/2) - m r^(m+1) is 0; h's
     multiplier r^m s/2 is 0 and its inward normal derivative -d/dr is 1.
     So a dropped mode of f moves the trace by |a_m| (or |b_m|) and the
     normal derivative not at all, one of h the other way round; summing
     over the dropped modes gives T_f(w) and T_h(w), pointwise and per mode.
+
+    N = 8u sum_m (m^2/2)(|a_m| + |b_m|) over f's spectrum + 1e-12 M_h(0),
+    u the unit round-off, is the round-off of a normal derivative beyond
+    terms of size m u |c| that S's weight (1 + |m|) |f_m| covers. On f's
+    mode m, c z^m (1 + m s/2), a normal derivative cancels terms of size
+    (m^2/2) |c|. The table's sum -(m c[m, 0] + (m + 2) c[m, 1]) rounds to
+    within about 3u of them. The point route, at the rounded node
+    z = fl(e^(i theta)) with t = Re(z)^2 + Im(z)^2, gives
+    -m c z^m (1 - t + m s/2), which moves by (m^2/2) |c| |1 - t|; and
+    |1 - t| <= 6u for any z, since cos and sin each lie within one ulp
+    (glibc's documented bound) and then come two squares and one sum. A
+    factor of 8u covers either case. On h's mode m, c z^m (t - m s/2), the
+    rounded angle moves the phase by m |c| |z - e^(i theta)|, at most
+    21 m u |c| (theta = fl(2 pi k / N) lies within 6 pi u of 2 pi k / N, and
+    each part of the exponential within u), and the route's powers add a
+    few m u |c| more; the table's terms are of size (m/2) |c|. S weighs h's
+    modes by 1, so N adds 1e-12 M_h(0) = 1e-12 sum_m m (|a_m| + |b_m|),
+    about 9,000 m u per unit of |h_m|, summed term by term. Each weight in N
+    is below 1 per unit of S's weight, so N overflows only when S does,
+    which ``_data_scale`` refuses.
     """
-    tol = 1e-12 * _data_scale(case)
-    return [CheckResult.equality(name, float(np.max(np.abs(gap))), 0.0, tol + tail)
-            for name, gap, tail in gaps]
+    m_f, m_h = (np.arange(d.spectrum.shape[1]) for d in (case.f, case.h))
+    with np.errstate(over="ignore"):
+        normal = (np.sum(np.abs(case.f.spectrum) * (4.0 * _UNIT_ROUNDOFF * m_f * m_f))
+                  + np.sum(np.abs(case.h.spectrum) * (1e-12 * m_h)))
+    tol, solution = 1e-12 * _data_scale(case), case.solution
+    term = {"trace": solution.trace_tail, "normal": solution.normal_tail + normal,
+            "bilaplacian": 0.0}
+    return [CheckResult.equality(name, float(np.max(np.abs(gap))), 0.0, tol + term[quantity])
+            for name, gap, quantity in gaps]
 
 
 def uniqueness_checks(case: Case) -> list[CheckResult]:
@@ -403,11 +430,9 @@ def uniqueness_checks(case: Case) -> list[CheckResult]:
         for a, b, coef in case.g.terms:
             bilap[a - b, min(a, b)] -= coef
         return _exact_checks(case, (
-            ("trace-modes-exact", np.sum(c, axis=1) - case.f.modes(n),
-             case.solution.trace_tail),
-            ("normal-modes-exact", -np.sum((d + 2 * l) * c, axis=1) - case.h.modes(n),
-             case.solution.normal_tail),
-            ("bilaplacian-exact", bilap, 0.0)))
+            ("trace-modes-exact", np.sum(c, axis=1) - case.f.modes(n), "trace"),
+            ("normal-modes-exact", -np.sum((d + 2 * l) * c, axis=1) - case.h.modes(n), "normal"),
+            ("bilaplacian-exact", bilap, "bilaplacian")))
 
 
 def boundary_trace_check(case: Case) -> list[CheckResult]:
@@ -422,29 +447,12 @@ def boundary_trace_check(case: Case) -> list[CheckResult]:
     sample count share one call of each route, which gives the values and
     the gradients together.
 
-    Both checks take ``_exact_checks``'s allowance. The normal trace also
-    takes what the point route's input, the rounded node z = fl(e^(i theta)),
-    moves it by, with t = Re(z)^2 + Im(z)^2 as the route forms it (the ring
-    route takes exact angles). On f's mode m, c z^m (1 + m s/2), the route
-    gives -m c z^m (1 - z zbar + m s/2): a node's 1 - t moves it by
-    (m^2 / 2) |c| |1 - t|, beyond terms of size m u |c| that S's weight
-    (1 + |m|) |f_m| covers. So the allowance adds
-    max |1 - t| sum_m (m^2 / 2) (|a_m| + |b_m|) over f's spectrum, the max
-    over the point route's nodes at h's sample count. On h's mode m,
-    c z^m (t - m s/2), the phase moves by m |c| |z - e^(i theta)|, at most
-    21 m u |c| (theta = fl(2 pi k / N) lies within 6 pi u of 2 pi k / N,
-    and each part of the exponential within u), and the route's powers and
-    sums add a few m u |c| more (about 6 m u |c| measured in all). S weighs
-    h's modes by 1, so the allowance adds 1e-12 M_h(0) =
-    1e-12 sum_m m (|a_m| + |b_m|): the weight S gives f's modes, about
-    9,000 m u per unit of |h_m|.
+    Both checks take ``_exact_checks``'s allowance, the normal trace its N.
     """
     solution, gaps = case.solution, ([], [])
     for n in sorted({case.f.n, case.h.n}):
         nodes = np.exp(1j * _circle_angles(n))
         sub = slice(None, None, -(-n // _POINT_NODES))
-        if case.h.n == n:  # 1 - t at the point route's nodes, t formed as it forms it
-            drift = float(np.max(np.abs(1.0 - (nodes[sub].real**2 + nodes[sub].imag**2))))
         routes = ((solution._rings(np.ones(1), n, True), nodes, slice(None)),
                   (solution._evaluate(nodes[sub], True), nodes[sub], sub))
         for (phi, d_z, d_zbar), z, at in routes:
@@ -452,15 +460,9 @@ def boundary_trace_check(case: Case) -> list[CheckResult]:
                 gaps[0].append(np.ravel(phi) - case.f.samples[at])
             if case.h.n == n:  # the inward normal derivative -(z Phi_z + zbar Phi_zbar)
                 gaps[1].append(np.ravel(-(z * d_z + np.conj(z) * d_zbar)) - case.h.samples[at])
-    m_f, m_h = (np.arange(d.spectrum.shape[1]) for d in (case.f, case.h))
-    # each weight is below 1, so the sums pass the double range only with S,
-    # which _exact_checks refuses
-    with np.errstate(over="ignore"):
-        moved = (np.sum(np.abs(case.f.spectrum) * (drift / 2.0 * m_f * m_f))
-                 + np.sum(np.abs(case.h.spectrum) * (1e-12 * m_h)))
     return _exact_checks(case, (
-        ("trace-exact[r=1]", np.concatenate(gaps[0]), solution.trace_tail),
-        ("normal-trace-exact[r=1]", np.concatenate(gaps[1]), solution.normal_tail + moved)))
+        ("trace-exact[r=1]", np.concatenate(gaps[0]), "trace"),
+        ("normal-trace-exact[r=1]", np.concatenate(gaps[1]), "normal")))
 
 
 def gradient_crosscheck(case: Case, points: Sequence[complex]) -> list[CheckResult]:

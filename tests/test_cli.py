@@ -1,11 +1,19 @@
 """Case-file parsing and the command-line entry points, run in-process."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharmonic_disk import cli, quadrature, solver, verify
 from biharmonic_disk.errors import CaseFormatError
@@ -703,13 +711,18 @@ def test_verify_passes_a_mode_below_the_cut(tmp_path, capsys, doc):
     assert "9/9 checks passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("datum, n, mode", [
-    ("h", 4096, 2041), ("h", 32768, 16000), ("f", 32768, 16000), ("f", 32768, 16383)])
-def test_verify_passes_a_unit_mode_near_the_band_edge(tmp_path, capsys, datum, n, mode):
-    # the point route takes rounded nodes: 1 - |z|^2 moves an f mode's normal
-    # derivative by (m^2 / 2) |1 - |z|^2|, and the rounded angle an h mode's by
-    # about m u; the normal trace's allowance carries both
-    doc = {datum: {"n_samples": n, "fourier": [[mode, 1.0, 0.0]]}}
+@pytest.mark.parametrize("datum, n, mode, coef", [
+    pytest.param("h", 4096, 2041, 1.0, id="h-4096-2041"),
+    pytest.param("h", 32768, 16000, 1.0, id="h-32768-16000"),
+    pytest.param("f", 32768, 16000, 1.0, id="f-32768-16000"),
+    pytest.param("f", 32768, 16383, 1.0, id="f-32768-16383"),
+    ("f", 32768, 16383, 2.718), ("h", 32768, 16383, 1.1), ("f", 32768, 16000, 1e300)])
+def test_verify_passes_a_unit_mode_near_the_band_edge(tmp_path, capsys, datum, n, mode, coef):
+    # a normal derivative of f's mode m cancels terms of size (m^2 / 2) |c| in
+    # the table's sums, and the point route's rounded node z moves it by
+    # (m^2 / 2) |c| |1 - |z|^2|; the rounded angle moves an h mode's by about
+    # m u |c|. Both normal checks carry both, whatever the coefficient
+    doc = {datum: {"n_samples": n, "fourier": [[mode, coef, 0.0]]}}
     assert cli.main(["verify", "--case", write_case(tmp_path, doc)]) == 0
     assert "9/9 checks passed" in capsys.readouterr().out
 
@@ -751,3 +764,117 @@ def test_only_identities_reaches_quadrature(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     with pytest.raises(AssertionError, match="quadrature reached"):
         cli.main(["identities"])
+
+
+# ---------------------------------------------------------------------------
+# refused or right: generated case documents through solve, verify and lipschitz
+
+
+class _Pairs(list):
+    """A JSON object as its (key, value) pairs, so that a key may repeat."""
+
+
+def _dump(node) -> str:
+    if isinstance(node, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_dump(value)}" for key, value in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_dump, node)) + "]"
+    return json.dumps(node)  # NaN and Infinity as the json module writes them
+
+
+# nodes that the grammar refuses where it wants a number or an integer
+_MALFORMED = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 1.5, "1", True, None, []])
+
+
+def _or_malformed(strategy):
+    """strategy, or one time in 20 a malformed node in its place."""
+    return st.integers(0, 19).flatmap(lambda k: _MALFORMED if k == 19 else strategy)
+
+
+# the numbers of one datum or load: one scale from 5e-324 to 1e307 times numbers of
+# size at most 10, with signs and zeros. A scale per number would put a number near
+# 1e308 in most documents, and the overflow checks would refuse most of them
+_SCALE = st.sampled_from([1.0, 1.0, 1.0, 5e-324, 1e-200, 1e-12, 1e12, 1e200, 1e307])
+
+
+def _numbers(scale):
+    return _or_malformed(st.floats(-10.0, 10.0).map(lambda x: scale * x))
+
+
+def _extra(pairs):
+    """pairs, one time in 20 with an unknown key and one time in 20 with a key repeated."""
+    return st.integers(0, 19).map(lambda k: pairs + [("x", 0)] if k == 18 else
+                                  pairs + pairs[:1] if k == 19 else pairs).map(_Pairs)
+
+
+@st.composite
+def _datum(draw):
+    """f or h: ``fourier`` or ``samples``, N from 4 to 256, modes up to and past N/2."""
+    # one time in 20 an odd count
+    n = 2 * draw(st.integers(2, 128)) - (draw(st.integers(0, 19)) == 19)
+    number = _numbers(draw(_SCALE))
+    if draw(st.booleans()):
+        mode = _or_malformed(st.integers(-(n // 2) - 2, n // 2 + 2))
+        rows = draw(st.lists(st.tuples(mode, number, number).map(list), max_size=4))
+        pairs = [("n_samples", draw(_or_malformed(st.just(n)))), ("fourier", rows)]
+    else:
+        # a few drawn samples, repeated to N
+        few = draw(st.lists(st.tuples(number, number).map(list), min_size=1, max_size=4))
+        pairs = [("samples", [few[k % len(few)] for k in range(n)])]
+    return draw(_extra(pairs))
+
+
+# exponents up to 16 and one past it
+_TERMS = _SCALE.map(_numbers).flatmap(lambda number: st.lists(
+    st.tuples(*[_or_malformed(st.integers(0, 17))] * 2, number, number).map(list), max_size=3))
+_NODES = {"f": _datum(), "h": _datum(), "g": _TERMS.flatmap(lambda t: _extra([("terms", t)])),
+          "seed": st.integers(-1, 2**64), "schema": st.sampled_from([1, 1, 1, 2])}
+
+
+@st.composite
+def _documents(draw):
+    """Case documents from the case grammar, some with one malformed node or key."""
+    keys = draw(st.lists(st.sampled_from(sorted(_NODES)), unique=True))
+    doc = draw(_extra([(key, draw(_or_malformed(_NODES[key]))) for key in keys]))
+    return _dump([doc] if draw(st.integers(0, 19)) == 19 else doc)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True)
+@given(_documents())
+def test_every_command_refuses_or_answers_a_generated_document(text):
+    # each command exits 0 or 2 (never 1: verify passes whatever solve
+    # answers), 2 with one error line, and 0 with only finite numbers; two
+    # runs write the same bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        case, field, report = (os.path.join(tmp, name)
+                               for name in ("case.json", "field.json", "report.json"))
+        with open(case, "w") as fh:
+            fh.write(text)
+        runs = []
+        for _ in range(2):
+            run = {}
+            for argv, written in ((["solve", "--case", case, "--grid", "3,8", "--gradient",
+                                    "--out", field], field),
+                                  (["verify", "--case", case, "--json", report], report),
+                                  (["lipschitz", "--case", case], None)):
+                status, out, err = _run(argv)
+                if status == 0 and written is not None:
+                    with open(written) as fh:
+                        out += fh.read()
+                    os.remove(written)
+                run[argv[0]] = status, out, err
+            runs.append(run)
+    assert runs[0] == runs[1]
+    for command, (status, out, err) in runs[0].items():
+        assert status in (0, 2), (command, status, err)
+        if status == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        else:
+            assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), (command, out)

@@ -952,7 +952,7 @@ def test_one_dropped_mode_comes_close_to_its_bounds(datum, mode, sharp):
         patch.setattr(solver, "_UNIT_ROUNDOFF", 0.0)
         full = solver.Solution(BoundaryData(data["f"].samples), BoundaryData(data["h"].samples))
     assert _block_width(data["f"], data["h"]) == 1
-    assert cut.value_tail == pytest.approx(4e-14 if datum == "f" else 2e-14, rel=1e-12)
+    assert cut.value_tail == pytest.approx(4e-14 if datum == "f" else 2e-14, rel=1e-12, abs=0)
     ulps = 8 * np.finfo(float).eps  # the two tables round the constant's part differently
     moved = np.max(np.abs(cut.values(zs) - full.values(zs)))
     assert (0.99 if datum == "f" else 0.0) * cut.value_tail <= moved <= cut.value_tail + ulps
