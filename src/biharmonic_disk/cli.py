@@ -84,7 +84,8 @@ import numpy as np
 
 from . import __version__
 from .errors import CaseFormatError, DegenerateDataError, DomainError, SingularityError
-from .solver import BoundaryData, Case, SourceTerm, _as_int, _sample_count, case_fingerprint
+from .solver import (_MAX_GRID_NODES, BoundaryData, Case, SourceTerm, _as_int, _sample_count,
+                     case_fingerprint)
 
 _SCHEMA = 1
 
@@ -99,9 +100,6 @@ _QUOTIENT_GRID = (40, 80, 0.95)
 
 # most samples a datum of a case file may hold (module docstring)
 _MAX_SAMPLES = 1 << 15
-
-# most nodes a solve grid may hold (module docstring)
-_MAX_GRID_NODES = 1 << 20
 
 # most bytes a case file may hold (module docstring)
 _MAX_CASE_BYTES = 9 << 20

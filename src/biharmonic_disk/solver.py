@@ -109,6 +109,10 @@ _CIRCLE_SLACK = 4 * np.finfo(float).eps
 # 512 KiB whatever the number of points.
 _CHUNK_ENTRIES = 1 << 15
 
+# Most nodes a grid may hold where a caller caps it: ``cli solve``'s
+# --grid, and the square grid of ``verify.fd_bilaplacian_residual``.
+_MAX_GRID_NODES = 1 << 20
+
 # Unit round-off u = eps / 2: the boundary block drops the modes whose
 # tail is below u times the 1-norm of the samples (``_boundary_rows``).
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -551,7 +555,7 @@ class Solution:
             return tuple(outs)
         first = self._rows[0][0]
         with np.errstate(over="ignore", invalid="ignore"):
-            coef, k, b, q, babies = _ring_layout(self._rows, n_theta, gradient, radii[-1])
+            coef, k, b, q, babies = _ring_layout(self._rows, n_theta, gradient)
             nodes = np.exp(1j * _circle_angles(n_theta)) if gradient else None
             # per ring: products, inner sums, folds, values with z and the radial part, powers
             step = max(1, _CHUNK_ENTRIES // (2 * coef.shape[2] + 3 * n_theta + k + q + b
@@ -633,7 +637,7 @@ def _overflow(gradient: bool) -> DegenerateDataError:
         f"the {'gradient' if gradient else 'value'} of the data overflows double precision")
 
 
-def _ring_layout(blocks, n_theta: int, gradient: bool, r_out: float):
+def _ring_layout(blocks, n_theta: int, gradient: bool):
     """(coef, k, b, q, babies): the table laid out for ``Solution._rings``.
 
     k = min(n_theta, W) over the widest block, whose folds take L =
@@ -646,9 +650,9 @@ def _ring_layout(blocks, n_theta: int, gradient: bool, r_out: float):
     takes babies = ceil(W_b / (q k)) powers of y. coef[p, c] holds kind
     2 p + c (``_kinds``) as pairs of floats, for a real matmul: row (row,
     i), column (g, k') the coefficient of mode k' + (i q + g) k, so a row's
-    modes lie in order. A row whose absolute sum on the outer ring r_out
-    overflows is refused, as the point route refuses it at the node where
-    its terms meet in phase.
+    modes lie in order. It refuses nothing: a table entry or sum that
+    overflows reaches the ring's outputs as inf or nan, which ``_rings``
+    refuses.
     """
     widths = [alpha.shape[0] for _, alpha, _ in blocks]
     k = min(n_theta, max(widths))
@@ -659,15 +663,11 @@ def _ring_layout(blocks, n_theta: int, gradient: bool, r_out: float):
     kinds = 4 if gradient else 2
     rows = sum(alpha.shape[1] * baby for (_, alpha, _), baby in zip(blocks, babies))
     coef = np.zeros((kinds // 2, 2, rows, q * k), dtype=complex)
-    r_pow = r_out ** np.arange(b * q * k)
     lo = 0
     for (_, alpha, beta), baby in zip(blocks, babies):
         n_rows = alpha.shape[1]
         block = coef[:, :, lo:lo + n_rows * baby].reshape(kinds, n_rows, -1)
         _kinds(alpha, beta, block)
-        magnitude = np.abs(block).reshape(-1, block.shape[2])
-        if not math.isfinite(np.dot(magnitude, r_pow[:magnitude.shape[1]]).max()):
-            raise _overflow(gradient)
         lo += n_rows * baby
     return coef.view(float), k, b, q, babies
 

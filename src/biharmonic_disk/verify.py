@@ -20,13 +20,15 @@ oracle functions that run them, so ``verify`` on a case loads neither.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .solver import _UNIT_ROUNDOFF, BoundaryData, Case, SourceTerm, _circle_angles
+from .solver import (_MAX_GRID_NODES, _UNIT_ROUNDOFF, BoundaryData, Case, SourceTerm,
+                     _circle_angles)
 
 # Interior points where pointwise identities and bounds are spot-checked.
 SAMPLE_POINTS = (0j, 0.25 + 0j, 0.5 * np.exp(1j * np.pi / 4), 0.75 + 0j, 0.9 + 0j)
@@ -301,7 +303,10 @@ def fd_bilaplacian_residual(case: Case, grid_spacing: float, extent: float = 0.8
     most (a+b)_6 r^(a+b-6) on z^a zbar^b (Vandermonde's identity). Only
     centres whose whole stencil lies in |z| <= extent count; a residual at
     one of them, T or S that overflows double precision raises
-    ``DegenerateDataError``.
+    ``DegenerateDataError``. A spacing whose square grid, (2 floor(extent /
+    h) + 1)^2 nodes, passes ``_MAX_GRID_NODES`` raises ``DomainError``
+    before anything is allocated; its round-off, eps |Phi| / h^4, would
+    pass the allowance anyway.
     """
     h = float(grid_spacing)
     if not (0.0 < h <= _FD_MAX_SPACING):
@@ -310,9 +315,13 @@ def fd_bilaplacian_residual(case: Case, grid_spacing: float, extent: float = 0.8
         raise DomainError(f"extent must be finite, got {extent}")
     if extent > _FD_DISK:
         raise DomainError(f"stencil support must stay inside |z| <= {_FD_DISK}")
-    m = int(np.floor(extent / h))
+    m = float(np.floor(float(extent) / h))  # inf for a subnormal spacing
     if m < 2:
         raise DomainError("stencil exits the allowed disk: spacing too coarse")
+    if 2 * m + 1 > math.isqrt(_MAX_GRID_NODES):  # a grid of (2m + 1)^2 nodes
+        raise DomainError(f"grid spacing {h:g} at extent {extent:g} asks for more than "
+                          f"{_MAX_GRID_NODES} nodes")
+    m = int(m)
     coords = np.arange(-m, m + 1) * h
     zg = coords[None, :] + 1j * coords[:, None]
     inside = np.abs(zg) <= extent

@@ -396,20 +396,48 @@ def test_ring_route_matches_the_old_ring_route(width, n_load):
                 assert np.all(np.abs(np.array(new) - old) <= 8 * table * _U * scale), n_theta
 
 
-@pytest.mark.parametrize("modes", [
-    [(255, 1e304)], [(179, 1e304), (180, 1e304), (181, 1e304)], [(200, 1e306), (-3, 1.0)],
-    [(100, 5e305), (101, -5e305j)],
-])
-def test_ring_route_refuses_what_the_old_one_refused(modes):
-    solution = solver.Solution(BoundaryData.from_fourier(modes))
-    for radii in (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 0.5, 3), np.zeros(1)):
-        for n_theta in (1, 4, 64, 600):
-            for gradient in (False, True):
-                outcomes = []
-                for route in (lambda: solution._rings(radii, n_theta, gradient),
-                              lambda: _old_rings(solution._rows, radii, n_theta, gradient)):
-                    try:
-                        outcomes.append(np.array(route()))
-                    except DegenerateDataError:
-                        outcomes.append(None)
-                assert (outcomes[0] is None) == (outcomes[1] is None), (radii, n_theta, gradient)
+_THREE_MODES = [(179, 1e304), (180, 1e304), (181, 1e304)]
+
+
+# The old route also refused a table whose absolute sum on the outer ring
+# overflows. Finite rows whose absolute sum overflows (the three modes,
+# alone and with h = f) give finite outputs, answered within the reference's
+# allowance. A derivative row past the double range (mode 255) and data
+# whose size S overflows give outputs that overflow, and stay refused. The
+# last call is solve_grid's 2000 x 4 grid.
+@pytest.mark.parametrize("modes, with_h, answered", [
+    ([(255, 1e304)], False, 0), (_THREE_MODES, False, 5), ([(200, 1e306), (-3, 1.0)], False, 0),
+    ([(100, 5e305), (101, -5e305j)], False, 0), (_THREE_MODES, True, 5),
+], ids=["modes0", "modes1", "modes2", "modes3", "modes1-with-h"])
+def test_ring_route_refuses_only_outputs_that_overflow(modes, with_h, answered):
+    f = BoundaryData.from_fourier(modes)
+    case = solver.Case(f, f if with_h else BoundaryData.zero(f.samples.size), SourceTerm.zero())
+    solution = case.solution
+    calls = [(radii, n_theta) for radii in (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 0.5, 3),
+                                            np.zeros(1)) for n_theta in (1, 4, 64, 600)]
+    calls.append((np.arange(2000) / 2000, 4))
+    newly = 0
+    for radii, n_theta in calls:
+        for gradient in (False, True):
+            outcomes = []
+            for route in (lambda: solution._rings(radii, n_theta, gradient),
+                          lambda: _old_rings(solution._rows, radii, n_theta, gradient)):
+                try:
+                    outcomes.append(np.array(route()))
+                except DegenerateDataError:
+                    outcomes.append(None)
+            new, old = outcomes
+            assert new is not None or old is None, (radii, n_theta, gradient)
+            if new is None or old is not None:
+                continue
+            newly += 1
+            # at most 40 of the call's nodes, against values u S and gradients u W S
+            points = (radii[:, None] * np.exp(1j * solver._circle_angles(n_theta))).ravel()
+            picks = np.unique(np.linspace(0, points.size - 1, 40).astype(int))
+            refs = _reference(solution.coefficients(), points[picks])
+            scale = _U * verify._data_scale(case)
+            width = max(alpha.shape[0] for _, alpha, _ in solution._rows)
+            for o, out in enumerate(new.reshape(len(new), -1)[:, picks]):
+                worst = max(_error(got, ref[o]) for got, ref in zip(out, refs))
+                assert worst <= _REFERENCE_C * scale * (width if o else 1), (radii, n_theta, o)
+    assert newly == answered

@@ -860,20 +860,38 @@ def test_giant_step_layout_matches_the_stacked_kinds(top):
             np.testing.assert_array_equal(matrix, expected[:kinds * expected.shape[0] // 4])
 
 
-@pytest.mark.parametrize("modes", [
-    [(255, 1e304)],  # 255^2 |a_255| / 2 passes 1.8e308 in the s^1 row's derivative
-    [(179, 1e304), (180, 1e304), (181, 1e304)],  # finite rows whose sum overflows
-])
-def test_overflowing_gradients_are_refused(modes):
-    # the values stay finite, and neither call warns
+@pytest.mark.parametrize("modes, grid_overflows", [
+    # 255^2 |a_255| / 2 passes 1.8e308 in the s^1 row's derivative
+    ([(255, 1e304)], True),
+    # finite rows whose sum overflows at z = 1, where their terms meet in
+    # phase; the grid's rings stop short of it, and its outputs are finite
+    # (test_evaluators checks them against the reference)
+    ([(179, 1e304), (180, 1e304), (181, 1e304)], False),
+], ids=["modes0", "modes1"])
+def test_overflowing_gradients_are_refused(modes, grid_overflows):
+    # the values stay finite, and no call warns
     f = BoundaryData.from_fourier(modes)
     solution = solver.Solution(f)
     zs = np.array([0.0, 0.5, 0.99j, 1.0])
     assert np.all(np.isfinite(solution.values(zs)))
     with pytest.raises(DegenerateDataError, match="gradient of the data overflows"):
         solution.gradient(zs)
-    with pytest.raises(DegenerateDataError, match="gradient of the data overflows"):
-        solver.solve_grid(f, f, SourceTerm.zero(), 2000, 4, with_gradient=True)
+    if grid_overflows:
+        with pytest.raises(DegenerateDataError, match="gradient of the data overflows"):
+            solver.solve_grid(f, f, SourceTerm.zero(), 2000, 4, with_gradient=True)
+
+
+def test_overflowing_values_are_refused_on_both_routes():
+    # each row's absolute sum is finite, but at r = 0 the value is
+    # f_0 + h_0 / 2 = 2.55e308; on the circle, where s = 0, it is f_0
+    f = BoundaryData.from_fourier([(0, 1.7e308)], 8)
+    solution = solver.Solution(f, f)
+    for call in (lambda: solution.grid(4, 4), lambda: solution.values([0j]),
+                 lambda: solution.grid(4, 4, with_gradient=True)):
+        with pytest.raises(DegenerateDataError, match="of the data overflows"):
+            call()
+    (on_circle,) = solution._rings(np.ones(1), 8, False)
+    assert np.all(on_circle == 1.7e308)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,26 @@ def test_fd_residual_argument_validation(reference_cases):
         verify.fd_bilaplacian_residual(case, np.nan)
 
 
+def test_fd_residual_refuses_grids_past_the_node_cap(reference_cases):
+    # at extent 0.8, 0.8 / 512 asks for 1025^2 nodes, one side past the cap,
+    # 1e-6 for 1,600,001^2 and the least subnormal for infinitely many; each
+    # is refused before allocating
+    case = reference_cases["bump"]
+    case.solution  # the table is assembled before the measurement
+    tracemalloc.start()
+    try:
+        for h in (0.8 / 512, 1e-6, 5e-324):
+            with pytest.raises(DomainError, match="nodes"):
+                verify.fd_bilaplacian_residual(case, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the spacings the package and its scripts use stay admitted
+    for h in (0.02, 0.025, 0.04, 0.05):
+        assert verify.fd_bilaplacian_residual(case, h).passed
+
+
 # the checks of the verify command, at its settings
 _VERIFY_CHECKS = {
     "fd-residual": lambda case: [verify.fd_bilaplacian_residual(case, cli._FD_SPACING)],
