@@ -4,7 +4,10 @@
 The finite-difference bilaplacian residual of a manufactured polynomial
 solution at a sequence of spacings: second order (slope ~ 2) on degree-6
 solutions and at the floor on quartics. The solver itself is exact for
-this data, so only the check's own discretisation error varies.
+this data, so only the check's own discretisation error varies. A spacing
+the package refuses (one whose grid passes the node cap, say) ends the
+sweep with one ``error:`` line on stderr and exit status 2, after the rows
+already printed.
 
 Run from the repository root:
 
@@ -14,10 +17,12 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
 from biharmonic_disk import SourceTerm, manufactured_case
+from biharmonic_disk.errors import DegenerateDataError, DomainError, SingularityError
 from biharmonic_disk.verify import fd_bilaplacian_residual
 
 CASES = {
@@ -44,7 +49,7 @@ def residual_sweep(name: str, spacings, extent: float) -> None:
         previous = (h, res)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--case", default="sextic", choices=sorted(CASES))
     parser.add_argument("--spacings", default="0.04,0.02",
@@ -52,8 +57,14 @@ def main() -> None:
     parser.add_argument("--extent", type=float, default=0.5,
                         help="half-width of the residual grid")
     args = parser.parse_args()
-    residual_sweep(args.case, [float(s) for s in args.spacings.split(",")], args.extent)
+    try:
+        residual_sweep(args.case, [float(s) for s in args.spacings.split(",")], args.extent)
+    except (DomainError, DegenerateDataError, SingularityError) as exc:
+        sys.stdout.flush()
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,8 +11,13 @@ module computes the constants entering its two-sided distortion bounds:
 * the origin invariants  A = |Phi_z(0)|^2,  B = |Phi_zbar(0)|^2  and
   Q = A - B, each computed both from the solver's table at the origin
   and, in closed form, from the integral formulas they reduce to,
-* the verdict: Phi is reported bi-Lipschitz when Q > 2 P^2, with lower
-  bound Q/P - 2P on the difference quotient, else Lipschitz-only.
+* the verdict: Phi is reported bi-Lipschitz when Q > 2 P^2, that is, when
+  the lower bound Q/P - 2P on the difference quotient is positive (P > 0),
+  else Lipschitz-only.
+
+``LipschitzReport`` stores only the measured constants; P, the lower bound
+and the verdict are properties derived from them, so they cannot disagree,
+and P is never squared.
 
 The empirical difference quotient over seeded node pairs of a solved grid
 gives an independent lower estimate that must stay below P.
@@ -20,7 +25,7 @@ gives an independent lower estimate that must stay below P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,9 +51,10 @@ _PAIR_BLOCK = 1 << 14
 class ABResult:
     """Origin gradient invariants, each computed two ways.
 
-    a_value, b_value, q_value come from the table's gradient at the origin,
-    Phi_z(0) = c[1, 0] and Phi_zbar(0) = c[-1, 0] of ``Solution.coefficients``.
-    a_integral / b_integral evaluate in closed form the formulas
+    a_value and b_value come from the table's gradient at the origin,
+    Phi_z(0) = c[1, 0] and Phi_zbar(0) = c[-1, 0] of ``Solution.coefficients``;
+    q_value = a_value - b_value is derived from them. a_integral / b_integral
+    evaluate in closed form the formulas
 
         |(1/4pi) int e^{-+i theta}(3f + h) dtheta
             - int zetabar-or-zeta (log|zeta|^2 + 1 - |zeta|^2) g dA|^2
@@ -59,31 +65,47 @@ class ABResult:
 
     a_value: float
     b_value: float
-    q_value: float
     a_integral: float
     b_integral: float
+
+    @property
+    def q_value(self) -> float:
+        return self.a_value - self.b_value
 
 
 @dataclass(frozen=True)
 class LipschitzReport:
-    """The distortion constants and verdict for one problem instance.
+    """The measured distortion constants of one problem instance, and what follows from them.
 
-    g_sup is the certified term-sum bound used inside p_upper; g_sup_estimate
-    is the dense-grid maximum (a lower estimate of the true sup). p_upper is
-    not certified: l_boundary and h_sup, which it is built from, are lower
-    estimates (the largest chord quotient and a dense-grid maximum). With
-    Q = A - B of the case's ``ABResult``, the verdict is "bi-lipschitz"
-    exactly when Q > 2 p_upper^2, in which case lower_bound = Q/p_upper -
-    2 p_upper is positive; it is reported as-is (usually negative) otherwise.
+    Only measured constants are stored; p_upper, lower_bound and verdict are
+    derived from them on each read. g_sup is the certified term-sum bound used
+    inside p_upper; g_sup_estimate is the dense-grid maximum (a lower
+    estimate of the true sup). p_upper is not certified: l_boundary and
+    h_sup, which it is built from, are lower estimates (the largest chord
+    quotient and a dense-grid maximum). q_value is Q = A - B of the case's
+    ``ABResult``. lower_bound = Q/p_upper - 2 p_upper, and the verdict is
+    "bi-lipschitz" exactly when it is positive, the paper's Q > 2 P^2 as
+    P > 0; the lower bound is reported as-is (usually negative) otherwise.
     """
 
     l_boundary: float
     h_sup: float
     g_sup: float
-    p_upper: float
-    lower_bound: float
-    verdict: str
     g_sup_estimate: float
+    q_value: float
+
+    @property
+    def p_upper(self) -> float:
+        return p_bound(self.l_boundary, self.h_sup, self.g_sup)
+
+    @property
+    def lower_bound(self) -> float:
+        p = self.p_upper
+        return self.q_value / p - 2.0 * p
+
+    @property
+    def verdict(self) -> str:
+        return "bi-lipschitz" if self.lower_bound > 0.0 else "lipschitz-only"
 
 
 def estimate_boundary_lipschitz(f: BoundaryData) -> float:
@@ -151,35 +173,18 @@ def _origin_invariants(case: Case) -> ABResult:
     a_value, b_value = np.abs(case.solution.gradient(0j)) ** 2
     t_a, t_b = _origin_boundary_terms(case.f, case.h)
     g_a, g_b = _origin_green_terms(case.g)
-    return ABResult(
-        a_value=a_value,
-        b_value=b_value,
-        q_value=a_value - b_value,
-        a_integral=abs(t_a - g_a) ** 2,
-        b_integral=abs(t_b - g_b) ** 2,
-    )
+    return ABResult(a_value, b_value, abs(t_a - g_a) ** 2, abs(t_b - g_b) ** 2)
 
 
 def classify(l_boundary: float, h_sup: float, g_sup: float,
              a_value: float, b_value: float, g_sup_estimate: float) -> LipschitzReport:
     """Assemble the LipschitzReport from the measured constants; A and B set the verdict."""
-    p_upper = p_bound(l_boundary, h_sup, g_sup)
-    if p_upper == 0.0:
+    report = LipschitzReport(l_boundary, h_sup, g_sup, g_sup_estimate, a_value - b_value)
+    if report.p_upper == 0.0:
         raise DegenerateDataError(
             "f is constant and h = g = 0: the gradient bound P is 0 and no quotient is defined"
         )
-    q_value = a_value - b_value
-    lower = q_value / p_upper - 2.0 * p_upper
-    verdict = "bi-lipschitz" if q_value > 2.0 * p_upper**2 else "lipschitz-only"
-    return LipschitzReport(
-        l_boundary=l_boundary,
-        h_sup=h_sup,
-        g_sup=g_sup,
-        p_upper=p_upper,
-        lower_bound=lower,
-        verdict=verdict,
-        g_sup_estimate=g_sup_estimate,
-    )
+    return report
 
 
 def analyze_case(case: Case) -> tuple[LipschitzReport, ABResult]:
@@ -200,14 +205,16 @@ def analyze_case(case: Case) -> tuple[LipschitzReport, ABResult]:
                 b_value=ab.b_value,
                 g_sup_estimate=case.g.sup_norm_estimate(),
             )
+            # every reported constant, the derived ones too
+            constants = [(name, getattr(ab, name)) for name in (
+                "a_value", "b_value", "q_value", "a_integral", "b_integral")]
+            constants += [(name, getattr(report, name)) for name in (
+                "l_boundary", "h_sup", "g_sup", "p_upper", "lower_bound", "g_sup_estimate")]
     except OverflowError as exc:  # a Python float power past the double range
         raise DegenerateDataError("a reported constant overflows double precision") from exc
-    for result in (ab, report):
-        for field in fields(result):
-            value = getattr(result, field.name)
-            if not isinstance(value, str) and not np.isfinite(value):
-                raise DegenerateDataError(
-                    f"{field.name} is {value}: the data overflow double precision")
+    for name, value in constants:
+        if not np.isfinite(value):
+            raise DegenerateDataError(f"{name} is {value}: the data overflow double precision")
     return report, ab
 
 

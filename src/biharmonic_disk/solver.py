@@ -109,7 +109,7 @@ _CIRCLE_SLACK = 4 * np.finfo(float).eps
 # 512 KiB whatever the number of points.
 _CHUNK_ENTRIES = 1 << 15
 
-# Most nodes a grid may hold where a caller caps it: ``cli solve``'s
+# Most nodes a grid may hold: ``Solution.grid``'s n_r n_theta, ``cli solve``'s
 # --grid, and the square grid of ``verify.fd_bilaplacian_residual``.
 _MAX_GRID_NODES = 1 << 20
 
@@ -514,7 +514,8 @@ class Solution:
         Each ring takes one inverse FFT of its folded modes (``_rings``),
         whatever n_theta; scattered points take ``_evaluate``. The sizes are
         Python or numpy integers; a float, even 4.0, or a bool raises
-        ``DegenerateDataError``.
+        ``DegenerateDataError``, as does a grid of more than
+        ``_MAX_GRID_NODES`` nodes, before anything is allocated.
         """
         n_r = _as_int(n_r, DegenerateDataError, "a grid size")
         n_theta = _as_int(n_theta, DegenerateDataError, "a grid size")
@@ -522,6 +523,9 @@ class Solution:
             raise DegenerateDataError("grid sizes must be positive")
         if not (0.0 < r_max <= 1.0):
             raise DomainError("r_max must lie in (0, 1]")
+        if n_r * n_theta > _MAX_GRID_NODES:
+            raise DegenerateDataError(
+                f"a grid of {n_r} x {n_theta} nodes holds more than {_MAX_GRID_NODES}")
         radii = r_max * np.arange(n_r) / n_r
         thetas = _circle_angles(n_theta).copy()
         outs = self._rings(radii, n_theta, with_gradient)
@@ -590,7 +594,7 @@ class Solution:
                     np.multiply(z, radial, out=z)
                     np.add(waves[2:4], z, out=outs[1:, lo:lo + step])
         if not np.isfinite(outs.view(float)).all():
-            raise _overflow(gradient)
+            raise _overflow(outs)
         return tuple(outs)
 
     def _evaluate(self, zs, gradient: bool):
@@ -628,13 +632,14 @@ class Solution:
                         acc[1] += np.conj(z) * radial + v[2]
                         acc[2] += z * radial + np.conj(v[3])
         if not np.all(np.isfinite(outs)):
-            raise _overflow(gradient)
+            raise _overflow(outs)
         return tuple(out.reshape(shape) for out in outs)
 
 
-def _overflow(gradient: bool) -> DegenerateDataError:
-    return DegenerateDataError(
-        f"the {'gradient' if gradient else 'value'} of the data overflows double precision")
+def _overflow(outs) -> DegenerateDataError:
+    # outs[0] holds the values: they are named when they overflow, else the gradient
+    what = "gradient" if np.isfinite(outs[0]).all() else "value"
+    return DegenerateDataError(f"the {what} of the data overflows double precision")
 
 
 def _ring_layout(blocks, n_theta: int, gradient: bool):

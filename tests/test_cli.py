@@ -624,6 +624,33 @@ def test_lipschitz_accepts_four_samples(tmp_path, capsys):
     assert "verdict: lipschitz-only" in out
 
 
+@pytest.mark.parametrize("doc", [
+    # a 1e308 spike: L on the chord quotients (and A) overflow
+    {"f": {"samples": [[1e308, 0.0]] + [[0.0, 0.0]] * 63}},
+    # A = |Phi_z(0)|^2 overflows as a float power
+    {"f": {"fourier": [[1, 1e200, 0.0]]}},
+])
+def test_lipschitz_refuses_the_other_overflowing_constants(tmp_path, capsys, doc):
+    rc = cli.main(["lipschitz", "--case", write_case(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "overflow" in captured.err
+    assert captured.out == ""
+
+
+def test_lipschitz_answers_a_finite_p_whose_square_overflows(tmp_path, capsys):
+    # P = (23/3) 1e200 is finite and so is every printed number; only P^2,
+    # which the verdict does not form, is past the double range
+    doc = {"g": {"terms": [[0, 0, 1e200, 0.0]]}}
+    rc = cli.main(["lipschitz", "--case", write_case(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "P (gradient bound)              = 7.66666666667e+200\n" in out
+    assert "lower bound                     = -1.53333333333e+201\n" in out
+    assert "empirical quotient              = 3.84782572754e+199\n" in out
+    assert out.endswith("verdict: lipschitz-only\n")
+
+
 def test_lipschitz_refuses_overflowing_constants(tmp_path, capsys):
     # |g| = sqrt(2) 1e308 overflows P; nothing is printed as a result
     doc = {"schema": 1, "g": {"terms": [[0, 0, 1e308, 1e308]]}}

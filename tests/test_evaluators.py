@@ -257,7 +257,7 @@ def _old_ring_layout(blocks, n_theta, gradient, r_out):
         n_rows = alpha.shape[1]
         c = _old_kinds(alpha, beta, kinds, q * baby * k)
         if not math.isfinite((np.abs(c) @ r_pow[:c.shape[-1]]).max()):
-            raise solver._overflow(gradient)
+            raise DegenerateDataError("the outer ring's absolute sum overflows")
         coef[lo:lo + n_rows * baby].reshape(n_rows, baby, kinds, q, k)[...] = (
             c.reshape(kinds, n_rows, q, baby, k).transpose(1, 3, 0, 2, 4))
         lo += n_rows * baby
@@ -298,7 +298,7 @@ def _old_rings(rows, radii, n_theta, gradient):
             np.add(waves[:, 2], np.conj(z) * radial, out=outs[1])
             np.add(waves[:, 3], z * radial, out=outs[2])
     if not np.isfinite(outs).all():
-        raise solver._overflow(gradient)
+        raise solver._overflow(outs)
     return tuple(outs)
 
 

@@ -1,5 +1,6 @@
 """Distortion constants: gradient bounds, origin invariants, quotients."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -339,6 +340,57 @@ def test_classify_keeps_separate_g_estimate():
     assert report.g_sup == 4.0
     assert report.g_sup_estimate == 3.5
     assert report.p_upper == pytest.approx(92.0 / 3.0)
+
+
+def test_reports_store_only_the_measured_constants():
+    assert [f.name for f in dataclasses.fields(lipschitz.ABResult)] == [
+        "a_value", "b_value", "a_integral", "b_integral"]
+    assert [f.name for f in dataclasses.fields(lipschitz.LipschitzReport)] == [
+        "l_boundary", "h_sup", "g_sup", "g_sup_estimate", "q_value"]
+    assert isinstance(lipschitz.ABResult.q_value, property)
+    for name in ("p_upper", "lower_bound", "verdict"):
+        assert isinstance(getattr(lipschitz.LipschitzReport, name), property), name
+    report = classify(l_boundary=1.0, h_sup=0.5, g_sup=0.25, a_value=3.0, b_value=1.0,
+                      g_sup_estimate=0.2)
+    assert report.q_value == 2.0
+    assert report.p_upper == p_bound(1.0, 0.5, 0.25)
+    assert report.lower_bound == 2.0 / report.p_upper - 2.0 * report.p_upper
+
+
+# on the knife edge Q = nextafter(2 P^2, inf) the lower bound Q/P - 2P can
+# round to 0 (or below) although Q > 2 P^2 holds in floating point: the
+# verdict follows the lower bound, so the two never disagree
+@example(l_boundary=4.85242455334192, h_sup=0.9807371998012386, g_sup=0.0)
+@given(l_boundary=st.floats(min_value=1e-3, max_value=10.0),
+       h_sup=st.floats(min_value=0.0, max_value=1.0),
+       g_sup=st.floats(min_value=0.0, max_value=1.0))
+def test_verdict_is_the_sign_of_the_lower_bound(l_boundary, h_sup, g_sup):
+    p = p_bound(l_boundary, h_sup, g_sup)
+    report = classify(l_boundary=l_boundary, h_sup=h_sup, g_sup=g_sup,
+                      a_value=math.nextafter(2.0 * p * p, math.inf), b_value=0.0,
+                      g_sup_estimate=g_sup)
+    assert (report.verdict == "bi-lipschitz") == (report.lower_bound > 0.0)
+
+
+def test_knife_edge_reads_lipschitz_only():
+    report = classify(l_boundary=4.85242455334192, h_sup=0.9807371998012386, g_sup=0.0,
+                      a_value=258865.18729435478, b_value=0.0, g_sup_estimate=0.0)
+    assert report.lower_bound == 0.0
+    assert report.verdict == "lipschitz-only"
+
+
+def test_finite_p_whose_square_overflows_is_reported():
+    # P = (23/3) 1e200: P^2 is past the double range, Q/P - 2P is not
+    report = classify(l_boundary=0.0, h_sup=0.0, g_sup=1e200, a_value=0.0, b_value=0.0,
+                      g_sup_estimate=1e200)
+    assert report.lower_bound == -2.0 * report.p_upper
+    assert report.verdict == "lipschitz-only"
+    report, ab = lipschitz.analyze_case(solver.Case(
+        BoundaryData.zero(), BoundaryData.zero(), SourceTerm([(0, 0, 1e200)])))
+    assert report.p_upper == pytest.approx(23.0 / 3.0 * 1e200, rel=1e-15)
+    assert math.isfinite(report.lower_bound) and report.lower_bound < 0.0
+    assert report.verdict == "lipschitz-only"
+    assert ab.q_value == 0.0
 
 
 def test_analyze_case_end_to_end():

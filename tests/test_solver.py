@@ -883,12 +883,14 @@ def test_overflowing_gradients_are_refused(modes, grid_overflows):
 
 def test_overflowing_values_are_refused_on_both_routes():
     # each row's absolute sum is finite, but at r = 0 the value is
-    # f_0 + h_0 / 2 = 2.55e308; on the circle, where s = 0, it is f_0
+    # f_0 + h_0 / 2 = 2.55e308; on the circle, where s = 0, it is f_0. The
+    # gradients stay finite, so every call, with gradients too, names the value
     f = BoundaryData.from_fourier([(0, 1.7e308)], 8)
     solution = solver.Solution(f, f)
     for call in (lambda: solution.grid(4, 4), lambda: solution.values([0j]),
-                 lambda: solution.grid(4, 4, with_gradient=True)):
-        with pytest.raises(DegenerateDataError, match="of the data overflows"):
+                 lambda: solution.grid(4, 4, with_gradient=True),
+                 lambda: solution.gradient([0j])):
+        with pytest.raises(DegenerateDataError, match="the value of the data overflows"):
             call()
     (on_circle,) = solution._rings(np.ones(1), 8, False)
     assert np.all(on_circle == 1.7e308)
@@ -1249,6 +1251,21 @@ def test_grid_argument_validation():
     for sizes in [(2.5, 4), (3, 4.5), (3, np.float64(4.0)), (True, 4), (3, True)]:
         with pytest.raises(DegenerateDataError, match="must be an integer"):
             solver.solve_grid(zero, zero, SourceTerm.zero(), *sizes)
+
+
+@pytest.mark.parametrize("sizes", [(1025, 1024), (10**6, 10**6)])
+def test_grid_refuses_sizes_past_the_node_cap(sizes):
+    # refused before anything is allocated, on both entry points
+    zero = BoundaryData.zero()
+    solution = solver.Solution(zero, zero, SourceTerm.constant(4.0))
+    for call in (lambda: solution.grid(*sizes),
+                 lambda: solver.solve_grid(zero, zero, SourceTerm.constant(4.0), *sizes)):
+        def refused():
+            with pytest.raises(DegenerateDataError, match="holds more than 1048576"):
+                call()
+        assert _peak_bytes(refused) < 2**20
+    # the cap itself is admitted
+    assert solution.grid(1024, 1024).values.shape == (1024, 1024)
 
 
 def test_grid_takes_numpy_integer_sizes():
